@@ -2,11 +2,12 @@
 model cone and edge spaces, cross-checked against an exact symbolic
 calculus of polyhomogeneous index sets."""
 
-from . import bessel, conekernel, errors, fiber, phg, zetator
+from . import bessel, conekernel, errors, fiber, oracles, phg, zetator
 from .bessel import bessel_i, bessel_j_zeros
 from .conekernel import (
     ConeSpectrum,
     FittedExpansion,
+    Spectrum,
     TraceSamples,
     cone_heat_kernel,
     cone_spectrum,
@@ -23,7 +24,6 @@ from .fiber import (
     NuMode,
     NuSpectrum,
     a_spectrum,
-    circle_spectrum,
     gauss_bonnet_consistency,
     single_nu_spectrum,
     torus_spectrum,

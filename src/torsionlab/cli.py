@@ -8,7 +8,7 @@ Subcommands:
     fit         expansion coefficients fitted against the predicted template
     zeta        per-degree zeta data near s = 0
     torsion     full pipeline: spectrum -> trace -> fit -> zeta -> report
-    selftest    oracle suite with one PASS/FAIL line per check
+    selftest    the oracle table (torsionlab.oracles), one PASS/FAIL line each
 
 Configuration comes from `--config file` (TOML-style `key = value` lines)
 with command-line flags taking precedence.  Exit codes: 0 success, 2
@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 from fractions import Fraction
 
-import numpy as np
-
-from . import bessel, conekernel, fiber, phg, zetator
+from . import conekernel, fiber, oracles, phg, zetator
 from ._serialize import dumps_canonical, write_atomic
 from .errors import (
     CertificationError,
@@ -99,7 +97,6 @@ class ModelConfig:
     base_radius: float = 1.0
     base_periods: list = field(default_factory=list)
     convention: str = "GeometricOracle"
-    nu_max: float | None = None
     lambda_max: float | None = None
     t_min: float = 1e-3
     t_max: float = 1e-1
@@ -149,11 +146,23 @@ class ModelConfig:
 
 # --------------------------------------------------------------- pipeline --
 
+def _stage(method):
+    """Compute a pipeline stage once per instance.  The stage stays a plain
+    method, so an instance attribute of the same name still replaces it."""
+    @wraps(method)
+    def once(self):
+        if method.__name__ not in self._memo:
+            self._memo[method.__name__] = method(self)
+        return self._memo[method.__name__]
+    return once
+
+
 @dataclass
 class Pipeline:
     """Lazily evaluated model pipeline shared by the subcommands."""
 
     cfg: ModelConfig
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.cfg
@@ -219,20 +228,15 @@ class Pipeline:
             out[p] = conekernel.truncated_cone_trace(cs, p, self.grid)
         return out
 
+    @_stage
     def traces(self) -> dict[int, conekernel.TraceSamples]:
-        cached = getattr(self, "_traces", None)
-        if cached is not None:
-            return cached
         cone = self.cone_traces()
         if self.cfg.base == "point" or self.cfg.single_nu is not None:
-            out = cone
-        else:
-            base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
-            base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
-                    for d in range(len(self.base_periods) + 1)}
-            out = conekernel.product_trace([base, cone])
-        self._traces = out
-        return out
+            return cone
+        base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
+        base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
+                for d in range(len(self.base_periods) + 1)}
+        return conekernel.product_trace([base, cone])
 
     def template(self) -> phg.ExpansionTemplate:
         cutoff = Fraction(1) if self.cfg.single_nu is not None \
@@ -240,35 +244,34 @@ class Pipeline:
         return phg.heat_trace_structure(self.m, self.b, even=self.cfg.even,
                                         boundary=True, cutoff=cutoff)
 
+    @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:
         tpl = self.template()
         return {k: conekernel.fit_expansion(tr.restrict(t_max=self.cfg.t_max), tpl)
                 for k, tr in self.traces().items()}
 
-    def zetas(self) -> dict[int, zetator.ZetaData]:
+    def _kernels(self) -> list[int]:
         kernels = zetator.kernel_dimension(self.descriptor)
-        tpl = self.template()
-        out = {}
-        for k, tr in sorted(self.traces().items()):
-            fit = conekernel.fit_expansion(tr.restrict(t_max=self.cfg.t_max), tpl)
-            out[k] = zetator.zeta_near_zero(tr, fit, kernels[k] if k < len(kernels) else 0,
-                                            split=self.cfg.split, degree=k)
-        return out
+        return [kernels[k] if k < len(kernels) else 0 for k in self.degrees]
+
+    @_stage
+    def zetas(self) -> dict[int, zetator.ZetaData]:
+        traces, fits = self.traces(), self.fits()
+        return {k: zetator.zeta_near_zero(traces[k], fits[k], kernel, split=self.cfg.split,
+                                          degree=k)
+                for k, kernel in zip(self.degrees, self._kernels())}
 
     def torsion(self) -> zetator.TorsionReport:
-        traces = self.traces()
-        kernels = zetator.kernel_dimension(self.descriptor)
-        betti = [kernels[k] if k < len(kernels) else 0 for k in sorted(traces)]
-        defect = conekernel.mckean_singer_defect(
-            [traces[k] for k in sorted(traces)], betti)
+        diagnostics = {"lambda_max": self.lambda_max, "t_min": self.cfg.t_min,
+                       "grid_points": self.cfg.points}
+        # the alternating sum pairs degrees; a single radial mode has only one
+        if len(self.degrees) > 1:
+            traces = self.traces()
+            diagnostics["mckean_singer_defect"] = conekernel.mckean_singer_defect(
+                [traces[k] for k in self.degrees], self._kernels())
         zetas = self.zetas()
-        per_degree = [zetas[k] for k in sorted(zetas)]
-        return zetator.torsion_assemble(
-            per_degree, model=self.model_label(),
-            diagnostics={"mckean_singer_defect": defect,
-                         "lambda_max": self.lambda_max,
-                         "t_min": self.cfg.t_min,
-                         "grid_points": self.cfg.points})
+        return zetator.torsion_assemble([zetas[k] for k in self.degrees],
+                                        model=self.model_label(), diagnostics=diagnostics)
 
     def model_label(self) -> str:
         cfg = self.cfg
@@ -285,13 +288,15 @@ class Pipeline:
 
 # ----------------------------------------------------------------- output --
 
-def _emit(payload: dict, cfg_output: str | None) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    text = dumps_canonical(payload)
-    if cfg_output:
-        write_atomic(cfg_output, text)
+def _write(text: str, output: str | None) -> None:
+    if output:
+        write_atomic(output, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, output: str | None) -> None:
+    _write(dumps_canonical({"schema": SCHEMA, **payload}), output)
 
 
 def _mode_error(exc: BaseException) -> int:
@@ -322,26 +327,13 @@ def _pipeline(args: argparse.Namespace) -> Pipeline:
     return Pipeline(cfg)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    pipe = _pipeline(args)
-    spectra = pipe.nu_spectra()
-    _emit({"model": pipe.model_label(),
-           "nu_spectra": {str(p): s.to_json_dict() for p, s in spectra.items()}},
-          pipe.cfg.output)
-    return EXIT_OK
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
     traces = pipe.traces()
     if pipe.cfg.format == "csv":
         if args.degree is None:
             raise ValueError("csv trace output needs --degree")
-        text = traces[args.degree].to_csv()
-        if pipe.cfg.output:
-            write_atomic(pipe.cfg.output, text)
-        else:
-            sys.stdout.write(text)
+        _write(traces[args.degree].to_csv(), pipe.cfg.output)
         return EXIT_OK
     payload = {"model": pipe.model_label(), "traces": {}}
     for k, tr in sorted(traces.items()):
@@ -352,35 +344,28 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    pipe = _pipeline(args)
-    fits = pipe.fits()
-    _emit({"model": pipe.model_label(),
-           "fits": {str(k): f.to_json_dict() for k, f in sorted(fits.items())}},
-          pipe.cfg.output)
-    return EXIT_OK
+def _stage_command(key: str, stage: str):
+    """A subcommand that prints one pipeline stage, keyed by degree."""
+    def command(args: argparse.Namespace) -> int:
+        pipe = _pipeline(args)
+        _emit({"model": pipe.model_label(),
+               key: {str(k): v.to_json_dict() for k, v in getattr(pipe, stage)().items()}},
+              pipe.cfg.output)
+        return EXIT_OK
+    return command
 
 
-def cmd_zeta(args: argparse.Namespace) -> int:
-    pipe = _pipeline(args)
-    zetas = pipe.zetas()
-    _emit({"model": pipe.model_label(),
-           "zeta": {str(k): z.to_json_dict() for k, z in sorted(zetas.items())}},
-          pipe.cfg.output)
-    return EXIT_OK
+cmd_spectrum = _stage_command("nu_spectra", "nu_spectra")
+cmd_fit = _stage_command("fits", "fits")
+cmd_zeta = _stage_command("zeta", "zetas")
 
 
 def cmd_torsion(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
     report = pipe.torsion()
-    payload = {"schema": SCHEMA, "report": report.to_json_dict()}
-    text = dumps_canonical(payload)
+    _emit({"report": report.to_json_dict()}, pipe.cfg.output)
     if pipe.cfg.output:
-        write_atomic(pipe.cfg.output, text)
-        stem = pipe.cfg.output.rsplit(".", 1)[0]
-        write_atomic(stem + ".csv", report.to_csv())
-    else:
-        sys.stdout.write(text)
+        write_atomic(pipe.cfg.output.rsplit(".", 1)[0] + ".csv", report.to_csv())
     print(f"log T = {report.log_torsion:.12g}", file=sys.stderr)
     print(f"torsion zeta regular at 0: {report.torsion_zeta_regular} "
           f"(per-degree regular: {report.all_degrees_regular}, "
@@ -390,155 +375,14 @@ def cmd_torsion(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- selftest --
 
-def _selftest_checks(convention: str, quick: bool):
-    geo = fiber.Convention.GEOMETRIC_ORACLE
-    conv = fiber.Convention(convention)
-
-    def bessel_closed_form():
-        zs = np.geomspace(1e-3, 30, 100 if quick else 1000)
-        worst = max(abs(bessel.bessel_i(0.5, z) - math.sqrt(2 / (math.pi * z)) * math.sinh(z))
-                    / (math.sqrt(2 / (math.pi * z)) * math.sinh(z)) for z in zs)
-        return worst < 1e-12, f"max rel err {worst:.2e}"
-
-    def kernel_images():
-        n = 4 if quick else 10
-        worst = 0.0
-        for t in np.geomspace(1e-3, 1.0, n):
-            for x in np.linspace(0.1, 2.0, n):
-                for y in np.linspace(0.1, 2.0, n):
-                    want = (4 * math.pi * t) ** -0.5 * (
-                        math.exp(-((x - y) ** 2) / (4 * t))
-                        - math.exp(-((x + y) ** 2) / (4 * t)))
-                    got = conekernel.cone_heat_kernel(0.5, t, x, y)
-                    if want == 0.0:  # both sides underflow together
-                        worst = max(worst, abs(got))
-                    else:
-                        worst = max(worst, abs(got - want) / abs(want))
-        return worst < 1e-10, f"max rel err {worst:.2e}"
-
-    def zeros_exact():
-        count = 100 if quick else 500
-        zeros = bessel.bessel_j_zeros(0.5, (count + 0.5) * math.pi)
-        worst = max(abs(z - k * math.pi) / (k * math.pi)
-                    for k, z in enumerate(zeros[:count], start=1))
-        j01 = bessel.bessel_j_zeros(0.0, 3.0)[0]
-        ok = worst < 1e-12 and abs(j01 - 2.404825557695773) < 1e-10
-        return ok, f"k*pi rel err {worst:.2e}, j01 err {abs(j01 - 2.404825557695773):.2e}"
-
-    def dense_a_oracle():
-        worst = 0.0
-        n = 32 if quick else 64
-        for p in range(3):
-            dense, kmax = fiber.dense_a_eigenvalues((2 * math.pi,), p, conv, n_modes=n)
-            fib = fiber.torus_spectrum((2 * math.pi,), cutoff=kmax * (1 + 1e-12))
-            closed = sorted(b.nu2 for b in fiber.a_block_eigenvalues(fib, p, conv)
-                            for _ in range(b.mult))
-            worst = max(worst, float(np.max(np.abs(np.asarray(closed) - dense))))
-        return worst < 1e-9, f"max |closed - dense| {worst:.2e}"
-
-    def theta_fit():
-        spec = conekernel.cone_spectrum(fiber.single_nu_spectrum(0.5),
-                                        lambda_cutoff=3.4e5, cone_dim=1)
-        tr = conekernel.truncated_cone_trace(
-            spec, 0, conekernel.log_grid(1e-4, 1e-1, 40))
-        tpl = phg.heat_trace_structure(1, 0, even=True, boundary=True, cutoff=1)
-        fit = conekernel.fit_expansion(tr, tpl)
-        e1 = abs(fit.coefficient(Fraction(-1, 2)) - 1 / (2 * math.sqrt(math.pi)))
-        e2 = abs(fit.coefficient(0) + 0.5)
-        return e1 < 1e-6 and e2 < 1e-5, f"leading errs {e1:.2e}, {e2:.2e}"
-
-    def zeta_riemann():
-        spec = conekernel.cone_spectrum(fiber.single_nu_spectrum(0.5),
-                                        lambda_cutoff=3.4e5, cone_dim=1)
-        tr = conekernel.truncated_cone_trace(
-            spec, 0, conekernel.log_grid(1e-4, 1.0, 241))
-        tpl = phg.heat_trace_structure(1, 0, even=True, boundary=True, cutoff=1)
-        fit = conekernel.fit_expansion(tr.restrict(t_max=0.1), tpl)
-        z = zetator.zeta_near_zero(tr, fit, kernel_dim=0)
-        e1 = abs(z.zeta0 + 0.5)
-        e2 = abs(z.zeta_prime0 + math.log(2))
-        return e1 < 1e-6 and e2 < 1e-5, f"zeta0 err {e1:.2e}, zeta'0 err {e2:.2e}"
-
-    def disk_weyl():
-        t_min = 2e-3 if quick else 1e-3
-        lam = 36.0 / t_min
-        lmax = math.sqrt(lam)
-        fib = fiber.circle_spectrum(1.0, cutoff=lmax + 2.0)
-        nus = fiber.a_spectrum(fib, 0, geo, nu_max=lmax + 0.5)
-        spec = conekernel.cone_spectrum(nus, lam)
-        tr = conekernel.truncated_cone_trace(
-            spec, 0, conekernel.log_grid(t_min, 1e-1, 121))
-        tpl = phg.heat_trace_structure(2, 0, even=True, boundary=True, cutoff=2)
-        fit = conekernel.fit_expansion(tr, tpl)
-        e1 = abs(fit.coefficient(-1) - 0.25)
-        e2 = abs(fit.coefficient(Fraction(-1, 2)) + math.sqrt(math.pi) / 4)
-        return e1 < 1e-3 and e2 < 5e-3, f"Weyl errs {e1:.2e}, {e2:.2e}"
-
-    def mckean_singer():
-        lam = 800.0
-        fib = fiber.circle_spectrum(1.0, cutoff=math.sqrt(lam) + 2.0)
-        grid = conekernel.log_grid(0.05, 1.0, 10)
-        traces = []
-        for p in range(3):
-            nus = fiber.a_spectrum(fib, p, geo, nu_max=math.sqrt(lam) + 0.5)
-            traces.append(conekernel.truncated_cone_trace(
-                conekernel.cone_spectrum(nus, lam), p, grid))
-        defect = conekernel.mckean_singer_defect(traces, [0, 0, 0])
-        return defect < 1e-6, f"defect {defect:.2e}"
-
-    def gauss_bonnet():
-        fib = fiber.circle_spectrum(1.0, cutoff=11.5)
-        try:
-            s0 = fiber.a_spectrum(fib, 0, conv, nu_max=10.0)
-            s1 = fiber.a_spectrum(fib, 1, conv, nu_max=10.0)
-            s2 = fiber.a_spectrum(fib, 2, conv, nu_max=10.0)
-        except Exception as exc:
-            if conv is not geo:
-                return "expected-fail", f"literal blocks indefinite ({type(exc).__name__})"
-            raise
-        even = fiber.NuSpectrum(tuple(sorted(s0.modes + s2.modes, key=lambda m: m.nu)),
-                                conv, 10.0)
-        ok = fiber.gauss_bonnet_consistency(even, s1, tol=1e-9)
-        return ok, "even/odd spectra pair through a common first-order operator"
-
-    def convention_comparison():
-        fib = fiber.circle_spectrum(1.0, cutoff=7.0)
-        spec = fiber.a_spectrum(fib, 0, conv, nu_max=5.5)
-        want = [0.0] + [float(k) for k in range(1, 6) for _ in range(2)]
-        got = spec.nu_multiset()
-        agrees = len(got) == len(want) and max(
-            abs(a - b) for a, b in zip(got, want)) < 1e-12
-        if conv is geo:
-            return agrees, "flat-plane orders |k| reproduced"
-        # literal constants shift the scalar orders: expected to disagree
-        return ("expected-fail", "flat-plane oracle differs (nu^2 = k^2 + 1)") \
-            if not agrees else (False, "literal constants unexpectedly agree")
-
-    checks = [
-        ("bessel_closed_form", bessel_closed_form),
-        ("kernel_images", kernel_images),
-        ("zeros_exact", zeros_exact),
-        ("dense_a_oracle", dense_a_oracle),
-        ("theta_fit", theta_fit),
-        ("zeta_riemann", zeta_riemann),
-        ("mckean_singer", mckean_singer),
-        ("gauss_bonnet", gauss_bonnet),
-        ("convention_comparison", convention_comparison),
-    ]
-    if not quick:
-        checks.insert(6, ("disk_weyl", disk_weyl))
-    return checks
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
-    convention = CONVENTION_ALIASES[args.convention or "GeometricOracle"]
-    checks = _selftest_checks(convention, args.quick)
+    convention = fiber.Convention(CONVENTION_ALIASES[args.convention or "GeometricOracle"])
     failures = 0
-    width = max(len(name) for name, _ in checks)
-    for name, run in checks:
+    width = max(len(name) for name, _, _ in oracles.ORACLES)
+    for name, _, check in oracles.ORACLES:
         start = time.perf_counter()
         try:
-            status, detail = run()
+            status, detail = check(args.quick, convention)
         except Exception as exc:  # a crashed oracle is a failure, not an abort
             status, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
@@ -568,7 +412,6 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--base-periods", dest="base_periods", type=float, nargs="+")
     sub.add_argument("--convention",
                      choices=sorted(CONVENTION_ALIASES))
-    sub.add_argument("--nu-max", dest="nu_max", type=float)
     sub.add_argument("--lambda-max", dest="lambda_max", type=float)
     sub.add_argument("--t-min", dest="t_min", type=float)
     sub.add_argument("--t-max", dest="t_max", type=float)
@@ -619,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("TORSIONLAB_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

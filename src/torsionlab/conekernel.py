@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,6 +61,33 @@ def cone_heat_kernel(nu: float, t: float, x: float, xt: float) -> float:
     return 0.5 / t * math.sqrt(x * xt) * bessel_i(nu, z, scaled=True) * gauss
 
 
+ZERO_EIGENVALUE = 1e-14
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenvalues `lam` with weights (multiplicities), as float64 arrays
+    sorted by (lam, weight)."""
+
+    lam: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def of(cls, lam, weight) -> "Spectrum":
+        """Spectrum of unsorted eigenvalues and their weights."""
+        lam = np.asarray(lam, dtype=float)
+        weight = np.asarray(weight, dtype=float)
+        order = np.lexsort((weight, lam))
+        return cls(lam[order], weight[order])
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def positive(self) -> "Spectrum":
+        keep = self.lam > ZERO_EIGENVALUE
+        return Spectrum(self.lam[keep], self.weight[keep])
+
+
 @dataclass(frozen=True)
 class ConeSpectrum:
     """Dirichlet eigenvalues j_{nu,k}^2 <= lambda_cutoff of a truncated cone."""
@@ -70,14 +98,12 @@ class ConeSpectrum:
     lambda_cutoff: float
     cone_dim: int
 
-    def eigenvalue_pairs(self) -> list[tuple[float, int]]:
-        """(lambda^2, multiplicity) ascending."""
-        pairs = []
-        for nu, zs in self.zeros.items():
-            w = self.multiplicities[nu]
-            pairs.extend((z * z, w) for z in zs)
-        pairs.sort()
-        return pairs
+    def spectrum(self) -> Spectrum:
+        """Eigenvalues j_{nu,k}^2, each weighted by the multiplicity of nu."""
+        z = np.fromiter(chain.from_iterable(self.zeros.values()), dtype=float)
+        weight = np.repeat([self.multiplicities[nu] for nu in self.zeros],
+                           [len(zs) for zs in self.zeros.values()])
+        return Spectrum.of(z * z, weight)
 
 
 @lru_cache(maxsize=8192)
@@ -113,24 +139,12 @@ class TraceSamples:
     grid: np.ndarray
     values: np.ndarray
     tail_bound: np.ndarray
-    eigenvalues: tuple[tuple[float, float], ...] | None = None
-    label: str = ""
-
-    def positive_lambda_min(self) -> float | None:
-        if self.eigenvalues is None:
-            return None
-        pos = [lam for lam, w in self.eigenvalues if lam > 1e-14 and w != 0]
-        return min(pos) if pos else None
-
-    def zero_mode_weight(self) -> float:
-        if self.eigenvalues is None:
-            return 0.0
-        return sum(w for lam, w in self.eigenvalues if lam <= 1e-14)
+    eigenvalues: Spectrum | None = None
 
     def restrict(self, t_min: float = 0.0, t_max: float = math.inf) -> "TraceSamples":
         keep = (self.grid >= t_min) & (self.grid <= t_max)
         return TraceSamples(self.grid[keep], self.values[keep],
-                            self.tail_bound[keep], self.eigenvalues, self.label)
+                            self.tail_bound[keep], self.eigenvalues)
 
     def to_csv(self) -> str:
         lines = ["t,value,tail_bound"]
@@ -145,8 +159,8 @@ def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
-def _certified_trace(pairs: Sequence[tuple[float, float]], q: float, lam_cut: float,
-                     t_grid: np.ndarray, label: str) -> TraceSamples:
+def _certified_trace(spectrum: Spectrum, q: float, lam_cut: float,
+                     t_grid: np.ndarray) -> TraceSamples:
     """Sum w exp(-t lambda) with a Weyl-envelope tail bound.
 
     The envelope constant is 2x the largest observed N(s)/s^q over the
@@ -158,12 +172,8 @@ def _certified_trace(pairs: Sequence[tuple[float, float]], q: float, lam_cut: fl
         raise ValueError("t grid must be positive")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be strictly increasing")
-    lams = np.array([p[0] for p in pairs])
-    ws = np.array([p[1] for p in pairs])
-    order = np.argsort(lams, kind="stable")
-    lams, ws = lams[order], ws[order]
-
-    positive = lams > 1e-14
+    lams, ws = spectrum.lam, spectrum.weight
+    positive = lams > ZERO_EIGENVALUE
     if np.any(positive):
         counts = np.cumsum(ws)[positive]
         envelope = 2.0 * float(np.max(counts / lams[positive] ** q))
@@ -188,8 +198,7 @@ def _certified_trace(pairs: Sequence[tuple[float, float]], q: float, lam_cut: fl
         raise TailNotCertified(
             f"tail bound {tail[i]:.3g} at t={t_grid[i]:.3g} exceeds "
             f"{TAIL_RELATIVE_LIMIT} x trace ({values[i]:.6g}); raise lambda_cutoff")
-    return TraceSamples(t_grid, values, tail, tuple((float(l), float(w))
-                        for l, w in zip(lams, ws)), label)
+    return TraceSamples(t_grid, values, tail, spectrum)
 
 
 def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) -> TraceSamples:
@@ -197,24 +206,32 @@ def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) ->
     degrees = {m.cone_degree for m in spec.nu_spectrum.modes}
     if degrees and degrees != {p}:
         raise ValueError(f"spectrum holds degrees {sorted(degrees)}, asked for {p}")
-    pairs = spec.eigenvalue_pairs()
-    if not pairs:
+    spectrum = spec.spectrum()
+    if not len(spectrum):
         grid = np.asarray(t_grid, dtype=float)
-        return TraceSamples(grid, np.zeros_like(grid), np.zeros_like(grid), (), f"cone-p{p}")
-    return _certified_trace(pairs, q=spec.cone_dim / 2.0, lam_cut=spec.lambda_cutoff,
-                            t_grid=np.asarray(t_grid, dtype=float), label=f"cone-p{p}")
+        return TraceSamples(grid, np.zeros_like(grid), np.zeros_like(grid), spectrum)
+    return _certified_trace(spectrum, q=spec.cone_dim / 2.0, lam_cut=spec.lambda_cutoff,
+                            t_grid=np.asarray(t_grid, dtype=float))
 
 
 def fiber_factor_trace(fiber: FiberSpectrum, degree: int,
                        t_grid: Sequence[float]) -> TraceSamples:
     """Heat trace of a closed flat factor (circle or torus) in one degree."""
-    pairs = [(e.mu2, float(e.mult)) for e in fiber.degree_entries(degree)]
-    if not pairs:
+    entries = fiber.degree_entries(degree)
+    if not entries:
         raise ValueError(f"no entries in degree {degree}")
+    spectrum = Spectrum.of([e.mu2 for e in entries], [e.mult for e in entries])
     q = max(fiber.dim_f / 2.0, 0.5)
-    return _certified_trace(pairs, q=q, lam_cut=fiber.cutoff ** 2,
-                            t_grid=np.asarray(t_grid, dtype=float),
-                            label=f"factor-deg{degree}")
+    return _certified_trace(spectrum, q=q, lam_cut=fiber.cutoff ** 2,
+                            t_grid=np.asarray(t_grid, dtype=float))
+
+
+def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
+    grid = traces[0].grid
+    for s in traces[1:]:
+        if s.grid.shape != grid.shape or not np.array_equal(s.grid, grid):
+            raise MismatchedGrids(f"{what} must share one t grid")
+    return grid
 
 
 def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]]) -> dict[int, TraceSamples]:
@@ -232,17 +249,14 @@ def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]]) -> dict[i
 
 
 def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples]) -> dict[int, TraceSamples]:
-    grids = [s.grid for s in a.values()] + [s.grid for s in b.values()]
-    for g in grids[1:]:
-        if g.shape != grids[0].shape or not np.array_equal(g, grids[0]):
-            raise MismatchedGrids("factor traces must share one t grid")
-    grid = grids[0]
+    grid = _common_grid([*a.values(), *b.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
     for k in range(max(a) + max(b) + 1):
         val = np.zeros_like(grid)
         tail = np.zeros_like(grid)
-        lam_chunks: list[np.ndarray] | None = []
-        w_chunks: list[np.ndarray] = []
+        # seeded empty, so a degree without factor pairs gets an empty spectrum
+        lam_chunks: list[np.ndarray] | None = [np.empty(0)]
+        w_chunks: list[np.ndarray] = [np.empty(0)]
         for i in range(k + 1):
             j = k - i
             if i not in a or j not in b:
@@ -252,27 +266,19 @@ def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples]) -
             tail += (np.abs(sa.values) * sb.tail_bound
                      + np.abs(sb.values) * sa.tail_bound
                      + sa.tail_bound * sb.tail_bound)
-            if lam_chunks is not None and sa.eigenvalues is not None \
-                    and sb.eigenvalues is not None \
-                    and len(sa.eigenvalues) * len(sb.eigenvalues) <= MAX_PRODUCT_EIGENVALUES:
-                la = np.array([p[0] for p in sa.eigenvalues])
-                wa = np.array([p[1] for p in sa.eigenvalues])
-                lb = np.array([p[0] for p in sb.eigenvalues])
-                wb = np.array([p[1] for p in sb.eigenvalues])
-                lam_chunks.append((la[:, None] + lb[None, :]).ravel())
-                w_chunks.append((wa[:, None] * wb[None, :]).ravel())
+            ea, eb = sa.eigenvalues, sb.eigenvalues
+            if lam_chunks is not None and ea is not None and eb is not None \
+                    and len(ea) * len(eb) <= MAX_PRODUCT_EIGENVALUES:
+                lam_chunks.append((ea.lam[:, None] + eb.lam[None, :]).ravel())
+                w_chunks.append((ea.weight[:, None] * eb.weight[None, :]).ravel())
             else:
                 lam_chunks = None
-        pairs = None
-        if lam_chunks is not None and lam_chunks:
+        spectrum = None
+        if lam_chunks is not None:
             lam = np.round(np.concatenate(lam_chunks), 12)
-            w = np.concatenate(w_chunks)
             uniq, inverse = np.unique(lam, return_inverse=True)
-            sums = np.bincount(inverse, weights=w)
-            pairs = tuple((float(l), float(s)) for l, s in zip(uniq, sums))
-        elif lam_chunks is not None:
-            pairs = ()
-        out[k] = TraceSamples(grid, val, tail, pairs, f"product-deg{k}")
+            spectrum = Spectrum(uniq, np.bincount(inverse, weights=np.concatenate(w_chunks)))
+        out[k] = TraceSamples(grid, val, tail, spectrum)
     return out
 
 
@@ -391,10 +397,7 @@ def mckean_singer_defect(per_degree: Sequence[TraceSamples], betti: Sequence[int
     """Sup over the grid of |sum_k (-1)^k (Tr_k(t) - beta_k)|."""
     if len(per_degree) != len(betti):
         raise ValueError("one Betti number per degree required")
-    grid = per_degree[0].grid
-    for s in per_degree[1:]:
-        if s.grid.shape != grid.shape or not np.array_equal(s.grid, grid):
-            raise MismatchedGrids("per-degree traces must share one t grid")
+    grid = _common_grid(per_degree, "per-degree traces")
     total = np.zeros_like(grid)
     for k, (s, beta) in enumerate(zip(per_degree, betti)):
         total += (-1.0) ** k * (s.values - beta)

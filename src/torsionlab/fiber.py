@@ -74,25 +74,6 @@ class FiberSpectrum:
         return out
 
 
-def circle_spectrum(radius: float, cutoff: float) -> FiberSpectrum:
-    """Hodge spectrum of the circle of radius `radius` (circumference 2 pi r).
-
-    Functions: mu^2 = (k/r)^2 with multiplicity 2 for k >= 1 plus the
-    constant; 1-forms are the Hodge-star mirror, with the nonzero modes
-    exact (differentials of functions).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    entries = [FiberEntry(0, 0.0, 1, "harmonic"), FiberEntry(1, 0.0, 1, "harmonic")]
-    k = 1
-    while k / radius <= cutoff:
-        mu2 = (k / radius) ** 2
-        entries.append(FiberEntry(0, mu2, 2, "coexact"))
-        entries.append(FiberEntry(1, mu2, 2, "exact"))
-        k += 1
-    return FiberSpectrum(1, cutoff, tuple(entries), (2.0 * math.pi * radius,))
-
-
 def _sig_key(x: float, digits: int = 12) -> float:
     """Rounding to significant digits: groups eigenvalues that differ only
     by accumulated float noise, independent of their magnitude."""
@@ -119,7 +100,8 @@ def _wedge_matrix(kappa: Sequence[float], ell: int) -> np.ndarray:
 def _lattice_points(periods: Sequence[float], cutoff: float) -> list[tuple[tuple[int, ...], float]]:
     """Lattice modes with |kappa| <= cutoff, kappa_i = 2 pi k_i / L_i."""
     f = len(periods)
-    bounds = [int(math.floor(cutoff * L / (2.0 * math.pi))) for L in periods]
+    # the slack of the mu2 test below, so points on the cutoff sphere stay
+    bounds = [int(math.floor(cutoff * L / (2.0 * math.pi) * (1 + 1e-12))) for L in periods]
     pts = []
     for k in product(*(range(-b, b + 1) for b in bounds)):
         mu2 = sum((2.0 * math.pi * ki / L) ** 2 for ki, L in zip(k, periods))
@@ -255,10 +237,6 @@ class NuSpectrum:
     modes: tuple[NuMode, ...]
     convention: Convention
     cutoff: float
-
-    def expand(self) -> list[tuple[float, int]]:
-        """(nu, mult) pairs in spectrum order."""
-        return [(m.nu, m.multiplicity) for m in self.modes]
 
     def nu_multiset(self) -> list[float]:
         out: list[float] = []

@@ -37,7 +37,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import exp1
 from scipy.special import gamma as gamma_fn
 
-from .conekernel import FittedExpansion, TraceSamples
+from .conekernel import ZERO_EIGENVALUE, FittedExpansion, TraceSamples
 from .errors import DecayRateUnknown, FitResidualTooLarge
 from .fiber import kunneth_betti
 
@@ -142,14 +142,14 @@ def _remainder_integral(samples: TraceSamples, fit: FittedExpansion,
 def _large_t_integral(samples: TraceSamples, kernel_dim: int, t0: float,
                       lambda_min: float | None) -> tuple[float, float]:
     """int_T0^inf t^{-1} (trace - kernel_dim) dt with certified error."""
-    if samples.eigenvalues is not None:
-        zero_w = samples.zero_mode_weight()
+    eig = samples.eigenvalues
+    if eig is not None:
+        zero_w = float(eig.weight[eig.lam <= ZERO_EIGENVALUE].sum())
         if abs(zero_w - kernel_dim) > 1e-9:
             raise DecayRateUnknown(
                 f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
-        lams = np.array([l for l, w in samples.eigenvalues if l > 1e-14])
-        ws = np.array([w for l, w in samples.eigenvalues if l > 1e-14])
-        val = float(np.dot(ws, exp1(lams * t0)))
+        pos = eig.positive()
+        val = float(np.dot(pos.weight, exp1(pos.lam * t0)))
         bound = float(np.max(samples.tail_bound)) if len(samples.tail_bound) else 0.0
         return val, bound
     if lambda_min is None:
@@ -173,8 +173,6 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
     if samples.grid[-1] < split:
         raise ValueError(f"samples must reach the split point {split}")
-    if lambda_min is None:
-        lambda_min = samples.positive_lambda_min()
 
     terms = _fit_terms_with_kernel(fit, kernel_dim)
     a_m2, a_m1, a_0f = _analytic_laurent(terms, split)
@@ -269,11 +267,10 @@ def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
                                  * np.exp(1j * s.imag * u)).integrate(u[0], math.log(t0)))
     if samples.eigenvalues is None:
         raise DecayRateUnknown("complex evaluation requires eigenvalue data")
-    lams = np.array([l for l, w in samples.eigenvalues if l > 1e-14])
-    ws = np.array([w for l, w in samples.eigenvalues if l > 1e-14])
+    pos = samples.eigenvalues.positive()
 
     def trace_minus_kernel(tt: float) -> float:
-        return float(np.dot(ws, np.exp(-tt * lams)))
+        return float(np.dot(pos.weight, np.exp(-tt * pos.lam)))
 
     re = quad(lambda tt: (trace_minus_kernel(tt) * tt ** (s.real - 1.0)
                           * math.cos(s.imag * math.log(tt))), t0, np.inf,

@@ -4,6 +4,8 @@ import json
 import math
 import time
 
+import pytest
+
 from torsionlab.cli import main, parse_config_file
 
 
@@ -51,6 +53,8 @@ def test_torsion_single_nu_oracle(capsys, tmp_path):
     z = doc["report"]["per_degree"][0]
     assert abs(z["zeta_prime0"] + math.log(2)) < 1e-5
     assert abs(z["zeta0"] + 0.5) < 1e-6
+    # one degree has no alternating sum to check
+    assert "mckean_singer_defect" not in doc["report"]["diagnostics"]
     csv_path = tmp_path / "report.csv"
     assert csv_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("degree,")
@@ -108,6 +112,18 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     code, _, err = run(capsys, "torsion", "--config", str(cfg),
                        "--lambda-max", "500")
     assert code == 4
+
+
+def test_nu_max_is_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "--nu-max", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "nu.cfg"
+    cfg.write_text("nu_max = 5\n")
+    code, _, err = run(capsys, "torsion", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config keys" in json.loads(err)["message"]
 
 
 def test_config_parser_values(tmp_path):

@@ -15,6 +15,7 @@ from scipy.special import jv
 
 from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import (
+    Spectrum,
     TraceSamples,
     cone_heat_kernel,
     cone_spectrum,
@@ -31,10 +32,11 @@ from torsionlab.errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from torsionlab.fiber import Convention, a_spectrum, circle_spectrum, single_nu_spectrum, torus_spectrum
+from torsionlab.fiber import Convention, a_spectrum, single_nu_spectrum, torus_spectrum
 from torsionlab.phg import ExpansionTemplate
 
 GEO = Convention.GEOMETRIC_ORACLE
+TWO_PI = 2.0 * math.pi
 
 # Poisson summation: sum_k exp(-t k^2 pi^2) = 1/(2 sqrt(pi t)) - 1/2 + O(e^{-1/t});
 # direct summation of 200 terms at t = 0.01:
@@ -142,17 +144,18 @@ def test_eigenfunction_collocation():
 # ---------------------------------------------------------------- spectra --
 
 def test_cone_spectrum_zero_lists_ascending_and_above_order():
-    fiber = circle_spectrum(1.0, cutoff=9.0)
+    fiber = torus_spectrum((TWO_PI,), cutoff=9.0)
     spec = cone_spectrum(a_spectrum(fiber, 0, GEO, nu_max=8.0), lambda_cutoff=300.0)
     for nu, zs in spec.zeros.items():
         assert zs == sorted(zs)
         assert all(z > nu for z in zs)
-    pairs = spec.eigenvalue_pairs()
-    assert all(l <= 300.0 for l, _ in pairs)
+    eig = spec.spectrum()
+    assert np.all(eig.lam <= 300.0)
+    assert np.all(np.diff(eig.lam) >= 0)
 
 
 def test_cone_spectrum_merges_equal_orders():
-    fiber = circle_spectrum(1.0, cutoff=6.0)
+    fiber = torus_spectrum((TWO_PI,), cutoff=6.0)
     spec = cone_spectrum(a_spectrum(fiber, 1, GEO, nu_max=5.0), lambda_cutoff=100.0)
     # orders |k-1| and |k+1| overlap: each distinct nu appears once
     assert len(spec.zeros) == len(set(spec.zeros))
@@ -271,9 +274,10 @@ def test_fit_serialization():
 
 def test_product_with_point_factor_is_identity():
     grid = log_grid(0.05, 1.0, 12)
-    fiber = circle_spectrum(1.0, cutoff=27.0)
+    fiber = torus_spectrum((TWO_PI,), cutoff=27.0)
     base = {0: fiber_factor_trace(fiber, 0, grid), 1: fiber_factor_trace(fiber, 1, grid)}
-    point = {0: TraceSamples(grid, np.ones_like(grid), np.zeros_like(grid), ((0.0, 1.0),))}
+    point = {0: TraceSamples(grid, np.ones_like(grid), np.zeros_like(grid),
+                             Spectrum.of([0.0], [1.0]))}
     prod = product_trace([base, point])
     for k in (0, 1):
         assert prod[k].values == pytest.approx(base[k].values, rel=1e-15)
@@ -281,7 +285,7 @@ def test_product_with_point_factor_is_identity():
 
 def test_product_circle_circle_matches_torus():
     grid = log_grid(0.05, 1.0, 12)
-    circle = circle_spectrum(1.0, cutoff=27.0)
+    circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
     prod = product_trace([fact, fact])
     torus = torus_spectrum([2 * math.pi, 2 * math.pi], cutoff=27.0)
@@ -292,7 +296,7 @@ def test_product_circle_circle_matches_torus():
 
 def test_product_euler_characteristic_factorizes():
     grid = log_grid(0.05, 0.5, 6)
-    circle = circle_spectrum(1.0, cutoff=27.0)
+    circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
     prod = product_trace([fact, fact])
     alt = sum((-1) ** k * prod[k].values for k in prod)
@@ -310,7 +314,7 @@ def test_product_mismatched_grids():
 # ----------------------------------------------------- McKean-Singer defect --
 
 def _flat_cone_traces(grid, lam=800.0):
-    fiber = circle_spectrum(1.0, cutoff=math.sqrt(lam) + 2.0)
+    fiber = torus_spectrum((TWO_PI,), cutoff=math.sqrt(lam) + 2.0)
     out = []
     for p in range(3):
         nus = a_spectrum(fiber, p, GEO, nu_max=math.sqrt(lam) + 0.5)
@@ -341,7 +345,7 @@ def test_mckean_singer_detects_perturbation():
 def test_supersymmetric_eigenvalue_matching():
     """Nonzero (nu, k) eigenvalue labels match between even and odd degrees."""
     lam = 200.0
-    fiber = circle_spectrum(1.0, cutoff=math.sqrt(lam) + 2.0)
+    fiber = torus_spectrum((TWO_PI,), cutoff=math.sqrt(lam) + 2.0)
     specs = [cone_spectrum(a_spectrum(fiber, p, GEO, nu_max=math.sqrt(lam) + 0.5), lam)
              for p in range(3)]
     even: dict[float, int] = {}

@@ -15,7 +15,6 @@ from torsionlab.fiber import (
     Convention,
     a_block_eigenvalues,
     a_spectrum,
-    circle_spectrum,
     dense_a_eigenvalues,
     gauss_bonnet_consistency,
     kunneth_betti,
@@ -29,22 +28,27 @@ LIT = Convention.PAPER_LITERAL
 TWO_PI = 2.0 * math.pi
 
 
+def circle(radius, cutoff):
+    """Hodge spectrum of the circle of radius r: the torus of period 2 pi r."""
+    return torus_spectrum((TWO_PI * radius,), cutoff=cutoff)
+
+
 # ------------------------------------------------------------ fiber spectra --
 
 def test_circle_unit_function_spectrum():
-    spec = circle_spectrum(1.0, cutoff=3.5)
+    spec = circle(1.0, cutoff=3.5)
     vals = sorted(v for e in spec.degree_entries(0) for v in [e.mu2] * e.mult)
     assert vals == pytest.approx([0, 1, 1, 4, 4, 9, 9])
 
 
 def test_circle_radius_two_first_eigenvalue():
-    spec = circle_spectrum(2.0, cutoff=2.0)
+    spec = circle(2.0, cutoff=2.0)
     nonzero = sorted(e.mu2 for e in spec.degree_entries(0) if e.mu2 > 0)
     assert nonzero[0] == pytest.approx(0.25)
 
 
 def test_circle_degree_one_mirrors_degree_zero():
-    spec = circle_spectrum(1.7, cutoff=5.0)
+    spec = circle(1.7, cutoff=5.0)
     d0 = sorted((e.mu2, e.mult) for e in spec.degree_entries(0))
     d1 = sorted((e.mu2, e.mult) for e in spec.degree_entries(1))
     assert d0 == d1
@@ -52,14 +56,18 @@ def test_circle_degree_one_mirrors_degree_zero():
 
 def test_circle_rejects_bad_radius():
     with pytest.raises(ValueError):
-        circle_spectrum(-1.0, cutoff=2.0)
+        circle(-1.0, cutoff=2.0)
 
 
 def test_torus_single_period_matches_circle():
+    """Unit circle: mu^2 = k^2 twice for k >= 1 plus the constants; nonzero
+    functions are coexact and nonzero 1-forms exact."""
     t = torus_spectrum([TWO_PI], cutoff=4.5)
-    c = circle_spectrum(1.0, cutoff=4.5)
+    want = [(0, 0.0, "harmonic", 1), (1, 0.0, "harmonic", 1)]
+    for k in range(1, 5):
+        want += [(0, k * k, "coexact", 2), (1, k * k, "exact", 2)]
     key = lambda e: (e.degree, round(e.mu2, 9), e.kind, e.mult)
-    assert sorted(map(key, t.entries)) == sorted(map(key, c.entries))
+    assert sorted(map(key, t.entries)) == sorted(want)
 
 
 def test_torus_degree_one_split_at_first_eigenvalue():
@@ -101,14 +109,14 @@ def test_hodge_duality_of_coexact_multiplicities():
 
 def test_flat_plane_scalar_separation():
     """Scalar cone over the unit circle: Bessel orders are exactly |k|."""
-    fiber = circle_spectrum(1.0, cutoff=9.0)
+    fiber = circle(1.0, cutoff=9.0)
     spec = a_spectrum(fiber, 0, GEO, nu_max=7.5)
     want = [0.0] + [float(k) for k in range(1, 8) for _ in range(2)]
     assert spec.nu_multiset() == pytest.approx(want, abs=1e-12)
 
 
 def test_flat_plane_harmonic_block_log_branch():
-    fiber = circle_spectrum(1.0, cutoff=4.0)
+    fiber = circle(1.0, cutoff=4.0)
     spec = a_spectrum(fiber, 0, GEO, nu_max=3.0)
     zero_modes = [m for m in spec.modes if m.nu < 1e-12]
     assert len(zero_modes) == 1
@@ -119,7 +127,7 @@ def test_flat_plane_harmonic_block_log_branch():
 
 def test_flat_plane_one_forms():
     """1-forms over the unit circle separate into orders |k-1| and |k+1|."""
-    fiber = circle_spectrum(1.0, cutoff=9.0)
+    fiber = circle(1.0, cutoff=9.0)
     spec = a_spectrum(fiber, 1, GEO, nu_max=6.5)
     want = sorted([abs(k - 1) for k in range(-7, 8)] + [k + 1 for k in range(-7, 8) if k + 1 >= 0
                   for _ in ([] if abs(k) > 7 else [0])])
@@ -139,7 +147,7 @@ def test_indicial_roots_sum_to_one():
 
 
 def test_a_nonnegative_geometric_oracle():
-    for fiber in (circle_spectrum(1.0, 8.0), circle_spectrum(2.0, 8.0),
+    for fiber in (circle(1.0, 8.0), circle(2.0, 8.0),
                   torus_spectrum([TWO_PI, TWO_PI], 6.0)):
         for p in range(fiber.dim_f + 2):
             for blk in a_block_eigenvalues(fiber, p, GEO):
@@ -152,7 +160,7 @@ def test_paper_literal_indefinite_block_raises():
     The dense assembly confirms the negative eigenvalue is real, so the
     spectrum builder must refuse rather than silently truncate at zero.
     """
-    fiber = circle_spectrum(1.0, cutoff=6.0)
+    fiber = circle(1.0, cutoff=6.0)
     blocks = a_block_eigenvalues(fiber, 1, LIT)
     assert min(b.nu2 for b in blocks) < -0.5
     with pytest.raises(NegativeBlockEigenvalue):
@@ -161,26 +169,26 @@ def test_paper_literal_indefinite_block_raises():
 
 def test_paper_literal_scalar_shift():
     """Literal constants shift the scalar orders to sqrt(k^2 + 1)."""
-    fiber = circle_spectrum(1.0, cutoff=6.0)
+    fiber = circle(1.0, cutoff=6.0)
     spec = a_spectrum(fiber, 0, LIT, nu_max=4.0)
     want = sorted([1.0] + [math.sqrt(k * k + 1) for k in range(1, 4) for _ in range(2)])
     assert spec.nu_multiset() == pytest.approx(want, abs=1e-12)
 
 
 def test_completeness_survives_cutoff_doubling():
-    small = a_spectrum(circle_spectrum(1.0, 11.0), 1, GEO, nu_max=10.0)
-    big = a_spectrum(circle_spectrum(1.0, 22.0), 1, GEO, nu_max=10.0)
+    small = a_spectrum(circle(1.0, 11.0), 1, GEO, nu_max=10.0)
+    big = a_spectrum(circle(1.0, 22.0), 1, GEO, nu_max=10.0)
     assert small.nu_multiset() == pytest.approx(big.nu_multiset(), abs=1e-12)
 
 
 def test_a_spectrum_requires_margin():
-    fiber = circle_spectrum(1.0, cutoff=5.0)
+    fiber = circle(1.0, cutoff=5.0)
     with pytest.raises(TailNotCertified):
         a_spectrum(fiber, 0, GEO, nu_max=4.5)
 
 
 def test_weyl_growth_sanity():
-    fiber = circle_spectrum(1.0, cutoff=21.0)
+    fiber = circle(1.0, cutoff=21.0)
     spec = a_spectrum(fiber, 0, GEO, nu_max=20.0)
     n_modes = sum(m.multiplicity for m in spec.modes)
     n_fiber = sum(e.mult for e in fiber.degree_entries(0) if math.sqrt(e.mu2) <= 20.0)
@@ -221,7 +229,7 @@ def test_dense_truncation_convergence(periods, label):
 # ------------------------------------------------------- Gauss-Bonnet check --
 
 def _flat_cone_even_odd(nu_max=10.0):
-    fiber = circle_spectrum(1.0, cutoff=nu_max + 1.5)
+    fiber = circle(1.0, cutoff=nu_max + 1.5)
     s0 = a_spectrum(fiber, 0, GEO, nu_max=nu_max)
     s1 = a_spectrum(fiber, 1, GEO, nu_max=nu_max)
     s2 = a_spectrum(fiber, 2, GEO, nu_max=nu_max)
@@ -262,7 +270,7 @@ def test_kunneth_betti():
 
 
 def test_nu_spectrum_serialization():
-    spec = a_spectrum(circle_spectrum(1.0, 4.0), 0, GEO, nu_max=3.0)
+    spec = a_spectrum(circle(1.0, 4.0), 0, GEO, nu_max=3.0)
     d = spec.to_json_dict()
     assert d["convention"] == "GeometricOracle"
     assert d["modes"][0]["log_branch"] is True

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from torsionlab import conekernel
 from torsionlab.cli import ModelConfig, Pipeline
 
 
@@ -87,3 +88,19 @@ def test_pipeline_template_matches_symbolic_prediction():
     for z in zetas.values():
         got = {(loc, order) for loc, order, _ in z.poles}
         assert got == set(rep.gamma_zeta_poles)
+
+
+def test_stages_computed_once(monkeypatch):
+    """fits, zetas and torsion share one fit per degree and one cone
+    spectrum per cone degree."""
+    calls = {"fit_expansion": 0, "cone_spectrum": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(conekernel, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(conekernel, name, counted)
+    pipe = Pipeline(ModelConfig(model="product", base="circle", t_min=3e-3))
+    pipe.fits()
+    pipe.zetas()
+    pipe.torsion()
+    assert calls == {"fit_expansion": pipe.m + 1, "cone_spectrum": 3}

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from torsionlab.conekernel import (
+    Spectrum,
     TraceSamples,
     _certified_trace,
     cone_spectrum,
@@ -62,7 +63,7 @@ def test_split_point_independence():
 def test_single_unit_eigenvalue():
     """Trace e^{-t}: zeta(s) = 1 identically."""
     grid = log_grid(1e-3, 1.0, 241)
-    tr = _certified_trace([(1.0, 1.0)], q=0.5, lam_cut=4e4, t_grid=grid, label="unit")
+    tr = _certified_trace(Spectrum.of([1.0], [1.0]), q=0.5, lam_cut=4e4, t_grid=grid)
     tpl = ExpansionTemplate.from_terms([(k, False) for k in range(6)])
     fit = fit_expansion(tr.restrict(t_max=0.1), tpl)
     z = zeta_near_zero(tr, fit, kernel_dim=0)
@@ -74,9 +75,9 @@ def test_scaling_covariance():
     """lambda -> c lambda shifts zeta'(0) by -zeta(0) log c."""
     tr, fit, z1 = halfline_zeta()
     c = 2.0
-    pairs = [(c * l, w) for l, w in tr.eigenvalues]
-    tr2 = _certified_trace(pairs, q=0.5, lam_cut=6.8e5,
-                           t_grid=log_grid(5e-5, 1.0, 241), label="scaled")
+    scaled = Spectrum(c * tr.eigenvalues.lam, tr.eigenvalues.weight)
+    tr2 = _certified_trace(scaled, q=0.5, lam_cut=6.8e5,
+                           t_grid=log_grid(5e-5, 1.0, 241))
     fit2 = fit_expansion(tr2.restrict(t_max=0.05), HALF_LINE_TEMPLATE)
     z2 = zeta_near_zero(tr2, fit2, kernel_dim=0)
     assert abs(z2.zeta0 - z1.zeta0) < 1e-9
@@ -85,8 +86,8 @@ def test_scaling_covariance():
 
 def test_kernel_subtraction_conventions():
     grid = log_grid(1e-3, 1.0, 241)
-    tr = _certified_trace([(0.0, 2.0), (1.0, 1.0)], q=0.5, lam_cut=4e4,
-                          t_grid=grid, label="with-kernel")
+    tr = _certified_trace(Spectrum.of([0.0, 1.0], [2.0, 1.0]), q=0.5, lam_cut=4e4,
+                          t_grid=grid)
     tpl = ExpansionTemplate.from_terms([(k, False) for k in range(6)])
     fit = fit_expansion(tr.restrict(t_max=0.1), tpl)
     z = zeta_near_zero(tr, fit, kernel_dim=2)
