@@ -197,8 +197,8 @@ def _polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
     return x
 
 
-def bessel_j_zeros(nu: float, lambda_max: float) -> list[float]:
-    """All positive zeros of J_nu up to lambda_max, ascending.
+def bessel_j_zeros(nu: float, z_max: float) -> list[float]:
+    """All positive zeros of J_nu up to z_max, ascending.
 
     A cutoff below the first zero yields an empty list.  Each zero is
     accurate to ~1e-13 relative; none can be skipped because the scan step
@@ -206,10 +206,10 @@ def bessel_j_zeros(nu: float, lambda_max: float) -> list[float]:
     """
     if nu < 0:
         raise ValueError("order nu must be nonnegative")
-    if lambda_max <= nu:
+    if z_max <= nu:
         return []
     start = max(nu, 1e-8)
-    grid = np.arange(start, lambda_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
+    grid = np.arange(start, z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
     vals = jv(nu, grid)
     signs = np.sign(vals)
     zeros: list[float] = []
@@ -223,4 +223,4 @@ def bessel_j_zeros(nu: float, lambda_max: float) -> list[float]:
             k += 1
             zeros.append(_polish_zero(nu, float(grid[i]), float(grid[i + 1]),
                                       mcmahon_zero(nu, k)))
-    return [z for z in zeros if z <= lambda_max]
+    return [z for z in zeros if z <= z_max]

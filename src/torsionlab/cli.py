@@ -311,7 +311,7 @@ def _mode_error(exc: BaseException) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     m, b = args.m, args.b
-    if m < 1 or b < 0 or b > m - 1:
+    if not 0 <= b <= m - 2:
         raise ValueError(f"b must satisfy b <= m-2 (edge needs a fiber), got m={m}, b={b}")
     tpl = phg.heat_trace_structure(m, b, even=args.even, boundary=args.boundary,
                                    cutoff=Fraction(args.cutoff))

@@ -42,7 +42,6 @@ from .phg import ExpansionTemplate
 TAIL_RELATIVE_LIMIT = 1e-10
 PRECHECK_RELATIVE_LIMIT = 1e-14
 CONDITION_LIMIT = 1e12
-MAX_PRODUCT_EIGENVALUES = 2_000_000
 
 
 def cone_heat_kernel(nu: float, t: float, x: float, xt: float) -> float:
@@ -67,25 +66,27 @@ ZERO_EIGENVALUE = 1e-14
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues `lam` with weights (multiplicities), as float64 arrays
-    sorted by (lam, weight)."""
+    sorted by (lam, weight).  Every eigenvalue up to `cutoff` is present;
+    the default `inf` marks a complete list."""
 
     lam: np.ndarray
     weight: np.ndarray
+    cutoff: float = math.inf
 
     @classmethod
-    def of(cls, lam, weight) -> "Spectrum":
+    def of(cls, lam, weight, cutoff: float = math.inf) -> "Spectrum":
         """Spectrum of unsorted eigenvalues and their weights."""
         lam = np.asarray(lam, dtype=float)
         weight = np.asarray(weight, dtype=float)
         order = np.lexsort((weight, lam))
-        return cls(lam[order], weight[order])
+        return cls(lam[order], weight[order], cutoff)
 
     def __len__(self) -> int:
         return len(self.lam)
 
     def positive(self) -> "Spectrum":
         keep = self.lam > ZERO_EIGENVALUE
-        return Spectrum(self.lam[keep], self.weight[keep])
+        return Spectrum(self.lam[keep], self.weight[keep], self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class ConeSpectrum:
         z = np.fromiter(chain.from_iterable(self.zeros.values()), dtype=float)
         weight = np.repeat([self.multiplicities[nu] for nu in self.zeros],
                            [len(zs) for zs in self.zeros.values()])
-        return Spectrum.of(z * z, weight)
+        return Spectrum.of(z * z, weight, self.lambda_cutoff)
 
 
 @lru_cache(maxsize=8192)
@@ -159,9 +160,9 @@ def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
-def _certified_trace(spectrum: Spectrum, q: float, lam_cut: float,
-                     t_grid: np.ndarray) -> TraceSamples:
-    """Sum w exp(-t lambda) with a Weyl-envelope tail bound.
+def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceSamples:
+    """Sum w exp(-t lambda) with a Weyl-envelope tail bound beyond the
+    spectrum's cutoff.
 
     The envelope constant is 2x the largest observed N(s)/s^q over the
     computed spectrum; the factor-of-two safety margin covers the
@@ -172,7 +173,7 @@ def _certified_trace(spectrum: Spectrum, q: float, lam_cut: float,
         raise ValueError("t grid must be positive")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be strictly increasing")
-    lams, ws = spectrum.lam, spectrum.weight
+    lams, ws, cutoff = spectrum.lam, spectrum.weight, spectrum.cutoff
     positive = lams > ZERO_EIGENVALUE
     if np.any(positive):
         counts = np.cumsum(ws)[positive]
@@ -183,9 +184,9 @@ def _certified_trace(spectrum: Spectrum, q: float, lam_cut: float,
     values = np.array([math.fsum(ws * np.exp(-t * lams)) for t in t_grid])
     # tail <= t C int_Lambda^inf s^q e^{-ts} ds = C t^{-q} Gamma(q+1, t Lambda)
     tail = envelope * math.gamma(q + 1.0) * t_grid ** (-q) \
-        * gammaincc(q + 1.0, t_grid * lam_cut)
+        * gammaincc(q + 1.0, t_grid * cutoff)
 
-    precheck = np.exp(-t_grid * lam_cut)
+    precheck = np.exp(-t_grid * cutoff)
     bad = precheck >= PRECHECK_RELATIVE_LIMIT * np.abs(values)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -210,7 +211,7 @@ def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) ->
     if not len(spectrum):
         grid = np.asarray(t_grid, dtype=float)
         return TraceSamples(grid, np.zeros_like(grid), np.zeros_like(grid), spectrum)
-    return _certified_trace(spectrum, q=spec.cone_dim / 2.0, lam_cut=spec.lambda_cutoff,
+    return _certified_trace(spectrum, q=spec.cone_dim / 2.0,
                             t_grid=np.asarray(t_grid, dtype=float))
 
 
@@ -220,10 +221,10 @@ def fiber_factor_trace(fiber: FiberSpectrum, degree: int,
     entries = fiber.degree_entries(degree)
     if not entries:
         raise ValueError(f"no entries in degree {degree}")
-    spectrum = Spectrum.of([e.mu2 for e in entries], [e.mult for e in entries])
+    spectrum = Spectrum.of([e.mu2 for e in entries], [e.mult for e in entries],
+                           fiber.cutoff ** 2)
     q = max(fiber.dim_f / 2.0, 0.5)
-    return _certified_trace(spectrum, q=q, lam_cut=fiber.cutoff ** 2,
-                            t_grid=np.asarray(t_grid, dtype=float))
+    return _certified_trace(spectrum, q=q, t_grid=np.asarray(t_grid, dtype=float))
 
 
 def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
@@ -237,8 +238,10 @@ def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
 def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]]) -> dict[int, TraceSamples]:
     """Kunneth assembly: Tr_k(A x B) = sum_{i+j=k} Tr_i(A) Tr_j(B).
 
-    Tail bounds propagate through the product rule; eigenvalue provenance
-    is combined as pairwise sums while that stays below a size cap.
+    Tail bounds propagate through the product rule.  The product spectrum
+    keeps the pair sums up to the smallest factor cutoff, which is every
+    product eigenvalue up to there, and records that cutoff; it is absent
+    when a factor carries no spectrum.
     """
     if not factor_traces:
         raise ValueError("need at least one factor")
@@ -248,36 +251,40 @@ def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]]) -> dict[i
     return result
 
 
+def _pair_sums(a: Spectrum, b: Spectrum, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sums a.lam[i] + b.lam[j] <= cutoff with weights a.weight[i] * b.weight[j].
+
+    Row i holds the b-eigenvalues up to cutoff - a.lam[i], so the full
+    outer product is never formed.
+    """
+    counts = np.searchsorted(b.lam, cutoff - a.lam, side="right")
+    rows = np.repeat(np.arange(len(a)), counts)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return a.lam[rows] + b.lam[cols], a.weight[rows] * b.weight[cols]
+
+
 def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples]) -> dict[int, TraceSamples]:
     grid = _common_grid([*a.values(), *b.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
     for k in range(max(a) + max(b) + 1):
+        pairs = [(a[i], b[k - i]) for i in range(k + 1) if i in a and k - i in b]
         val = np.zeros_like(grid)
         tail = np.zeros_like(grid)
-        # seeded empty, so a degree without factor pairs gets an empty spectrum
-        lam_chunks: list[np.ndarray] | None = [np.empty(0)]
-        w_chunks: list[np.ndarray] = [np.empty(0)]
-        for i in range(k + 1):
-            j = k - i
-            if i not in a or j not in b:
-                continue
-            sa, sb = a[i], b[j]
+        for sa, sb in pairs:
             val += sa.values * sb.values
             tail += (np.abs(sa.values) * sb.tail_bound
                      + np.abs(sb.values) * sa.tail_bound
                      + sa.tail_bound * sb.tail_bound)
-            ea, eb = sa.eigenvalues, sb.eigenvalues
-            if lam_chunks is not None and ea is not None and eb is not None \
-                    and len(ea) * len(eb) <= MAX_PRODUCT_EIGENVALUES:
-                lam_chunks.append((ea.lam[:, None] + eb.lam[None, :]).ravel())
-                w_chunks.append((ea.weight[:, None] * eb.weight[None, :]).ravel())
-            else:
-                lam_chunks = None
+        eigs = [(sa.eigenvalues, sb.eigenvalues) for sa, sb in pairs]
         spectrum = None
-        if lam_chunks is not None:
-            lam = np.round(np.concatenate(lam_chunks), 12)
+        if all(ea is not None and eb is not None for ea, eb in eigs):
+            cutoff = min((min(ea.cutoff, eb.cutoff) for ea, eb in eigs), default=math.inf)
+            # seeded empty, so a degree without factor pairs gets an empty spectrum
+            sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cutoff) for ea, eb in eigs]
+            lam = np.round(np.concatenate([s for s, _ in sums]), 12)
             uniq, inverse = np.unique(lam, return_inverse=True)
-            spectrum = Spectrum(uniq, np.bincount(inverse, weights=np.concatenate(w_chunks)))
+            weight = np.bincount(inverse, weights=np.concatenate([w for _, w in sums]))
+            spectrum = Spectrum(uniq, weight, cutoff)
         out[k] = TraceSamples(grid, val, tail, spectrum)
     return out
 

@@ -114,9 +114,10 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     """Hodge spectrum of a flat torus with the given periods.
 
     Eigenvalues are |kappa|^2 over the dual lattice; multiplicities on
-    degree l scale by binomial(f, l).  The exact/coexact split is computed
-    by assembling d on each eigenspace and taking its rank, not from the
-    closed-form binomial count.
+    degree l scale by binomial(f, l).  The exact/coexact split is the
+    closed-form rank of d on each eigenspace: for kappa != 0, kappa wedge .
+    on Lambda^l has rank binomial(f-1, l), so the exact l-forms number
+    binomial(f-1, l-1) per lattice point.
     """
     if not periods:
         raise ValueError("period list must be nonempty")
@@ -134,12 +135,7 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
         pts = groups[key]
         mu2 = float(np.mean([sum((2.0 * math.pi * ki / L) ** 2
                                  for ki, L in zip(k, periods)) for k in pts]))
-        # rank of d on the eigenspace, assembled point by point
-        exact = [0] * (f + 2)
-        for k in pts:
-            kappa = [2.0 * math.pi * ki / L for ki, L in zip(k, periods)]
-            for ell in range(f):
-                exact[ell + 1] += np.linalg.matrix_rank(_wedge_matrix(kappa, ell))
+        exact = [0] + [len(pts) * math.comb(f - 1, ell) for ell in range(f)]
         for ell in range(f + 1):
             coexact = len(pts) * math.comb(f, ell) - exact[ell]
             if exact[ell]:

@@ -6,10 +6,9 @@ The Mellin transform of a heat trace splits at a point T0 (default 1):
   (t^a -> T0^{s+a}/(s+a), with an extra -1/(s+a)^2 for log terms); the
   remainder trace-minus-model is integrated numerically on the sampled
   range, with the piece below the first sample bounded, not guessed;
-* on (T0, inf) the trace decays exponentially and is integrated by
-  adaptive quadrature of the eigenvalue sum when the samples carry their
-  spectrum, or from the samples plus a closed-form tail bound driven by
-  the smallest positive eigenvalue otherwise.
+* on (T0, inf) the trace decays exponentially and is integrated in closed
+  form from the spectrum the samples carry, with the eigenvalues above
+  its cutoff bounded in closed form.
 
 Dividing by Gamma(s) then happens analytically: with G = Gamma * zeta
 holding Laurent data (a_-2, a_-1, a_0) at s = 0 and 1/Gamma(s) =
@@ -25,17 +24,14 @@ zeta(0) (with and without the kernel-dimension subtraction) are reported.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import exp1
-from scipy.special import gamma as gamma_fn
 
 from .conekernel import ZERO_EIGENVALUE, FittedExpansion, TraceSamples
 from .errors import DecayRateUnknown, FitResidualTooLarge
@@ -139,34 +135,32 @@ def _remainder_integral(samples: TraceSamples, fit: FittedExpansion,
     return val, err + below + tail_cert
 
 
-def _large_t_integral(samples: TraceSamples, kernel_dim: int, t0: float,
-                      lambda_min: float | None) -> tuple[float, float]:
-    """int_T0^inf t^{-1} (trace - kernel_dim) dt with certified error."""
+def _large_t_integral(samples: TraceSamples, kernel_dim: int,
+                      t0: float) -> tuple[float, float]:
+    """int_T0^inf t^{-1} (trace - kernel_dim) dt with certified error.
+
+    The spectrum sums exactly to its cutoff W.  Past the first sample t1,
+    the eigenvalues above W decay at least like exp(-W (t - t1)) times
+    their share of Tr(t1), so they add at most
+    exp(-W (T0 - t1)) (|Tr(t1)| + tail(t1)) / (W T0).
+    """
     eig = samples.eigenvalues
-    if eig is not None:
-        zero_w = float(eig.weight[eig.lam <= ZERO_EIGENVALUE].sum())
-        if abs(zero_w - kernel_dim) > 1e-9:
-            raise DecayRateUnknown(
-                f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
-        pos = eig.positive()
-        val = float(np.dot(pos.weight, exp1(pos.lam * t0)))
-        bound = float(np.max(samples.tail_bound)) if len(samples.tail_bound) else 0.0
-        return val, bound
-    if lambda_min is None:
-        raise DecayRateUnknown("no eigenvalue data and no lambda_min supplied")
-    if np.count_nonzero(samples.grid >= t0) < 5:
-        raise DecayRateUnknown("too few samples beyond the split point")
-    t = samples.grid
-    y = samples.values - kernel_dim
-    val, err = _spline_integral(np.log(t), y, math.log(t0), float(np.log(t[-1])))
-    t_last = float(t[-1])
-    tail = abs(y[-1]) / (lambda_min * t_last)
-    return val, err + tail
+    if eig is None:
+        raise DecayRateUnknown("the large-t integral needs the trace's eigenvalues")
+    zero_w = float(eig.weight[eig.lam <= ZERO_EIGENVALUE].sum())
+    if abs(zero_w - kernel_dim) > 1e-9:
+        raise DecayRateUnknown(
+            f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
+    pos = eig.positive()
+    val = float(np.dot(pos.weight, exp1(pos.lam * t0)))
+    w, t1 = eig.cutoff, float(samples.grid[0])
+    above = 0.0 if math.isinf(w) else math.exp(-w * (t0 - t1)) \
+        * (abs(samples.values[0]) + samples.tail_bound[0]) / (w * t0)
+    return val, float(np.max(samples.tail_bound)) + above
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
-                   split: float = 1.0, lambda_min: float | None = None,
-                   degree: int = 0) -> ZetaData:
+                   split: float = 1.0, degree: int = 0) -> ZetaData:
     """Zeta invariants at s = 0 from trace samples and a fitted expansion."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
@@ -177,7 +171,7 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     terms = _fit_terms_with_kernel(fit, kernel_dim)
     a_m2, a_m1, a_0f = _analytic_laurent(terms, split)
     rem, rem_bound = _remainder_integral(samples, fit, split)
-    large, large_bound = _large_t_integral(samples, kernel_dim, split, lambda_min)
+    large, large_bound = _large_t_integral(samples, kernel_dim, split)
     a_0 = a_0f + rem + large
 
     zeta0 = a_m1 + G1 * a_m2
@@ -234,77 +228,6 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
             "total_bound": total_bound,
         },
     )
-
-
-# -------------------------------------------------- complex-s evaluation --
-
-def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
-                        kernel_dim: int, s: complex, split: float = 1.0) -> complex:
-    """Gamma(s) * zeta(s) at a complex point away from the exact poles.
-
-    Accuracy is set by the fit window and the remainder quadrature; the
-    precise instrument for Laurent data at the predicted poles is the
-    analytic part, which this function evaluates exactly.
-    """
-    if samples.grid[-1] < split:
-        raise ValueError(f"samples must reach the split point {split}")
-    terms = _fit_terms_with_kernel(fit, kernel_dim)
-    t0 = split
-    log_t0 = math.log(t0)
-    total = 0j
-    for (alpha, is_log), c in terms.items():
-        a = float(alpha)
-        pole = s + a
-        scale = cmath.exp(pole * log_t0)
-        if is_log:
-            total += c * scale * (log_t0 / pole - 1.0 / (pole * pole))
-        else:
-            total += c * scale / pole
-    t = samples.grid
-    resid = samples.values - fit.model(t)
-    u = np.log(t)
-    total += complex(CubicSpline(u, resid * np.exp(s.real * u)
-                                 * np.exp(1j * s.imag * u)).integrate(u[0], math.log(t0)))
-    if samples.eigenvalues is None:
-        raise DecayRateUnknown("complex evaluation requires eigenvalue data")
-    pos = samples.eigenvalues.positive()
-
-    def trace_minus_kernel(tt: float) -> float:
-        return float(np.dot(pos.weight, np.exp(-tt * pos.lam)))
-
-    re = quad(lambda tt: (trace_minus_kernel(tt) * tt ** (s.real - 1.0)
-                          * math.cos(s.imag * math.log(tt))), t0, np.inf,
-              epsabs=1e-13, limit=200)[0]
-    im = quad(lambda tt: (trace_minus_kernel(tt) * tt ** (s.real - 1.0)
-                          * math.sin(s.imag * math.log(tt))), t0, np.inf,
-              epsabs=1e-13, limit=200)[0]
-    return total + complex(re, im)
-
-
-def zeta_contour_residue(samples: TraceSamples, fit: FittedExpansion,
-                         kernel_dim: int, center: complex = 0j,
-                         radius: float = 0.05, nodes: int = 16,
-                         split: float = 1.0) -> complex:
-    """Contour estimate of the residue of zeta(s) itself at `center`."""
-    acc = 0j
-    for j in range(nodes):
-        s = center + radius * cmath.exp(2j * math.pi * j / nodes)
-        g = gamma_weighted_zeta(samples, fit, kernel_dim, s, split)
-        acc += g / gamma_fn(s) * (s - center)
-    return acc / nodes
-
-
-def gamma_zeta_laurent_coefficient(samples: TraceSamples, fit: FittedExpansion,
-                                   kernel_dim: int, s0: complex, order: int,
-                                   radius: float = 0.05, nodes: int = 32,
-                                   split: float = 1.0) -> complex:
-    """Laurent coefficient of (s-s0)^(-order) of Gamma*zeta via a contour."""
-    acc = 0j
-    for j in range(nodes):
-        s = s0 + radius * cmath.exp(2j * math.pi * j / nodes)
-        g = gamma_weighted_zeta(samples, fit, kernel_dim, s, split)
-        acc += g * (s - s0) ** order
-    return acc / nodes
 
 
 # ------------------------------------------------------- model descriptors --

@@ -35,10 +35,11 @@ def test_structure_even_regular_at_zero(capsys):
 
 
 def test_structure_invalid_dimensions(capsys):
-    code, _, err = run(capsys, "structure", "--m", "2", "--b", "3")
-    assert code == 2
-    doc = json.loads(err)
-    assert "b must satisfy b <= m-2" in doc["message"]
+    for m, b in [("2", "3"), ("3", "2")]:
+        code, _, err = run(capsys, "structure", "--m", m, "--b", b)
+        assert code == 2
+        doc = json.loads(err)
+        assert "b must satisfy b <= m-2" in doc["message"]
 
 
 # ----------------------------------------------------------------- torsion --

@@ -34,6 +34,7 @@ from torsionlab.errors import (
 )
 from torsionlab.fiber import Convention, a_spectrum, single_nu_spectrum, torus_spectrum
 from torsionlab.phg import ExpansionTemplate
+from torsionlab.zetator import zeta_near_zero
 
 GEO = Convention.GEOMETRIC_ORACLE
 TWO_PI = 2.0 * math.pi
@@ -301,6 +302,35 @@ def test_product_euler_characteristic_factorizes():
     prod = product_trace([fact, fact])
     alt = sum((-1) ** k * prod[k].values for k in prod)
     assert np.max(np.abs(alt)) < 1e-12
+
+
+def test_product_spectrum_complete_to_smaller_cutoff():
+    """Factors of 2001 and 1001 distinct eigenvalues (over 2,000,000 pairs): the
+    product keeps exactly the pair sums up to the smaller factor cutoff."""
+    grid = log_grid(1e-3, 1.0, 60)
+    big = torus_spectrum((TWO_PI,), cutoff=2000.5)
+    small = torus_spectrum((TWO_PI,), cutoff=1000.3)
+    fa = {0: fiber_factor_trace(big, 0, grid)}
+    fb = {0: fiber_factor_trace(small, 0, grid)}
+    a, b = fa[0].eigenvalues, fb[0].eigenvalues
+    assert len(a) * len(b) > 2_000_000
+    prod = product_trace([fa, fb])[0]
+    cutoff = min(a.cutoff, b.cutoff)
+    assert prod.eigenvalues.cutoff == cutoff == 1000.3 ** 2
+
+    lam = (a.lam[:, None] + b.lam[None, :]).ravel()
+    weight = (a.weight[:, None] * b.weight[None, :]).ravel()
+    keep = lam <= cutoff
+    uniq, inverse = np.unique(np.round(lam[keep], 12), return_inverse=True)
+    assert np.array_equal(prod.eigenvalues.lam, uniq)
+    assert np.array_equal(prod.eigenvalues.weight, np.bincount(inverse, weights=weight[keep]))
+
+    # the square torus of period 2 pi: zeta'(0) = -log 2 pi - 2 beta'(0),
+    # beta'(0) = log(Gamma(1/4)^2 / (2 pi sqrt 2)) for Dirichlet's beta
+    tpl = ExpansionTemplate.from_terms([(-1, False), (0, False), (1, False)])
+    z = zeta_near_zero(prod, fit_expansion(prod.restrict(t_max=0.1), tpl), kernel_dim=1)
+    beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
+    assert abs(z.zeta_prime0 - (-math.log(TWO_PI) - 2.0 * beta1)) <= z.error_bound
 
 
 def test_product_mismatched_grids():

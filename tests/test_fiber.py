@@ -13,6 +13,8 @@ import pytest
 from torsionlab.errors import NegativeBlockEigenvalue, TailNotCertified
 from torsionlab.fiber import (
     Convention,
+    _lattice_points,
+    _wedge_matrix,
     a_block_eigenvalues,
     a_spectrum,
     dense_a_eigenvalues,
@@ -103,6 +105,35 @@ def test_hodge_duality_of_coexact_multiplicities():
         dual = {round(e.mu2, 9): e.mult
                 for e in spec.degree_entries(f - ell - 1) if e.kind == "coexact"}
         assert co == dual
+
+
+def test_wedge_rank_closed_form():
+    """Oracle for the exact/coexact split: the assembled rank of kappa wedge .
+    on Lambda^l is binomial(f-1, l) for every nonzero kappa."""
+    rng = np.random.default_rng(7)
+    for f in range(1, 5):
+        for _ in range(20):
+            kappa = rng.normal(size=f) * (rng.random(f) < 0.6)
+            if not kappa.any():
+                kappa[rng.integers(f)] = 1.0
+            for ell in range(f):
+                rank = np.linalg.matrix_rank(_wedge_matrix(kappa, ell))
+                assert rank == math.comb(f - 1, ell), (f, ell, kappa)
+
+
+def test_exact_split_matches_assembled_rank():
+    periods = (TWO_PI, 4.0, 7.5)
+    spec = torus_spectrum(periods, cutoff=4.0)
+    want: dict[tuple[int, float], int] = {}
+    for k, mu2 in _lattice_points(periods, 4.0):
+        if mu2 == 0.0:
+            continue
+        kappa = [2.0 * math.pi * ki / L for ki, L in zip(k, periods)]
+        for ell in range(len(periods)):
+            key = (ell + 1, float(f"{mu2:.9g}"))
+            want[key] = want.get(key, 0) + np.linalg.matrix_rank(_wedge_matrix(kappa, ell))
+    got = {(e.degree, float(f"{e.mu2:.9g}")): e.mult for e in spec.entries if e.kind == "exact"}
+    assert got == want
 
 
 # ------------------------------------------------------------- nu spectra --

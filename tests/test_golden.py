@@ -18,6 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("torsion_product_circle.json",
      ["torsion", "--model", "product", "--base", "circle", "--t-min", "3e-3"]),
     ("trace_disk.json", ["trace", "--t-min", "1e-2"]),
+    ("torsion_torus.json",
+     ["torsion", "--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586",
+      "--t-min", "5e-2"]),
 ])
 def test_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0

