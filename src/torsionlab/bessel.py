@@ -174,53 +174,84 @@ def mcmahon_zero(nu: float, k: int) -> float:
             - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8 ** 5))
 
 
-def _polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
-    """Newton with bisection fallback inside a sign-changing bracket."""
-    f_lo = jv(nu, lo)
-    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Newton with bisection fallback, one sign-changing bracket per element.
+
+    All brackets advance together, one `jv` array call per round; each
+    element leaves the batch at its own termination test.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    out = np.empty_like(x)
+    idx = np.arange(len(x))
+    lo_pos = f_lo > 0
     for _ in range(60):
+        if not len(idx):
+            break
         fx = jv(nu, x)
-        if fx == 0.0:
-            return x
-        if (fx > 0) == (f_lo > 0):
-            lo = x
-        else:
-            hi = x
+        root = fx == 0.0
+        out[idx[root]] = x[root]
+        on_lo = (fx > 0) == lo_pos
+        lo = np.where(on_lo, x, lo)
+        hi = np.where(on_lo, hi, x)
         dfx = jvp(nu, x)
-        step = fx / dfx if dfx != 0 else hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dfx != 0, fx / dfx, hi - lo)
         x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * x:
-            return x_new
-        x = x_new
-    return x
+        outside = ~((lo < x_new) & (x_new < hi))
+        x_new[outside] = 0.5 * (lo[outside] + hi[outside])
+        done = root | (np.abs(x_new - x) <= 1e-15 * x)
+        out[idx[done & ~root]] = x_new[done & ~root]
+        keep = ~done
+        idx, nu, lo, hi, lo_pos, x = (idx[keep], nu[keep], lo[keep], hi[keep],
+                                      lo_pos[keep], x_new[keep])
+    out[idx] = x
+    return out
+
+
+def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
+    """All positive zeros up to z_max of J_nu for each nu in `nus`, ascending.
+
+    One `jv` array call scans every order's pi/2 grid for sign changes; a
+    grid point where J_nu is exactly 0 is a zero.  All brackets are then
+    refined together by `_newton_batch`, seeded with McMahon's expansion.
+    An order with no zero up to z_max gets an empty list.
+    """
+    nus = [float(nu) for nu in nus]
+    if any(nu < 0 for nu in nus):
+        raise ValueError("order nu must be nonnegative")
+    grids = [np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
+             if z_max > nu else np.empty(0) for nu in nus]
+    sizes = np.array([len(g) for g in grids], dtype=np.intp)
+    if not sizes.sum():
+        return [[] for _ in nus]
+    order = np.repeat(np.arange(len(nus)), sizes)
+    nu_at = np.repeat(np.array(nus), sizes)
+    grid = np.concatenate(grids)
+    vals = jv(nu_at, grid)
+    signs = np.sign(vals)
+    # a bracket [grid[i], grid[i + 1]] never crosses from one order to the next
+    last = np.zeros(len(grid), dtype=bool)
+    last[np.cumsum(sizes)[sizes > 0] - 1] = True
+    exact = (signs == 0.0) & ~last
+    change = np.zeros(len(grid), dtype=bool)
+    change[:-1] = (signs[:-1] * signs[1:] < 0) & ~last[:-1]
+    at = np.flatnonzero(exact | change)
+    # k: the index of each zero within its order
+    first = np.searchsorted(order[at], order[at], side="left")
+    k = np.arange(len(at)) - first + 1
+    zeros = grid[at].copy()
+    bracket = change[at]
+    b = at[bracket]
+    guess = np.array([mcmahon_zero(nu, kk)
+                      for nu, kk in zip(nu_at[b].tolist(), k[bracket].tolist())])
+    zeros[bracket] = _newton_batch(nu_at[b], grid[b], grid[b + 1], vals[b], guess)
+    keep = zeros <= z_max
+    counts = np.bincount(order[at][keep], minlength=len(nus))
+    return [part.tolist() for part in np.split(zeros[keep], np.cumsum(counts)[:-1])]
 
 
 def bessel_j_zeros(nu: float, z_max: float) -> list[float]:
-    """All positive zeros of J_nu up to z_max, ascending.
-
-    A cutoff below the first zero yields an empty list.  Each zero is
-    accurate to ~1e-13 relative; none can be skipped because the scan step
-    is below the minimal spacing of consecutive zeros.
-    """
-    if nu < 0:
-        raise ValueError("order nu must be nonnegative")
-    if z_max <= nu:
-        return []
-    start = max(nu, 1e-8)
-    grid = np.arange(start, z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
-    vals = jv(nu, grid)
-    signs = np.sign(vals)
-    zeros: list[float] = []
-    k = 0
-    for i in range(len(grid) - 1):
-        if signs[i] == 0.0:
-            zeros.append(float(grid[i]))
-            k += 1
-            continue
-        if signs[i] * signs[i + 1] < 0:
-            k += 1
-            zeros.append(_polish_zero(nu, float(grid[i]), float(grid[i + 1]),
-                                      mcmahon_zero(nu, k)))
-    return [z for z in zeros if z <= z_max]
+    """All positive zeros of J_nu up to z_max, ascending (see the batch)."""
+    return bessel_j_zeros_batch([nu], z_max)[0]

@@ -20,16 +20,16 @@ sample range.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .bessel import bessel_i, bessel_j_zeros
+from .bessel import bessel_i, bessel_j_zeros_batch
 from .errors import (
     IllConditioned,
     InsufficientSamples,
@@ -107,10 +107,34 @@ class ConeSpectrum:
         return Spectrum.of(z * z, weight, self.lambda_cutoff)
 
 
-@lru_cache(maxsize=8192)
-def _cached_zeros(nu: float, z_max: float) -> tuple[float, ...]:
-    # form degrees of one model share most Bessel orders
-    return tuple(bessel_j_zeros(nu, z_max))
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _ZeroCache:
+    """Bessel zeros by (nu, z_max), kept for the life of the process.
+
+    Form degrees of one model share most Bessel orders, so each degree's
+    `cone_spectrum` computes only the orders it lacks, in one batch.
+    `cache_info()` counts lookups the way `functools.lru_cache` does.
+    """
+
+    def __init__(self) -> None:
+        self._zeros: dict[tuple[float, float], tuple[float, ...]] = {}
+        self._hits = self._misses = 0
+
+    def lookup(self, nus: Sequence[float], z_max: float) -> dict[float, list[float]]:
+        missing = [nu for nu in nus if (nu, z_max) not in self._zeros]
+        for nu, zs in zip(missing, bessel_j_zeros_batch(missing, z_max)):
+            self._zeros[nu, z_max] = tuple(zs)
+        self._misses += len(missing)
+        self._hits += len(nus) - len(missing)
+        return {nu: list(self._zeros[nu, z_max]) for nu in nus}
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, None, len(self._zeros))
+
+
+_cached_zeros = _ZeroCache()
 
 
 def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) -> ConeSpectrum:
@@ -126,7 +150,7 @@ def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) 
         key = round(mode.nu, 12)
         mult[key] = mult.get(key, 0) + mode.multiplicity
     z_max = math.sqrt(lambda_cutoff)
-    zeros = {nu: list(_cached_zeros(nu, z_max)) for nu in sorted(mult)}
+    zeros = _cached_zeros.lookup(sorted(mult), z_max)
     for nu, zs in zeros.items():
         if zs and zs[0] <= nu:
             raise RuntimeError(f"first zero {zs[0]} not above its order {nu}")
