@@ -152,7 +152,9 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
         raise DecayRateUnknown(
             f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
     pos = eig.positive()
-    val = float(np.dot(pos.weight, exp1(pos.lam * t0)))
+    # E1(x) <= e^{-x}/x is exactly 0.0 past x = 745, so the sum stops there
+    n = np.searchsorted(pos.lam, 745.0 / t0, side="right")
+    val = float(np.dot(pos.weight[:n], exp1(pos.lam[:n] * t0)))
     w, t1 = eig.cutoff, float(samples.grid[0])
     above = 0.0 if math.isinf(w) else math.exp(-w * (t0 - t1)) \
         * (abs(samples.values[0]) + samples.tail_bound[0]) / (w * t0)
