@@ -205,7 +205,10 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
     else:
         envelope = 0.0
 
-    values = np.array([math.fsum(ws * np.exp(-t * lams)) for t in t_grid])
+    # exp(-x) is exactly 0.0 past x = 745.2, so each sum stops at t lam = 746
+    ends = np.searchsorted(lams, 746.0 / t_grid, side="right")
+    values = np.array([math.fsum(ws[:n] * np.exp(-t * lams[:n]))
+                       for t, n in zip(t_grid, ends)])
     # tail <= t C int_Lambda^inf s^q e^{-ts} ds = C t^{-q} Gamma(q+1, t Lambda)
     tail = envelope * math.gamma(q + 1.0) * t_grid ** (-q) \
         * gammaincc(q + 1.0, t_grid * cutoff)
