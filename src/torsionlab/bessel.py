@@ -13,12 +13,20 @@ cancellation:
 The two regimes overlap on a strip around z = nu^2/10 where they agree to
 better than 1e-11; `bessel_i` switches between them there.
 
-Zeros of J_nu are enumerated by a sign-change scan with grid spacing pi/2
-(consecutive zeros of any J_nu, nu >= 0, are farther apart than that, so no
-zero can hide between grid points), each bracket refined by a Newton
-iteration seeded with the McMahon expansion.  The J_nu evaluations inside
-the finder use scipy; the ascending J series below is kept as a separate
-small-argument evaluator for independent cross-checks.
+Zeros of J_nu are found for many orders at once (`bessel_j_zeros_batch`).
+One `jv` array call scans every order's grid of spacing pi/2 for sign
+changes; consecutive zeros of any J_nu, nu >= 0, are farther apart than
+that, so no zero can hide between grid points.  One vectorised Newton
+iteration, seeded with the McMahon expansion and safeguarded by bisection,
+then refines all brackets together, each stopping at its own termination
+test.  The derivative is the recurrence J_nu' = J_{nu-1} - (nu/x) J_nu, one
+more `jv` evaluation per step.  The test |step| <= 1e-15 x comes before the
+bracket safeguard, so a converged step that lands on a bracket end is
+accepted instead of bisected.  A zero is then as accurate as scipy's `jv`
+allows: within 4e-16 relative of the true root plus the shift that `jv`'s
+own error causes.  The J_nu evaluations inside the finder use scipy; the
+ascending J series below is kept as a separate small-argument evaluator for
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -27,7 +35,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import jv, jvp
+# every J_nu evaluation goes through the module attribute `jv`, so a call
+# counter can wrap it; `jvp` is no longer called but stays an attribute for
+# counters that wrap both (perfbench/layers.py)
+from scipy.special import jv, jvp  # noqa: F401
 
 UNIFORM_MIN_ORDER = 30.0
 UNIFORM_TERMS = 12
@@ -178,8 +189,13 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   f_lo: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Newton with bisection fallback, one sign-changing bracket per element.
 
-    All brackets advance together, one `jv` array call per round; each
-    element leaves the batch at its own termination test.
+    All brackets advance together; a round costs one `jv` array call for
+    J_nu and one for J_{nu-1}, which gives J_nu' = J_{nu-1} - (nu/x) J_nu.
+    An element leaves the batch once its Newton step is below 1e-15 x, or at
+    an exact root, or when its bracket has shrunk below 1e-15 x.  The step
+    test comes before the bracket safeguard: a converged step may land on
+    the bracket end that the previous iterate just became, and must not be
+    thrown away for a bisection.
     """
     lo, hi = lo.copy(), hi.copy()
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
@@ -190,19 +206,20 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         if not len(idx):
             break
         fx = jv(nu, x)
-        root = fx == 0.0
-        out[idx[root]] = x[root]
         on_lo = (fx > 0) == lo_pos
         lo = np.where(on_lo, x, lo)
         hi = np.where(on_lo, hi, x)
-        dfx = jvp(nu, x)
+        dfx = jv(nu - 1.0, x) - nu / x * fx
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dfx != 0, fx / dfx, hi - lo)
         x_new = x - step
-        outside = ~((lo < x_new) & (x_new < hi))
+        converged = np.abs(step) <= 1e-15 * x
+        outside = ~converged & ~((lo < x_new) & (x_new < hi))
         x_new[outside] = 0.5 * (lo[outside] + hi[outside])
-        done = root | (np.abs(x_new - x) <= 1e-15 * x)
-        out[idx[done & ~root]] = x_new[done & ~root]
+        exact = fx == 0.0
+        x_new[exact] = x[exact]
+        done = converged | (np.abs(x_new - x) <= 1e-15 * x)
+        out[idx[done]] = x_new[done]
         keep = ~done
         idx, nu, lo, hi, lo_pos, x = (idx[keep], nu[keep], lo[keep], hi[keep],
                                       lo_pos[keep], x_new[keep])

@@ -2,8 +2,9 @@
 
 References used: the elementary closed forms at half-integer order, scipy's
 ive/iv (a different algorithm family than the series/uniform expansion
-implemented here), bisection on the small-argument series, and bisection on
-mpmath's arbitrary-precision J_0.
+implemented here), bisection on the small-argument series, bisection on
+mpmath's arbitrary-precision J_0, mpmath's findroot on J_nu, and the scalar
+zero finder kept in tests/zero_oracle.py.
 """
 
 import math
@@ -11,17 +12,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import ive, jv
 
+from torsionlab import bessel
 from torsionlab.bessel import (
     UNIFORM_MIN_ORDER,
+    ZERO_SCAN_STEP,
     _series_i,
     _uniform_i,
     bessel_i,
     bessel_j_series,
     bessel_j_zeros,
+    bessel_j_zeros_batch,
     mcmahon_zero,
 )
+from zero_oracle import oracle_zeros
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -190,3 +195,91 @@ def test_mcmahon_guess_quality():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         bessel_j_zeros(-1.0, 10.0)
+
+
+# ------------------------------------------------------ batched J zeros ----
+
+ORACLE_ORDERS = (0.0, 0.5, 1.0, 2.0, 7.0, 30.0, 2.3, 11.659, 23.37, 150.0)
+
+
+def _ulps(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want) / np.spacing(want)
+
+
+def test_batch_matches_scalar_oracle():
+    # the last z_max is a point of nu = 2's scan grid, where `z <= z_max` decides
+    on_grid = float(np.arange(2.0, 40.0, ZERO_SCAN_STEP)[12])
+    for z_max in (60.0, 190.0, on_grid):
+        batch = bessel_j_zeros_batch(ORACLE_ORDERS, z_max)
+        for nu, got in zip(ORACLE_ORDERS, batch):
+            want = oracle_zeros(nu, z_max)
+            assert len(got) == len(want), (nu, z_max)
+            if want:
+                assert _ulps(got, want).max() <= 16, (nu, z_max)
+            # each order of a batch is solved on its own
+            assert got == bessel_j_zeros(nu, z_max)
+    assert bessel_j_zeros_batch([], 10.0) == []
+    assert bessel_j_zeros_batch([5.0, 0.0], 4.0) == [[], [2.404825557695773]]
+    with pytest.raises(ValueError):
+        bessel_j_zeros_batch([1.0, -1.0], 10.0)
+
+
+def _mpmath_errors(orders, z_lo, z_hi):
+    """(relative error, allowance, nu, k) of every zero in [z_lo, z_hi].
+
+    The error is the distance to mpmath's root r next to the zero.  The
+    allowance is 4e-16 plus the root shift that scipy's own `jv` error at r
+    accounts for, |jv(nu, r) - J_nu(r)| / (|J_nu'(r)| r): no finder that
+    evaluates J_nu with `jv` can beat that shift, which reaches ~4e-16 for
+    integer orders near z = 100.
+    """
+    mpmath.mp.dps = 30
+    out = []
+    for nu, zeros in zip(orders, bessel_j_zeros_batch(orders, z_hi)):
+        for k, z in enumerate(zeros, start=1):
+            if z < z_lo:
+                continue
+            root = mpmath.findroot(lambda x: mpmath.besselj(nu, x), mpmath.mpf(z))
+            r = float(root)
+            slope = mpmath.besselj(nu - 1, root) - nu / root * mpmath.besselj(nu, root)
+            shift = abs(float((jv(nu, r) - mpmath.besselj(nu, r)) / slope / root))
+            out.append((abs(float((z - root) / root)), 4e-16 + shift, nu, k))
+    return out
+
+
+def test_zeros_against_mpmath():
+    # k = 1, 2 near large orders, where McMahon's seed is poorest, and the
+    # z ~ 100 stretch where scipy's jv is least accurate
+    errors = _mpmath_errors((0.0, 0.5, 1.0, 2.5, 7.0, 11.659, 19.4459, 23.37, 31.2839, 40.0),
+                            0.0, 60.0)
+    errors += _mpmath_errors((23.0, 50.0, 74.0), 95.0, 120.0)
+    assert len(errors) >= 150
+    assert any(k <= 2 and nu >= 30 for _, _, nu, k in errors)
+    bad = [e for e in errors if e[0] > e[1]]
+    assert not bad, bad
+
+
+def test_half_order_zeros_within_two_ulp():
+    mpmath.mp.dps = 30
+    zeros = bessel_j_zeros(0.5, 500.5 * math.pi)
+    exact = [float(k * mpmath.pi) for k in range(1, 501)]
+    assert _ulps(zeros, exact).max() <= 2
+
+
+def test_newton_rounds_per_zero(monkeypatch):
+    """A Newton round evaluates J_nu and J_{nu-1} once per open bracket;
+    the first `jv` call is the sign-change scan."""
+    sizes = []
+    jv = bessel.jv
+
+    def counting_jv(nu, x):
+        sizes.append(np.size(x))
+        return jv(nu, x)
+
+    monkeypatch.setattr(bessel, "jv", counting_jv)
+    orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))
+    zeros = sum(len(zs) for zs in bessel_j_zeros_batch(orders, 100.0))
+    rounds = (sum(sizes) - sizes[0]) / 2 / zeros
+    assert zeros > 3000
+    assert rounds <= 6.0, rounds

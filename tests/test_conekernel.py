@@ -32,7 +32,14 @@ from torsionlab.errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from torsionlab.fiber import Convention, a_spectrum, single_nu_spectrum, torus_spectrum
+from torsionlab.fiber import (
+    Convention,
+    NuMode,
+    NuSpectrum,
+    a_spectrum,
+    single_nu_spectrum,
+    torus_spectrum,
+)
 from torsionlab.phg import ExpansionTemplate
 from torsionlab.zetator import zeta_near_zero
 
@@ -162,6 +169,27 @@ def test_cone_spectrum_merges_equal_orders():
     assert len(spec.zeros) == len(set(spec.zeros))
     assert spec.multiplicities[1.0] == 4  # two harmonics + pair branch at k=2
 
+
+
+def test_zero_cache_keeps_orders_shared_by_degrees():
+    """More orders than the old 8,192-entry LRU cache held: two degrees with
+    the same 10,000 orders compute each order's zeros exactly once."""
+    from torsionlab import conekernel
+
+    def degree(p):
+        modes = tuple(NuMode(nu, 1, p, (0.5 - nu, 0.5 + nu), "test", False)
+                      for nu in 0.3 + 1e-3 * np.arange(10_000))
+        return NuSpectrum(modes, GEO, math.inf)
+
+    before = conekernel._cached_zeros.cache_info()
+    first = cone_spectrum(degree(0), lambda_cutoff=150.0)
+    second = cone_spectrum(degree(1), lambda_cutoff=150.0)
+    after = conekernel._cached_zeros.cache_info()
+    assert after.misses - before.misses == 10_000
+    assert after.hits - before.hits == 10_000
+    assert after.currsize - before.currsize == 10_000
+    assert first.zeros == second.zeros
+    assert sum(map(len, first.zeros.values())) > 10_000
 
 # ----------------------------------------------------------------- traces --
 

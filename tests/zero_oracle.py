@@ -1,0 +1,62 @@
+"""Test oracle: the scalar Bessel-zero finder, one order and one zero at a time.
+
+This is the finder `torsionlab.bessel` used before its zeros were computed
+in one batch: a sign-change scan with grid step pi/2, then per bracket a
+Newton iteration with bisection fallback, seeded by McMahon's expansion and
+using scipy's `jvp` for the derivative.  Its termination test comes after
+the bracket safeguard, so a Newton step that lands on a bracket end is
+bisected; that costs iterations, not correctness.  It is kept only as an
+independent reference for `bessel_j_zeros_batch`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import jv, jvp
+
+from torsionlab.bessel import ZERO_SCAN_STEP, mcmahon_zero
+
+
+def polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
+    """Newton with bisection fallback inside a sign-changing bracket."""
+    f_lo = jv(nu, lo)
+    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+    for _ in range(60):
+        fx = jv(nu, x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (f_lo > 0):
+            lo = x
+        else:
+            hi = x
+        dfx = jvp(nu, x)
+        step = fx / dfx if dfx != 0 else hi - lo
+        x_new = x - step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * x:
+            return x_new
+        x = x_new
+    return x
+
+
+def oracle_zeros(nu: float, z_max: float) -> list[float]:
+    """All positive zeros of J_nu up to z_max, ascending."""
+    if nu < 0:
+        raise ValueError("order nu must be nonnegative")
+    if z_max <= nu:
+        return []
+    grid = np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
+    signs = np.sign(jv(nu, grid))
+    zeros: list[float] = []
+    k = 0
+    for i in range(len(grid) - 1):
+        if signs[i] == 0.0:
+            zeros.append(float(grid[i]))
+            k += 1
+            continue
+        if signs[i] * signs[i + 1] < 0:
+            k += 1
+            zeros.append(float(polish_zero(nu, float(grid[i]), float(grid[i + 1]),
+                                           mcmahon_zero(nu, k))))
+    return [z for z in zeros if z <= z_max]
