@@ -225,6 +225,26 @@ def test_batch_matches_scalar_oracle():
         bessel_j_zeros_batch([1.0, -1.0], 10.0)
 
 
+
+def test_exact_grid_zero_is_a_zero(monkeypatch):
+    """A scan point where jv returns exactly 0.0 is taken as a zero and counts
+    in the McMahon index k, in the batch as in the oracle."""
+    import zero_oracle
+
+    point = float(np.arange(2.0, 30.0, ZERO_SCAN_STEP)[5])
+    jv_real = bessel.jv
+
+    def jv_zero_at_point(nu, x):
+        return np.where(np.asarray(x) == point, 0.0, jv_real(nu, x))
+
+    monkeypatch.setattr(bessel, "jv", jv_zero_at_point)
+    monkeypatch.setattr(zero_oracle, "jv", jv_zero_at_point)
+    got = bessel_j_zeros(2.0, 30.0)
+    want = oracle_zeros(2.0, 30.0)
+    assert point in got
+    assert len(got) == len(want)
+    assert _ulps(got, want).max() <= 16
+
 def _mpmath_errors(orders, z_lo, z_hi):
     """(relative error, allowance, nu, k) of every zero in [z_lo, z_hi].
 
