@@ -197,7 +197,6 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     the bracket end that the previous iterate just became, and must not be
     thrown away for a bisection.
     """
-    lo, hi = lo.copy(), hi.copy()
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     out = np.empty_like(x)
     idx = np.arange(len(x))
@@ -258,7 +257,7 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     # k: the index of each zero within its order
     first = np.searchsorted(order[at], order[at], side="left")
     k = np.arange(len(at)) - first + 1
-    zeros = grid[at].copy()
+    zeros = grid[at]
     bracket = change[at]
     b = at[bracket]
     guess = np.array([mcmahon_zero(nu, kk)

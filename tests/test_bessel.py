@@ -26,6 +26,7 @@ from torsionlab.bessel import (
     bessel_j_zeros_batch,
     mcmahon_zero,
 )
+import zero_oracle
 from zero_oracle import oracle_zeros
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -225,12 +226,9 @@ def test_batch_matches_scalar_oracle():
         bessel_j_zeros_batch([1.0, -1.0], 10.0)
 
 
-
 def test_exact_grid_zero_is_a_zero(monkeypatch):
     """A scan point where jv returns exactly 0.0 is taken as a zero and counts
     in the McMahon index k, in the batch as in the oracle."""
-    import zero_oracle
-
     point = float(np.arange(2.0, 30.0, ZERO_SCAN_STEP)[5])
     jv_real = bessel.jv
 
@@ -244,6 +242,7 @@ def test_exact_grid_zero_is_a_zero(monkeypatch):
     assert point in got
     assert len(got) == len(want)
     assert _ulps(got, want).max() <= 16
+
 
 def _mpmath_errors(orders, z_lo, z_hi):
     """(relative error, allowance, nu, k) of every zero in [z_lo, z_hi].
@@ -291,11 +290,11 @@ def test_newton_rounds_per_zero(monkeypatch):
     """A Newton round evaluates J_nu and J_{nu-1} once per open bracket;
     the first `jv` call is the sign-change scan."""
     sizes = []
-    jv = bessel.jv
+    jv_real = bessel.jv
 
     def counting_jv(nu, x):
         sizes.append(np.size(x))
-        return jv(nu, x)
+        return jv_real(nu, x)
 
     monkeypatch.setattr(bessel, "jv", counting_jv)
     orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+from torsionlab import conekernel
 from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import (
     Spectrum,
@@ -170,12 +171,9 @@ def test_cone_spectrum_merges_equal_orders():
     assert spec.multiplicities[1.0] == 4  # two harmonics + pair branch at k=2
 
 
-
 def test_zero_cache_keeps_orders_shared_by_degrees():
     """More orders than the old 8,192-entry LRU cache held: two degrees with
     the same 10,000 orders compute each order's zeros exactly once."""
-    from torsionlab import conekernel
-
     def degree(p):
         modes = tuple(NuMode(nu, 1, p, (0.5 - nu, 0.5 + nu), "test", False)
                       for nu in 0.3 + 1e-3 * np.arange(10_000))
@@ -190,6 +188,7 @@ def test_zero_cache_keeps_orders_shared_by_degrees():
     assert after.currsize - before.currsize == 10_000
     assert first.zeros == second.zeros
     assert sum(map(len, first.zeros.values())) > 10_000
+
 
 # ----------------------------------------------------------------- traces --
 
