@@ -41,12 +41,16 @@ def dumps_canonical(obj) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The file
+    gets the mode a plain open(path, "w") would give it, not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

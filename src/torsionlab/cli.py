@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -139,6 +140,8 @@ class ModelConfig:
             raise ValueError("need at least 16 grid points")
         if self.lambda_max is not None and self.lambda_max <= 0:
             raise ValueError("lambda_max must be positive")
+        if self.format not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {self.format!r}")
         if self.convention not in CONVENTION_ALIASES:
             raise ValueError(f"unknown convention {self.convention!r}")
         self.convention = CONVENTION_ALIASES[self.convention]
@@ -324,15 +327,17 @@ def _pipeline(args: argparse.Namespace) -> Pipeline:
     file_cfg = parse_config_file(args.config) if args.config else {}
     cfg = ModelConfig.from_sources(args, file_cfg)
     cfg.validate()
+    if cfg.format != "json" and args.command != "trace":
+        raise ValueError(f"format = {cfg.format} applies only to trace")
     return Pipeline(cfg)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
+    if pipe.cfg.format == "csv" and args.degree is None:
+        raise ValueError("csv trace output needs --degree")
     traces = pipe.traces()
     if pipe.cfg.format == "csv":
-        if args.degree is None:
-            raise ValueError("csv trace output needs --degree")
         _write(traces[args.degree].to_csv(), pipe.cfg.output)
         return EXIT_OK
     payload = {"model": pipe.model_label(), "traces": {}}
@@ -362,10 +367,14 @@ cmd_zeta = _stage_command("zeta", "zetas")
 
 def cmd_torsion(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
+    output = pipe.cfg.output
+    summary = os.path.splitext(output)[0] + ".csv" if output else None
+    if output and summary == output:
+        raise ValueError(f"output {output!r} is also the name of its CSV summary")
     report = pipe.torsion()
-    _emit({"report": report.to_json_dict()}, pipe.cfg.output)
-    if pipe.cfg.output:
-        write_atomic(pipe.cfg.output.rsplit(".", 1)[0] + ".csv", report.to_csv())
+    _emit({"report": report.to_json_dict()}, output)
+    if summary:
+        write_atomic(summary, report.to_csv())
     print(f"log T = {report.log_torsion:.12g}", file=sys.stderr)
     print(f"torsion zeta regular at 0: {report.torsion_zeta_regular} "
           f"(per-degree regular: {report.all_degrees_regular}, "
@@ -423,7 +432,6 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--template-cutoff", dest="template_cutoff")
     sub.add_argument("--split", type=float, help="Mellin split point")
     sub.add_argument("--output", "-o")
-    sub.add_argument("--format", choices=["json", "csv"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         _add_model_flags(sub)
         if name == "trace":
+            sub.add_argument("--format", choices=["json", "csv"])
             sub.add_argument("--degree", type=int)
         sub.set_defaults(func=func)
 

@@ -2,11 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import torsionlab
+from torsionlab import cli
 from torsionlab.cli import main, parse_config_file
+
+# a child interpreter finds the package the way this one did, installed or not
+SRC = str(Path(torsionlab.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
 
 
 def run(capsys, *argv):
@@ -59,6 +70,29 @@ def test_torsion_single_nu_oracle(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
     assert csv_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("degree,")
+
+
+def test_torsion_summary_stays_beside_the_report(capsys, tmp_path):
+    """A dot in a directory name is not the report's extension."""
+    target = tmp_path / "out" / "run.v2"
+    target.mkdir(parents=True)
+    code, _, _ = run(capsys, "torsion", "--single-nu", "0.5", "--t-min", "1e-2",
+                     "--output", str(target / "report"))
+    assert code == 0
+    assert json.loads((target / "report").read_text())["schema"] == "torsionlab/1"
+    assert (target / "report.csv").read_text().startswith("degree,")
+    assert not (tmp_path / "out" / "run.csv").exists()
+
+
+def test_torsion_output_named_like_its_summary_is_refused(capsys, tmp_path, monkeypatch):
+    def no_compute(self):
+        raise AssertionError("the pipeline ran before the output was checked")
+    monkeypatch.setattr(cli.Pipeline, "torsion", no_compute)
+    out = tmp_path / "rep.csv"
+    code, _, err = run(capsys, "torsion", "--single-nu", "0.5", "--output", str(out))
+    assert code == 2
+    assert "CSV summary" in json.loads(err)["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_torsion_missing_output_directory(capsys, tmp_path):
@@ -127,6 +161,27 @@ def test_nu_max_is_rejected(capsys, tmp_path):
     assert "unknown config keys" in json.loads(err)["message"]
 
 
+def test_format_belongs_to_trace_only(capsys, tmp_path):
+    for command in ("spectrum", "fit", "zeta", "torsion"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--single-nu", "0.5", "--format", "csv"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("single_nu = 0.5\nt_min = 1e-3\nformat = csv\n")
+    for command in ("spectrum", "fit", "zeta", "torsion"):
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "applies only to trace" in json.loads(err)["message"]
+    code, out, _ = run(capsys, "trace", "--config", str(cfg), "--degree", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "t,value,tail_bound"
+    cfg.write_text("single_nu = 0.5\nformat = xml\n")
+    code, _, err = run(capsys, "trace", "--config", str(cfg))
+    assert code == 2
+    assert "format must be json or csv" in json.loads(err)["message"]
+
+
 def test_config_parser_values(tmp_path):
     cfg = tmp_path / "x.cfg"
     cfg.write_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\nf = word\n')
@@ -164,10 +219,14 @@ def test_trace_csv_output(capsys):
     assert len(lines) > 100
 
 
-def test_trace_csv_requires_degree(capsys):
+def test_trace_csv_requires_degree(capsys, monkeypatch):
+    def no_compute(self):
+        raise AssertionError("the traces were computed before --degree was checked")
+    monkeypatch.setattr(cli.Pipeline, "traces", no_compute)
     code, _, err = run(capsys, "trace", "--single-nu", "0.5", "--t-min", "1e-3",
                        "--format", "csv")
     assert code == 2
+    assert "needs --degree" in json.loads(err)["message"]
 
 
 def test_fit_command(capsys):
@@ -218,11 +277,27 @@ def test_selftest_paper_literal_expected_fail(capsys):
 
 
 def test_console_entry_point_subprocess():
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "torsionlab.cli", "structure", "--m", "3", "--b", "1"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["schema"] == "torsionlab/1"
+
+
+def test_torsion_path_loads_no_heavy_scipy_subpackage():
+    """Start-up cost: the CLI and a torsion run need only scipy.special."""
+    script = (
+        "import sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "                  (['scipy', 'interpolate'], ['scipy', 'optimize'],\n"
+        "                   ['scipy', 'integrate']))\n"
+        "import torsionlab.cli\n"
+        "assert not heavy(), heavy()\n"
+        "code = torsionlab.cli.main(['torsion', '--single-nu', '0.5', '--t-min', '1e-2'])\n"
+        "assert code == 0, code\n"
+        "assert not heavy(), heavy()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -45,3 +47,17 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "payload\n"
     # no temp droppings left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_write_atomic_mode_matches_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_atomic(str(tmp_path / "atomic.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w") as handle:
+            handle.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "atomic.json").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+    assert mode == 0o666 & ~umask

@@ -8,7 +8,9 @@ Both pin every piece of the Mellin-split bookkeeping.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline  # test oracle only
 
 from torsionlab.conekernel import (
     Spectrum,
@@ -25,6 +27,8 @@ from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_st
 from torsionlab.zetator import (
     ModelDescriptor,
     ZetaData,
+    _not_a_knot_integral,
+    _spline_integral,
     kernel_dimension,
     torsion_assemble,
     zeta_near_zero,
@@ -45,6 +49,53 @@ def halfline_zeta(split=1.0, npts=241):
     tr = truncated_cone_trace(spec, 0, log_grid(1e-4, 1.0, npts))
     fit = fit_expansion(tr.restrict(t_max=0.1), HALF_LINE_TEMPLATE)
     return tr, fit, zeta_near_zero(tr, fit, kernel_dim=0, split=split)
+
+
+# ------------------------------------------------------ spline integral --
+
+def _grid(kind, n, rng):
+    if kind == "geometric":
+        return np.log(np.geomspace(1e-4, 1.0, n))
+    return np.concatenate(([-9.0], np.sort(rng.uniform(-9.0, 0.0, n - 2)), [0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 241])
+@pytest.mark.parametrize("kind", ["geometric", "random"])
+def test_not_a_knot_integral_matches_cubic_spline(n, kind):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        u = _grid(kind, n, rng)
+        y = rng.standard_normal(n) if trial % 2 else np.exp(u) * np.sin(3.0 * u)
+        scale = float(np.sum(np.abs(y[:-1]) * np.diff(u)))
+        inner = rng.uniform(u[0], u[-1])
+        for u_lo, u_hi in [(u[0], u[-1]), (u[0], inner), (inner, u[-1]),
+                           (u[0], 0.5 * (u[-2] + u[-1]))]:
+            expect = float(CubicSpline(u, y).integrate(u_lo, u_hi))
+            got = _not_a_knot_integral(u, y, u_lo, u_hi)
+            assert abs(got - expect) <= 1e-12 * scale, (trial, u_lo, u_hi)
+
+
+def test_not_a_knot_integral_is_exact_for_cubics():
+    u = np.log(np.geomspace(1e-3, 1.0, 17))
+    y = 2.0 - u + 0.5 * u ** 2 - 0.25 * u ** 3
+    exact = lambda x: 2.0 * x - x ** 2 / 2 + x ** 3 / 6 - x ** 4 / 16
+    for u_hi in (u[-1], u[9] + 0.3 * (u[10] - u[9])):
+        assert _not_a_knot_integral(u, y, u[0], u_hi) == \
+            pytest.approx(exact(u_hi) - exact(u[0]), rel=1e-13)
+
+
+def test_spline_integral_error_estimate():
+    """Grid halving from five points on; below that the whole value is the
+    error.  Halving an even count leaves a grid one step short of u_hi,
+    over which the last piece extends as scipy's does."""
+    u = np.linspace(0.0, 1.0, 4)
+    assert _spline_integral(u, u ** 3, 0.0, 1.0) == pytest.approx((0.25, 0.25))
+    for n in (9, 10):
+        u = np.linspace(0.0, 1.0, n)
+        full, err = _spline_integral(u, np.exp(u), 0.0, 1.0)
+        coarse = float(CubicSpline(u[::2], np.exp(u[::2])).integrate(0.0, 1.0))
+        assert full == pytest.approx(math.e - 1.0, rel=1e-6)
+        assert err == pytest.approx(abs(full - coarse) / 15.0 + 1e-16 * abs(full), rel=1e-6)
 
 
 # ------------------------------------------------------------- the oracle --
