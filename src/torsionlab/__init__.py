@@ -41,7 +41,6 @@ from .phg import (
     zeta_pole_structure,
 )
 from .zetator import (
-    ModelDescriptor,
     TorsionReport,
     ZetaData,
     kernel_dimension,

@@ -4,11 +4,20 @@ Subcommands:
 
     structure   symbolic heat-trace template and zeta pole report
     spectrum    fiber and Bessel-order spectra of a configured model
-    trace       per-degree heat traces (JSON, or CSV for one degree)
+    trace       per-degree heat traces (JSON, or CSV; --degree K picks one)
     fit         expansion coefficients fitted against the predicted template
     zeta        per-degree zeta data near s = 0
     torsion     full pipeline: spectrum -> trace -> fit -> zeta -> report
     selftest    the oracle table (torsionlab.oracles), one PASS/FAIL line each
+
+The pipeline subcommands describe the model by a fiber (a circle of
+`--radius`, or a torus of `--periods`), optionally times a base (`--model
+product --base circle|torus` with `--base-radius` or `--base-periods`), or
+replace it by one radial mode (`--single-nu`).  Their one method knob is
+`--t-min`, which sets cost and accuracy; `--lambda-max` overrides the
+spectral cutoff it implies.  The other method constants are fixed (see
+SPLIT and its neighbours).  A flag the chosen model would not read is
+refused, not ignored.
 
 Configuration comes from `--config file` (TOML-style `key = value` lines)
 with command-line flags taking precedence.  Exit codes: 0 success, 2
@@ -88,26 +97,50 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+# Method constants of the pipeline, whose one knob is t_min (lambda_max
+# defaults to 36/t_min):
+# - SPLIT is the Mellin split point T0 (zetator).  The zeta data do not
+#   depend on it within their bounds (acceptance criterion 5).
+# - GRID_POINTS log-spaced samples cover [t_min, SPLIT].  The count is odd,
+#   so every second sample, the quadrature's error estimate, keeps both ends.
+# - The expansion is asymptotic as t -> 0, so only t <= FIT_T_MAX enters
+#   the fit.
+# - TEMPLATE_CUTOFF is the fit basis order.  3 (the symbolic default) makes
+#   the m = 2 log basis collide with the conditioning limit (fit condition
+#   2.2e13 on the disk, 2.9e14 on the circle product); 2 is accurate and
+#   well-posed.  One radial mode has the two-term theta expansion, order 1.
+# - The models are exact cones, so their metric is exactly even, the
+#   paper's even case, and the template always uses the even calculus.  The
+#   odd one adds terms the traces lack: on the cone over T^2 at t_min 1e-2
+#   its zeta'(0) bounds are 1.6e3 and 2.8e3.
+SPLIT = 1.0
+GRID_POINTS = 241
+FIT_T_MAX = 0.1
+TEMPLATE_CUTOFF = Fraction(2)
+SINGLE_NU_TEMPLATE_CUTOFF = Fraction(1)
+
+
+def _flag(key: str) -> str:
+    return "--fiber" if key == "fiber_kind" else "--" + key.replace("_", "-")
+
+
 @dataclass
 class ModelConfig:
-    model: str = "cone"                  # cone | product
-    fiber_kind: str = "circle"           # circle | torus
-    radius: float = 1.0
-    periods: list = field(default_factory=list)
-    base: str = "point"                  # point | circle | torus
-    base_radius: float = 1.0
-    base_periods: list = field(default_factory=list)
-    convention: str = "GeometricOracle"
+    """One run's settings.  The model keys default to None, so an unset
+    flag differs from one set to its default value; unset, the model is
+    the cone over the unit circle in the GeometricOracle convention."""
+
+    model: str | None = None             # cone | product
+    fiber_kind: str | None = None        # circle | torus
+    radius: float | None = None
+    periods: list | None = None
+    base: str | None = None              # point | circle | torus
+    base_radius: float | None = None
+    base_periods: list | None = None
+    convention: str | None = None
     lambda_max: float | None = None
     t_min: float = 1e-3
-    t_max: float = 1e-1
-    points: int = 241
-    even: bool = True
     single_nu: float | None = None
-    # fit basis order: 3 (the symbolic default) makes the m = 2 log basis
-    # collide with the conditioning limit, 2 is accurate and well-posed
-    template_cutoff: str = "2"
-    split: float = 1.0
     output: str | None = None
     format: str = "json"
 
@@ -126,25 +159,51 @@ class ModelConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.model not in ("cone", "product"):
+        """Refuse a bad value, and every key the chosen model would not read."""
+        if self.model not in (None, "cone", "product"):
             raise ValueError(f"model must be cone or product, got {self.model!r}")
-        if self.fiber_kind not in ("circle", "torus"):
+        if self.fiber_kind not in (None, "circle", "torus"):
             raise ValueError(f"fiber must be circle or torus, got {self.fiber_kind!r}")
-        if self.base not in ("point", "circle", "torus"):
+        if self.base not in (None, "point", "circle", "torus"):
             raise ValueError(f"base must be point, circle or torus, got {self.base!r}")
-        if self.model == "cone" and self.base != "point":
+        if self.single_nu is not None:
+            model_keys = ("model", "fiber_kind", "radius", "periods",
+                          "base", "base_radius", "base_periods", "convention")
+            given = [_flag(key) for key in model_keys if getattr(self, key) is not None]
+            if given:
+                raise ValueError(f"--single-nu replaces the model; {', '.join(given)} "
+                                 "would be ignored")
+        has_base = self.base not in (None, "point")
+        if self.model != "product" and has_base:
             raise ValueError("cone model takes base = point; use model = product")
-        if not 0 < self.t_min < self.t_max:
-            raise ValueError("need 0 < t_min < t_max")
-        if self.points < 16:
-            raise ValueError("need at least 16 grid points")
+        if self.model == "product" and not has_base:
+            raise ValueError("--model product needs --base circle or --base torus")
+        for prefix, part, kind in (("", "fiber", self.fiber_kind or "circle"),
+                                   ("base_", "base", self.base or "point")):
+            for key, reader in (("radius", "circle"), ("periods", "torus")):
+                if getattr(self, prefix + key) is not None and kind != reader:
+                    raise ValueError(f"{_flag(prefix + key)} applies to a {reader} "
+                                     f"{part}, and the {part} is {kind}")
+            if kind == "torus" and not getattr(self, prefix + "periods"):
+                raise ValueError(f"a torus {part} needs {_flag(prefix + 'periods')}")
+        if not 0 < self.t_min < FIT_T_MAX:
+            raise ValueError(f"need 0 < t_min < {FIT_T_MAX}")
         if self.lambda_max is not None and self.lambda_max <= 0:
             raise ValueError("lambda_max must be positive")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if self.convention not in CONVENTION_ALIASES:
+        if self.convention not in (None, *CONVENTION_ALIASES):
             raise ValueError(f"unknown convention {self.convention!r}")
-        self.convention = CONVENTION_ALIASES[self.convention]
+        self.convention = CONVENTION_ALIASES.get(self.convention)
+
+
+def _flat_factor(kind: str, radius, periods) -> tuple[tuple[float, ...], str]:
+    """Periods and label of a closed flat factor of the model: a circle of
+    radius r (default 1) is the 1-torus of period 2 pi r."""
+    if kind == "circle":
+        r = 1.0 if radius is None else radius
+        return (2.0 * math.pi * r,), f"circle(r={r})"
+    return tuple(float(p) for p in periods), f"torus{tuple(periods)}"
 
 
 # --------------------------------------------------------------- pipeline --
@@ -162,7 +221,12 @@ def _stage(method):
 
 @dataclass
 class Pipeline:
-    """Lazily evaluated model pipeline shared by the subcommands."""
+    """Lazily evaluated model pipeline shared by the subcommands.
+
+    The model is its fiber periods and its base periods: the cone over the
+    flat fiber, times the flat base when there is one.  A single radial
+    mode has neither and keeps degree 0 only.
+    """
 
     cfg: ModelConfig
     _memo: dict = field(default_factory=dict, init=False, repr=False)
@@ -171,37 +235,23 @@ class Pipeline:
         cfg = self.cfg
         self.lambda_max = cfg.lambda_max if cfg.lambda_max is not None \
             else 36.0 / cfg.t_min
-        self.grid = conekernel.log_grid(cfg.t_min, max(cfg.split, cfg.t_max),
-                                        cfg.points)
+        self.grid = conekernel.log_grid(cfg.t_min, SPLIT, GRID_POINTS)
+        self.fiber_periods: tuple[float, ...] = ()
+        self.base_periods: tuple[float, ...] = ()
         if cfg.single_nu is not None:
-            self.descriptor = zetator.ModelDescriptor("cone", fiber_dim=0)
-            self.m = 1
-            self.b = 0
-            self.degrees = [0]
-            return
-        if cfg.fiber_kind == "circle":
-            self.fiber_periods = (2.0 * math.pi * cfg.radius,)
+            self.label = f"single-nu({cfg.single_nu})"
         else:
-            if not cfg.periods:
-                raise ValueError("torus fiber needs periods")
-            self.fiber_periods = tuple(float(p) for p in cfg.periods)
-        f = len(self.fiber_periods)
-        cone = zetator.ModelDescriptor("cone", fiber_dim=f)
-        if cfg.base == "point":
-            self.descriptor = cone
-            self.b = 0
-        else:
-            if cfg.base == "circle":
-                self.base_periods = (2.0 * math.pi * cfg.base_radius,)
-            else:
-                if not cfg.base_periods:
-                    raise ValueError("torus base needs base_periods")
-                self.base_periods = tuple(float(p) for p in cfg.base_periods)
-            base = zetator.ModelDescriptor(cfg.base, periods=self.base_periods)
-            self.descriptor = zetator.ModelDescriptor("product", parts=(base, cone))
-            self.b = len(self.base_periods)
-        self.m = self.descriptor.dimension()
-        self.degrees = list(range(self.m + 1))
+            self.fiber_periods, fib = _flat_factor(cfg.fiber_kind or "circle", cfg.radius,
+                                                   cfg.periods)
+            self.label = f"cone[{fib}]"
+            if cfg.base not in (None, "point"):
+                self.base_periods, base = _flat_factor(cfg.base, cfg.base_radius,
+                                                       cfg.base_periods)
+                self.label = f"{base} x {self.label}"
+        self.cone_dim = len(self.fiber_periods) + 1
+        self.b = len(self.base_periods)
+        self.m = self.b + self.cone_dim
+        self.degrees = [0] if cfg.single_nu is not None else list(range(self.m + 1))
 
     # -- stages ---------------------------------------------------------
 
@@ -216,57 +266,54 @@ class Pipeline:
 
     def nu_spectra(self) -> dict[int, fiber.NuSpectrum]:
         if self.cfg.single_nu is not None:
-            return {0: fiber.single_nu_spectrum(self.cfg.single_nu,
-                                                convention=self.cfg.convention)}
+            return {0: fiber.single_nu_spectrum(self.cfg.single_nu)}
         fib = self.fiber_spectrum()
-        cone_degs = range(len(self.fiber_periods) + 2)
-        return {p: fiber.a_spectrum(fib, p, self.cfg.convention, nu_max=self.nu_cutoff())
-                for p in cone_degs}
+        convention = self.cfg.convention or "GeometricOracle"
+        return {p: fiber.a_spectrum(fib, p, convention, nu_max=self.nu_cutoff())
+                for p in range(self.cone_dim + 1)}
 
     def cone_traces(self) -> dict[int, conekernel.TraceSamples]:
-        cone_dim = 1 if self.cfg.single_nu is not None else len(self.fiber_periods) + 1
         out = {}
         for p, spec in self.nu_spectra().items():
-            cs = conekernel.cone_spectrum(spec, self.lambda_max, cone_dim=cone_dim)
+            cs = conekernel.cone_spectrum(spec, self.lambda_max, cone_dim=self.cone_dim)
             out[p] = conekernel.truncated_cone_trace(cs, p, self.grid)
         return out
 
     @_stage
     def traces(self) -> dict[int, conekernel.TraceSamples]:
         cone = self.cone_traces()
-        if self.cfg.base == "point" or self.cfg.single_nu is not None:
+        if not self.base_periods:
             return cone
         base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
         base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
-                for d in range(len(self.base_periods) + 1)}
+                for d in range(self.b + 1)}
         return conekernel.product_trace([base, cone])
 
     def template(self) -> phg.ExpansionTemplate:
-        cutoff = Fraction(1) if self.cfg.single_nu is not None \
-            else Fraction(self.cfg.template_cutoff)
-        return phg.heat_trace_structure(self.m, self.b, even=self.cfg.even,
-                                        boundary=True, cutoff=cutoff)
+        cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \
+            else TEMPLATE_CUTOFF
+        return phg.heat_trace_structure(self.m, self.b, even=True, boundary=True,
+                                        cutoff=cutoff)
 
     @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:
         tpl = self.template()
-        return {k: conekernel.fit_expansion(tr.restrict(t_max=self.cfg.t_max), tpl)
+        return {k: conekernel.fit_expansion(tr.restrict(t_max=FIT_T_MAX), tpl)
                 for k, tr in self.traces().items()}
 
     def _kernels(self) -> list[int]:
-        kernels = zetator.kernel_dimension(self.descriptor)
-        return [kernels[k] if k < len(kernels) else 0 for k in self.degrees]
+        kernels = zetator.kernel_dimension(self.m)
+        return [kernels[k] for k in self.degrees]
 
     @_stage
     def zetas(self) -> dict[int, zetator.ZetaData]:
         traces, fits = self.traces(), self.fits()
-        return {k: zetator.zeta_near_zero(traces[k], fits[k], kernel, split=self.cfg.split,
-                                          degree=k)
+        return {k: zetator.zeta_near_zero(traces[k], fits[k], kernel, split=SPLIT, degree=k)
                 for k, kernel in zip(self.degrees, self._kernels())}
 
     def torsion(self) -> zetator.TorsionReport:
         diagnostics = {"lambda_max": self.lambda_max, "t_min": self.cfg.t_min,
-                       "grid_points": self.cfg.points}
+                       "grid_points": GRID_POINTS}
         # the alternating sum pairs degrees; a single radial mode has only one
         if len(self.degrees) > 1:
             traces = self.traces()
@@ -274,19 +321,7 @@ class Pipeline:
                 [traces[k] for k in self.degrees], self._kernels())
         zetas = self.zetas()
         return zetator.torsion_assemble([zetas[k] for k in self.degrees],
-                                        model=self.model_label(), diagnostics=diagnostics)
-
-    def model_label(self) -> str:
-        cfg = self.cfg
-        if cfg.single_nu is not None:
-            return f"single-nu({cfg.single_nu})"
-        fib = f"circle(r={cfg.radius})" if cfg.fiber_kind == "circle" \
-            else f"torus{tuple(cfg.periods)}"
-        if cfg.base == "point":
-            return f"cone[{fib}]"
-        base = f"circle(r={cfg.base_radius})" if cfg.base == "circle" \
-            else f"torus{tuple(cfg.base_periods)}"
-        return f"{base} x cone[{fib}]"
+                                        model=self.label, diagnostics=diagnostics)
 
 
 # ----------------------------------------------------------------- output --
@@ -336,15 +371,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
     if pipe.cfg.format == "csv" and args.degree is None:
         raise ValueError("csv trace output needs --degree")
+    if args.degree is not None and args.degree not in pipe.degrees:
+        raise ValueError(f"--degree {args.degree} is not a degree of {pipe.label}; "
+                         f"its degrees are {pipe.degrees}")
     traces = pipe.traces()
     if pipe.cfg.format == "csv":
         _write(traces[args.degree].to_csv(), pipe.cfg.output)
         return EXIT_OK
-    payload = {"model": pipe.model_label(), "traces": {}}
+    payload = {"model": pipe.label, "traces": {}}
     for k, tr in sorted(traces.items()):
-        payload["traces"][str(k)] = {
-            "t": list(tr.grid), "value": list(tr.values),
-            "tail_bound": list(tr.tail_bound)}
+        if args.degree in (None, k):
+            payload["traces"][str(k)] = {
+                "t": list(tr.grid), "value": list(tr.values),
+                "tail_bound": list(tr.tail_bound)}
     _emit(payload, pipe.cfg.output)
     return EXIT_OK
 
@@ -353,7 +392,7 @@ def _stage_command(key: str, stage: str):
     """A subcommand that prints one pipeline stage, keyed by degree."""
     def command(args: argparse.Namespace) -> int:
         pipe = _pipeline(args)
-        _emit({"model": pipe.model_label(),
+        _emit({"model": pipe.label,
                key: {str(k): v.to_json_dict() for k, v in getattr(pipe, stage)().items()}},
               pipe.cfg.output)
         return EXIT_OK
@@ -421,16 +460,12 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--base-periods", dest="base_periods", type=float, nargs="+")
     sub.add_argument("--convention",
                      choices=sorted(CONVENTION_ALIASES))
-    sub.add_argument("--lambda-max", dest="lambda_max", type=float)
-    sub.add_argument("--t-min", dest="t_min", type=float)
-    sub.add_argument("--t-max", dest="t_max", type=float)
-    sub.add_argument("--points", type=int)
-    sub.add_argument("--even", dest="even", action="store_const", const=True)
-    sub.add_argument("--no-even", dest="even", action="store_const", const=False)
+    sub.add_argument("--lambda-max", dest="lambda_max", type=float,
+                     help="spectral cutoff (default 36/t_min)")
+    sub.add_argument("--t-min", dest="t_min", type=float,
+                     help="smallest sampled time: sets cost and accuracy (default 1e-3)")
     sub.add_argument("--single-nu", dest="single_nu", type=float,
                      help="replace the model by one radial mode of this order")
-    sub.add_argument("--template-cutoff", dest="template_cutoff")
-    sub.add_argument("--split", type=float, help="Mellin split point")
     sub.add_argument("--output", "-o")
 
 

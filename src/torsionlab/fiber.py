@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,7 +243,7 @@ class NuSpectrum:
     def to_json_dict(self) -> dict:
         return {
             "convention": self.convention.value,
-            "cutoff": self.cutoff,
+            "cutoff": None if math.isinf(self.cutoff) else self.cutoff,
             "modes": [
                 {
                     "nu": m.nu,
@@ -392,15 +392,3 @@ def gauss_bonnet_consistency(spec_plus: NuSpectrum, spec_minus: NuSpectrum,
     lo_minus = [b for b in minus if b <= window]
     hi_plus = [a for a in plus if a <= window + 1.0 + 2 * tol]
     return saturates(lo_plus, hi_minus) and saturates(lo_minus, hi_plus)
-
-
-def kunneth_betti(factors: Iterable[Sequence[int]]) -> list[int]:
-    """Betti numbers of a product from the factors' Betti numbers."""
-    out = [1]
-    for betti in factors:
-        new = [0] * (len(out) + len(betti) - 1)
-        for i, x in enumerate(out):
-            for j, y in enumerate(betti):
-                new[i + j] += x * y
-        out = new
-    return out

@@ -39,7 +39,6 @@ from scipy.special import exp1
 
 from .conekernel import ZERO_EIGENVALUE, FittedExpansion, TraceSamples
 from .errors import DecayRateUnknown, FitResidualTooLarge
-from .fiber import kunneth_betti
 
 EULER_GAMMA = 0.57721566490153286
 # 1/Gamma(s) = s + g1 s^2 + g2 s^3 + O(s^4)
@@ -295,55 +294,17 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     )
 
 
-# ------------------------------------------------------- model descriptors --
+# -------------------------------------------------------- kernel dimension --
 
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """What space a pipeline run describes, for kernel bookkeeping.
+def kernel_dimension(m: int) -> list[int]:
+    """Kernel dimension per form degree of an m-dimensional model.
 
-    kind "cone": truncated cone with Dirichlet condition at x = 1 over a
-    fiber of dimension `fiber_dim`; kind "circle"/"torus": a closed flat
-    factor; kind "product": a product of descriptors.
+    Every model is a cone truncated with the Dirichlet condition at x = 1,
+    times a closed flat base or not.  The first Bessel zero is strictly
+    positive, so the cone has no zero mode in any degree, and by Kunneth
+    neither has its product with a base.
     """
-
-    kind: str
-    fiber_dim: int = 0
-    periods: tuple[float, ...] = ()
-    parts: tuple["ModelDescriptor", ...] = ()
-
-    def dimension(self) -> int:
-        if self.kind == "cone":
-            return self.fiber_dim + 1
-        if self.kind == "circle":
-            return 1
-        if self.kind == "torus":
-            return len(self.periods)
-        if self.kind == "product":
-            return sum(p.dimension() for p in self.parts)
-        raise ValueError(f"unknown model kind {self.kind!r}")
-
-
-def kernel_dimension(model: ModelDescriptor) -> list[int]:
-    """Kernel dimension of the model Laplacian per form degree.
-
-    The Dirichlet condition at the truncated-cone boundary rules out zero
-    modes in every degree (the first Bessel zero is strictly positive), so
-    cones contribute nothing and products reduce to the closed factors'
-    Betti numbers.
-    """
-    if model.kind == "cone":
-        return [0] * (model.dimension() + 1)
-    if model.kind == "circle":
-        return [1, 1]
-    if model.kind == "torus":
-        f = len(model.periods)
-        return [math.comb(f, k) for k in range(f + 1)]
-    if model.kind == "product":
-        parts = [kernel_dimension(p) for p in model.parts]
-        if any(model_part.kind == "cone" for model_part in model.parts):
-            return [0] * (model.dimension() + 1)
-        return kunneth_betti(parts)
-    raise ValueError(f"unknown model kind {model.kind!r}")
+    return [0] * (m + 1)
 
 
 # ----------------------------------------------------------- torsion report --

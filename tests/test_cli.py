@@ -136,8 +136,7 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     cfg.write_text(
         "# toy run\n"
         "single_nu = 0.5\n"
-        "t_min = 1e-4\n"
-        "points = 241\n")
+        "t_min = 1e-4\n")
     out1 = tmp_path / "r1.json"
     code, _, _ = run(capsys, "torsion", "--config", str(cfg), "--output", str(out1))
     assert code == 0
@@ -149,16 +148,70 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert code == 4
 
 
-def test_nu_max_is_rejected(capsys, tmp_path):
+@pytest.mark.parametrize("flag,line", [
+    (["--nu-max", "5"], "nu_max = 5"),
+    (["--split", "0.5"], "split = 0.5"),
+    (["--points", "121"], "points = 121"),
+    (["--t-max", "0.2"], "t_max = 0.2"),
+    (["--even"], "even = true"),
+    (["--no-even"], "even = false"),
+    (["--template-cutoff", "3"], 'template_cutoff = "3"'),
+], ids=["nu_max", "split", "points", "t_max", "even", "no-even", "template_cutoff"])
+def test_removed_knob_is_rejected(capsys, tmp_path, flag, line):
+    """t_min is the one method knob; the removed ones are unknown as flags
+    and as config keys."""
+    toy = ["torsion", "--single-nu", "0.5", "--t-min", "1e-2"]
     with pytest.raises(SystemExit) as exc:
-        main(["torsion", "--nu-max", "5"])
+        main(toy + flag)
     assert exc.value.code == 2
     capsys.readouterr()
-    cfg = tmp_path / "nu.cfg"
-    cfg.write_text("nu_max = 5\n")
-    code, _, err = run(capsys, "torsion", "--config", str(cfg))
-    assert code == 2
+    cfg = tmp_path / "knob.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, *toy, "--config", str(cfg))
+    assert code == 2 and out == ""
     assert "unknown config keys" in json.loads(err)["message"]
+
+
+TORUS = ["6.283185307179586", "6.283185307179586"]
+CIRCLE_RUN = ["spectrum", "--lambda-max", "50"]
+TORUS_RUN = ["spectrum", "--lambda-max", "30", "--fiber", "torus", "--periods", *TORUS]
+SINGLE_NU_RUN = ["zeta", "--single-nu", "0.5", "--t-min", "1e-2"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(CIRCLE_RUN + ["--model", "product"], "--base", id="product-without-base"),
+    pytest.param(CIRCLE_RUN + ["--model", "product", "--base", "point"], "--base",
+                 id="product-on-point"),
+    pytest.param(CIRCLE_RUN + ["--periods", *TORUS], "--periods", id="periods-on-circle"),
+    pytest.param(TORUS_RUN + ["--radius", "2"], "--radius", id="radius-on-torus"),
+    pytest.param(CIRCLE_RUN + ["--base-radius", "2"], "--base-radius",
+                 id="base-radius-without-base"),
+    pytest.param(CIRCLE_RUN + ["--base-periods", "1", "2"], "--base-periods",
+                 id="base-periods-without-base"),
+    pytest.param(CIRCLE_RUN + ["--model", "product", "--base", "circle",
+                               "--base-periods", "1", "2"], "--base-periods",
+                 id="base-periods-on-circle"),
+    pytest.param(CIRCLE_RUN + ["--model", "product", "--base", "torus",
+                               "--base-periods", *TORUS, "--base-radius", "2"],
+                 "--base-radius", id="base-radius-on-torus"),
+    *[pytest.param(SINGLE_NU_RUN + extra, extra[0], id=f"single-nu{extra[0][1:]}-{extra[1]}")
+      for extra in (["--model", "cone"], ["--model", "product"], ["--fiber", "circle"],
+                    ["--radius", "2"], ["--periods", *TORUS], ["--base", "point"],
+                    ["--base-radius", "2"], ["--base-periods", "1", "2"],
+                    ["--convention", "paper-literal"])],
+])
+def test_flag_the_model_would_ignore_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in json.loads(err)["message"]
+
+
+def test_ignored_config_key_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("base_periods = [1.0, 2.0]\n")
+    code, out, err = run(capsys, *CIRCLE_RUN, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "--base-periods" in json.loads(err)["message"]
 
 
 def test_format_belongs_to_trace_only(capsys, tmp_path):
@@ -208,6 +261,34 @@ def test_spectrum_command(capsys):
     assert set(spectra) == {"0", "1", "2"}
     first = spectra["0"]["modes"][0]
     assert first["nu"] == 0.0 and first["log_branch"] is True
+
+
+def test_spectrum_single_nu(capsys):
+    """A single mode is the complete spectrum: its cutoff prints as null."""
+    code, out, _ = run(capsys, "spectrum", "--single-nu", "0.5")
+    assert code == 0
+    spec = json.loads(out)["nu_spectra"]["0"]
+    assert spec["cutoff"] is None
+    assert [m["nu"] for m in spec["modes"]] == [0.5]
+
+
+def test_trace_json_degree_selects_one_degree(capsys):
+    code, out, _ = run(capsys, "trace", "--t-min", "1e-2", "--degree", "1")
+    assert code == 0
+    traces = json.loads(out)["traces"]
+    golden = json.loads((Path(__file__).parent / "golden" / "trace_disk.json").read_text())
+    assert traces == {"1": golden["traces"]["1"]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_trace_degree_the_model_lacks_is_refused(capsys, monkeypatch, fmt):
+    def no_compute(self):
+        raise AssertionError("the traces were computed before --degree was checked")
+    monkeypatch.setattr(cli.Pipeline, "traces", no_compute)
+    code, out, err = run(capsys, "trace", "--single-nu", "0.5", "--t-min", "1e-2",
+                         "--format", fmt, "--degree", "5")
+    assert code == 2 and out == ""
+    assert "--degree 5" in json.loads(err)["message"]
 
 
 def test_trace_csv_output(capsys):

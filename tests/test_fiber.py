@@ -19,7 +19,6 @@ from torsionlab.fiber import (
     a_spectrum,
     dense_a_eigenvalues,
     gauss_bonnet_consistency,
-    kunneth_betti,
     single_nu_spectrum,
     torus_spectrum,
 )
@@ -292,13 +291,6 @@ def test_gauss_bonnet_needs_enough_modes():
 
 
 # ------------------------------------------------------------------- misc --
-
-def test_kunneth_betti():
-    circle = [1, 1]
-    torus = kunneth_betti([circle, circle])
-    assert torus == [1, 2, 1]
-    assert kunneth_betti([torus, [1]]) == torus
-
 
 def test_nu_spectrum_serialization():
     spec = a_spectrum(circle(1.0, 4.0), 0, GEO, nu_max=3.0)

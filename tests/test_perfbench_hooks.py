@@ -1,0 +1,50 @@
+"""perfbench's traced child against the CLI it traces.
+
+`perfbench/layers.py trace` hooks the pipeline by name: the CLI's parser,
+`ModelConfig.from_sources` and `validate`, the `Pipeline` stage methods,
+and public functions of `fiber`, `conekernel`, `phg` and `zetator`.  A
+renamed hook breaks the traced benchmark run, which the rest of the suite
+never starts; these runs keep it honest.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from torsionlab import bessel, conekernel, fiber, phg, zetator
+from torsionlab.cli import main
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """perfbench/layers.py as a module.  `Tracer.wrap` replaces module
+    attributes for good, so every public callable is first set to itself
+    through monkeypatch, which restores the original after the test."""
+    for module in (fiber, conekernel, phg, zetator, bessel):
+        for name, value in vars(module).copy().items():
+            if not name.startswith("_") and callable(value) and not inspect.isclass(value):
+                monkeypatch.setattr(module, name, value)
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--single-nu", "0.5", "--t-min", "1e-2"],
+    ["torsion", "--t-min", "1e-2"],
+    ["torsion", "--model", "product", "--base", "circle", "--t-min", "3e-3"],
+], ids=["single-nu", "disk", "product"])
+def test_traced_report_is_the_cli_report(capsys, layers, argv):
+    assert main(argv) == 0
+    cli_out = capsys.readouterr().out
+    tracer = layers.Tracer()
+    report, figures = layers.traced_torsion(layers.build_pipeline(argv), tracer)
+    assert report == cli_out
+    assert figures["phg.basis_size"] > 0
+    assert {"pipeline.traces", "zetator.kernel_dimension",
+            "zetator.zeta_near_zero"} <= {s["name"] for s in tracer.spans}

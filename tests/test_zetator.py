@@ -25,7 +25,6 @@ from torsionlab.errors import DecayRateUnknown, FitResidualTooLarge
 from torsionlab.fiber import single_nu_spectrum
 from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_structure
 from torsionlab.zetator import (
-    ModelDescriptor,
     ZetaData,
     _not_a_knot_integral,
     _spline_integral,
@@ -221,28 +220,10 @@ def test_complex_evaluator_against_closed_form():
 # -------------------------------------------------------- kernel dimensions --
 
 def test_kernel_dims_cone():
-    cone = ModelDescriptor("cone", fiber_dim=1)
-    assert kernel_dimension(cone) == [0, 0, 0]
-
-
-def test_kernel_dims_closed_factors():
-    assert kernel_dimension(ModelDescriptor("circle")) == [1, 1]
-    torus = ModelDescriptor("torus", periods=(1.0, 1.0))
-    assert kernel_dimension(torus) == [1, 2, 1]
-
-
-def test_kernel_dims_product():
-    prod = ModelDescriptor("product", parts=(
-        ModelDescriptor("circle"), ModelDescriptor("cone", fiber_dim=1)))
-    assert kernel_dimension(prod) == [0, 0, 0, 0]
-    closed = ModelDescriptor("product", parts=(
-        ModelDescriptor("circle"), ModelDescriptor("circle")))
-    assert kernel_dimension(closed) == [1, 2, 1]
-
-
-def test_kernel_dims_unknown_model():
-    with pytest.raises(ValueError):
-        kernel_dimension(ModelDescriptor("klein-bottle"))
+    """The Dirichlet truncation leaves no kernel in any degree: the cone
+    over the circle (m = 2) and its product with a circle (m = 3)."""
+    assert kernel_dimension(2) == [0, 0, 0]
+    assert kernel_dimension(3) == [0, 0, 0, 0]
 
 
 # ----------------------------------------------------------- torsion report --
