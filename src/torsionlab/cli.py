@@ -120,6 +120,23 @@ TEMPLATE_CUTOFF = Fraction(2)
 SINGLE_NU_TEMPLATE_CUTOFF = Fraction(1)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each ModelConfig key holds; argparse types the flags, but a config
+# file can give any key any type
+_NUMBER = ("a number", _is_number)
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_KEY_TYPES = {
+    "model": _STRING, "fiber_kind": _STRING, "radius": _NUMBER, "periods": _NUMBERS,
+    "base": _STRING, "base_radius": _NUMBER, "base_periods": _NUMBERS,
+    "convention": _STRING, "lambda_max": _NUMBER, "t_min": _NUMBER,
+    "single_nu": _NUMBER, "output": _STRING, "format": _STRING,
+}
+
+
 def _flag(key: str) -> str:
     return "--fiber" if key == "fiber_kind" else "--" + key.replace("_", "-")
 
@@ -160,6 +177,10 @@ class ModelConfig:
 
     def validate(self) -> None:
         """Refuse a bad value, and every key the chosen model would not read."""
+        for key, value in vars(self).items():
+            what, holds = _KEY_TYPES[key]
+            if value is not None and not holds(value):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
         if self.model not in (None, "cone", "product"):
             raise ValueError(f"model must be cone or product, got {self.model!r}")
         if self.fiber_kind not in (None, "circle", "torus"):
@@ -287,7 +308,9 @@ class Pipeline:
         base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
         base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
                 for d in range(self.b + 1)}
-        return conekernel.product_trace([base, cone])
+        # the large-t integral reads no product eigenvalue past its reach
+        return conekernel.product_trace([base, cone],
+                                        cutoff=zetator.LARGE_T_REACH / SPLIT)
 
     def template(self) -> phg.ExpansionTemplate:
         cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \

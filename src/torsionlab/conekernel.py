@@ -9,7 +9,8 @@ Truncating the cone at x = 1 with a Dirichlet condition turns each Bessel
 order nu into the eigenvalue family j_{nu,k}^2, and the heat trace becomes
 a plain double sum over (nu, k).  Every trace sample carries a certified
 tail bound obtained from a Weyl envelope N(s) <= C s^q with C read off the
-computed spectrum.
+computed spectrum, plus a bound on the rounding of the sum itself, which
+runs as blocked array passes over the time grid.
 
 Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
@@ -42,6 +43,10 @@ from .phg import ExpansionTemplate
 TAIL_RELATIVE_LIMIT = 1e-10
 PRECHECK_RELATIVE_LIMIT = 1e-14
 CONDITION_LIMIT = 1e12
+# float64 elements per block of the trace sum (256 KiB): larger blocks
+# raise peak memory and run no faster
+TRACE_BLOCK = 1 << 15
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def cone_heat_kernel(nu: float, t: float, x: float, xt: float) -> float:
@@ -184,13 +189,43 @@ def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
+def _blocked_sums(lams: np.ndarray, ws: np.ndarray, t_grid: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums sum_{i < ends[r]} ws[i] exp(-t_grid[r] lams[i]) and a bound
+    on their rounding error, TRACE_BLOCK matrix elements at a time.
+
+    `ends` is nonincreasing along the grid, so a block of consecutive rows
+    takes the columns of its first row; the extra columns of later rows
+    are exact zeros.  numpy's pairwise row sum uses no BLAS and no threads.
+    With n nonnegative terms w e, rounding the products and their sum, in
+    any order, moves a row by at most gamma_{n+1} |value|, where
+    gamma_k = k u / (1 - k u) and n counts the block's columns, since they
+    set the pairwise tree.
+    """
+    values = np.empty(len(t_grid))
+    rounding = np.empty(len(t_grid))
+    start = 0
+    while start < len(t_grid):
+        n = int(ends[start])
+        stop = start + max(1, TRACE_BLOCK // max(n, 1))
+        terms = np.multiply.outer(-t_grid[start:stop], lams[:n])
+        np.exp(terms, out=terms)
+        terms *= ws[:n]
+        values[start:stop] = terms.sum(axis=1)
+        ku = (n + 1) * UNIT_ROUNDOFF
+        rounding[start:stop] = ku / (1.0 - ku) * np.abs(values[start:stop])
+        start = stop
+    return values, rounding
+
+
 def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceSamples:
-    """Sum w exp(-t lambda) with a Weyl-envelope tail bound beyond the
-    spectrum's cutoff.
+    """Sum w exp(-t lambda) with a bound on the Weyl-envelope tail beyond
+    the spectrum's cutoff plus the rounding of the sum.
 
     The envelope constant is 2x the largest observed N(s)/s^q over the
     computed spectrum; the factor-of-two safety margin covers the
-    extrapolation beyond the cutoff that the Weyl law justifies.
+    extrapolation beyond the cutoff that the Weyl law justifies.  The
+    rounding bound needs nonnegative terms, so a negative weight is refused.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(t_grid <= 0):
@@ -198,6 +233,8 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be strictly increasing")
     lams, ws, cutoff = spectrum.lam, spectrum.weight, spectrum.cutoff
+    if np.any(ws < 0):
+        raise ValueError("weights must be nonnegative")
     positive = lams > ZERO_EIGENVALUE
     if np.any(positive):
         counts = np.cumsum(ws)[positive]
@@ -207,8 +244,7 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
 
     # exp(-x) is exactly 0.0 past x = 745.2, so each sum stops at t lam = 746
     ends = np.searchsorted(lams, 746.0 / t_grid, side="right")
-    values = np.array([math.fsum(ws[:n] * np.exp(-t * lams[:n]))
-                       for t, n in zip(t_grid, ends)])
+    values, rounding = _blocked_sums(lams, ws, t_grid, ends)
     # tail <= t C int_Lambda^inf s^q e^{-ts} ds = C t^{-q} Gamma(q+1, t Lambda)
     tail = envelope * math.gamma(q + 1.0) * t_grid ** (-q) \
         * gammaincc(q + 1.0, t_grid * cutoff)
@@ -226,7 +262,7 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
         raise TailNotCertified(
             f"tail bound {tail[i]:.3g} at t={t_grid[i]:.3g} exceeds "
             f"{TAIL_RELATIVE_LIMIT} x trace ({values[i]:.6g}); raise lambda_cutoff")
-    return TraceSamples(t_grid, values, tail, spectrum)
+    return TraceSamples(t_grid, values, tail + rounding, spectrum)
 
 
 def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) -> TraceSamples:
@@ -262,19 +298,20 @@ def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
     return grid
 
 
-def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]]) -> dict[int, TraceSamples]:
+def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]],
+                  cutoff: float = math.inf) -> dict[int, TraceSamples]:
     """Kunneth assembly: Tr_k(A x B) = sum_{i+j=k} Tr_i(A) Tr_j(B).
 
     Tail bounds propagate through the product rule.  The product spectrum
-    keeps the pair sums up to the smallest factor cutoff, which is every
-    product eigenvalue up to there, and records that cutoff; it is absent
-    when a factor carries no spectrum.
+    keeps the pair sums up to the smallest factor cutoff, or up to `cutoff`
+    if that is smaller, which is every product eigenvalue up to there, and
+    records that cutoff; it is absent when a factor carries no spectrum.
     """
     if not factor_traces:
         raise ValueError("need at least one factor")
     result = dict(factor_traces[0])
     for other in factor_traces[1:]:
-        result = _product_two(result, other)
+        result = _product_two(result, other, cutoff)
     return result
 
 
@@ -290,7 +327,8 @@ def _pair_sums(a: Spectrum, b: Spectrum, cutoff: float) -> tuple[np.ndarray, np.
     return a.lam[rows] + b.lam[cols], a.weight[rows] * b.weight[cols]
 
 
-def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples]) -> dict[int, TraceSamples]:
+def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
+                 cap: float) -> dict[int, TraceSamples]:
     grid = _common_grid([*a.values(), *b.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
     for k in range(max(a) + max(b) + 1):
@@ -305,7 +343,7 @@ def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples]) -
         eigs = [(sa.eigenvalues, sb.eigenvalues) for sa, sb in pairs]
         spectrum = None
         if all(ea is not None and eb is not None for ea, eb in eigs):
-            cutoff = min((min(ea.cutoff, eb.cutoff) for ea, eb in eigs), default=math.inf)
+            cutoff = min([cap] + [c for ea, eb in eigs for c in (ea.cutoff, eb.cutoff)])
             # seeded empty, so a degree without factor pairs gets an empty spectrum
             sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cutoff) for ea, eb in eigs]
             lam = np.round(np.concatenate([s for s, _ in sums]), 12)

@@ -46,6 +46,9 @@ G1 = EULER_GAMMA
 G2 = EULER_GAMMA ** 2 / 2.0 - math.pi ** 2 / 12.0
 
 FIT_RESIDUAL_LIMIT = 1e-5
+# E1(x) <= e^{-x}/x is exactly 0.0 past x = 745, so past t0 no eigenvalue
+# above LARGE_T_REACH / t0 adds to the large-t integral
+LARGE_T_REACH = 746.0
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,7 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
         raise DecayRateUnknown(
             f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
     pos = eig.positive()
-    # E1(x) <= e^{-x}/x is exactly 0.0 past x = 745, so the sum stops there
-    n = np.searchsorted(pos.lam, 745.0 / t0, side="right")
+    n = np.searchsorted(pos.lam, LARGE_T_REACH / t0, side="right")
     val = float(np.dot(pos.weight[:n], exp1(pos.lam[:n] * t0)))
     w, t1 = eig.cutoff, float(samples.grid[0])
     above = 0.0 if math.isinf(w) else math.exp(-w * (t0 - t1)) \

@@ -214,6 +214,20 @@ def test_ignored_config_key_is_refused(capsys, tmp_path):
     assert "--base-periods" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "torsion"])
+@pytest.mark.parametrize("lines,key", [
+    ('fiber_kind = "torus"\nperiods = 6.28\n', "periods"),
+    ('t_min = "abc"\n', "t_min"),
+], ids=["scalar-periods", "string-t_min"])
+def test_config_value_of_the_wrong_type_is_refused(capsys, tmp_path, command, lines, key):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(lines)
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and error["message"].startswith(key + " must be")
+
+
 def test_format_belongs_to_trace_only(capsys, tmp_path):
     for command in ("spectrum", "fit", "zeta", "torsion"):
         with pytest.raises(SystemExit) as exc:

@@ -43,6 +43,7 @@ from torsionlab.fiber import (
 )
 from torsionlab.phg import ExpansionTemplate
 from torsionlab.zetator import zeta_near_zero
+from trace_oracle import fsum_trace
 
 GEO = Convention.GEOMETRIC_ORACLE
 TWO_PI = 2.0 * math.pi
@@ -244,6 +245,102 @@ def test_trace_wrong_degree_rejected():
         truncated_cone_trace(spec, 1, np.array([0.05]))
 
 
+# ------------------------------------------------------------ blocked sums --
+
+def _blocked(spectrum, grid):
+    """Blocked sums and rounding bounds, as `_certified_trace` takes them."""
+    ends = np.searchsorted(spectrum.lam, 746.0 / grid, side="right")
+    return conekernel._blocked_sums(spectrum.lam, spectrum.weight, grid, ends)
+
+
+def _within_rounding_of_fsum(spectrum, grid):
+    values, rounding = _blocked(spectrum, grid)
+    assert np.all(np.abs(values - fsum_trace(spectrum, grid)) <= rounding)
+    return values, rounding
+
+
+def _cone_over(periods, lam):
+    fiber = torus_spectrum(periods, cutoff=math.sqrt(lam) + 2.5)
+    return [cone_spectrum(a_spectrum(fiber, p, GEO, nu_max=math.sqrt(lam) + 0.5), lam,
+                          cone_dim=len(periods) + 1).spectrum()
+            for p in range(len(periods) + 2)]
+
+
+@pytest.mark.parametrize("periods", [(TWO_PI,), (TWO_PI, TWO_PI)], ids=["disk", "torus"])
+def test_blocked_sum_within_its_rounding_bound_of_fsum(periods):
+    """Cone spectra of the disk and of the cone over T^2 at t_min 1e-2 (up
+    to 13,924 eigenvalues per degree): every sample is within its rounding
+    term of the correctly rounded sum, and that term is below 1e-11 of it."""
+    grid = log_grid(1e-2, 1.0, 241)
+    for spectrum in _cone_over(periods, 3600.0):
+        values, rounding = _within_rounding_of_fsum(spectrum, grid)
+        assert np.all(rounding < 1e-11 * values)
+
+
+def test_trace_tail_bound_carries_the_rounding():
+    spectrum = _cone_over((TWO_PI,), 3600.0)[0]
+    grid = log_grid(1e-2, 1.0, 17)
+    tr = conekernel._certified_trace(spectrum, 1.0, grid)
+    values, rounding = _blocked(spectrum, grid)
+    assert np.array_equal(tr.values, values)
+    assert np.all(tr.tail_bound >= rounding) and np.all(rounding > 0)
+
+
+# a complete spectrum of 100 eigenvalues, all inside the t lam <= 746 reach up
+# to t = 1, so every row of a block has the same columns
+FLAT = Spectrum.of(7.0 * np.arange(1.0, 101.0), np.arange(100) % 3 + 1.0)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["rows-1", "rows", "rows+1"])
+def test_blocked_sum_at_block_edges(extra):
+    rows = conekernel.TRACE_BLOCK // len(FLAT)
+    grid = log_grid(1e-3, 1.0, rows + extra)
+    assert np.all(np.searchsorted(FLAT.lam, 746.0 / grid, side="right") == len(FLAT))
+    _within_rounding_of_fsum(FLAT, grid)
+
+
+@pytest.mark.parametrize("spectrum", [
+    FLAT,
+    Spectrum.of([0.0, 2.0, 5.0, 9.0], [1.0, 2.0, 1.0, 3.0]),
+    Spectrum.of([7.5], [4.0]),
+], ids=["flat", "zero-eigenvalue", "single-eigenvalue"])
+def test_blocked_sum_on_one_point_and_short_grids(spectrum):
+    _within_rounding_of_fsum(spectrum, np.array([0.25]))
+    _within_rounding_of_fsum(spectrum, log_grid(1e-2, 3.0, 9))
+
+
+def test_blocked_sum_single_eigenvalue_is_its_term():
+    grid = log_grid(1e-2, 3.0, 9)
+    values, _ = _blocked(Spectrum.of([7.5], [4.0]), grid)
+    assert np.array_equal(values, 4.0 * np.exp(-grid * 7.5))
+
+
+def test_blocked_sum_zero_eigenvalue_counts_its_weight():
+    """Past t lam = 746 only the zero mode is left, exactly."""
+    spectrum = Spectrum.of([0.0, 1e3, 2e3], [2.0, 1.0, 1.0])
+    values, _ = _within_rounding_of_fsum(spectrum, np.array([1.0, 2.0]))
+    assert np.array_equal(values, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("budget", [1, 2 ** 30])
+def test_block_budget_moves_only_last_bits(monkeypatch, budget):
+    """One row per block, or one block for the whole grid: the sums may
+    differ in the last bits, within the two rounding terms."""
+    spectrum = _cone_over((TWO_PI,), 3600.0)[1]
+    grid = log_grid(1e-2, 1.0, 241)
+    values, rounding = _blocked(spectrum, grid)
+    monkeypatch.setattr(conekernel, "TRACE_BLOCK", budget)
+    other, other_rounding = _within_rounding_of_fsum(spectrum, grid)
+    assert np.all(np.abs(other - values) <= rounding + other_rounding)
+
+
+def test_trace_refuses_a_negative_weight():
+    """The rounding bound holds for nonnegative terms only."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        conekernel._certified_trace(Spectrum.of([1.0, 2.0], [1.0, -1.0]), 0.5,
+                                    np.array([0.1]))
+
+
 # -------------------------------------------------------------------- fits --
 
 THETA_TEMPLATE = ExpansionTemplate.from_terms(
@@ -358,6 +455,22 @@ def test_product_spectrum_complete_to_smaller_cutoff():
     z = zeta_near_zero(prod, fit_expansion(prod.restrict(t_max=0.1), tpl), kernel_dim=1)
     beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
     assert abs(z.zeta_prime0 - (-math.log(TWO_PI) - 2.0 * beta1)) <= z.error_bound
+
+
+def test_product_spectrum_cut_at_a_given_cutoff():
+    """A cutoff below the factors' keeps exactly the pair sums up to it and
+    leaves the trace values alone."""
+    grid = log_grid(0.05, 1.0, 12)
+    circle = torus_spectrum((TWO_PI,), cutoff=40.0)
+    fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
+    full = product_trace([fact, fact])
+    cut = product_trace([fact, fact], cutoff=300.0)
+    for k in full:
+        keep = full[k].eigenvalues.lam <= 300.0
+        assert cut[k].eigenvalues.cutoff == 300.0
+        assert np.array_equal(cut[k].eigenvalues.lam, full[k].eigenvalues.lam[keep])
+        assert np.array_equal(cut[k].eigenvalues.weight, full[k].eigenvalues.weight[keep])
+        assert np.array_equal(cut[k].values, full[k].values)
 
 
 def test_product_mismatched_grids():
