@@ -26,6 +26,15 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
      ["torsion", "--model", "product", "--base", "circle", "--t-min", "3e-3"]),
     ("trace_disk.json", ["trace", "--t-min", "1e-2"]),
     ("torsion_torus.json", TORUS),
+    ("spectrum_torus_square.json", ["spectrum", *TORUS[1:6], "--lambda-max", "100"]),
+    ("spectrum_torus_rect.json",
+     ["spectrum", "--fiber", "torus", "--periods", "3", "4.5", "--lambda-max", "100"]),
+    ("spectrum_torus_literal.json",
+     ["spectrum", "--convention", "paper-literal", "--fiber", "torus", "--periods", "3", "3",
+      "--lambda-max", "100"]),
+    ("trace_product_torus.json",
+     ["trace", "--degree", "1", "--model", "product", "--base", "torus",
+      "--base-periods", "3", "4", "--t-min", "3e-2"]),
 ])
 def test_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0
