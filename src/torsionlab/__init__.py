@@ -21,7 +21,6 @@ from .conekernel import (
 from .fiber import (
     Convention,
     FiberSpectrum,
-    NuMode,
     NuSpectrum,
     a_spectrum,
     gauss_bonnet_consistency,
@@ -34,10 +33,8 @@ from .phg import (
     IndexTerm,
     compose_index,
     even_parity_check,
-    extended_union,
     heat_trace_structure,
     pushforward_trace_index,
-    shift,
     zeta_pole_structure,
 )
 from .zetator import (

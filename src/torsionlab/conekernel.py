@@ -151,9 +151,9 @@ def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) 
     if lambda_cutoff <= 0:
         raise ValueError("lambda_cutoff must be positive")
     mult: dict[float, int] = {}
-    for mode in nu_spec.modes:
-        key = round(mode.nu, 12)
-        mult[key] = mult.get(key, 0) + mode.multiplicity
+    for nu, m in zip(nu_spec.nu.tolist(), nu_spec.mult.tolist()):
+        key = round(nu, 12)
+        mult[key] = mult.get(key, 0) + m
     z_max = math.sqrt(lambda_cutoff)
     zeros = _cached_zeros.lookup(sorted(mult), z_max)
     for nu, zs in zeros.items():
@@ -267,9 +267,9 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
 
 def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) -> TraceSamples:
     """Heat trace of the Dirichlet-truncated cone in form degree p."""
-    degrees = {m.cone_degree for m in spec.nu_spectrum.modes}
-    if degrees and degrees != {p}:
-        raise ValueError(f"spectrum holds degrees {sorted(degrees)}, asked for {p}")
+    nu_spec = spec.nu_spectrum
+    if len(nu_spec.nu) and nu_spec.degree != p:
+        raise ValueError(f"spectrum holds degree {nu_spec.degree}, asked for {p}")
     spectrum = spec.spectrum()
     if not len(spectrum):
         grid = np.asarray(t_grid, dtype=float)
@@ -280,12 +280,15 @@ def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) ->
 
 def fiber_factor_trace(fiber: FiberSpectrum, degree: int,
                        t_grid: Sequence[float]) -> TraceSamples:
-    """Heat trace of a closed flat factor (circle or torus) in one degree."""
-    entries = fiber.degree_entries(degree)
-    if not entries:
+    """Heat trace of a closed flat factor (circle or torus) in one degree:
+    its harmonic forms, then the exact and the coexact forms of each shell."""
+    if not 0 <= degree <= fiber.dim_f:
         raise ValueError(f"no entries in degree {degree}")
-    spectrum = Spectrum.of([e.mu2 for e in entries], [e.mult for e in entries],
-                           fiber.cutoff ** 2)
+    lam, weight = [[0.0]], [[fiber.betti()[degree]]]
+    for mult in (fiber.exact(degree), fiber.coexact(degree)):
+        lam.append(fiber.mu2[mult > 0])
+        weight.append(mult[mult > 0])
+    spectrum = Spectrum.of(np.concatenate(lam), np.concatenate(weight), fiber.cutoff ** 2)
     q = max(fiber.dim_f / 2.0, 0.5)
     return _certified_trace(spectrum, q=q, t_grid=np.asarray(t_grid, dtype=float))
 

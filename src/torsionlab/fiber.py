@@ -1,10 +1,14 @@
 """Fiber Hodge spectra and the block operator driving the cone Bessel orders.
 
 The model fibers are flat: circles and tori, whose Hodge spectra are known
-in closed form from lattice Fourier modes.  For cone form degree p the
-radial separation produces a nonnegative block operator acting on pairs of
-fiber form degrees (p-1, p); its eigenvalues nu^2 set the Bessel orders and
-the indicial roots 1/2 +- nu of the model problem.
+in closed form from lattice Fourier modes.  A fiber spectrum is held as
+lattice shells, arrays of the nonzero eigenvalues |kappa|^2 and of the
+lattice points on each; the harmonic, exact and coexact multiplicities of
+every form degree are binomial multiples of those counts.  For cone form
+degree p the radial separation produces a nonnegative block operator acting
+on pairs of fiber form degrees (p-1, p).  Its eigenvalues nu^2, computed in
+closed form as arrays over the shells, set the Bessel orders and the
+indicial roots 1/2 +- nu of the model problem.
 
 Two conventions for the squared constants on the diagonal are supported:
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -46,32 +50,49 @@ def _as_convention(c) -> Convention:
     return Convention(c)
 
 
-@dataclass(frozen=True)
-class FiberEntry:
-    degree: int
-    mu2: float
-    mult: int
-    kind: str  # harmonic | exact | coexact
+def _comb(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class FiberSpectrum:
-    """Hodge spectrum of a closed flat fiber, complete for mu <= cutoff."""
+    """Hodge spectrum of a closed flat fiber, complete for mu <= cutoff.
+
+    `mu2` holds the nonzero eigenvalues |kappa|^2 in increasing order, one
+    per lattice shell, and `points` the number of lattice points on each
+    shell.  For kappa != 0, kappa wedge . on Lambda^l has rank
+    binomial(f-1, l), so a shell carries points binomial(f-1, l-1) exact
+    and points binomial(f-1, l) coexact l-forms; the harmonic l-forms are
+    the binomial(f, l) constant ones.
+    """
 
     dim_f: int
     cutoff: float
-    entries: tuple[FiberEntry, ...]
+    mu2: np.ndarray
+    points: np.ndarray
     periods: tuple[float, ...]
 
-    def degree_entries(self, degree: int) -> list[FiberEntry]:
-        return [e for e in self.entries if e.degree == degree]
+    @property
+    def entries(self) -> np.ndarray:
+        # the shells, read-only: perfbench/layers.py counts them by len()
+        return _read_only(self.mu2)
+
+    def exact(self, degree: int) -> np.ndarray:
+        """Multiplicity of the exact degree-forms on each shell."""
+        return self.points * _comb(self.dim_f - 1, degree - 1)
+
+    def coexact(self, degree: int) -> np.ndarray:
+        """Multiplicity of the coexact degree-forms on each shell."""
+        return self.points * _comb(self.dim_f - 1, degree)
 
     def betti(self) -> list[int]:
-        out = [0] * (self.dim_f + 1)
-        for e in self.entries:
-            if e.kind == "harmonic":
-                out[e.degree] += e.mult
-        return out
+        return [math.comb(self.dim_f, ell) for ell in range(self.dim_f + 1)]
 
 
 def _sig_key(x: float, digits: int = 12) -> float:
@@ -97,53 +118,38 @@ def _wedge_matrix(kappa: Sequence[float], ell: int) -> np.ndarray:
     return mat
 
 
-def _lattice_points(periods: Sequence[float], cutoff: float) -> list[tuple[tuple[int, ...], float]]:
-    """Lattice modes with |kappa| <= cutoff, kappa_i = 2 pi k_i / L_i."""
-    f = len(periods)
+def _lattice_points(periods: Sequence[float], cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice modes k with |kappa| <= cutoff, kappa_i = 2 pi k_i / L_i, in
+    lexicographic order: a (points, f) integer array and their |kappa|^2."""
     # the slack of the mu2 test below, so points on the cutoff sphere stay
     bounds = [int(math.floor(cutoff * L / (2.0 * math.pi) * (1 + 1e-12))) for L in periods]
-    pts = []
-    for k in product(*(range(-b, b + 1) for b in bounds)):
-        mu2 = sum((2.0 * math.pi * ki / L) ** 2 for ki, L in zip(k, periods))
-        if mu2 <= cutoff * cutoff * (1 + 1e-12):
-            pts.append((k, mu2))
-    return pts
+    axes = np.meshgrid(*(np.arange(-b, b + 1) for b in bounds), indexing="ij")
+    k = np.stack([a.ravel() for a in axes], axis=1)
+    mu2 = sum((2.0 * math.pi * k[:, i] / L) ** 2 for i, L in enumerate(periods))
+    keep = mu2 <= cutoff * cutoff * (1 + 1e-12)
+    return k[keep], mu2[keep]
 
 
 def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     """Hodge spectrum of a flat torus with the given periods.
 
-    Eigenvalues are |kappa|^2 over the dual lattice; multiplicities on
-    degree l scale by binomial(f, l).  The exact/coexact split is the
-    closed-form rank of d on each eigenspace: for kappa != 0, kappa wedge .
-    on Lambda^l has rank binomial(f-1, l), so the exact l-forms number
-    binomial(f-1, l-1) per lattice point.
+    Eigenvalues are |kappa|^2 over the dual lattice.  Lattice points whose
+    |kappa|^2 agree to 12 significant digits form one shell, whose mu2 is
+    their mean in lattice order.
     """
     if not periods:
         raise ValueError("period list must be nonempty")
     if any(L <= 0 for L in periods):
         raise ValueError("periods must be positive")
-    f = len(periods)
-    groups: dict[float, list[tuple[int, ...]]] = {}
-    for k, mu2 in _lattice_points(periods, cutoff):
-        groups.setdefault(_sig_key(mu2), []).append(k)
-
-    entries = [FiberEntry(ell, 0.0, math.comb(f, ell), "harmonic") for ell in range(f + 1)]
-    for key in sorted(groups):
-        if key == 0.0:
-            continue
-        pts = groups[key]
-        mu2 = float(np.mean([sum((2.0 * math.pi * ki / L) ** 2
-                                 for ki, L in zip(k, periods)) for k in pts]))
-        exact = [0] + [len(pts) * math.comb(f - 1, ell) for ell in range(f)]
-        for ell in range(f + 1):
-            coexact = len(pts) * math.comb(f, ell) - exact[ell]
-            if exact[ell]:
-                entries.append(FiberEntry(ell, mu2, exact[ell], "exact"))
-            if coexact:
-                entries.append(FiberEntry(ell, mu2, coexact, "coexact"))
-    entries.sort(key=lambda e: (e.degree, e.mu2, e.kind))
-    return FiberSpectrum(f, cutoff, tuple(entries), tuple(float(L) for L in periods))
+    _, mu2 = _lattice_points(periods, cutoff)
+    values, inverse = np.unique(mu2, return_inverse=True)
+    keys = np.array([_sig_key(v) for v in values.tolist()])[inverse]
+    order = np.argsort(keys, kind="stable")
+    shell_keys, starts, points = np.unique(keys[order], return_index=True, return_counts=True)
+    mean = np.array([np.mean(shell) for shell in np.split(mu2[order], starts[1:])])
+    nonzero = shell_keys != 0.0
+    return FiberSpectrum(len(periods), cutoff, mean[nonzero], points[nonzero],
+                         tuple(float(L) for L in periods))
 
 
 # ------------------------------------------------------------ A operator --
@@ -159,107 +165,83 @@ def a_constants(ell: int, f: int, convention) -> tuple[float, float]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class ABlock:
-    """One eigenvalue of the degree-p block operator, before taking roots."""
-
-    nu2: float
-    mult: int
-    origin: str
-    mu2: float
+# Families of block eigenvalues, numbered in the order that equal Bessel
+# orders keep: the coexact p-forms, the exact (p-1)-forms, the two harmonic
+# constants, and the two branches of each coexact (p-1)-form pair.
+COEXACT_MU, EXACT_ETA, HARMONIC_ETA, HARMONIC_MU, PAIR_MINUS, PAIR_PLUS = range(6)
 
 
-def a_block_eigenvalues(fiber: FiberSpectrum, p: int, convention) -> list[ABlock]:
-    """Closed-form eigenvalues of the block operator on fiber degrees (p-1, p).
+def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
+                        convention) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigenvalues of the block operator on fiber degrees (p-1, p),
+    as arrays (nu2, mult, family), unsorted.
 
     Invariant subspaces: fiber-harmonic forms give the squared diagonal
     constants; a coexact (p-1)-eigenform phi pairs with d phi / mu into a
     symmetric 2x2 block [[mu^2+c1^2, 2(-1)^p mu], [2(-1)^p mu, mu^2+c2^2]];
     leftover exact (p-1)-forms and coexact p-forms sit in 1-d blocks on
     their own diagonal entry.  Exact p-forms are consumed by the pair
-    blocks (d is an isomorphism from coexact (p-1)-forms).
+    blocks: d maps the coexact (p-1)-forms of a shell onto them.
     """
     f = fiber.dim_f
     if not 0 <= p <= f + 1:
         raise ValueError(f"cone degree must satisfy 0 <= p <= {f + 1}, got {p}")
     c1, c2 = a_constants(p, f, convention)
-    blocks: list[ABlock] = []
-
-    for e in fiber.degree_entries(p - 1):
-        if e.kind == "harmonic":
-            blocks.append(ABlock(c1 * c1, e.mult, "harmonic-eta", 0.0))
-        elif e.kind == "exact":
-            blocks.append(ABlock(e.mu2 + c1 * c1, e.mult, "exact-eta", e.mu2))
-        else:  # coexact: 2x2 pair with its differential
-            mean = e.mu2 + 0.5 * (c1 * c1 + c2 * c2)
-            disc = math.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * e.mu2)
-            blocks.append(ABlock(mean - disc, e.mult, "pair-minus", e.mu2))
-            blocks.append(ABlock(mean + disc, e.mult, "pair-plus", e.mu2))
-
-    pair_mults: dict[float, int] = {}
-    for e in fiber.degree_entries(p - 1):
-        if e.kind == "coexact":
-            key = _sig_key(e.mu2)
-            pair_mults[key] = pair_mults.get(key, 0) + e.mult
-    for e in fiber.degree_entries(p):
-        if e.kind == "harmonic":
-            blocks.append(ABlock(c2 * c2, e.mult, "harmonic-mu", 0.0))
-        elif e.kind == "coexact":
-            blocks.append(ABlock(e.mu2 + c2 * c2, e.mult, "coexact-mu", e.mu2))
-        else:  # exact: must be the image of the coexact (p-1)-forms
-            have = pair_mults.get(_sig_key(e.mu2), 0)
-            if have != e.mult:
-                raise ValueError(
-                    f"exact degree-{p} multiplicity {e.mult} at mu2={e.mu2} does not "
-                    f"match coexact degree-{p - 1} multiplicity {have}")
-    blocks.sort(key=lambda blk: (blk.nu2, blk.origin))
-    return blocks
+    mu2 = fiber.mu2
+    mean = mu2 + 0.5 * (c1 * c1 + c2 * c2)
+    disc = np.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * mu2)
+    pairs = fiber.coexact(p - 1)
+    families = [  # (nu2, mult) by family number
+        (mu2 + c2 * c2, fiber.coexact(p)),
+        (mu2 + c1 * c1, fiber.exact(p - 1)),
+        (np.array([c1 * c1]), np.array([_comb(f, p - 1)])),
+        (np.array([c2 * c2]), np.array([_comb(f, p)])),
+        (mean - disc, pairs),
+        (mean + disc, pairs),
+    ]
+    nu2 = np.concatenate([v for v, _ in families])
+    mult = np.concatenate([m for _, m in families])
+    family = np.repeat(np.arange(len(families)), [len(v) for v, _ in families])
+    keep = mult > 0
+    return nu2[keep], mult[keep], family[keep]
 
 
-@dataclass(frozen=True)
-class NuMode:
-    """One Bessel order nu with its indicial data for a cone form degree."""
-
-    nu: float
-    multiplicity: int
-    cone_degree: int
-    indicial_roots: tuple[float, float]
-    origin: str
-    log_branch: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuSpectrum:
-    modes: tuple[NuMode, ...]
+    """Bessel orders `nu` with multiplicities `mult` of cone form degree
+    `degree`, complete below `cutoff`.  Each order has the indicial roots
+    1/2 -+ nu, and nu = 0 takes the log branch {x^(1/2), x^(1/2) log x}."""
+
+    nu: np.ndarray
+    mult: np.ndarray
+    degree: int
     convention: Convention
     cutoff: float
 
+    @property
+    def modes(self) -> np.ndarray:
+        # the orders, read-only: perfbench/layers.py counts them by len()
+        return _read_only(self.nu)
+
     def nu_multiset(self) -> list[float]:
-        out: list[float] = []
-        for m in self.modes:
-            out.extend([m.nu] * m.multiplicity)
-        return sorted(out)
+        return np.sort(np.repeat(self.nu, self.mult)).tolist()
 
     def to_json_dict(self) -> dict:
         return {
             "convention": self.convention.value,
             "cutoff": None if math.isinf(self.cutoff) else self.cutoff,
             "modes": [
-                {
-                    "nu": m.nu,
-                    "mult": m.multiplicity,
-                    "p": m.cone_degree,
-                    "roots": [m.indicial_roots[0], m.indicial_roots[1]],
-                    "log_branch": m.log_branch,
-                }
-                for m in self.modes
+                {"nu": nu, "mult": mult, "p": self.degree, "roots": [0.5 - nu, 0.5 + nu],
+                 "log_branch": nu < NU_ZERO_TOL}
+                for nu, mult in zip(self.nu.tolist(), self.mult.tolist())
             ],
         }
 
 
 def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORACLE,
                nu_max: float | None = None) -> NuSpectrum:
-    """Nu-spectrum of the degree-p block operator, complete below nu_max.
+    """Nu-spectrum of the degree-p block operator, complete below nu_max,
+    sorted by order, then family, then nu^2.
 
     Raises NegativeBlockEigenvalue when a block eigenvalue is genuinely
     negative: the operator is nonnegative by construction, so this can only
@@ -272,28 +254,16 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
         raise TailNotCertified(
             f"fiber cutoff {fiber.cutoff} cannot certify nu-completeness to {nu_max}; "
             f"need cutoff >= nu_max + {A_SPECTRUM_MARGIN}")
-    blocks = a_block_eigenvalues(fiber, p, conv)
-    scale = max((abs(b.nu2) for b in blocks), default=1.0)
-    modes = []
-    for blk in blocks:
-        nu2 = blk.nu2
-        if nu2 < -1e-10 * max(1.0, scale):
-            raise NegativeBlockEigenvalue(
-                f"block eigenvalue {nu2} < 0 for p={p}, origin={blk.origin}, "
-                f"mu2={blk.mu2}, convention={conv.value}")
-        nu = math.sqrt(max(nu2, 0.0))
-        if nu > nu_max:
-            continue
-        modes.append(NuMode(
-            nu=nu,
-            multiplicity=blk.mult,
-            cone_degree=p,
-            indicial_roots=(0.5 - nu, 0.5 + nu),
-            origin=blk.origin,
-            log_branch=nu < NU_ZERO_TOL,
-        ))
-    modes.sort(key=lambda m: (m.nu, m.cone_degree, m.origin))
-    return NuSpectrum(tuple(modes), conv, float(nu_max))
+    nu2, mult, family = a_block_eigenvalues(fiber, p, conv)
+    scale = max(1.0, float(np.max(np.abs(nu2)))) if len(nu2) else 1.0
+    if len(nu2) and nu2.min() < -1e-10 * scale:
+        raise NegativeBlockEigenvalue(
+            f"block eigenvalue {float(nu2.min())} < 0 for p={p}, convention={conv.value}")
+    nu = np.sqrt(np.maximum(nu2, 0.0))
+    keep = nu <= nu_max
+    nu, mult, nu2, family = nu[keep], mult[keep], nu2[keep], family[keep]
+    order = np.lexsort((nu2, family, nu))
+    return NuSpectrum(nu[order], mult[order], p, conv, float(nu_max))
 
 
 def single_nu_spectrum(nu: float, p: int = 0, mult: int = 1,
@@ -301,8 +271,8 @@ def single_nu_spectrum(nu: float, p: int = 0, mult: int = 1,
     """Toy spectrum with one radial mode; the full spectrum of one l_nu."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    mode = NuMode(nu, mult, p, (0.5 - nu, 0.5 + nu), "single", nu < NU_ZERO_TOL)
-    return NuSpectrum((mode,), _as_convention(convention), math.inf)
+    return NuSpectrum(np.array([float(nu)]), np.array([mult]), p,
+                      _as_convention(convention), math.inf)
 
 
 # ------------------------------------------------------------ dense oracle --
@@ -320,40 +290,38 @@ def dense_a_eigenvalues(periods: Sequence[float], p: int, convention,
     conv = _as_convention(convention)
     c1, c2 = a_constants(p, f, conv)
     cut = 4.0 * math.pi * n_modes ** (1.0 / f) / min(periods)
-    pts = _lattice_points(periods, cutoff=cut)
-    while len(pts) < n_modes:
+    k, mu2 = _lattice_points(periods, cutoff=cut)
+    while len(mu2) < n_modes:
         cut *= 2.0
-        pts = _lattice_points(periods, cutoff=cut)
-    pts.sort(key=lambda km: (km[1], km[0]))
-    r2 = pts[n_modes - 1][1]
-    selected = [km for km in pts if km[1] <= r2 * (1 + 1e-12) or km[1] == 0.0]
+        k, mu2 = _lattice_points(periods, cutoff=cut)
+    order = np.lexsort((*k.T[::-1], mu2))
+    k, mu2 = k[order], mu2[order]
+    keep = (mu2 <= mu2[n_modes - 1] * (1 + 1e-12)) | (mu2 == 0.0)
+    n_eta, n_mu = _comb(f, p - 1), _comb(f, p)
+    n = n_eta + n_mu
 
     eigs: list[float] = []
-    for k, mu2 in selected:
-        kappa = [2.0 * math.pi * ki / L for ki, L in zip(k, periods)]
-        n_eta = math.comb(f, p - 1) if 0 <= p - 1 <= f else 0
-        n_mu = math.comb(f, p) if 0 <= p <= f else 0
-        n = n_eta + n_mu
-        if n == 0:
-            continue
+    for ki, m2 in zip(k[keep], mu2[keep].tolist()):
         mat = np.zeros((n, n), dtype=complex)
         if n_eta:
-            mat[:n_eta, :n_eta] = (mu2 + c1 * c1) * np.eye(n_eta)
+            mat[:n_eta, :n_eta] = (m2 + c1 * c1) * np.eye(n_eta)
         if n_mu:
-            mat[n_eta:, n_eta:] = (mu2 + c2 * c2) * np.eye(n_mu)
+            mat[n_eta:, n_eta:] = (m2 + c2 * c2) * np.eye(n_mu)
         if n_eta and n_mu:
+            kappa = [2.0 * math.pi * kj / L for kj, L in zip(ki.tolist(), periods)]
             d = 2.0 * (-1) ** p * _wedge_matrix(kappa, p - 1)
             mat[n_eta:, :n_eta] = d
             mat[:n_eta, n_eta:] = d.conj().T
         eigs.extend(np.linalg.eigvalsh(mat).tolist())
-    return np.sort(np.asarray(eigs)), math.sqrt(max(km[1] for km in selected))
+    return np.sort(np.asarray(eigs)), math.sqrt(mu2[keep].max())
 
 
 # ----------------------------------------------------- Gauss-Bonnet check --
 
-def gauss_bonnet_consistency(spec_plus: NuSpectrum, spec_minus: NuSpectrum,
+def gauss_bonnet_consistency(even: Sequence[NuSpectrum], odd: Sequence[NuSpectrum],
                              tol: float = 1e-9) -> bool:
-    """Whether a common first-order spectrum explains both nu-spectra.
+    """Whether a common first-order spectrum explains the nu-spectra of the
+    even and of the odd cone degrees.
 
     A self-adjoint P with (P +- 1/2)^2 equal to the even/odd block
     operators forces every even-degree nu+ to pair with an odd-degree nu-
@@ -364,11 +332,11 @@ def gauss_bonnet_consistency(spec_plus: NuSpectrum, spec_minus: NuSpectrum,
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    plus = spec_plus.nu_multiset()
-    minus = spec_minus.nu_multiset()
+    plus = sorted(nu for spec in even for nu in spec.nu_multiset())
+    minus = sorted(nu for spec in odd for nu in spec.nu_multiset())
     if len(plus) + len(minus) < 10:
         raise ValueError("fewer than 10 modes below cutoff: matching unattempted")
-    window = min(spec_plus.cutoff, spec_minus.cutoff) - 1.0 - 2 * tol
+    window = min(spec.cutoff for spec in (*even, *odd)) - 1.0 - 2 * tol
 
     def compatible(a: float, b: float) -> bool:
         return abs(abs(a - b) - 1.0) <= tol or abs(a + b - 1.0) <= tol

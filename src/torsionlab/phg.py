@@ -246,14 +246,6 @@ class IndexSet:
         return out
 
 
-def extended_union(e: IndexSet, f: IndexSet) -> IndexSet:
-    return e.extended_union(f)
-
-
-def shift(e: IndexSet, c: Rational) -> IndexSet:
-    return e.shift(c)
-
-
 @dataclass(frozen=True)
 class CompositionIndex:
     """Index family of a composition of two heat-calculus elements."""

@@ -35,7 +35,6 @@ from torsionlab.errors import (
 )
 from torsionlab.fiber import (
     Convention,
-    NuMode,
     NuSpectrum,
     a_spectrum,
     single_nu_spectrum,
@@ -176,9 +175,8 @@ def test_zero_cache_keeps_orders_shared_by_degrees():
     """More orders than the old 8,192-entry LRU cache held: two degrees with
     the same 10,000 orders compute each order's zeros exactly once."""
     def degree(p):
-        modes = tuple(NuMode(nu, 1, p, (0.5 - nu, 0.5 + nu), "test", False)
-                      for nu in 0.3 + 1e-3 * np.arange(10_000))
-        return NuSpectrum(modes, GEO, math.inf)
+        nu = 0.3 + 1e-3 * np.arange(10_000)
+        return NuSpectrum(nu, np.ones(len(nu), dtype=int), p, GEO, math.inf)
 
     before = conekernel._cached_zeros.cache_info()
     first = cone_spectrum(degree(0), lambda_cutoff=150.0)

@@ -18,6 +18,7 @@ from torsionlab.fiber import (
     a_block_eigenvalues,
     a_spectrum,
     dense_a_eigenvalues,
+    NuSpectrum,
     gauss_bonnet_consistency,
     single_nu_spectrum,
     torus_spectrum,
@@ -34,24 +35,39 @@ def circle(radius, cutoff):
     return torus_spectrum((TWO_PI * radius,), cutoff=cutoff)
 
 
+def degree_rows(spec, degree):
+    """(mu2, mult, kind) of one fiber degree, read off the shells: the
+    harmonic constants, then the exact and the coexact forms of each shell."""
+    rows = [(0.0, spec.betti()[degree], "harmonic")]
+    for kind in ("exact", "coexact"):
+        mults = getattr(spec, kind)(degree).tolist()
+        rows += [(mu2, n, kind) for mu2, n in zip(spec.mu2.tolist(), mults) if n]
+    return rows
+
+
+def kind_mults(spec, degree, kind):
+    """mu2 (to 9 digits) -> multiplicity of one kind of degree-forms."""
+    return {round(mu2, 9): n for mu2, n, k in degree_rows(spec, degree) if k == kind}
+
+
 # ------------------------------------------------------------ fiber spectra --
 
 def test_circle_unit_function_spectrum():
     spec = circle(1.0, cutoff=3.5)
-    vals = sorted(v for e in spec.degree_entries(0) for v in [e.mu2] * e.mult)
+    vals = sorted(v for mu2, n, _ in degree_rows(spec, 0) for v in [mu2] * n)
     assert vals == pytest.approx([0, 1, 1, 4, 4, 9, 9])
 
 
 def test_circle_radius_two_first_eigenvalue():
     spec = circle(2.0, cutoff=2.0)
-    nonzero = sorted(e.mu2 for e in spec.degree_entries(0) if e.mu2 > 0)
+    nonzero = sorted(mu2 for mu2, _, _ in degree_rows(spec, 0) if mu2 > 0)
     assert nonzero[0] == pytest.approx(0.25)
 
 
 def test_circle_degree_one_mirrors_degree_zero():
     spec = circle(1.7, cutoff=5.0)
-    d0 = sorted((e.mu2, e.mult) for e in spec.degree_entries(0))
-    d1 = sorted((e.mu2, e.mult) for e in spec.degree_entries(1))
+    d0 = sorted((mu2, n) for mu2, n, _ in degree_rows(spec, 0))
+    d1 = sorted((mu2, n) for mu2, n, _ in degree_rows(spec, 1))
     assert d0 == d1
 
 
@@ -67,14 +83,14 @@ def test_torus_single_period_matches_circle():
     want = [(0, 0.0, "harmonic", 1), (1, 0.0, "harmonic", 1)]
     for k in range(1, 5):
         want += [(0, k * k, "coexact", 2), (1, k * k, "exact", 2)]
-    key = lambda e: (e.degree, round(e.mu2, 9), e.kind, e.mult)
-    assert sorted(map(key, t.entries)) == sorted(want)
+    got = [(d, round(mu2, 9), kind, n) for d in range(2) for mu2, n, kind in degree_rows(t, d)]
+    assert sorted(got) == sorted(want)
+    assert t.points.tolist() == [2, 2, 2, 2]
 
 
 def test_torus_degree_one_split_at_first_eigenvalue():
     spec = torus_spectrum([TWO_PI, TWO_PI], cutoff=1.5)
-    at_one = [e for e in spec.degree_entries(1) if abs(e.mu2 - 1.0) < 1e-12]
-    mults = {e.kind: e.mult for e in at_one}
+    mults = {kind: n for mu2, n, kind in degree_rows(spec, 1) if abs(mu2 - 1.0) < 1e-12}
     assert mults == {"exact": 4, "coexact": 4}
 
 
@@ -91,19 +107,14 @@ def test_torus_rejects_empty_periods():
 def test_exact_degree_matches_coexact_below():
     spec = torus_spectrum([TWO_PI, TWO_PI], cutoff=3.2)
     for ell in range(1, 3):
-        ex = {round(e.mu2, 9): e.mult for e in spec.degree_entries(ell) if e.kind == "exact"}
-        co = {round(e.mu2, 9): e.mult for e in spec.degree_entries(ell - 1) if e.kind == "coexact"}
-        assert ex == co
+        assert kind_mults(spec, ell, "exact") == kind_mults(spec, ell - 1, "coexact")
 
 
 def test_hodge_duality_of_coexact_multiplicities():
     spec = torus_spectrum([TWO_PI, TWO_PI], cutoff=3.2)
     f = spec.dim_f
     for ell in range(f):
-        co = {round(e.mu2, 9): e.mult for e in spec.degree_entries(ell) if e.kind == "coexact"}
-        dual = {round(e.mu2, 9): e.mult
-                for e in spec.degree_entries(f - ell - 1) if e.kind == "coexact"}
-        assert co == dual
+        assert kind_mults(spec, ell, "coexact") == kind_mults(spec, f - ell - 1, "coexact")
 
 
 def test_wedge_rank_closed_form():
@@ -124,14 +135,15 @@ def test_exact_split_matches_assembled_rank():
     periods = (TWO_PI, 4.0, 7.5)
     spec = torus_spectrum(periods, cutoff=4.0)
     want: dict[tuple[int, float], int] = {}
-    for k, mu2 in _lattice_points(periods, 4.0):
+    for k, mu2 in zip(*_lattice_points(periods, 4.0)):
         if mu2 == 0.0:
             continue
-        kappa = [2.0 * math.pi * ki / L for ki, L in zip(k, periods)]
+        kappa = [2.0 * math.pi * ki / L for ki, L in zip(k.tolist(), periods)]
         for ell in range(len(periods)):
             key = (ell + 1, float(f"{mu2:.9g}"))
             want[key] = want.get(key, 0) + np.linalg.matrix_rank(_wedge_matrix(kappa, ell))
-    got = {(e.degree, float(f"{e.mu2:.9g}")): e.mult for e in spec.entries if e.kind == "exact"}
+    got = {(ell, float(f"{mu2:.9g}")): n for ell in range(1, len(periods) + 1)
+           for mu2, n, kind in degree_rows(spec, ell) if kind == "exact"}
     assert got == want
 
 
@@ -148,11 +160,11 @@ def test_flat_plane_scalar_separation():
 def test_flat_plane_harmonic_block_log_branch():
     fiber = circle(1.0, cutoff=4.0)
     spec = a_spectrum(fiber, 0, GEO, nu_max=3.0)
-    zero_modes = [m for m in spec.modes if m.nu < 1e-12]
-    assert len(zero_modes) == 1
-    mode = zero_modes[0]
-    assert mode.log_branch
-    assert mode.indicial_roots == (0.5, 0.5)
+    assert np.count_nonzero(spec.nu < 1e-12) == 1
+    mode = spec.to_json_dict()["modes"][0]
+    assert mode["log_branch"] and mode["mult"] == 1
+    assert mode["roots"] == [0.5, 0.5]
+    assert not any(m["log_branch"] for m in spec.to_json_dict()["modes"][1:])
 
 
 def test_flat_plane_one_forms():
@@ -172,16 +184,17 @@ def test_indicial_roots_sum_to_one():
     fiber = torus_spectrum([TWO_PI, TWO_PI], cutoff=4.0)
     for p in range(0, 4):
         spec = a_spectrum(fiber, p, GEO, nu_max=3.0)
-        for m in spec.modes:
-            assert m.indicial_roots[0] + m.indicial_roots[1] == pytest.approx(1.0, abs=0)
+        for m in spec.to_json_dict()["modes"]:
+            assert m["roots"][0] + m["roots"][1] == pytest.approx(1.0, abs=0)
+            assert m["p"] == p
 
 
 def test_a_nonnegative_geometric_oracle():
     for fiber in (circle(1.0, 8.0), circle(2.0, 8.0),
                   torus_spectrum([TWO_PI, TWO_PI], 6.0)):
         for p in range(fiber.dim_f + 2):
-            for blk in a_block_eigenvalues(fiber, p, GEO):
-                assert blk.nu2 >= -1e-10
+            nu2, mult, _ = a_block_eigenvalues(fiber, p, GEO)
+            assert np.all(nu2 >= -1e-10) and np.all(mult > 0)
 
 
 def test_paper_literal_indefinite_block_raises():
@@ -191,8 +204,8 @@ def test_paper_literal_indefinite_block_raises():
     spectrum builder must refuse rather than silently truncate at zero.
     """
     fiber = circle(1.0, cutoff=6.0)
-    blocks = a_block_eigenvalues(fiber, 1, LIT)
-    assert min(b.nu2 for b in blocks) < -0.5
+    nu2, _, _ = a_block_eigenvalues(fiber, 1, LIT)
+    assert nu2.min() < -0.5
     with pytest.raises(NegativeBlockEigenvalue):
         a_spectrum(fiber, 1, LIT, nu_max=4.0)
 
@@ -220,8 +233,8 @@ def test_a_spectrum_requires_margin():
 def test_weyl_growth_sanity():
     fiber = circle(1.0, cutoff=21.0)
     spec = a_spectrum(fiber, 0, GEO, nu_max=20.0)
-    n_modes = sum(m.multiplicity for m in spec.modes)
-    n_fiber = sum(e.mult for e in fiber.degree_entries(0) if math.sqrt(e.mu2) <= 20.0)
+    n_modes = int(spec.mult.sum())
+    n_fiber = sum(n for mu2, n, _ in degree_rows(fiber, 0) if math.sqrt(mu2) <= 20.0)
     assert n_fiber / 2 <= n_modes <= 2 * n_fiber
 
 
@@ -241,10 +254,10 @@ def test_closed_form_blocks_match_dense_assembly(periods, label, convention):
     for p in range(f + 2):
         dense, kappa_max = dense_a_eigenvalues(periods, p, convention, n_modes=64)
         fiber = torus_spectrum(periods, cutoff=kappa_max * (1 + 1e-12))
-        closed = sorted(b.nu2 for b in a_block_eigenvalues(fiber, p, convention)
-                        for _ in range(b.mult))
+        nu2, mult, _ = a_block_eigenvalues(fiber, p, convention)
+        closed = np.sort(np.repeat(nu2, mult))
         assert len(closed) == len(dense)
-        assert np.max(np.abs(np.asarray(closed) - dense)) < 1e-9
+        assert np.max(np.abs(closed - dense)) < 1e-9
 
 
 @pytest.mark.parametrize("periods,label", FIBERS, ids=[f[1] for f in FIBERS])
@@ -260,13 +273,8 @@ def test_dense_truncation_convergence(periods, label):
 
 def _flat_cone_even_odd(nu_max=10.0):
     fiber = circle(1.0, cutoff=nu_max + 1.5)
-    s0 = a_spectrum(fiber, 0, GEO, nu_max=nu_max)
-    s1 = a_spectrum(fiber, 1, GEO, nu_max=nu_max)
-    s2 = a_spectrum(fiber, 2, GEO, nu_max=nu_max)
-    from torsionlab.fiber import NuSpectrum
-    even = NuSpectrum(tuple(sorted(s0.modes + s2.modes, key=lambda m: m.nu)),
-                      GEO, nu_max)
-    return even, s1
+    s0, s1, s2 = (a_spectrum(fiber, p, GEO, nu_max=nu_max) for p in range(3))
+    return [s0, s2], [s1]
 
 
 def test_gauss_bonnet_flat_cone():
@@ -275,19 +283,17 @@ def test_gauss_bonnet_flat_cone():
 
 
 def test_gauss_bonnet_detects_perturbation():
-    from torsionlab.fiber import NuMode, NuSpectrum
-    even, odd = _flat_cone_even_odd()
-    bad = list(even.modes)
-    m = bad[3]
-    bad[3] = NuMode(m.nu + 0.5, m.multiplicity, m.cone_degree,
-                    m.indicial_roots, m.origin, m.log_branch)
-    assert not gauss_bonnet_consistency(NuSpectrum(tuple(bad), GEO, even.cutoff), odd)
+    (s0, s2), odd = _flat_cone_even_odd()
+    nu = s0.nu.copy()
+    nu[3] += 0.5
+    bad = NuSpectrum(nu, s0.mult, s0.degree, GEO, s0.cutoff)
+    assert not gauss_bonnet_consistency([bad, s2], odd)
 
 
 def test_gauss_bonnet_needs_enough_modes():
     s = single_nu_spectrum(0.5)
     with pytest.raises(ValueError):
-        gauss_bonnet_consistency(s, s)
+        gauss_bonnet_consistency([s], [s])
 
 
 # ------------------------------------------------------------------- misc --

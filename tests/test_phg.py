@@ -16,10 +16,8 @@ from torsionlab.phg import (
     IndexSet,
     compose_index,
     even_parity_check,
-    extended_union,
     heat_trace_structure,
     pushforward_trace_index,
-    shift,
     zeta_pole_structure,
 )
 
@@ -101,28 +99,28 @@ def test_extended_union_disjoint_exponents_is_plain_union():
     f = IndexSet.from_terms([(1, 0)])
     # 1+N0 is inside 0+N0, so the union collapses, but the coincidence at
     # the shared integers >= 1 creates a log there.
-    got = extended_union(e, f)
+    got = e.extended_union(f)
     assert got.log_order(0) == 0
     assert got.log_order(1) == 1
 
 
 def test_extended_union_equal_exponent_creates_log():
     e = IndexSet.from_terms([(0, 0)])
-    got = extended_union(e, e)
+    got = e.extended_union(e)
     assert (F(0), 1) in got
     assert got.log_order(0) == 1
 
 
 def test_extended_union_empty_is_neutral():
     f = IndexSet.from_terms([(F(-1, 2), 1), (0, 0)])
-    assert extended_union(IndexSet.empty(), f).equals_below(f, CUT)
-    assert extended_union(f, IndexSet.empty()).equals_below(f, CUT)
+    assert IndexSet.empty().extended_union(f).equals_below(f, CUT)
+    assert f.extended_union(IndexSet.empty()).equals_below(f, CUT)
 
 
 def test_extended_union_incommensurate_steps():
     e = IndexSet.progression(-1, step=1)          # integers >= -1
     f = IndexSet.progression(F(-1, 2), step=1)    # half-odd-integers
-    got = extended_union(e, f)
+    got = e.extended_union(f)
     assert got.log_order(2) == 0
     assert got.log_order(F(3, 2)) == 0
     # no exponent lies in both progressions: no logs anywhere
@@ -130,9 +128,9 @@ def test_extended_union_incommensurate_steps():
 
 
 def test_shift_examples():
-    assert shift(IndexSet.from_terms([(F(1, 2), 0)]), 1).contains(F(3, 2))
-    assert shift(IndexSet.empty(), 5).is_empty
-    e = shift(IndexSet.from_terms([(0, 1)]), F(-1, 2))
+    assert IndexSet.from_terms([(F(1, 2), 0)]).shift(1).contains(F(3, 2))
+    assert IndexSet.empty().shift(5).is_empty
+    e = IndexSet.from_terms([(0, 1)]).shift(F(-1, 2))
     assert e.log_order(F(-1, 2)) == 1
 
 
@@ -155,7 +153,7 @@ def test_membership_matches_enumeration(gens):
 @given(GENS, GENS)
 @settings(max_examples=200)
 def test_extended_union_matches_bruteforce(a, b):
-    got = members_of(extended_union(IndexSet(a), IndexSet(b)))
+    got = members_of(IndexSet(a).extended_union(IndexSet(b)))
     want = brute_extended_union(enumerate_members(a), enumerate_members(b))
     assert got == want
 
@@ -164,7 +162,7 @@ def test_extended_union_matches_bruteforce(a, b):
 @settings(max_examples=100)
 def test_extended_union_commutes_and_contains_union(a, b):
     ea, eb = IndexSet(a), IndexSet(b)
-    ab, ba = extended_union(ea, eb), extended_union(eb, ea)
+    ab, ba = ea.extended_union(eb), eb.extended_union(ea)
     assert ab.equals_below(ba, CUT)
     assert members_of(ea.union(eb)) <= members_of(ab)
 
@@ -173,8 +171,8 @@ def test_extended_union_commutes_and_contains_union(a, b):
 @settings(max_examples=60)
 def test_extended_union_associative(a, b, c):
     ea, eb, ec = IndexSet(a), IndexSet(b), IndexSet(c)
-    left = extended_union(extended_union(ea, eb), ec)
-    right = extended_union(ea, extended_union(eb, ec))
+    left = ea.extended_union(eb).extended_union(ec)
+    right = ea.extended_union(eb.extended_union(ec))
     assert left.equals_below(right, CUT)
 
 
@@ -183,15 +181,15 @@ def test_extended_union_associative(a, b, c):
 @settings(max_examples=100)
 def test_shift_composes_additively(gens, c1, c2):
     e = IndexSet(gens)
-    assert shift(shift(e, c1), c2).equals_below(shift(e, c1 + c2), CUT)
+    assert e.shift(c1).shift(c2).equals_below(e.shift(c1 + c2), CUT)
 
 
 @given(GENS, GENS, st.sampled_from([F(n, 2) for n in range(-2, 3)]))
 @settings(max_examples=100)
 def test_shift_distributes_over_extended_union(a, b, c):
     ea, eb = IndexSet(a), IndexSet(b)
-    lhs = shift(extended_union(ea, eb), c)
-    rhs = extended_union(shift(ea, c), shift(eb, c))
+    lhs = ea.extended_union(eb).shift(c)
+    rhs = ea.shift(c).extended_union(eb.shift(c))
     assert lhs.equals_below(rhs, CUT)
 
 
