@@ -181,6 +181,9 @@ class ModelConfig:
             what, holds = _KEY_TYPES[key]
             if value is not None and not holds(value):
                 raise ValueError(f"{key} must be {what}, got {value!r}")
+            if _is_number(value) and not math.isfinite(value) \
+                    or isinstance(value, list) and not all(map(math.isfinite, value)):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.model not in (None, "cone", "product"):
             raise ValueError(f"model must be cone or product, got {self.model!r}")
         if self.fiber_kind not in (None, "circle", "torus"):

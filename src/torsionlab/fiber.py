@@ -44,12 +44,6 @@ class Convention(str, Enum):
     GEOMETRIC_ORACLE = "GeometricOracle"
 
 
-def _as_convention(c) -> Convention:
-    if isinstance(c, Convention):
-        return c
-    return Convention(c)
-
-
 def _comb(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
@@ -95,12 +89,6 @@ class FiberSpectrum:
         return [math.comb(self.dim_f, ell) for ell in range(self.dim_f + 1)]
 
 
-def _sig_key(x: float, digits: int = 12) -> float:
-    """Rounding to significant digits: groups eigenvalues that differ only
-    by accumulated float noise, independent of their magnitude."""
-    return float(f"{x:.{digits}g}")
-
-
 def _wedge_matrix(kappa: Sequence[float], ell: int) -> np.ndarray:
     """Matrix of (i kappa) wedge . : Lambda^ell -> Lambda^(ell+1) over C."""
     f = len(kappa)
@@ -142,8 +130,10 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     if any(L <= 0 for L in periods):
         raise ValueError("periods must be positive")
     _, mu2 = _lattice_points(periods, cutoff)
+    # rounding to significant digits groups values that differ only by
+    # float noise, independent of their magnitude
     values, inverse = np.unique(mu2, return_inverse=True)
-    keys = np.array([_sig_key(v) for v in values.tolist()])[inverse]
+    keys = np.array([float(f"{v:.12g}") for v in values.tolist()])[inverse]
     order = np.argsort(keys, kind="stable")
     shell_keys, starts, points = np.unique(keys[order], return_index=True, return_counts=True)
     mean = np.array([np.mean(shell) for shell in np.split(mu2[order], starts[1:])])
@@ -156,25 +146,15 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
 
 def a_constants(ell: int, f: int, convention) -> tuple[float, float]:
     """Diagonal constants (c1, c2) on the (l-1, l) fiber-degree slots."""
-    conv = _as_convention(convention)
-    c1 = ell - (f + 3) / 2.0
-    if conv is Convention.PAPER_LITERAL:
-        c2 = ell - (f + 1) / 2.0
-    else:
-        c2 = ell - (f - 1) / 2.0
-    return c1, c2
-
-
-# Families of block eigenvalues, numbered in the order that equal Bessel
-# orders keep: the coexact p-forms, the exact (p-1)-forms, the two harmonic
-# constants, and the two branches of each coexact (p-1)-form pair.
-COEXACT_MU, EXACT_ETA, HARMONIC_ETA, HARMONIC_MU, PAIR_MINUS, PAIR_PLUS = range(6)
+    literal = Convention(convention) is Convention.PAPER_LITERAL
+    return ell - (f + 3) / 2.0, ell - (f + 1 if literal else f - 1) / 2.0
 
 
 def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
                         convention) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form eigenvalues of the block operator on fiber degrees (p-1, p),
-    as arrays (nu2, mult, family), unsorted.
+    as arrays (nu2, mult, family), unsorted.  The family numbers fix the
+    order that equal Bessel orders keep.
 
     Invariant subspaces: fiber-harmonic forms give the squared diagonal
     constants; a coexact (p-1)-eigenform phi pairs with d phi / mu into a
@@ -192,11 +172,11 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
     disc = np.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * mu2)
     pairs = fiber.coexact(p - 1)
     families = [  # (nu2, mult) by family number
-        (mu2 + c2 * c2, fiber.coexact(p)),
-        (mu2 + c1 * c1, fiber.exact(p - 1)),
-        (np.array([c1 * c1]), np.array([_comb(f, p - 1)])),
-        (np.array([c2 * c2]), np.array([_comb(f, p)])),
-        (mean - disc, pairs),
+        (mu2 + c2 * c2, fiber.coexact(p)),                    # coexact p-forms
+        (mu2 + c1 * c1, fiber.exact(p - 1)),                  # exact (p-1)-forms
+        (np.array([c1 * c1]), np.array([_comb(f, p - 1)])),   # harmonic (p-1)-forms
+        (np.array([c2 * c2]), np.array([_comb(f, p)])),       # harmonic p-forms
+        (mean - disc, pairs),                                 # pair branches
         (mean + disc, pairs),
     ]
     nu2 = np.concatenate([v for v, _ in families])
@@ -247,7 +227,7 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
     negative: the operator is nonnegative by construction, so this can only
     mean a convention or assembly error.
     """
-    conv = _as_convention(convention)
+    conv = Convention(convention)
     if nu_max is None:
         nu_max = fiber.cutoff - A_SPECTRUM_MARGIN
     if nu_max > fiber.cutoff - A_SPECTRUM_MARGIN + 1e-12:
@@ -255,14 +235,13 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
             f"fiber cutoff {fiber.cutoff} cannot certify nu-completeness to {nu_max}; "
             f"need cutoff >= nu_max + {A_SPECTRUM_MARGIN}")
     nu2, mult, family = a_block_eigenvalues(fiber, p, conv)
-    scale = max(1.0, float(np.max(np.abs(nu2)))) if len(nu2) else 1.0
-    if len(nu2) and nu2.min() < -1e-10 * scale:
+    lowest = float(np.min(nu2, initial=0.0))
+    if lowest < -1e-10 * np.max(np.abs(nu2), initial=1.0):
         raise NegativeBlockEigenvalue(
-            f"block eigenvalue {float(nu2.min())} < 0 for p={p}, convention={conv.value}")
+            f"block eigenvalue {lowest} < 0 for p={p}, convention={conv.value}")
     nu = np.sqrt(np.maximum(nu2, 0.0))
-    keep = nu <= nu_max
-    nu, mult, nu2, family = nu[keep], mult[keep], nu2[keep], family[keep]
     order = np.lexsort((nu2, family, nu))
+    order = order[nu[order] <= nu_max]
     return NuSpectrum(nu[order], mult[order], p, conv, float(nu_max))
 
 
@@ -272,7 +251,7 @@ def single_nu_spectrum(nu: float, p: int = 0, mult: int = 1,
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     return NuSpectrum(np.array([float(nu)]), np.array([mult]), p,
-                      _as_convention(convention), math.inf)
+                      Convention(convention), math.inf)
 
 
 # ------------------------------------------------------------ dense oracle --
@@ -287,8 +266,7 @@ def dense_a_eigenvalues(periods: Sequence[float], p: int, convention,
     largest |kappa| included, for rebuilding the matching fiber spectrum.
     """
     f = len(periods)
-    conv = _as_convention(convention)
-    c1, c2 = a_constants(p, f, conv)
+    c1, c2 = a_constants(p, f, convention)
     cut = 4.0 * math.pi * n_modes ** (1.0 / f) / min(periods)
     k, mu2 = _lattice_points(periods, cutoff=cut)
     while len(mu2) < n_modes:
@@ -303,10 +281,8 @@ def dense_a_eigenvalues(periods: Sequence[float], p: int, convention,
     eigs: list[float] = []
     for ki, m2 in zip(k[keep], mu2[keep].tolist()):
         mat = np.zeros((n, n), dtype=complex)
-        if n_eta:
-            mat[:n_eta, :n_eta] = (m2 + c1 * c1) * np.eye(n_eta)
-        if n_mu:
-            mat[n_eta:, n_eta:] = (m2 + c2 * c2) * np.eye(n_mu)
+        mat[:n_eta, :n_eta] = (m2 + c1 * c1) * np.eye(n_eta)
+        mat[n_eta:, n_eta:] = (m2 + c2 * c2) * np.eye(n_mu)
         if n_eta and n_mu:
             kappa = [2.0 * math.pi * kj / L for kj, L in zip(ki.tolist(), periods)]
             d = 2.0 * (-1) ** p * _wedge_matrix(kappa, p - 1)

@@ -228,6 +228,33 @@ def test_config_value_of_the_wrong_type_is_refused(capsys, tmp_path, command, li
     assert error["error"] == "ValueError" and error["message"].startswith(key + " must be")
 
 
+NON_FINITE = [  # (flags, config file, key), with "{}" for the value
+    (["spectrum", "--lambda-max", "{}"], "lambda_max = {}", "lambda_max"),
+    (["spectrum", "--radius", "{}"], "radius = {}", "radius"),
+    (["spectrum", "--fiber", "torus", "--periods", "6.28", "{}"],
+     'fiber_kind = "torus"\nperiods = [6.28, {}]', "periods"),
+    (["torsion", "--model", "product", "--base", "circle", "--base-radius", "{}"],
+     'model = "product"\nbase = "circle"\nbase_radius = {}', "base_radius"),
+    (["trace", "--model", "product", "--base", "torus", "--base-periods", "{}", "3"],
+     'model = "product"\nbase = "torus"\nbase_periods = [{}, 3]', "base_periods"),
+    (["spectrum", "--single-nu", "{}"], "single_nu = {}", "single_nu"),
+    (["zeta", "--t-min", "{}"], "t_min = {}", "t_min"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv,lines,key", NON_FINITE, ids=[case[2] for case in NON_FINITE])
+def test_non_finite_number_is_refused(capsys, tmp_path, value, argv, lines, key):
+    """A non-finite model number, by flag or by config file, exits 2 and
+    names its key before any spectrum is built."""
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(lines.format(value) + "\n")
+    for case in ([arg.format(value) for arg in argv], [argv[0], "--config", str(cfg)]):
+        code, out, err = run(capsys, *case)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"{key} must be finite")
+
+
 def test_format_belongs_to_trace_only(capsys, tmp_path):
     for command in ("spectrum", "fit", "zeta", "torsion"):
         with pytest.raises(SystemExit) as exc:

@@ -38,7 +38,9 @@ def layers(monkeypatch):
     ["torsion", "--single-nu", "0.5", "--t-min", "1e-2"],
     ["torsion", "--t-min", "1e-2"],
     ["torsion", "--model", "product", "--base", "circle", "--t-min", "3e-3"],
-], ids=["single-nu", "disk", "product"])
+    ["torsion", "--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586",
+     "--t-min", "5e-2"],
+], ids=["single-nu", "disk", "product", "torus"])
 def test_traced_report_is_the_cli_report(capsys, layers, argv):
     assert main(argv) == 0
     cli_out = capsys.readouterr().out
@@ -46,5 +48,7 @@ def test_traced_report_is_the_cli_report(capsys, layers, argv):
     report, figures = layers.traced_torsion(layers.build_pipeline(argv), tracer)
     assert report == cli_out
     assert figures["phg.basis_size"] > 0
+    if "--single-nu" not in argv:
+        assert figures["fiber.entries"] > 0 and figures["fiber.nu_modes"] > 0
     assert {"pipeline.traces", "zetator.kernel_dimension",
             "zetator.zeta_near_zero"} <= {s["name"] for s in tracer.spans}
