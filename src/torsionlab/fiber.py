@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -111,11 +112,10 @@ def _lattice_points(periods: Sequence[float], cutoff: float) -> tuple[np.ndarray
     lexicographic order: a (points, f) integer array and their |kappa|^2."""
     # the slack of the mu2 test below, so points on the cutoff sphere stay
     bounds = [int(math.floor(cutoff * L / (2.0 * math.pi) * (1 + 1e-12))) for L in periods]
-    axes = np.meshgrid(*(np.arange(-b, b + 1) for b in bounds), indexing="ij")
-    k = np.stack([a.ravel() for a in axes], axis=1)
-    mu2 = sum((2.0 * math.pi * k[:, i] / L) ** 2 for i, L in enumerate(periods))
+    squares = [(2.0 * math.pi * np.arange(-b, b + 1) / L) ** 2 for b, L in zip(bounds, periods)]
+    mu2 = reduce(np.add.outer, squares)
     keep = mu2 <= cutoff * cutoff * (1 + 1e-12)
-    return k[keep], mu2[keep]
+    return np.argwhere(keep) - bounds, mu2[keep]
 
 
 def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
