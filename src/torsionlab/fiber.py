@@ -190,7 +190,7 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
 class NuSpectrum:
     """Bessel orders `nu` with multiplicities `mult` of cone form degree
     `degree`, complete below `cutoff`.  Each order has the indicial roots
-    1/2 -+ nu, and nu = 0 takes the log branch {x^(1/2), x^(1/2) log x}."""
+    1/2 -+ nu; at nu = 0 they coincide and the solutions take the log branch."""
 
     nu: np.ndarray
     mult: np.ndarray
@@ -248,8 +248,8 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
 def single_nu_spectrum(nu: float, p: int = 0, mult: int = 1,
                        convention=Convention.GEOMETRIC_ORACLE) -> NuSpectrum:
     """Toy spectrum with one radial mode; the full spectrum of one l_nu."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
     return NuSpectrum(np.array([float(nu)]), np.array([mult]), p,
                       Convention(convention), math.inf)
 

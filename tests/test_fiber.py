@@ -13,12 +13,12 @@ import pytest
 from torsionlab.errors import NegativeBlockEigenvalue, TailNotCertified
 from torsionlab.fiber import (
     Convention,
+    NuSpectrum,
     _lattice_points,
     _wedge_matrix,
     a_block_eigenvalues,
     a_spectrum,
     dense_a_eigenvalues,
-    NuSpectrum,
     gauss_bonnet_consistency,
     single_nu_spectrum,
     torus_spectrum,
@@ -290,6 +290,12 @@ def test_gauss_bonnet_detects_perturbation():
     assert not gauss_bonnet_consistency([bad, s2], odd)
 
 
+@pytest.mark.parametrize("nu", [-0.5, math.inf, math.nan])
+def test_single_nu_spectrum_refuses_bad_order(nu):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        single_nu_spectrum(nu)
+
+
 def test_gauss_bonnet_needs_enough_modes():
     s = single_nu_spectrum(0.5)
     with pytest.raises(ValueError):
@@ -297,6 +303,16 @@ def test_gauss_bonnet_needs_enough_modes():
 
 
 # ------------------------------------------------------------------- misc --
+
+def test_shell_and_order_views_are_read_only():
+    fiber = torus_spectrum([TWO_PI, TWO_PI], cutoff=4.0)
+    spec = a_spectrum(fiber, 1, GEO, nu_max=3.0)
+    assert len(fiber.entries) == len(fiber.mu2) and len(spec.modes) == len(spec.nu)
+    with pytest.raises(ValueError):
+        fiber.entries[0] = 0.0
+    with pytest.raises(ValueError):
+        spec.modes[0] = 0.0
+
 
 def test_nu_spectrum_serialization():
     spec = a_spectrum(circle(1.0, 4.0), 0, GEO, nu_max=3.0)
