@@ -28,7 +28,6 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .bessel import bessel_i, bessel_j_zeros_batch
 from .errors import (
@@ -47,6 +46,31 @@ CONDITION_LIMIT = 1e12
 # raise peak memory and run no faster
 TRACE_BLOCK = 1 << 15
 UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def gammaincc(a: float, x) -> np.ndarray:
+    """Regularised upper incomplete gamma Q(a, x) for a in {1/2, 1, 3/2, ...}
+    and x > 0.
+
+    Upward from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^{-x} by
+    Q(a + 1, x) = Q(a, x) + x^a e^{-x} / Gamma(a + 1), a sum of positive
+    terms.  Q(a, inf) = 0, as at the largest float.
+    """
+    if not (a > 0.0 and (2.0 * float(a)).is_integer()):
+        raise ValueError(f"gammaincc needs a in {{1/2, 1, 3/2, ...}}, got {a}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise ValueError("gammaincc needs x > 0")
+    x = np.minimum(x, np.finfo(float).max)
+    if float(a).is_integer():
+        s, q = 1.0, np.exp(-x)
+    else:
+        s, q = 0.5, np.vectorize(math.erfc, otypes=[float])(np.sqrt(x))
+    log_x = np.log(x)
+    while s < a:
+        q = q + np.exp(s * log_x - x - math.lgamma(s + 1.0))
+        s += 1.0
+    return q
 
 
 def cone_heat_kernel(nu: float, t: float, x: float, xt: float) -> float:

@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import exp1
 
 from .conekernel import ZERO_EIGENVALUE, FittedExpansion, TraceSamples
 from .errors import DecayRateUnknown, FitResidualTooLarge
@@ -49,6 +48,46 @@ FIT_RESIDUAL_LIMIT = 1e-5
 # E1(x) <= e^{-x}/x is exactly 0.0 past x = 745, so past t0 no eigenvalue
 # above LARGE_T_REACH / t0 adds to the large-t integral
 LARGE_T_REACH = 746.0
+# modified Lentz stops once a factor is within this of 1
+LENTZ_TOLERANCE = 4.0 * np.finfo(float).eps
+
+
+def exp1(x) -> np.ndarray:
+    """Exponential integral E1(x) = int_x^inf e^{-s}/s ds for finite x > 0.
+
+    Up to x = 1 the ascending series -gamma - log x + sum (-1)^{k+1}
+    x^k / (k k!), 20 terms; above, e^{-x} times the continued fraction
+    1/(x+1- 1/(x+3- 4/(x+5- ...))), by the modified Lentz method.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise ValueError("exp1 needs finite x > 0")
+    out = np.empty_like(x)
+    small = x <= 1.0
+    xs = x[small]
+    term = -np.ones_like(xs)
+    series = np.zeros_like(xs)
+    for k in range(1, 21):
+        term *= -xs / k
+        series += term / k
+    out[small] = series - EULER_GAMMA - np.log(xs)
+    xl = x[~small]
+    b = xl + 1.0
+    c = np.full_like(xl, np.inf)
+    d = 1.0 / b
+    frac = d
+    for i in range(1, 1000):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        frac = frac * (c * d)
+        if np.all(np.abs(c * d - 1.0) <= LENTZ_TOLERANCE):
+            break
+    else:
+        raise RuntimeError("E1 continued fraction failed to converge")
+    out[~small] = frac * np.exp(-xl)
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 
 from torsionlab import oracles
-from torsionlab.bessel import bessel_j_series, bessel_j_zeros
+from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import cone_heat_kernel
 from torsionlab.errors import IntegrabilityViolation
 from torsionlab.phg import (
@@ -26,6 +26,8 @@ from torsionlab.phg import (
     pushforward_trace_index,
     zeta_pole_structure,
 )
+
+from zero_oracle import bessel_j_series
 
 
 def report(number: int, ok: bool, detail: str) -> None:

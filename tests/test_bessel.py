@@ -2,9 +2,9 @@
 
 References used: the elementary closed forms at half-integer order, scipy's
 ive/iv (a different algorithm family than the series/uniform expansion
-implemented here), bisection on the small-argument series, bisection on
-mpmath's arbitrary-precision J_0, mpmath's findroot on J_nu, and the scalar
-zero finder kept in tests/zero_oracle.py.
+implemented here), mpmath's arbitrary-precision J_nu, bisection on the
+small-argument series and on mpmath's J_0, mpmath's findroot on J_nu, and
+the scalar zero finder kept in tests/zero_oracle.py.
 """
 
 import math
@@ -15,19 +15,19 @@ import pytest
 from scipy.special import ive, jv
 
 from torsionlab import bessel
+from torsionlab.cli import ModelConfig, Pipeline
 from torsionlab.bessel import (
     UNIFORM_MIN_ORDER,
     ZERO_SCAN_STEP,
     _series_i,
     _uniform_i,
     bessel_i,
-    bessel_j_series,
     bessel_j_zeros,
     bessel_j_zeros_batch,
     mcmahon_zero,
 )
 import zero_oracle
-from zero_oracle import oracle_zeros
+from zero_oracle import bessel_j_series, oracle_zeros
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -107,6 +107,77 @@ def test_j_series_small_argument():
     assert bessel_j_series(0.0, 2.404825557695773) == pytest.approx(0.0, abs=1e-14)
     assert bessel_j_series(0.5, math.pi) == pytest.approx(0.0, abs=1e-15)
     assert bessel_j_series(1.0, 1.0) == pytest.approx(0.4400505857449335, abs=1e-14)
+
+
+def _mp_jv(nu, x):
+    mpmath.mp.dps = 30
+    return float(mpmath.besselj(mpmath.mpf(float(nu)), mpmath.mpf(float(x))))
+
+
+def _jv_error(nus, xs, want):
+    """|jv - J| / max(|J|, sqrt(2/(pi x))): the error against the amplitude,
+    which is what moves a zero."""
+    nus, xs, want = np.broadcast_arrays(np.asarray(nus, dtype=float),
+                                        np.asarray(xs, dtype=float), np.asarray(want))
+    return np.abs(bessel.jv(nus, xs) - want) / np.maximum(np.abs(want),
+                                                          np.sqrt(2.0 / (math.pi * xs)))
+
+
+def test_jv_half_order_closed_forms():
+    mpmath.mp.dps = 30
+    xs = np.concatenate([np.geomspace(1e-8, 1.0, 17), np.linspace(1.5, 600.0, 120)])
+    amp = [mpmath.sqrt(2 / (mpmath.pi * mpmath.mpf(float(x)))) for x in xs]
+    sin = [float(a * mpmath.sin(mpmath.mpf(float(x)))) for a, x in zip(amp, xs)]
+    cos = [float(a * mpmath.cos(mpmath.mpf(float(x)))) for a, x in zip(amp, xs)]
+    assert _jv_error(0.5, xs, sin).max() <= 5e-14
+    assert _jv_error(-0.5, xs, cos).max() <= 5e-14
+
+
+_RNG = np.random.default_rng(20261018)
+_TURNING = np.array([0.5, 1.0, 7.3, 30.0, 99.5, 190.0, 400.0])
+JV_POINTS = {
+    "integer": np.array([(nu, x) for nu in (0, 1, 2, 5, 10, 30, 100, 250)
+                         for x in (0.1, 1.0, 5.0, 20.0, 75.0, 150.0, 300.0, 600.0)]),
+    "negative": np.array([(nu, x) for nu in (-1.0, -0.999, -0.75, -0.5, -0.3, -1e-9)
+                          for x in (1e-3, 0.5, 3.0, 40.0, 200.0, 600.0)]),
+    "small-x": np.array([(nu, x) for nu in (-1.0, -0.5, 0.0, 0.3, 1.0, 2.5, 10.0)
+                         for x in (1e-8, 1e-35, 1e-45)]),
+    "turning": np.stack([_TURNING, _TURNING], axis=1),
+    "to-600": np.stack([_RNG.uniform(0.0, 700.0, 60), _RNG.uniform(300.0, 600.0, 60)], axis=1),
+    # the stretch where scipy's jv erred by up to 8e-14
+    "nu17-x95-190": np.stack([_RNG.uniform(17.0, 190.0, 80), _RNG.uniform(95.0, 190.0, 80)],
+                             axis=1),
+}
+
+
+@pytest.mark.parametrize("points", JV_POINTS.values(), ids=JV_POINTS.keys())
+def test_jv_against_mpmath(points):
+    want = [_mp_jv(nu, x) for nu, x in points]
+    assert _jv_error(points[:, 0], points[:, 1], want).max() <= 5e-14
+
+
+def test_jv_shapes_and_jvp():
+    assert isinstance(bessel.jv(0.5, 1.0), float)
+    nus = np.array([[0.0], [2.5]])
+    xs = np.array([0.5, 3.0, 40.0])
+    got = bessel.jv(nus, xs)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got[1], bessel.jv(np.full(3, 2.5), xs))
+    assert bessel.jv([], []).shape == (0,)
+    for nu, x in ((0.0, 2.0), (2.5, 40.0), (17.0, 120.0)):
+        mpmath.mp.dps = 30
+        want = float(mpmath.besselj(nu, x, derivative=1))
+        assert abs(bessel.jvp(nu, x) - want) <= 5e-14 * math.sqrt(2 / (math.pi * x))
+
+
+@pytest.mark.parametrize("nu, x", [
+    (-1.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1j, 1.0),
+    (1.0, 0.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan), (1.0, 1.0 + 1j),
+    ([0.0, -2.0], 1.0), (0.0, [1.0, 0.0]),
+])
+def test_jv_refuses_out_of_domain(nu, x):
+    with pytest.raises(ValueError):
+        bessel.jv(nu, x)
 
 
 def test_half_order_zeros_are_multiples_of_pi():
@@ -277,6 +348,26 @@ def test_zeros_against_mpmath():
     assert any(k <= 2 and nu >= 30 for _, _, nu, k in errors)
     bad = [e for e in errors if e[0] > e[1]]
     assert not bad, bad
+
+
+def test_disk_zeros_beyond_95_against_mpmath():
+    """Every sixteenth of the disk workload's orders in [17, 189]: each zero
+    in [95, 190] is within 2.5e-16 relative of mpmath's root.  One Newton
+    step at 30 digits from a zero within 1e-15 of the root lands within
+    1e-28 of it."""
+    pipe = Pipeline(ModelConfig())
+    orders = sorted({nu for spec in pipe.nu_spectra().values() for nu in spec.nu.tolist()})
+    sample = [nu for nu in orders if 17.0 <= nu <= 189.0][::16]
+    mpmath.mp.dps = 30
+    errors = []
+    for nu, zeros in zip(sample, bessel_j_zeros_batch(sample, math.sqrt(pipe.lambda_max))):
+        for z in zeros:
+            if z >= 95.0:
+                x = mpmath.mpf(z)
+                root = x - mpmath.besselj(nu, x) / mpmath.besselj(nu, x, derivative=1)
+                errors.append(abs(float((x - root) / root)))
+    assert len(sample) >= 15 and len(errors) >= 200
+    assert max(errors) <= 2.5e-16
 
 
 def test_half_order_zeros_within_two_ulp():

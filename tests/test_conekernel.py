@@ -11,11 +11,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc as scipy_gammaincc  # test oracle only
 from scipy.special import jv
 
 from torsionlab import conekernel
 from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import (
+    gammaincc,
     Spectrum,
     TraceSamples,
     cone_heat_kernel,
@@ -537,3 +539,25 @@ def test_trace_csv_has_17_digit_floats():
     assert lines[0] == "t,value,tail_bound"
     assert len(lines) == 3
     assert lines[1].startswith("0.01,2.3209479177387")
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_gammaincc_against_scipy(a):
+    x = np.geomspace(1e-3, 1e3, 2001)
+    want = scipy_gammaincc(a, x)
+    got = gammaincc(a, x)
+    nonzero = want != 0.0
+    # where scipy flushes a subnormal value to 0, the value is below the normal range
+    assert np.all(got[~nonzero] < np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)[nonzero] / want[nonzero]) <= 1e-12
+    assert np.array_equal(gammaincc(a, np.array([math.inf, 1.0])),
+                          [0.0, gammaincc(a, 1.0)])
+
+
+@pytest.mark.parametrize("a, x", [
+    (0.0, 1.0), (0.25, 1.0), (1.3, 1.0), (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (1.5, 0.0), (1.5, -1.0), (1.5, math.nan), (1.5, [1.0, 0.0]),
+])
+def test_gammaincc_refuses_out_of_domain(a, x):
+    with pytest.raises(ValueError):
+        gammaincc(a, x)

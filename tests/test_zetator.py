@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline  # test oracle only
+from scipy.special import exp1 as scipy_exp1  # test oracle only
 
 from torsionlab.conekernel import (
     Spectrum,
@@ -28,6 +29,7 @@ from torsionlab.zetator import (
     ZetaData,
     _not_a_knot_integral,
     _spline_integral,
+    exp1,
     kernel_dimension,
     torsion_assemble,
     zeta_near_zero,
@@ -281,3 +283,21 @@ def test_report_serialization():
     assert len(d["per_degree"]) == 2
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("degree,zeta0")
+
+
+def test_exp1_against_scipy():
+    """Series up to x = 1, continued fraction above, across both regimes."""
+    x = np.concatenate([np.geomspace(1e-3, 1e3, 2001), [1.0, np.nextafter(1.0, 2.0)]])
+    want = scipy_exp1(x)
+    got = exp1(x)
+    nonzero = want != 0.0
+    # where scipy flushes a subnormal value to 0, the value is below the normal range
+    assert np.all(got[~nonzero] < np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)[nonzero] / want[nonzero]) <= 1e-13
+    assert exp1(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+def test_exp1_refuses_out_of_domain(x):
+    with pytest.raises(ValueError):
+        exp1(np.array([1.0, x]))

@@ -1,20 +1,47 @@
-"""Test oracle: the scalar Bessel-zero finder, one order and one zero at a time.
+"""Test oracles for J_nu: the ascending series, and the scalar Bessel-zero
+finder, one order and one zero at a time.
 
-This is the finder `torsionlab.bessel` used before its zeros were computed
-in one batch: a sign-change scan with grid step pi/2, then per bracket a
-Newton iteration with bisection fallback, seeded by McMahon's expansion and
-using scipy's `jvp` for the derivative.  Its termination test comes after
-the bracket safeguard, so a Newton step that lands on a bracket end is
-bisected; that costs iterations, not correctness.  It is kept only as an
-independent reference for `bessel_j_zeros_batch`.
+The series is `torsionlab.bessel`'s former small-argument J evaluator,
+independent of both scipy's `jv` and the package's recurrence.
+
+The finder is the one `torsionlab.bessel` used before its zeros were
+computed in one batch: a sign-change scan with grid step pi/2, then per
+bracket a Newton iteration with bisection fallback, seeded by McMahon's
+expansion and using scipy's `jv` and `jvp`.  Its termination test comes
+after the bracket safeguard, so a Newton step that lands on a bracket end
+is bisected; that costs iterations, not correctness.  It is kept only as
+an independent reference for `bessel_j_zeros_batch`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import jv, jvp
 
 from torsionlab.bessel import ZERO_SCAN_STEP, mcmahon_zero
+
+
+def bessel_j_series(nu: float, z: float) -> float:
+    """Ascending series for J_nu; small arguments only (z <= ~18).
+
+    Alternating terms limit double-precision accuracy for larger z.
+    """
+    if z < 0:
+        raise ValueError("argument must be nonnegative")
+    if z > 18.0:
+        raise ValueError("series evaluator limited to z <= 18")
+    q = -0.25 * z * z
+    term = 1.0
+    total = 1.0
+    for m in range(1, 120):
+        term *= q / (m * (nu + m))
+        total += term
+        if abs(term) < 1e-18 * abs(total):
+            break
+    return math.exp(nu * math.log(0.5 * z) - math.lgamma(nu + 1.0)) * total if z > 0 \
+        else (1.0 if nu == 0 else 0.0)
 
 
 def polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
