@@ -81,8 +81,9 @@ def exp1(x) -> np.ndarray:
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        frac = frac * (c * d)
-        if np.all(np.abs(c * d - 1.0) <= LENTZ_TOLERANCE):
+        factor = c * d
+        frac = frac * factor
+        if np.all(np.abs(factor - 1.0) <= LENTZ_TOLERANCE):
             break
     else:
         raise RuntimeError("E1 continued fraction failed to converge")

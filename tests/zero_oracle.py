@@ -1,8 +1,8 @@
 """Test oracles for J_nu: the ascending series, and the scalar Bessel-zero
 finder, one order and one zero at a time.
 
-The series is `torsionlab.bessel`'s former small-argument J evaluator,
-independent of both scipy's `jv` and the package's recurrence.
+The series is a small-argument J evaluator independent of both scipy's
+`jv` and the package's recurrence.
 
 The finder is the one `torsionlab.bessel` used before its zeros were
 computed in one batch: a sign-change scan with grid step pi/2, then per
