@@ -8,7 +8,7 @@ cancellation:
   uniform expansion is not safely applicable;
 * uniform large-order asymptotics in 1/nu (DLMF 10.41.3) for nu >= 30 and
   z > nu^2/10, with the U_k polynomials generated exactly by their
-  integral recurrence at import time.
+  integral recurrence on first use.
 
 The two regimes overlap on a strip around z = nu^2/10 where they agree to
 better than 1e-11; `bessel_i` switches between them there.
@@ -36,19 +36,24 @@ ascending series instead, which is J_nu there to double precision.
 Zeros of J_nu are found for many orders at once (`bessel_j_zeros_batch`).
 One `jv` array call scans every order's grid of spacing pi/2 for sign
 changes; consecutive zeros of any J_nu, nu >= 0, are farther apart than
-that, so no zero can hide between grid points.  One vectorised Newton
-iteration, seeded with the McMahon expansion and safeguarded by bisection,
-then refines all brackets together, each stopping at its own termination
-test.  The derivative is the recurrence J_nu' = J_{nu-1} - (nu/x) J_nu, one
-more `jv` evaluation per step.  The test |step| <= 1e-15 x comes before the
-bracket safeguard, so a converged step that lands on a bracket end is
-accepted instead of bisected.  A zero is then as accurate as `jv` allows:
-within 4e-16 relative of the true root plus the shift that `jv`'s own error
-causes.
+that, so no zero can hide between grid points.  The k-th bracket of an
+order nu >= 1 is seeded by Olver's uniform expansion of j_{nu,k} in the
+zeros of Ai (DLMF 10.21(viii)), within 7e-4 relative and mostly within
+1e-5; below nu = 1 by McMahon's expansion.  One vectorised Halley
+iteration, safeguarded by bisection, then refines all brackets together.
+A round evaluates J_nu and J_{nu-1}, which give J_nu'; Bessel's equation
+gives J_nu'' for free.  Halley's error constant at a zero of J_nu is
+-(1/6 - (2 nu^2 + 1)/(12 x^2)), below 1/6 in size, so once a step s has
+|s|^3 <= 1e-18 x, x - s is the root to 2e-19 relative and the element
+stops without another evaluation: most zeros take one round.  This test
+comes before the bracket safeguard, so a converged step that lands on a
+bracket end is accepted instead of bisected.  A zero is then as accurate
+as `jv` allows, within 2.5e-16 relative of the true root in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -62,6 +67,8 @@ ZERO_SCAN_STEP = math.pi / 2.0
 # double precision, and the recurrence's step factor 2 nu / x could overflow
 LEADING_TERM_X = 1e-40
 RESCALE = 1e250
+AIRY_A1 = -2.338107410459767    # first two zeros of Ai, DLMF Table 9.9.1
+AIRY_A2 = -4.08794944413097
 
 
 def _u_polynomials(n: int) -> list[list[Fraction]]:
@@ -96,7 +103,11 @@ def _u_polynomials(n: int) -> list[list[Fraction]]:
     return polys
 
 
-_U_FLOAT = [[float(c) for c in poly] for poly in _u_polynomials(UNIFORM_TERMS)]
+@functools.cache
+def _u_float() -> tuple[tuple[float, ...], ...]:
+    """The U_k coefficients as floats, built on first use: only `bessel_i`
+    reads them, and no `torsion` run calls it."""
+    return tuple(tuple(float(c) for c in poly) for poly in _u_polynomials(UNIFORM_TERMS))
 
 
 def _series_i(nu: float, z: float, scaled: bool) -> float:
@@ -138,8 +149,9 @@ def _uniform_i(nu: float, z: float, scaled: bool) -> float:
     r = math.hypot(1.0, w)
     p = 1.0 / r
     series = 0.0
+    u_float = _u_float()
     for k in range(UNIFORM_TERMS, -1, -1):
-        coeffs = _U_FLOAT[k]
+        coeffs = u_float[k]
         uk = 0.0
         for c in reversed(coeffs):
             uk = uk * p + c
@@ -281,8 +293,8 @@ def jvp(nu, x):
     return jv(nu - 1.0, x) - nu / x * jv(nu, x)
 
 
-def mcmahon_zero(nu: float, k: int) -> float:
-    """McMahon expansion for the k-th positive zero of J_nu."""
+def mcmahon_zero(nu, k):
+    """McMahon expansion for the k-th positive zero of J_nu; arrays broadcast."""
     beta = (k + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     b8 = 8.0 * beta
@@ -292,17 +304,80 @@ def mcmahon_zero(nu: float, k: int) -> float:
             - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8 ** 5))
 
 
+def _airy_zero(k: np.ndarray) -> np.ndarray:
+    """a_k, the k-th zero of Ai: -T(3 pi (4k - 1) / 8) (DLMF 9.9.6, 9.9.18).
+
+    T's asymptotic series errs by 2.3e-4 relative at k = 1 and 2e-7 at
+    k = 2, enough to cost a second Halley round for most of those zeros, so
+    a_1 and a_2 are the tabulated values (DLMF Table 9.9.1).  From k = 3 on
+    the series, to its t^-8 term, errs by less than 3e-9.
+    """
+    t = 3.0 * math.pi * (4.0 * k - 1.0) / 8.0
+    u = t ** -2.0
+    a = -t ** (2.0 / 3.0) * (1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * (
+        77125.0 / 82944.0 - u * 108056875.0 / 6967296.0))))
+    return np.where(k == 1, AIRY_A1, np.where(k == 2, AIRY_A2, a))
+
+
+def _uniform_zero(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Olver's uniform seed for j_{nu,k}, nu >= 1 (DLMF 10.21.41-43).
+
+    j_{nu,k} ~ nu z(zeta) + f1(zeta) / nu with zeta = nu^(-2/3) a_k < 0, where
+    z > 1 solves sqrt(z^2 - 1) - arcsec z = (2/3)(-zeta)^(3/2).  In
+    s = sqrt(z^2 - 1) that is g(s) = s - arctan s - w = 0; g is increasing
+    and convex for s > 0 and g(w + pi/2) > 0, so Newton from s = w + pi/2
+    decreases monotonically to the root.  f1 = z h^2 b0 / 2 with
+    h^2 = 2 sqrt(-zeta) / s and
+    b0 = -5 / (48 zeta^2) + (-zeta)^(-1/2) (5 / (24 s^3) + 1 / (8 s)).
+    """
+    mzeta = -_airy_zero(k) * nu ** (-2.0 / 3.0)
+    w = (2.0 / 3.0) * mzeta ** 1.5
+    s = w + 0.5 * math.pi
+    # each element stops on its own test, so a seed does not depend on its batch
+    active = np.arange(len(s))
+    while len(active):
+        sa = s[active]
+        ds = (sa - np.arctan(sa) - w[active]) * (1.0 + sa * sa) / (sa * sa)
+        s[active] = sa - ds
+        active = active[ds > 1e-13 * s[active]]
+    z = np.hypot(1.0, s)
+    b0 = -5.0 / (48.0 * mzeta * mzeta) + (5.0 / (24.0 * s ** 3) + 1.0 / (8.0 * s)) / np.sqrt(mzeta)
+    f1 = z * np.sqrt(mzeta) / s * b0
+    return nu * z + f1 / nu
+
+
+def _zero_seeds(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Seeds for j_{nu,k}: Olver's uniform expansion for nu >= 1, McMahon below."""
+    seed = np.empty(len(nu))
+    uniform = nu >= 1.0
+    seed[uniform] = _uniform_zero(nu[uniform], k[uniform])
+    seed[~uniform] = mcmahon_zero(nu[~uniform], k[~uniform])
+    return seed
+
+
 def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   f_lo: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Newton with bisection fallback, one sign-changing bracket per element.
+    """Halley with bisection fallback, one sign-changing bracket per element.
 
     All brackets advance together; a round costs one `jv` array call for
-    J_nu and one for J_{nu-1}, which gives J_nu' = J_{nu-1} - (nu/x) J_nu.
-    An element leaves the batch once its Newton step is below 1e-15 x, or at
-    an exact root, or when its bracket has shrunk below 1e-15 x.  The step
-    test comes before the bracket safeguard: a converged step may land on
-    the bracket end that the previous iterate just became, and must not be
-    thrown away for a bisection.
+    f = J_nu and one for J_{nu-1}, which gives f' = J_{nu-1} - (nu/x) f.
+    Bessel's equation gives f'' = -f'/x - (1 - nu^2/x^2) f for free, and
+    with r = f/f' Halley's step s = r / (1 - r f''/(2 f')) is
+
+        s = r / (1 + r/(2x) + (1 - nu^2/x^2) r^2/2).
+
+    Near a simple root the step's error is e_new = C e^3, with
+    C = f'''/(6 f') - (f''/(2 f'))^2 at the root.  There f = 0, so
+    f'' = -f'/x and, differentiating the equation once more,
+    f''' = f' ((nu^2 + 2)/x^2 - 1); hence C = -(1/6 - (2 nu^2 + 1)/(12 x^2)).
+    A zero lies beyond nu and beyond j_{0,1} > 1, so 0 < 2 nu^2 + 1 < 4 x^2
+    and |C| < 1/6.  Once |s|^3 <= 1e-18 x, the step is the error to leading
+    order and x - s is the root within |s|^3/6 <= 2e-19 x: the element
+    leaves with x - s, without another evaluation.  It also leaves at an
+    exact root, or when bisection has shrunk its bracket below 1e-15 x.
+    The acceptance test comes before the bracket safeguard: a converged
+    step may land on the bracket end that the previous iterate just became,
+    and must not be thrown away for a bisection.
     """
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     out = np.empty_like(x)
@@ -317,9 +392,11 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         hi = np.where(on_lo, hi, x)
         dfx = jv(nu - 1.0, x) - nu / x * fx
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dfx != 0, fx / dfx, hi - lo)
+            r = fx / dfx
+            halley = r / (1.0 + r / (2.0 * x) + 0.5 * (1.0 - (nu / x) ** 2) * r * r)
+        step = np.where(dfx != 0, halley, hi - lo)
         x_new = x - step
-        converged = np.abs(step) <= 1e-15 * x
+        converged = np.abs(step) ** 3 <= 1e-18 * x
         outside = ~converged & ~((lo < x_new) & (x_new < hi))
         x_new[outside] = 0.5 * (lo[outside] + hi[outside])
         exact = fx == 0.0
@@ -337,26 +414,34 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     """All positive zeros up to z_max of J_nu for each nu in `nus`, ascending.
 
     One `jv` array call scans every order's pi/2 grid for sign changes; a
-    grid point where J_nu is exactly 0 is a zero.  All brackets are then
-    refined together by `_newton_batch`, seeded with McMahon's expansion.
-    An order with no zero up to z_max gets an empty list.
+    grid point where J_nu is exactly 0 is a zero.  The k-th bracket of an
+    order is seeded by `_zero_seeds`, and all brackets are refined together
+    by `_newton_batch`'s Halley iteration.  An order with no zero up to
+    z_max gets an empty list.
     """
-    nus = [float(nu) for nu in nus]
-    if any(nu < 0 for nu in nus):
+    nus = np.fromiter(nus, dtype=float)
+    if not np.all(nus >= 0.0):
         raise ValueError("order nu must be nonnegative")
-    grids = [np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
-             if z_max > nu else np.empty(0) for nu in nus]
-    sizes = np.array([len(g) for g in grids], dtype=np.intp)
+    if not math.isfinite(z_max):
+        raise ValueError("z_max must be finite")
+    # each order's grid is np.arange(start, z_max + step, step), built for
+    # all orders at once with arange's own length and fill,
+    # start + i ((start + step) - start), which is not start + i step
+    start = np.maximum(nus, 1e-8)
+    sizes = np.where(z_max > nus, np.ceil((z_max + ZERO_SCAN_STEP - start) / ZERO_SCAN_STEP),
+                     0.0).astype(np.intp)
     if not sizes.sum():
         return [[] for _ in nus]
     order = np.repeat(np.arange(len(nus)), sizes)
-    nu_at = np.repeat(np.array(nus), sizes)
-    grid = np.concatenate(grids)
+    ends = np.cumsum(sizes)
+    i = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    grid = start[order] + i * ((start + ZERO_SCAN_STEP) - start)[order]
+    nu_at = nus[order]
     vals = jv(nu_at, grid)
     signs = np.sign(vals)
     # a bracket [grid[i], grid[i + 1]] never crosses from one order to the next
     last = np.zeros(len(grid), dtype=bool)
-    last[np.cumsum(sizes)[sizes > 0] - 1] = True
+    last[ends[sizes > 0] - 1] = True
     exact = (signs == 0.0) & ~last
     change = np.zeros(len(grid), dtype=bool)
     change[:-1] = (signs[:-1] * signs[1:] < 0) & ~last[:-1]
@@ -367,12 +452,12 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     zeros = grid[at]
     bracket = change[at]
     b = at[bracket]
-    guess = np.array([mcmahon_zero(nu, kk)
-                      for nu, kk in zip(nu_at[b].tolist(), k[bracket].tolist())])
-    zeros[bracket] = _newton_batch(nu_at[b], grid[b], grid[b + 1], vals[b], guess)
+    zeros[bracket] = _newton_batch(nu_at[b], grid[b], grid[b + 1], vals[b],
+                                   _zero_seeds(nu_at[b], k[bracket]))
     keep = zeros <= z_max
-    counts = np.bincount(order[at][keep], minlength=len(nus))
-    return [part.tolist() for part in np.split(zeros[keep], np.cumsum(counts)[:-1])]
+    ends = np.cumsum(np.bincount(order[at][keep], minlength=len(nus))).tolist()
+    flat = zeros[keep].tolist()
+    return [flat[a:e] for a, e in zip([0] + ends[:-1], ends)]
 
 
 def bessel_j_zeros(nu: float, z_max: float) -> list[float]:

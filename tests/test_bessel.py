@@ -8,11 +8,15 @@ the scalar zero finder kept in tests/zero_oracle.py.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ive, jv
+from scipy.special import ive
 
 from torsionlab import bessel
 from torsionlab.cli import ModelConfig, Pipeline
@@ -331,14 +335,8 @@ def test_exact_grid_zero_is_a_zero(monkeypatch):
 
 
 def _mpmath_errors(orders, z_lo, z_hi):
-    """(relative error, allowance, nu, k) of every zero in [z_lo, z_hi].
-
-    The error is the distance to mpmath's root r next to the zero.  The
-    allowance is 4e-16 plus the root shift that scipy's own `jv` error at r
-    accounts for, |jv(nu, r) - J_nu(r)| / (|J_nu'(r)| r): no finder that
-    evaluates J_nu with `jv` can beat that shift, which reaches ~4e-16 for
-    integer orders near z = 100.
-    """
+    """(relative error, nu, k) of every zero in [z_lo, z_hi]: the distance
+    to mpmath's root next to the zero."""
     mpmath.mp.dps = 30
     out = []
     for nu, zeros in zip(orders, bessel_j_zeros_batch(orders, z_hi)):
@@ -346,41 +344,58 @@ def _mpmath_errors(orders, z_lo, z_hi):
             if z < z_lo:
                 continue
             root = mpmath.findroot(lambda x: mpmath.besselj(nu, x), mpmath.mpf(z))
-            r = float(root)
-            slope = mpmath.besselj(nu - 1, root) - nu / root * mpmath.besselj(nu, root)
-            shift = abs(float((jv(nu, r) - mpmath.besselj(nu, r)) / slope / root))
-            out.append((abs(float((z - root) / root)), 4e-16 + shift, nu, k))
+            out.append((abs(float((z - root) / root)), nu, k))
     return out
 
 
 def test_zeros_against_mpmath():
-    # k = 1, 2 near large orders, where McMahon's seed is poorest, and the
-    # z ~ 100 stretch where scipy's jv is least accurate
+    # k = 1, 2 near large orders, where the seeds are poorest, and the
+    # z ~ 100 stretch
     errors = _mpmath_errors((0.0, 0.5, 1.0, 2.5, 7.0, 11.659, 19.4459, 23.37, 31.2839, 40.0),
                             0.0, 60.0)
     errors += _mpmath_errors((23.0, 50.0, 74.0), 95.0, 120.0)
     assert len(errors) >= 150
-    assert any(k <= 2 and nu >= 30 for _, _, nu, k in errors)
-    bad = [e for e in errors if e[0] > e[1]]
+    assert any(k <= 2 and nu >= 30 for _, nu, k in errors)
+    bad = [e for e in errors if e[0] > 2.5e-16]
     assert not bad, bad
+
+
+def _newton_root_errors(orders, z_max, z_lo=0.0, k_max=None):
+    """Relative distance to the root of J_nu next to it, for each of the
+    first k_max zeros in [z_lo, z_max] of each order.  One Newton step at 30
+    digits from a zero within 1e-15 of the root lands within 1e-28 of it."""
+    mpmath.mp.dps = 30
+    errors = []
+    for nu, zeros in zip(orders, bessel_j_zeros_batch(orders, z_max)):
+        for z in zeros[:k_max]:
+            if z >= z_lo:
+                x = mpmath.mpf(z)
+                root = x - mpmath.besselj(nu, x) / mpmath.besselj(nu, x, derivative=1)
+                errors.append(abs(float((x - root) / root)))
+    return errors
+
+
+def test_first_zeros_of_many_orders_against_mpmath():
+    """The first three zeros, where the uniform seed starts nearest the
+    turning point, of the disk's orders in [1, 189] and of fractional
+    orders 1 to 15.4."""
+    pipe = Pipeline(ModelConfig())
+    disk = sorted({nu for spec in pipe.nu_spectra().values() for nu in spec.nu.tolist()
+                   if 1.0 <= nu <= 189.0})
+    errors = _newton_root_errors(disk, 230.0, k_max=3)
+    assert len(disk) >= 180 and len(errors) == 3 * len(disk)
+    fractional = np.linspace(1.0, 15.4, 49).tolist()
+    errors += _newton_root_errors(fractional, 30.0, k_max=3)
+    assert max(errors) <= 2.5e-16
 
 
 def test_disk_zeros_beyond_95_against_mpmath():
     """Every sixteenth of the disk workload's orders in [17, 189]: each zero
-    in [95, 190] is within 2.5e-16 relative of mpmath's root.  One Newton
-    step at 30 digits from a zero within 1e-15 of the root lands within
-    1e-28 of it."""
+    in [95, 190] is within 2.5e-16 relative of mpmath's root."""
     pipe = Pipeline(ModelConfig())
     orders = sorted({nu for spec in pipe.nu_spectra().values() for nu in spec.nu.tolist()})
     sample = [nu for nu in orders if 17.0 <= nu <= 189.0][::16]
-    mpmath.mp.dps = 30
-    errors = []
-    for nu, zeros in zip(sample, bessel_j_zeros_batch(sample, math.sqrt(pipe.lambda_max))):
-        for z in zeros:
-            if z >= 95.0:
-                x = mpmath.mpf(z)
-                root = x - mpmath.besselj(nu, x) / mpmath.besselj(nu, x, derivative=1)
-                errors.append(abs(float((x - root) / root)))
+    errors = _newton_root_errors(sample, math.sqrt(pipe.lambda_max), z_lo=95.0)
     assert len(sample) >= 15 and len(errors) >= 200
     assert max(errors) <= 2.5e-16
 
@@ -393,8 +408,9 @@ def test_half_order_zeros_within_two_ulp():
 
 
 def test_newton_rounds_per_zero(monkeypatch):
-    """A Newton round evaluates J_nu and J_{nu-1} once per open bracket;
-    the first `jv` call is the sign-change scan."""
+    """A Halley round evaluates J_nu and J_{nu-1} once per open bracket;
+    the first `jv` call is the sign-change scan.  Most zeros take one
+    round, and the tail is short."""
     sizes = []
     jv_real = bessel.jv
 
@@ -407,4 +423,109 @@ def test_newton_rounds_per_zero(monkeypatch):
     zeros = sum(len(zs) for zs in bessel_j_zeros_batch(orders, 100.0))
     rounds = (sum(sizes) - sizes[0]) / 2 / zeros
     assert zeros > 3000
-    assert rounds <= 6.0, rounds
+    assert rounds <= 1.5, rounds
+
+
+def test_uniform_seed_accuracy():
+    """Olver's seed nu z(zeta) + f1(zeta)/nu is within 1e-3 relative of
+    every zero up to 190 of orders in [1, 200], and within 1e-5 for nearly
+    all of them."""
+    orders = np.concatenate([np.arange(1.0, 201.0), np.linspace(1.05, 199.95, 137)])
+    zeros = bessel_j_zeros_batch(orders, 190.0)
+    nu = np.repeat(orders, [len(zs) for zs in zeros])
+    k = np.concatenate([np.arange(1, len(zs) + 1) for zs in zeros])
+    z = np.concatenate(zeros)
+    err = np.abs(bessel._uniform_zero(nu, k) - z) / z
+    assert len(z) > 6000 and set(orders[orders <= 175.0]) <= set(nu)
+    assert err.max() <= 1e-3
+    assert np.mean(err <= 1e-5) >= 0.99
+
+
+def test_halley_step_error_constant(monkeypatch):
+    """From x0 = r + e, one step lands at r + K e^3 with Halley's constant
+    K = 1/6 - (2 nu^2 + 1)/(12 r^2) for J_nu; the second round's `jv`
+    call shows the first iterate."""
+    mpmath.mp.dps = 30
+    seen = []
+    jv_real = bessel.jv
+
+    def recording_jv(nu, x):
+        seen.append(np.array(x, copy=True))
+        return jv_real(nu, x)
+
+    monkeypatch.setattr(bessel, "jv", recording_jv)
+    for nu, k in ((0.0, 1), (2.5, 3), (7.0, 2), (30.0, 1), (30.0, 4)):
+        r = float(mpmath.besseljzero(nu, k))
+        big_k = 1.0 / 6.0 - (2.0 * nu * nu + 1.0) / (12.0 * r * r)
+        for e in (0.02, -0.02):
+            seen.clear()
+            lo, hi = np.array([r - 0.6]), np.array([r + 0.6])
+            bessel._newton_batch(np.array([nu]), lo, hi, jv_real(nu, lo), np.array([r + e]))
+            assert seen[0][0] == r + e and len(seen) == 4
+            assert abs((seen[2][0] - r) / e ** 3 - big_k) <= 5e-3, (nu, k, e)
+
+
+def test_perturbed_seeds_give_the_same_zeros(monkeypatch):
+    """Seeds off by +-1e-3 relative, some of them outside their bracket,
+    still end at the same zeros within 2 ulp."""
+    orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))
+    want = np.concatenate(bessel_j_zeros_batch(orders, 100.0))
+    seeds_real, batch_real = bessel._zero_seeds, bessel._newton_batch
+    outside = []
+
+    def perturbed_seeds(nu, k):
+        return seeds_real(nu, k) * (1.0 + np.where(np.arange(len(nu)) % 2, 1e-3, -1e-3))
+
+    def batch(nu, lo, hi, f_lo, guess):
+        outside.append(int(np.sum((guess <= lo) | (hi <= guess))))
+        return batch_real(nu, lo, hi, f_lo, guess)
+
+    monkeypatch.setattr(bessel, "_zero_seeds", perturbed_seeds)
+    monkeypatch.setattr(bessel, "_newton_batch", batch)
+    got = np.concatenate(bessel_j_zeros_batch(orders, 100.0))
+    assert outside[0] > 0
+    assert len(got) == len(want) and _ulps(got, want).max() <= 2
+
+
+def test_scan_grid_is_arange_per_order(monkeypatch):
+    """The batch's scan grid is, bit for bit, each order's
+    np.arange(max(nu, 1e-8), z_max + pi/2, pi/2), one order after another."""
+    rng = np.random.default_rng(3)
+    orders = np.concatenate([[0.0, 1e-9, 1e-8, 0.3, 149.9, 150.0, 170.0],
+                             rng.uniform(0.0, 3.0, 500), rng.uniform(0.0, 160.0, 500)])
+    z_max = 150.0
+    scans = []
+    jv_real = bessel.jv
+
+    def recording_jv(nu, x):
+        if not scans:
+            scans.append((np.array(nu, copy=True), np.array(x, copy=True)))
+        return jv_real(nu, x)
+
+    monkeypatch.setattr(bessel, "jv", recording_jv)
+    bessel_j_zeros_batch(orders.tolist(), z_max)
+    grids = [np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
+             for nu in orders if z_max > nu]
+    nu_at, grid = scans[0]
+    assert np.array_equal(grid, np.concatenate(grids))
+    assert np.array_equal(nu_at, np.repeat(orders[orders < z_max], [len(g) for g in grids]))
+
+
+def test_uniform_polynomials_are_built_on_first_use():
+    """`import torsionlab.cli` does not build the U_k table, and `bessel_i`
+    values in the uniform regime are those of the table built at import."""
+    code = ("import torsionlab.cli\n"
+            "from torsionlab import bessel\n"
+            "print(bessel._u_float.cache_info().currsize)\n")
+    src = str(Path(bessel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout == "0\n"
+    want = {(30.0, 95.0): "0x1.7e21a4f325fcap-12", (30.0, 1e4): "0x1.f3e5d4cf5e36dp-9",
+            (45.5, 300.0): "0x1.7fb033856b501p-11", (80.0, 700.0): "0x1.47b0c0f5d407cp-13",
+            (140.0, 2000.0): "0x1.16da740700f36p-14", (200.0, 4100.0): "0x1.8dfdb4406b5adp-15",
+            (200.0, 1e4): "0x1.1b0ff06423073p-11"}
+    for (nu, z), hexval in want.items():
+        assert bessel_i(nu, z, scaled=True) == float.fromhex(hexval), (nu, z)
