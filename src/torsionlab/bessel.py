@@ -43,7 +43,7 @@ zeros of Ai (DLMF 10.21(viii)), within 7e-4 relative and mostly within
 iteration, safeguarded by bisection, then refines all brackets together.
 A round evaluates J_nu and J_{nu-1}, which give J_nu'; Bessel's equation
 gives J_nu'' for free.  Halley's error constant at a zero of J_nu is
--(1/6 - (2 nu^2 + 1)/(12 x^2)), below 1/6 in size, so once a step s has
+1/6 - (2 nu^2 + 1)/(12 x^2), below 1/6 in size, so once a step s has
 |s|^3 <= 1e-18 x, x - s is the root to 2e-19 relative and the element
 stops without another evaluation: most zeros take one round.  This test
 comes before the bracket safeguard, so a converged step that lands on a
@@ -106,7 +106,7 @@ def _u_polynomials(n: int) -> list[list[Fraction]]:
 @functools.cache
 def _u_float() -> tuple[tuple[float, ...], ...]:
     """The U_k coefficients as floats, built on first use: only `bessel_i`
-    reads them, and no `torsion` run calls it."""
+    reads them, and importing the package should not pay for them."""
     return tuple(tuple(float(c) for c in poly) for poly in _u_polynomials(UNIFORM_TERMS))
 
 
@@ -366,12 +366,12 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
         s = r / (1 + r/(2x) + (1 - nu^2/x^2) r^2/2).
 
-    Near a simple root the step's error is e_new = C e^3, with
-    C = f'''/(6 f') - (f''/(2 f'))^2 at the root.  There f = 0, so
+    Near a simple root, an iterate off by e lands off by K e^3, with
+    K = (f''/(2 f'))^2 - f'''/(6 f') at the root.  There f = 0, so
     f'' = -f'/x and, differentiating the equation once more,
-    f''' = f' ((nu^2 + 2)/x^2 - 1); hence C = -(1/6 - (2 nu^2 + 1)/(12 x^2)).
+    f''' = f' ((nu^2 + 2)/x^2 - 1); hence K = 1/6 - (2 nu^2 + 1)/(12 x^2).
     A zero lies beyond nu and beyond j_{0,1} > 1, so 0 < 2 nu^2 + 1 < 4 x^2
-    and |C| < 1/6.  Once |s|^3 <= 1e-18 x, the step is the error to leading
+    and |K| < 1/6.  Once |s|^3 <= 1e-18 x, the step is the error to leading
     order and x - s is the root within |s|^3/6 <= 2e-19 x: the element
     leaves with x - s, without another evaluation.  It also leaves at an
     exact root, or when bisection has shrunk its bracket below 1e-15 x.
@@ -455,9 +455,9 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     zeros[bracket] = _newton_batch(nu_at[b], grid[b], grid[b + 1], vals[b],
                                    _zero_seeds(nu_at[b], k[bracket]))
     keep = zeros <= z_max
-    ends = np.cumsum(np.bincount(order[at][keep], minlength=len(nus))).tolist()
+    cuts = np.cumsum(np.bincount(order[at][keep], minlength=len(nus))).tolist()
     flat = zeros[keep].tolist()
-    return [flat[a:e] for a, e in zip([0] + ends[:-1], ends)]
+    return [flat[a:e] for a, e in zip([0] + cuts[:-1], cuts)]
 
 
 def bessel_j_zeros(nu: float, z_max: float) -> list[float]:

@@ -312,8 +312,10 @@ def test_batch_matches_scalar_oracle():
             assert got == bessel_j_zeros(nu, z_max)
     assert bessel_j_zeros_batch([], 10.0) == []
     assert bessel_j_zeros_batch([5.0, 0.0], 4.0) == [[], [2.404825557695773]]
-    with pytest.raises(ValueError):
-        bessel_j_zeros_batch([1.0, -1.0], 10.0)
+    for nus, z_max in (([1.0, -1.0], 10.0), ([1.0, math.nan], 10.0), ([1.0], math.inf),
+                       ([1.0], math.nan)):
+        with pytest.raises(ValueError):
+            bessel_j_zeros_batch(nus, z_max)
 
 
 def test_exact_grid_zero_is_a_zero(monkeypatch):
