@@ -34,9 +34,17 @@ those already started.  Below x = 1e-40 `jv` takes the first term of the
 ascending series instead, which is J_nu there to double precision.
 
 Zeros of J_nu are found for many orders at once (`bessel_j_zeros_batch`).
-One `jv` array call scans every order's grid of spacing pi/2 for sign
-changes; consecutive zeros of any J_nu, nu >= 0, are farther apart than
-that, so no zero can hide between grid points.  The k-th bracket of an
+One `jv` array call scans every order's grid for sign changes, with a step
+that consecutive zeros always exceed, so no two zeros share a grid
+interval and none can hide between grid points.  The step is pi/2 below
+nu = 1: consecutive zeros of any J_nu, nu >= 0, are farther apart than
+that.  From nu = 1 on it is pi.  u = sqrt(x) J_nu solves
+u'' + (1 - (nu^2 - 1/4)/x^2) u = 0, so by Sturm comparison with sin (Watson,
+A Treatise on the Theory of Bessel Functions, ch. XV) zeros of J_nu below
+X lie more than pi + (4 nu^2 - 1) pi / (8 X^2) apart for nu > 1/2.  At
+nu = 1 and X = 1e4 that margin is 1e-8, far above the 7e-12 by which the
+computed grid's steps can exceed pi there; past z_max = 1e4 every order
+keeps the pi/2 step.  The k-th bracket of an
 order nu >= 1 is seeded by Olver's uniform expansion of j_{nu,k} in the
 zeros of Ai (DLMF 10.21(viii)), within 7e-4 relative and mostly within
 1e-5; below nu = 1 by McMahon's expansion.  One vectorised Halley
@@ -63,6 +71,10 @@ UNIFORM_MIN_ORDER = 30.0
 UNIFORM_TERMS = 12
 UNSCALED_Z_LIMIT = 50.0
 ZERO_SCAN_STEP = math.pi / 2.0
+# orders from WIDE_SCAN_MIN_ORDER on scan with step pi up to WIDE_SCAN_MAX_Z
+# (see the module docstring)
+WIDE_SCAN_MIN_ORDER = 1.0
+WIDE_SCAN_MAX_Z = 1e4
 # below this argument the first term of the ascending series is J_nu to
 # double precision, and the recurrence's step factor 2 nu / x could overflow
 LEADING_TERM_X = 1e-40
@@ -410,14 +422,21 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
+def zero_scan_step(nus, z_max: float) -> np.ndarray:
+    """Each order's sign-change scan step up to z_max: pi for
+    WIDE_SCAN_MIN_ORDER <= nu when z_max <= WIDE_SCAN_MAX_Z, else pi/2."""
+    wide = (np.asarray(nus, dtype=float) >= WIDE_SCAN_MIN_ORDER) & (z_max <= WIDE_SCAN_MAX_Z)
+    return np.where(wide, math.pi, ZERO_SCAN_STEP)
+
+
 def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     """All positive zeros up to z_max of J_nu for each nu in `nus`, ascending.
 
-    One `jv` array call scans every order's pi/2 grid for sign changes; a
-    grid point where J_nu is exactly 0 is a zero.  The k-th bracket of an
-    order is seeded by `_zero_seeds`, and all brackets are refined together
-    by `_newton_batch`'s Halley iteration.  An order with no zero up to
-    z_max gets an empty list.
+    One `jv` array call scans every order's grid, of step `zero_scan_step`,
+    for sign changes; a grid point where J_nu is exactly 0 is a zero.  The
+    k-th bracket of an order is seeded by `_zero_seeds`, and all brackets
+    are refined together by `_newton_batch`'s Halley iteration.  An order
+    with no zero up to z_max gets an empty list.
     """
     nus = np.fromiter(nus, dtype=float)
     if not np.all(nus >= 0.0):
@@ -428,14 +447,14 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     # all orders at once with arange's own length and fill,
     # start + i ((start + step) - start), which is not start + i step
     start = np.maximum(nus, 1e-8)
-    sizes = np.where(z_max > nus, np.ceil((z_max + ZERO_SCAN_STEP - start) / ZERO_SCAN_STEP),
-                     0.0).astype(np.intp)
+    step = zero_scan_step(nus, z_max)
+    sizes = np.where(z_max > nus, np.ceil((z_max + step - start) / step), 0.0).astype(np.intp)
     if not sizes.sum():
         return [[] for _ in nus]
     order = np.repeat(np.arange(len(nus)), sizes)
     ends = np.cumsum(sizes)
     i = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-    grid = start[order] + i * ((start + ZERO_SCAN_STEP) - start)[order]
+    grid = start[order] + i * ((start + step) - start)[order]
     nu_at = nus[order]
     vals = jv(nu_at, grid)
     signs = np.sign(vals)

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import wraps
 from fractions import Fraction
+
+import numpy as np
 
 from . import conekernel, fiber, oracles, phg, zetator
 from ._serialize import dumps_canonical, write_atomic
@@ -243,6 +246,28 @@ def _stage(method):
     return once
 
 
+def _each_distinct(inputs: dict, same, compute, reuse=lambda k, result: result) -> dict:
+    """{k: compute(k, x)} over `inputs`, except that an x for which `same`
+    holds with an earlier key's input takes that key's result, passed
+    through `reuse(k, result)`: each distinct input is computed once.  The
+    test is on the data, so degrees that Hodge duality would pair but whose
+    inputs differ are each computed."""
+    out: dict = {}
+    computed: dict = {}
+    for k, x in inputs.items():
+        twin = next((j for j, y in computed.items() if same(y, x)), None)
+        if twin is None:
+            computed[k] = x
+            out[k] = compute(k, x)
+        else:
+            out[k] = reuse(k, out[twin])
+    return out
+
+
+def _same_orders(a: fiber.NuSpectrum, b: fiber.NuSpectrum) -> bool:
+    return np.array_equal(a.nu, b.nu) and np.array_equal(a.mult, b.mult)
+
+
 @dataclass
 class Pipeline:
     """Lazily evaluated model pipeline shared by the subcommands.
@@ -250,6 +275,12 @@ class Pipeline:
     The model is its fiber periods and its base periods: the cone over the
     flat fiber, times the flat base when there is one.  A single radial
     mode has neither and keeps degree 0 only.
+
+    On the model cones the Hodge star pairs degree k with m - k, and their
+    inputs come out bit-equal.  A degree whose Bessel orders equal an
+    earlier degree's takes that degree's cone trace; one whose trace equals
+    an earlier degree's takes its fit, and with the same kernel dimension
+    its zeta data, relabelled.
     """
 
     cfg: ModelConfig
@@ -297,11 +328,10 @@ class Pipeline:
                 for p in range(self.cone_dim + 1)}
 
     def cone_traces(self) -> dict[int, conekernel.TraceSamples]:
-        out = {}
-        for p, spec in self.nu_spectra().items():
+        def trace(p, spec):
             cs = conekernel.cone_spectrum(spec, self.lambda_max, cone_dim=self.cone_dim)
-            out[p] = conekernel.truncated_cone_trace(cs, p, self.grid)
-        return out
+            return conekernel.truncated_cone_trace(cs, p, self.grid)
+        return _each_distinct(self.nu_spectra(), _same_orders, trace)
 
     @_stage
     def traces(self) -> dict[int, conekernel.TraceSamples]:
@@ -324,8 +354,9 @@ class Pipeline:
     @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:
         tpl = self.template()
-        return {k: conekernel.fit_expansion(tr.restrict(t_max=FIT_T_MAX), tpl)
-                for k, tr in self.traces().items()}
+        return _each_distinct(
+            self.traces(), operator.eq,
+            lambda k, tr: conekernel.fit_expansion(tr.restrict(t_max=FIT_T_MAX), tpl))
 
     def _kernels(self) -> list[int]:
         kernels = zetator.kernel_dimension(self.m)
@@ -334,8 +365,13 @@ class Pipeline:
     @_stage
     def zetas(self) -> dict[int, zetator.ZetaData]:
         traces, fits = self.traces(), self.fits()
-        return {k: zetator.zeta_near_zero(traces[k], fits[k], kernel, split=SPLIT, degree=k)
-                for k, kernel in zip(self.degrees, self._kernels())}
+        inputs = {k: (fits[k], kernel) for k, kernel in zip(self.degrees, self._kernels())}
+        # `fits` shares a fit only between equal traces, so one fit object and
+        # one kernel dimension give one zeta
+        return _each_distinct(
+            inputs, lambda a, b: a[0] is b[0] and a[1] == b[1],
+            lambda k, x: zetator.zeta_near_zero(traces[k], *x, split=SPLIT, degree=k),
+            lambda k, z: replace(z, degree=k))
 
     def torsion(self) -> zetator.TorsionReport:
         diagnostics = {"lambda_max": self.lambda_max, "t_min": self.cfg.t_min,

@@ -186,7 +186,7 @@ def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) 
     return ConeSpectrum(nu_spec, zeros, mult, lambda_cutoff, cone_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceSamples:
     """Heat-trace values on a time grid with certified truncation error."""
 
@@ -194,6 +194,25 @@ class TraceSamples:
     values: np.ndarray
     tail_bound: np.ndarray
     eigenvalues: Spectrum | None = None
+
+    def __eq__(self, other) -> bool:
+        """The same object, or bit-equal grid, values and tail bounds of a
+        bit-equal eigenvalue spectrum (`lam`, `weight` and `cutoff`), or of
+        none: every quantity computed from the samples is then the same."""
+        if self is other:
+            return True
+        if not isinstance(other, TraceSamples):
+            return NotImplemented
+        a, b = self.eigenvalues, other.eigenvalues
+        if (a is None) != (b is None):
+            return False
+        arrays = [(self.grid, other.grid), (self.values, other.values),
+                  (self.tail_bound, other.tail_bound)]
+        if a is not None:
+            if a.cutoff != b.cutoff:
+                return False
+            arrays += [(a.lam, b.lam), (a.weight, b.weight)]
+        return all(np.array_equal(x, y) for x, y in arrays)
 
     def restrict(self, t_min: float = 0.0, t_max: float = math.inf) -> "TraceSamples":
         keep = (self.grid >= t_min) & (self.grid <= t_max)
@@ -449,6 +468,17 @@ def _solve_weighted(t: np.ndarray, values: np.ndarray,
     return coeff, condition, rel_resid, sens
 
 
+def _median(x: np.ndarray) -> float:
+    """`float(np.median(x))` of a non-empty 1-d float array, bit for bit,
+    NaN included, from a sort: np.median's NaN check imports numpy.ma, some
+    15 ms on its first call in a process."""
+    s = np.sort(x)
+    if np.isnan(s[-1]):         # the sort puts NaN last, and np.median returns it
+        return float(s[-1])
+    half = len(s) // 2
+    return float(np.mean(s[half:half + 1] if len(s) % 2 else s[half - 1:half + 1]))
+
+
 def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
                   trim_edge: bool = True) -> FittedExpansion:
     """Weighted least squares of trace samples in the template basis.
@@ -476,7 +506,7 @@ def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
         coeff, condition, rel_resid, sens = _solve_weighted(t[:n], values[:n], basis)
         if not trim_edge or n <= 2 * len(basis):
             break
-        floor = max(float(np.median(rel_resid)), 1e-13)
+        floor = max(_median(rel_resid), 1e-13)
         if rel_resid[-1] > 10.0 * floor:
             n -= 1
             continue

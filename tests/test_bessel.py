@@ -22,13 +22,14 @@ from torsionlab import bessel
 from torsionlab.cli import ModelConfig, Pipeline
 from torsionlab.bessel import (
     UNIFORM_MIN_ORDER,
-    ZERO_SCAN_STEP,
+    WIDE_SCAN_MAX_Z,
     _series_i,
     _uniform_i,
     bessel_i,
     bessel_j_zeros,
     bessel_j_zeros_batch,
     mcmahon_zero,
+    zero_scan_step,
 )
 import zero_oracle
 from zero_oracle import bessel_j_series, oracle_zeros
@@ -290,7 +291,9 @@ def test_negative_order_rejected():
 
 # ------------------------------------------------------ batched J zeros ----
 
-ORACLE_ORDERS = (0.0, 0.5, 1.0, 2.0, 7.0, 30.0, 2.3, 11.659, 23.37, 150.0)
+# 0.99, 1 and 1 + 1e-12 sit on both sides of the switch to the pi scan step
+ORACLE_ORDERS = (0.0, 0.5, 0.99, 1.0, 1.0 + 1e-12, 1.5, 2.0, 7.0, 30.0, 2.3, 11.659, 23.37,
+                 150.0)
 
 
 def _ulps(got, want):
@@ -299,9 +302,10 @@ def _ulps(got, want):
 
 
 def test_batch_matches_scalar_oracle():
-    # the last z_max is a point of nu = 2's scan grid, where `z <= z_max` decides
-    on_grid = float(np.arange(2.0, 40.0, ZERO_SCAN_STEP)[12])
-    for z_max in (60.0, 190.0, on_grid):
+    # the last z_max is a point of nu = 2's scan grid, where `z <= z_max` decides;
+    # the oracle scans with step pi/2, the batch with pi from nu = 1 on
+    on_grid = float(np.arange(2.0, 40.0, math.pi)[12])
+    for z_max in (60.0, 190.0, 600.0, on_grid):
         batch = bessel_j_zeros_batch(ORACLE_ORDERS, z_max)
         for nu, got in zip(ORACLE_ORDERS, batch):
             want = oracle_zeros(nu, z_max)
@@ -320,20 +324,23 @@ def test_batch_matches_scalar_oracle():
 
 def test_exact_grid_zero_is_a_zero(monkeypatch):
     """A scan point where jv returns exactly 0.0 is taken as a zero and counts
-    in the McMahon index k, in the batch as in the oracle."""
-    point = float(np.arange(2.0, 30.0, ZERO_SCAN_STEP)[5])
+    in the McMahon index k, in the batch as in the oracle on the same grid,
+    for an order scanned with step pi/2 and one scanned with step pi."""
     jv_real = bessel.jv
+    for nu in (0.5, 2.0):
+        step = float(zero_scan_step([nu], 30.0)[0])
+        point = float(np.arange(nu, 30.0, step)[5])
 
-    def jv_zero_at_point(nu, x):
-        return np.where(np.asarray(x) == point, 0.0, jv_real(nu, x))
+        def jv_zero_at_point(nu, x, point=point):
+            return np.where(np.asarray(x) == point, 0.0, jv_real(nu, x))
 
-    monkeypatch.setattr(bessel, "jv", jv_zero_at_point)
-    monkeypatch.setattr(zero_oracle, "jv", jv_zero_at_point)
-    got = bessel_j_zeros(2.0, 30.0)
-    want = oracle_zeros(2.0, 30.0)
-    assert point in got
-    assert len(got) == len(want)
-    assert _ulps(got, want).max() <= 16
+        monkeypatch.setattr(bessel, "jv", jv_zero_at_point)
+        monkeypatch.setattr(zero_oracle, "jv", jv_zero_at_point)
+        got = bessel_j_zeros(nu, 30.0)
+        want = oracle_zeros(nu, 30.0, step)
+        assert point in got
+        assert len(got) == len(want)
+        assert _ulps(got, want).max() <= 16
 
 
 def _mpmath_errors(orders, z_lo, z_hi):
@@ -491,9 +498,10 @@ def test_perturbed_seeds_give_the_same_zeros(monkeypatch):
 
 def test_scan_grid_is_arange_per_order(monkeypatch):
     """The batch's scan grid is, bit for bit, each order's
-    np.arange(max(nu, 1e-8), z_max + pi/2, pi/2), one order after another."""
+    np.arange(max(nu, 1e-8), z_max + step, step), one order after another,
+    with step pi/2 below nu = 1 and pi from nu = 1 on."""
     rng = np.random.default_rng(3)
-    orders = np.concatenate([[0.0, 1e-9, 1e-8, 0.3, 149.9, 150.0, 170.0],
+    orders = np.concatenate([[0.0, 1e-9, 1e-8, 0.3, 0.99, 1.0, 1.0 + 1e-12, 149.9, 150.0, 170.0],
                              rng.uniform(0.0, 3.0, 500), rng.uniform(0.0, 160.0, 500)])
     z_max = 150.0
     scans = []
@@ -506,11 +514,22 @@ def test_scan_grid_is_arange_per_order(monkeypatch):
 
     monkeypatch.setattr(bessel, "jv", recording_jv)
     bessel_j_zeros_batch(orders.tolist(), z_max)
-    grids = [np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
-             for nu in orders if z_max > nu]
+    steps = np.where(orders >= 1.0, math.pi, math.pi / 2.0)
+    grids = [np.arange(max(nu, 1e-8), z_max + step, step)
+             for nu, step in zip(orders, steps) if z_max > nu]
     nu_at, grid = scans[0]
     assert np.array_equal(grid, np.concatenate(grids))
     assert np.array_equal(nu_at, np.repeat(orders[orders < z_max], [len(g) for g in grids]))
+
+
+def test_wide_scan_step_needs_its_margin():
+    """Step pi from nu = 1 on, up to the z_max where the Sturm margin over pi
+    still dwarfs the grid's rounding; pi/2 elsewhere."""
+    half, wide = math.pi / 2.0, math.pi
+    assert zero_scan_step([0.0, 0.99, 1.0, 40.0], WIDE_SCAN_MAX_Z).tolist() == [
+        half, half, wide, wide]
+    assert zero_scan_step([1.0, 40.0], math.nextafter(WIDE_SCAN_MAX_Z, math.inf)).tolist() \
+        == [half, half]
 
 
 def test_uniform_polynomials_are_built_on_first_use():

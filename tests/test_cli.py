@@ -409,9 +409,10 @@ def test_console_entry_point_subprocess():
 
 def test_torsion_path_loads_no_scipy():
     """Start-up cost: the CLI and torsion runs on the disk, the torus fiber
-    and the circle product load no scipy module at all.  At this t_min the
-    disk and the product stop at the fit with exit 4, after their zeros and
-    traces; the torus run goes on through the zeta stage to its report."""
+    and the circle product load no scipy module at all, nor numpy.ma, which
+    np.median would import.  At this t_min the disk and the product stop at
+    the fit with exit 4, after their zeros and traces; the torus run goes on
+    through the zeta stage to its report."""
     runs = [[], ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"],
             ["--model", "product", "--base", "circle"]]
     script = (
@@ -423,7 +424,8 @@ def test_torsion_path_loads_no_scipy():
         f"for flags in {runs!r}:\n"
         "    code = torsionlab.cli.main(['torsion', '--t-min', '5e-2', *flags])\n"
         "    assert code in (0, 4), (flags, code)\n"
-        "    assert not loaded(), (flags, loaded())\n")
+        "    assert not loaded(), (flags, loaded())\n"
+        "    assert 'numpy.ma' not in sys.modules, flags\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr

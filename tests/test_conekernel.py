@@ -245,6 +245,31 @@ def test_trace_wrong_degree_rejected():
         truncated_cone_trace(spec, 1, np.array([0.05]))
 
 
+def test_trace_equality_is_on_content():
+    """Traces are equal when they are one object, or when grid, values, tail
+    bounds and the spectrum's lam, weight and cutoff match bit for bit."""
+    grid = log_grid(0.01, 0.1, 8)
+    a, b = _theta_trace(grid), _theta_trace(grid)
+    assert a is not b and a == b and a == a
+    spec = a.eigenvalues
+    changed = [
+        TraceSamples(np.nextafter(grid, 1.0), a.values, a.tail_bound, spec),
+        TraceSamples(grid, np.nextafter(a.values, 0.0), a.tail_bound, spec),
+        TraceSamples(grid, a.values, 2.0 * a.tail_bound, spec),
+        TraceSamples(grid, a.values, a.tail_bound, None),
+        TraceSamples(grid, a.values, a.tail_bound, Spectrum(spec.lam[:-1], spec.weight[:-1],
+                                                            spec.cutoff)),
+        TraceSamples(grid, a.values, a.tail_bound, Spectrum(spec.lam, 2.0 * spec.weight,
+                                                            spec.cutoff)),
+        TraceSamples(grid, a.values, a.tail_bound, Spectrum(spec.lam, spec.weight, math.inf)),
+    ]
+    for other in changed:
+        assert a != other and other != a
+    bare = TraceSamples(grid, a.values, a.tail_bound)
+    assert bare == TraceSamples(grid.copy(), a.values.copy(), a.tail_bound.copy())
+    assert a != a.values.tolist()
+
+
 # ------------------------------------------------------------ blocked sums --
 
 def _blocked(spectrum, grid):
@@ -393,6 +418,26 @@ def test_fit_serialization():
     tr = _theta_trace(log_grid(1e-4, 1e-1, 40))
     d = fit_expansion(tr, THETA_TEMPLATE).to_json_dict()
     assert {"template", "coefficients", "residual", "condition"} <= set(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 241])
+def test_median_equals_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-13, 1.0, 1e300):
+        x = scale * rng.standard_normal(n)
+        assert conekernel._median(x) == float(np.median(x))
+        assert conekernel._median(np.abs(x)) == float(np.median(np.abs(x)))
+    for special in (math.nan, math.inf, -math.inf):
+        for at in {0, n // 2, n - 1}:
+            x = rng.standard_normal(n)
+            x[at] = special
+            got, want = conekernel._median(x), float(np.median(x))
+            assert got == want or math.isnan(got) and math.isnan(want), (special, at)
+    if n > 1:
+        x = rng.standard_normal(n)
+        x[:2] = math.inf, -math.inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(conekernel._median(x)) == math.isnan(float(np.median(x)))
 
 
 # ---------------------------------------------------------------- products --

@@ -35,6 +35,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
     ("trace_product_torus.json",
      ["trace", "--degree", "1", "--model", "product", "--base", "torus",
       "--base-periods", "3", "4", "--t-min", "3e-2"]),
+    ("zeta_product_circle.json",
+     ["zeta", "--model", "product", "--base", "circle", "--t-min", "3e-3"]),
 ])
 def test_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0

@@ -6,11 +6,12 @@ Poincare-type degree pairing, and the regularity predictions of the
 symbolic pole calculus.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from torsionlab import conekernel
+from torsionlab import conekernel, fiber
 from torsionlab.cli import ModelConfig, Pipeline
 
 
@@ -90,17 +91,54 @@ def test_pipeline_template_matches_symbolic_prediction():
         assert got == set(rep.gamma_zeta_poles)
 
 
-def test_stages_computed_once(monkeypatch):
-    """fits, zetas and torsion share one fit per degree and one cone
-    spectrum per cone degree."""
-    calls = {"fit_expansion": 0, "cone_spectrum": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _fn=getattr(conekernel, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(conekernel, name, counted)
-    pipe = Pipeline(ModelConfig(model="product", base="circle", t_min=3e-3))
-    pipe.fits()
-    pipe.zetas()
-    pipe.torsion()
-    assert calls == {"fit_expansion": pipe.m + 1, "cone_spectrum": 3}
+    return calls
+
+
+def test_stages_computed_once(monkeypatch):
+    """fits, zetas and torsion compute each stage once per distinct input:
+    Hodge-dual degrees k and m - k share one cone spectrum, one fit and one
+    zeta, and the zeta data keep their own degree."""
+    calls = _count_calls(monkeypatch, "fit_expansion", "cone_spectrum")
+    for cfg in (ModelConfig(model="product", base="circle", t_min=3e-3), ModelConfig(),
+                ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi],
+                            t_min=5e-2)):
+        calls.update(dict.fromkeys(calls, 0))
+        pipe = Pipeline(cfg)
+        pipe.fits()
+        zetas = pipe.zetas()
+        pipe.torsion()
+        assert calls == {"fit_expansion": 2, "cone_spectrum": 2}, cfg
+        assert [z.degree for z in zetas.values()] == pipe.degrees
+
+
+def test_mirrored_degrees_are_compared_not_assumed(monkeypatch):
+    """With the last Bessel order of degree m = 2 of the disk halved, degrees
+    0 and 2 differ, and each gets its own cone spectrum, trace, fit and zeta."""
+    a_spectrum = fiber.a_spectrum
+
+    def perturbed(fib, p, *args, **kwargs):
+        spec = a_spectrum(fib, p, *args, **kwargs)
+        if p != 2:
+            return spec
+        nu = spec.nu.copy()
+        nu[-1] /= 2.0
+        return dataclasses.replace(spec, nu=nu)
+
+    monkeypatch.setattr(fiber, "a_spectrum", perturbed)
+    calls = _count_calls(monkeypatch, "fit_expansion", "cone_spectrum")
+    pipe = Pipeline(ModelConfig(t_min=1e-2))
+    zetas = pipe.zetas()
+    assert calls == {"fit_expansion": 3, "cone_spectrum": 3}
+    traces = pipe.traces()
+    own = conekernel.truncated_cone_trace(
+        conekernel.cone_spectrum(pipe.nu_spectra()[2], pipe.lambda_max), 2, pipe.grid)
+    assert traces[2] == own and traces[2] != traces[0]
+    assert zetas[2].zeta_prime0 != zetas[0].zeta_prime0
+    assert [z.degree for z in zetas.values()] == [0, 1, 2]

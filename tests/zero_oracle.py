@@ -67,13 +67,13 @@ def polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
     return x
 
 
-def oracle_zeros(nu: float, z_max: float) -> list[float]:
-    """All positive zeros of J_nu up to z_max, ascending."""
+def oracle_zeros(nu: float, z_max: float, step: float = ZERO_SCAN_STEP) -> list[float]:
+    """All positive zeros of J_nu up to z_max, ascending, scanned with `step`."""
     if nu < 0:
         raise ValueError("order nu must be nonnegative")
     if z_max <= nu:
         return []
-    grid = np.arange(max(nu, 1e-8), z_max + ZERO_SCAN_STEP, ZERO_SCAN_STEP)
+    grid = np.arange(max(nu, 1e-8), z_max + step, step)
     signs = np.sign(jv(nu, grid))
     zeros: list[float] = []
     k = 0
