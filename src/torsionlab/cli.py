@@ -42,12 +42,7 @@ import numpy as np
 
 from . import conekernel, fiber, oracles, phg, zetator
 from ._serialize import dumps_canonical, write_atomic
-from .errors import (
-    CertificationError,
-    DecayRateUnknown,
-    FitResidualTooLarge,
-    TorsionLabError,
-)
+from .errors import CertificationError, TorsionLabError
 
 SCHEMA = "torsionlab/1"
 
@@ -342,8 +337,7 @@ class Pipeline:
         base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
                 for d in range(self.b + 1)}
         # the large-t integral reads no product eigenvalue past its reach
-        return conekernel.product_trace([base, cone],
-                                        cutoff=zetator.LARGE_T_REACH / SPLIT)
+        return conekernel.product_trace(base, cone, cutoff=conekernel.EXP_REACH / SPLIT)
 
     def template(self) -> phg.ExpansionTemplate:
         cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \
@@ -400,7 +394,7 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def _mode_error(exc: BaseException) -> int:
-    if isinstance(exc, (CertificationError, FitResidualTooLarge, DecayRateUnknown)):
+    if isinstance(exc, CertificationError):
         return EXIT_NUMERICAL
     if isinstance(exc, OSError):
         return EXIT_IO
@@ -413,8 +407,15 @@ def cmd_structure(args: argparse.Namespace) -> int:
     m, b = args.m, args.b
     if not 0 <= b <= m - 2:
         raise ValueError(f"b must satisfy b <= m-2 (edge needs a fiber), got m={m}, b={b}")
+    try:
+        cutoff = Fraction(args.cutoff)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--cutoff must be a rational number, got {args.cutoff!r}") from None
+    # the report's claims at s = 0 read the t^0 terms, so the template must reach them
+    if cutoff < 0:
+        raise ValueError(f"--cutoff must be >= 0 to reach t^0, got {args.cutoff}")
     tpl = phg.heat_trace_structure(m, b, even=args.even, boundary=args.boundary,
-                                   cutoff=Fraction(args.cutoff))
+                                   cutoff=cutoff)
     poles = phg.zeta_pole_structure(tpl)
     _emit({"template": tpl.to_json_dict(), "zeta": poles.to_json_dict()}, args.output)
     return EXIT_OK

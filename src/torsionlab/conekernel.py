@@ -46,6 +46,9 @@ CONDITION_LIMIT = 1e12
 # raise peak memory and run no faster
 TRACE_BLOCK = 1 << 15
 UNIT_ROUNDOFF = 2.0 ** -53
+# exp(-x) is exactly 0.0 past x = 745.2, and so is E1(x) <= e^{-x}/x: no
+# sum of exp(-t lam) or E1(t lam) reads an eigenvalue above EXP_REACH / t
+EXP_REACH = 746.0
 
 
 def gammaincc(a: float, x) -> np.ndarray:
@@ -214,8 +217,8 @@ class TraceSamples:
             arrays += [(a.lam, b.lam), (a.weight, b.weight)]
         return all(np.array_equal(x, y) for x, y in arrays)
 
-    def restrict(self, t_min: float = 0.0, t_max: float = math.inf) -> "TraceSamples":
-        keep = (self.grid >= t_min) & (self.grid <= t_max)
+    def restrict(self, t_max: float) -> "TraceSamples":
+        keep = self.grid <= t_max
         return TraceSamples(self.grid[keep], self.values[keep],
                             self.tail_bound[keep], self.eigenvalues)
 
@@ -285,8 +288,7 @@ def _certified_trace(spectrum: Spectrum, q: float, t_grid: np.ndarray) -> TraceS
     else:
         envelope = 0.0
 
-    # exp(-x) is exactly 0.0 past x = 745.2, so each sum stops at t lam = 746
-    ends = np.searchsorted(lams, 746.0 / t_grid, side="right")
+    ends = np.searchsorted(lams, EXP_REACH / t_grid, side="right")
     values, rounding = _blocked_sums(lams, ws, t_grid, ends)
     # tail <= t C int_Lambda^inf s^q e^{-ts} ds = C t^{-q} Gamma(q+1, t Lambda)
     tail = envelope * math.gamma(q + 1.0) * t_grid ** (-q) \
@@ -313,11 +315,7 @@ def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) ->
     nu_spec = spec.nu_spectrum
     if len(nu_spec.nu) and nu_spec.degree != p:
         raise ValueError(f"spectrum holds degree {nu_spec.degree}, asked for {p}")
-    spectrum = spec.spectrum()
-    if not len(spectrum):
-        grid = np.asarray(t_grid, dtype=float)
-        return TraceSamples(grid, np.zeros_like(grid), np.zeros_like(grid), spectrum)
-    return _certified_trace(spectrum, q=spec.cone_dim / 2.0,
+    return _certified_trace(spec.spectrum(), q=spec.cone_dim / 2.0,
                             t_grid=np.asarray(t_grid, dtype=float))
 
 
@@ -344,23 +342,6 @@ def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
     return grid
 
 
-def product_trace(factor_traces: Sequence[Mapping[int, TraceSamples]],
-                  cutoff: float = math.inf) -> dict[int, TraceSamples]:
-    """Kunneth assembly: Tr_k(A x B) = sum_{i+j=k} Tr_i(A) Tr_j(B).
-
-    Tail bounds propagate through the product rule.  The product spectrum
-    keeps the pair sums up to the smallest factor cutoff, or up to `cutoff`
-    if that is smaller, which is every product eigenvalue up to there, and
-    records that cutoff; it is absent when a factor carries no spectrum.
-    """
-    if not factor_traces:
-        raise ValueError("need at least one factor")
-    result = dict(factor_traces[0])
-    for other in factor_traces[1:]:
-        result = _product_two(result, other, cutoff)
-    return result
-
-
 def _pair_sums(a: Spectrum, b: Spectrum, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Sums a.lam[i] + b.lam[j] <= cutoff with weights a.weight[i] * b.weight[j].
 
@@ -373,8 +354,15 @@ def _pair_sums(a: Spectrum, b: Spectrum, cutoff: float) -> tuple[np.ndarray, np.
     return a.lam[rows] + b.lam[cols], a.weight[rows] * b.weight[cols]
 
 
-def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
-                 cap: float) -> dict[int, TraceSamples]:
+def product_trace(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
+                  cutoff: float = math.inf) -> dict[int, TraceSamples]:
+    """Kunneth assembly: Tr_k(A x B) = sum_{i+j=k} Tr_i(A) Tr_j(B).
+
+    Tail bounds propagate through the product rule.  The product spectrum
+    keeps the pair sums up to the smallest factor cutoff, or up to `cutoff`
+    if that is smaller, which is every product eigenvalue up to there, and
+    records that cutoff; it is absent when a factor carries no spectrum.
+    """
     grid = _common_grid([*a.values(), *b.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
     for k in range(max(a) + max(b) + 1):
@@ -389,13 +377,13 @@ def _product_two(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
         eigs = [(sa.eigenvalues, sb.eigenvalues) for sa, sb in pairs]
         spectrum = None
         if all(ea is not None and eb is not None for ea, eb in eigs):
-            cutoff = min([cap] + [c for ea, eb in eigs for c in (ea.cutoff, eb.cutoff)])
+            cap = min([cutoff] + [c for ea, eb in eigs for c in (ea.cutoff, eb.cutoff)])
             # seeded empty, so a degree without factor pairs gets an empty spectrum
-            sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cutoff) for ea, eb in eigs]
+            sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cap) for ea, eb in eigs]
             lam = np.round(np.concatenate([s for s, _ in sums]), 12)
             uniq, inverse = np.unique(lam, return_inverse=True)
             weight = np.bincount(inverse, weights=np.concatenate([w for _, w in sums]))
-            spectrum = Spectrum(uniq, weight, cutoff)
+            spectrum = Spectrum(uniq, weight, cap)
         out[k] = TraceSamples(grid, val, tail, spectrum)
     return out
 
@@ -420,17 +408,11 @@ class FittedExpansion:
     def coefficient(self, exponent, log: bool = False) -> float:
         return self.coefficients.get((Fraction(exponent), log), 0.0)
 
-    def coefficient_bound(self, exponent, log: bool = False) -> float:
-        return self.coefficient_bounds.get((Fraction(exponent), log), 0.0)
-
     def model(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for (alpha, is_log), c in self.coefficients.items():
-            col = t ** float(alpha)
-            if is_log:
-                col = col * np.log(t)
-            out += c * col
+        for key, c in self.coefficients.items():
+            out += c * _basis_column(t, *key)
         return out
 
     def to_json_dict(self) -> dict:
@@ -446,17 +428,17 @@ class FittedExpansion:
         }
 
 
+def _basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
+    """The basis function t^alpha, or t^alpha log t, on the grid t."""
+    col = t ** float(alpha)
+    return col * np.log(t) if is_log else col
+
+
 def _solve_weighted(t: np.ndarray, values: np.ndarray,
-                    basis: list[tuple[Fraction, bool]]):
+                    basis: Sequence[tuple[Fraction, bool]]):
     alpha_min = float(min(a for a, _ in basis))
     w = t ** (-alpha_min)
-    cols = []
-    for alpha, is_log in basis:
-        col = t ** float(alpha)
-        if is_log:
-            col = col * np.log(t)
-        cols.append(w * col)
-    design = np.column_stack(cols)
+    design = np.column_stack([w * _basis_column(t, *key) for key in basis])
     rhs = w * values
     coeff, _, _, sing = np.linalg.lstsq(design, rhs, rcond=None)
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
@@ -479,38 +461,27 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(s[half:half + 1] if len(s) % 2 else s[half - 1:half + 1]))
 
 
-def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
-                  trim_edge: bool = True) -> FittedExpansion:
+def fit_expansion(samples: TraceSamples, template: ExpansionTemplate) -> FittedExpansion:
     """Weighted least squares of trace samples in the template basis.
 
     Weights t^(-alpha_min) equalize the influence of the leading term over
     a log-spaced grid.  A truncated template cannot represent the trace all
-    the way to the largest times (the omitted content grows with t), so by
-    default trailing samples are trimmed one at a time while the last
-    relative residual stands out against the median by a factor 10; for
-    data the template describes exactly, nothing is trimmed.  Fits whose
-    design matrix is effectively singular are refused rather than returned.
+    the way to the largest times (the omitted content grows with t), so
+    trailing samples are trimmed one at a time, down to twice the basis
+    size, while the last relative residual stands out against the median
+    by a factor 10; for data the template describes exactly, nothing is
+    trimmed.  Fits whose design matrix is effectively singular are refused
+    rather than returned.
     """
-    basis: list[tuple[Fraction, bool]] = []
-    for term in template.terms:
-        basis.append((term.exponent, False))
-        if term.haslog:
-            basis.append((term.exponent, True))
-    if len(samples.grid) < 2 * len(basis):
-        raise InsufficientSamples(
-            f"{len(samples.grid)} samples for {len(basis)} basis functions; need 2x")
-    t = samples.grid
-    values = samples.values
+    basis = template.basis
+    t, values = samples.grid, samples.values
     n = len(t)
-    while True:
+    if n < 2 * len(basis):
+        raise InsufficientSamples(f"{n} samples for {len(basis)} basis functions; need 2x")
+    coeff, condition, rel_resid, sens = _solve_weighted(t, values, basis)
+    while n > 2 * len(basis) and rel_resid[-1] > 10.0 * max(_median(rel_resid), 1e-13):
+        n -= 1
         coeff, condition, rel_resid, sens = _solve_weighted(t[:n], values[:n], basis)
-        if not trim_edge or n <= 2 * len(basis):
-            break
-        floor = max(_median(rel_resid), 1e-13)
-        if rel_resid[-1] > 10.0 * floor:
-            n -= 1
-            continue
-        break
     if condition > CONDITION_LIMIT:
         raise IllConditioned(f"fit condition estimate {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
     return FittedExpansion(

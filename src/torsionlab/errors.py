@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Numerical-certification failures (tail bounds, conditioning) are kept
-distinct from plain input errors so the CLI can map them to exit code 4.
+Every failure of a numerical guarantee (a tail bound, the fit's
+conditioning or residual, the large-t decay rate) is a
+CertificationError, kept distinct from plain input errors so the CLI maps
+that one class to exit code 4.
 """
 
 
@@ -29,11 +31,11 @@ class InsufficientSamples(TorsionLabError):
     """Fewer samples than the fit basis can support."""
 
 
-class FitResidualTooLarge(TorsionLabError):
+class FitResidualTooLarge(CertificationError):
     """Fitted expansion is not accurate enough to drive the Mellin split."""
 
 
-class DecayRateUnknown(TorsionLabError):
+class DecayRateUnknown(CertificationError):
     """Large-time integration needs the smallest positive eigenvalue."""
 
 

@@ -71,7 +71,6 @@ class FiberSpectrum:
     cutoff: float
     mu2: np.ndarray
     points: np.ndarray
-    periods: tuple[float, ...]
 
     @property
     def entries(self) -> np.ndarray:
@@ -138,8 +137,7 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     shell_keys, starts, points = np.unique(keys[order], return_index=True, return_counts=True)
     mean = np.array([np.mean(shell) for shell in np.split(mu2[order], starts[1:])])
     nonzero = shell_keys != 0.0
-    return FiberSpectrum(len(periods), cutoff, mean[nonzero], points[nonzero],
-                         tuple(float(L) for L in periods))
+    return FiberSpectrum(len(periods), cutoff, mean[nonzero], points[nonzero])
 
 
 # ------------------------------------------------------------ A operator --
@@ -245,13 +243,13 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
     return NuSpectrum(nu[order], mult[order], p, conv, float(nu_max))
 
 
-def single_nu_spectrum(nu: float, p: int = 0, mult: int = 1,
-                       convention=Convention.GEOMETRIC_ORACLE) -> NuSpectrum:
-    """Toy spectrum with one radial mode; the full spectrum of one l_nu."""
+def single_nu_spectrum(nu: float) -> NuSpectrum:
+    """Toy spectrum with one radial mode in degree 0; the full spectrum of
+    one l_nu."""
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
-    return NuSpectrum(np.array([float(nu)]), np.array([mult]), p,
-                      Convention(convention), math.inf)
+    return NuSpectrum(np.array([float(nu)]), np.array([1]), 0,
+                      Convention.GEOMETRIC_ORACLE, math.inf)
 
 
 # ------------------------------------------------------------ dense oracle --

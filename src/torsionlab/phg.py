@@ -276,17 +276,14 @@ def compose_index(l: int, l_prime: int,
     )
 
 
-def pushforward_trace_index(g_td: IndexSet, g_ff: IndexSet, *,
-                            corner_integrable: bool = True) -> IndexSet:
+def pushforward_trace_index(g_td: IndexSet, g_ff: IndexSet) -> IndexSet:
     """Time-expansion index set of a trace pushforward.
 
     Halves all exponents of the two face index sets and takes their
     extended union; a coincidence of halved exponents is exactly what
     produces a log term.  Integrability at the corner face is the caller's
-    responsibility and is only recorded through the flag.
+    responsibility.
     """
-    if not corner_integrable:
-        raise IntegrabilityViolation("corner face has a non-integrable term")
     return g_td.scale(Fraction(1, 2)).extended_union(g_ff.scale(Fraction(1, 2)))
 
 
@@ -326,8 +323,15 @@ class ExpansionTemplate:
         return tuple(t.exponent for t in self.terms if t.haslog)
 
     @property
+    def basis(self) -> tuple[tuple[Fraction, bool], ...]:
+        """The fit basis as (exponent, is_log) keys: t^a, then t^a log t
+        where the term carries a log, in the order of the terms."""
+        return tuple((t.exponent, is_log) for t in self.terms
+                     for is_log in ((False, True) if t.haslog else (False,)))
+
+    @property
     def basis_size(self) -> int:
-        return len(self.terms) + sum(1 for t in self.terms if t.haslog)
+        return len(self.basis)
 
     def to_json_dict(self) -> dict:
         return {

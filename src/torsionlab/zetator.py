@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conekernel import ZERO_EIGENVALUE, FittedExpansion, TraceSamples
+from .conekernel import EXP_REACH, ZERO_EIGENVALUE, FittedExpansion, TraceSamples
 from .errors import DecayRateUnknown, FitResidualTooLarge
 
 EULER_GAMMA = 0.57721566490153286
@@ -45,9 +45,6 @@ G1 = EULER_GAMMA
 G2 = EULER_GAMMA ** 2 / 2.0 - math.pi ** 2 / 12.0
 
 FIT_RESIDUAL_LIMIT = 1e-5
-# E1(x) <= e^{-x}/x is exactly 0.0 past x = 745, so past t0 no eigenvalue
-# above LARGE_T_REACH / t0 adds to the large-t integral
-LARGE_T_REACH = 746.0
 # modified Lentz stops once a factor is within this of 1
 LENTZ_TOLERANCE = 4.0 * np.finfo(float).eps
 
@@ -131,25 +128,31 @@ def _fit_terms_with_kernel(fit: FittedExpansion, kernel_dim: int) -> dict[tuple[
     return terms
 
 
-def _analytic_laurent(terms: dict[tuple[Fraction, bool], float], t0: float) -> tuple[float, float, float]:
-    """(a_-2, a_-1, a_0) at s = 0 of sum_j int_0^T0 t^{s-1} (fitted terms)."""
+def _mellin_laurent(terms: dict[tuple[Fraction, bool], float],
+                    bounds: dict[tuple[Fraction, bool], float],
+                    t0: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Laurent data (a_-2, a_-1, a_0) at s = 0 of sum_j int_0^T0 t^{s-1}
+    (fitted terms), and the largest shifts (s_-2, s_-1, s_0) of those three
+    when each coefficient moves by up to its bound (absent: 0)."""
     log_t0 = math.log(t0)
-    a_m2 = a_m1 = a_0 = 0.0
+    laurent, shifts = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     for (alpha, is_log), c in terms.items():
         a = float(alpha)
-        if not is_log:
-            if alpha == 0:
-                a_m1 += c
-                a_0 += c * log_t0
-            else:
-                a_0 += c * t0 ** a / a
-        else:
-            if alpha == 0:
-                a_m2 -= c
-                a_0 += c * log_t0 ** 2 / 2.0
-            else:
-                a_0 += c * t0 ** a * (log_t0 / a - 1.0 / (a * a))
-    return a_m2, a_m1, a_0
+        b = bounds.get((alpha, is_log), 0.0)
+        # `share` maps a coefficient to its term's part of a_0
+        if alpha == 0:
+            # t^0 -> 1/s + log T0, and t^0 log t -> -1/s^2 + (log T0)^2 / 2
+            pole = 0 if is_log else 1
+            laurent[pole] += -c if is_log else c
+            shifts[pole] += b
+            share = (lambda x: x * log_t0 ** 2 / 2.0) if is_log else (lambda x: x * log_t0)
+        elif is_log:    # t^a log t -> T0^a (log T0 / a - 1 / a^2)
+            share = lambda x: x * t0 ** a * (log_t0 / a - 1.0 / (a * a))
+        else:           # t^a -> T0^a / a
+            share = lambda x: x * t0 ** a / a
+        laurent[2] += share(c)
+        shifts[2] += b * abs(share(1.0))
+    return tuple(laurent), tuple(shifts)
 
 
 def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -257,7 +260,7 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
         raise DecayRateUnknown(
             f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
     pos = eig.positive()
-    n = np.searchsorted(pos.lam, LARGE_T_REACH / t0, side="right")
+    n = np.searchsorted(pos.lam, EXP_REACH / t0, side="right")
     val = float(np.dot(pos.weight[:n], exp1(pos.lam[:n] * t0)))
     w, t1 = eig.cutoff, float(samples.grid[0])
     above = 0.0 if math.isinf(w) else math.exp(-w * (t0 - t1)) \
@@ -275,7 +278,8 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         raise ValueError(f"samples must reach the split point {split}")
 
     terms = _fit_terms_with_kernel(fit, kernel_dim)
-    a_m2, a_m1, a_0f = _analytic_laurent(terms, split)
+    (a_m2, a_m1, a_0f), (s_m2, s_m1, s_0) = _mellin_laurent(
+        terms, fit.coefficient_bounds, split)
     rem, rem_bound = _remainder_integral(samples, fit, split)
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
     a_0 = a_0f + rem + large
@@ -283,23 +287,10 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     zeta0 = a_m1 + G1 * a_m2
     zeta_prime0 = a_0 + G1 * a_m1 + G2 * a_m2
 
-    # coefficient-level uncertainty: c0 and d0 enter the Laurent data
-    # directly; everything else weighs in through the analytic a_0 factors
-    b_c0 = fit.coefficient_bound(0, False)
-    b_d0 = fit.coefficient_bound(0, True)
-    log_t0 = math.log(split)
-    a0_sens = 0.0
-    for (alpha, is_log) in fit.coefficients:
-        b = fit.coefficient_bound(alpha, is_log)
-        a = float(alpha)
-        if not is_log:
-            a0_sens += b * (abs(log_t0) if alpha == 0 else abs(split ** a / a))
-        else:
-            a0_sens += b * (log_t0 ** 2 / 2 if alpha == 0
-                            else abs(split ** a * (log_t0 / a - 1.0 / (a * a))))
-    zeta0_bound = b_c0 + G1 * b_d0 + rem_bound
-    zeta_prime0_bound = rem_bound + large_bound + a0_sens + G1 * b_c0 + abs(G2) * b_d0
-    residue_bound = b_d0 + rem_bound
+    # the bounds read like the values, with each Laurent term's fit shift
+    zeta0_bound = s_m1 + G1 * s_m2 + rem_bound
+    zeta_prime0_bound = rem_bound + large_bound + s_0 + G1 * s_m1 + abs(G2) * s_m2
+    residue_bound = s_m2 + rem_bound
     total_bound = max(zeta0_bound, zeta_prime0_bound)
 
     # one pole per location: a log term upgrades the order to 2, and the

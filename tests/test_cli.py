@@ -53,6 +53,14 @@ def test_structure_invalid_dimensions(capsys):
         assert "b must satisfy b <= m-2" in doc["message"]
 
 
+@pytest.mark.parametrize("m,b,cutoff", [("3", "1", "1/0"), ("2", "0", "-1/2")],
+                         ids=["zero-denominator", "below-t0"])
+def test_structure_cutoff_is_refused(capsys, m, b, cutoff):
+    code, out, err = run(capsys, "structure", "--m", m, "--b", b, f"--cutoff={cutoff}")
+    assert code == 2 and out == ""
+    assert "--cutoff" in json.loads(err)["message"]
+
+
 # ----------------------------------------------------------------- torsion --
 
 def test_torsion_single_nu_oracle(capsys, tmp_path):
@@ -127,6 +135,16 @@ def test_torsion_certification_failure_exit_code(capsys):
     assert code == 4
     doc = json.loads(err)
     assert doc["error"] == "TailNotCertified"
+
+
+@pytest.mark.parametrize("command", ["trace", "zeta"])
+def test_empty_cone_spectrum_is_not_certified(capsys, command):
+    """No Bessel zero lies below sqrt(lambda_max) = 1, and a trace of no
+    eigenvalues cannot be certified: every order has zeros, so the true
+    trace is never zero."""
+    code, out, err = run(capsys, command, "--lambda-max", "1", "--t-min", "1e-2")
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "TailNotCertified"
 
 
 # ------------------------------------------------------------------ config --

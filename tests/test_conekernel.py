@@ -240,7 +240,7 @@ def test_trace_spectral_kernel_consistency():
 
 
 def test_trace_wrong_degree_rejected():
-    spec = cone_spectrum(single_nu_spectrum(0.5, p=0), lambda_cutoff=1e3, cone_dim=1)
+    spec = cone_spectrum(single_nu_spectrum(0.5), lambda_cutoff=1e3, cone_dim=1)
     with pytest.raises(ValueError):
         truncated_cone_trace(spec, 1, np.array([0.05]))
 
@@ -410,8 +410,7 @@ def test_fit_ill_conditioned_basis():
         [(F(0), False), (F(1, 10 ** 12), False)])
     g = log_grid(0.5, 1.0, 20)
     with pytest.raises(IllConditioned):
-        fit_expansion(TraceSamples(g, np.ones_like(g), np.zeros_like(g)), tpl,
-                      trim_edge=False)
+        fit_expansion(TraceSamples(g, np.ones_like(g), np.zeros_like(g)), tpl)
 
 
 def test_fit_serialization():
@@ -448,7 +447,7 @@ def test_product_with_point_factor_is_identity():
     base = {0: fiber_factor_trace(fiber, 0, grid), 1: fiber_factor_trace(fiber, 1, grid)}
     point = {0: TraceSamples(grid, np.ones_like(grid), np.zeros_like(grid),
                              Spectrum.of([0.0], [1.0]))}
-    prod = product_trace([base, point])
+    prod = product_trace(base, point)
     for k in (0, 1):
         assert prod[k].values == pytest.approx(base[k].values, rel=1e-15)
 
@@ -457,7 +456,7 @@ def test_product_circle_circle_matches_torus():
     grid = log_grid(0.05, 1.0, 12)
     circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace([fact, fact])
+    prod = product_trace(fact, fact)
     torus = torus_spectrum([2 * math.pi, 2 * math.pi], cutoff=27.0)
     for k in (0, 1, 2):
         want = fiber_factor_trace(torus, k, grid)
@@ -468,7 +467,7 @@ def test_product_euler_characteristic_factorizes():
     grid = log_grid(0.05, 0.5, 6)
     circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace([fact, fact])
+    prod = product_trace(fact, fact)
     alt = sum((-1) ** k * prod[k].values for k in prod)
     assert np.max(np.abs(alt)) < 1e-12
 
@@ -483,7 +482,7 @@ def test_product_spectrum_complete_to_smaller_cutoff():
     fb = {0: fiber_factor_trace(small, 0, grid)}
     a, b = fa[0].eigenvalues, fb[0].eigenvalues
     assert len(a) * len(b) > 2_000_000
-    prod = product_trace([fa, fb])[0]
+    prod = product_trace(fa, fb)[0]
     cutoff = min(a.cutoff, b.cutoff)
     assert prod.eigenvalues.cutoff == cutoff == 1000.3 ** 2
 
@@ -508,8 +507,8 @@ def test_product_spectrum_cut_at_a_given_cutoff():
     grid = log_grid(0.05, 1.0, 12)
     circle = torus_spectrum((TWO_PI,), cutoff=40.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    full = product_trace([fact, fact])
-    cut = product_trace([fact, fact], cutoff=300.0)
+    full = product_trace(fact, fact)
+    cut = product_trace(fact, fact, cutoff=300.0)
     for k in full:
         keep = full[k].eigenvalues.lam <= 300.0
         assert cut[k].eigenvalues.cutoff == 300.0
@@ -523,7 +522,7 @@ def test_product_mismatched_grids():
     a = {0: TraceSamples(g1, np.ones_like(g1), np.zeros_like(g1))}
     b = {0: TraceSamples(g2, np.ones_like(g2), np.zeros_like(g2))}
     with pytest.raises(MismatchedGrids):
-        product_trace([a, b])
+        product_trace(a, b)
 
 
 # ----------------------------------------------------- McKean-Singer defect --

@@ -317,12 +317,6 @@ def test_pushforward_even_m2_b0():
     assert corrected.log_order(F(-1, 2)) is None
 
 
-def test_pushforward_flag():
-    with pytest.raises(IntegrabilityViolation):
-        pushforward_trace_index(IndexSet.empty(), IndexSet.empty(),
-                                corner_integrable=False)
-
-
 def _expected_trace_sets(m, b, even, cutoff=CUT):
     """Expected exponent and log sets of the short-time trace expansion:
     interior powers l - m/2, edge powers (l-b)/2 (or l - b/2 when even),

@@ -6,6 +6,7 @@ Both pin every piece of the Mellin-split bookkeeping.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -127,6 +128,26 @@ def test_single_unit_eigenvalue():
     assert abs(z.zeta_prime0) < 1e-8
 
 
+# Stieltjes' constant gamma_1: zeta_R(1 + s) = 1/s + gamma - gamma_1 s + O(s^2)
+STIELTJES_GAMMA1 = -0.0728158454836767
+
+
+def test_non_regular_case_is_riemann_zeta_shifted():
+    """Eigenvalues k with weights 1/k, k = 1..K: the trace is
+    -log(1 - e^{-t}) = -log t + t/2 - t^2/24 + ..., and zeta(s) =
+    zeta_R(s + 1), whose simple pole at 0 comes from the t^0 log t term."""
+    t_min = 1e-2
+    k = np.arange(1.0, 36.0 / t_min + 1.0)
+    tr = _certified_trace(Spectrum.of(k, 1.0 / k, cutoff=k[-1]), q=1.0,
+                          t_grid=log_grid(t_min, 1.0, 241))
+    tpl = ExpansionTemplate.from_terms([(0, True), (1, False), (2, False)])
+    z = zeta_near_zero(tr, fit_expansion(tr.restrict(t_max=0.1), tpl), kernel_dim=0)
+    d = z.diagnostics
+    assert abs(z.residue_at_zero - 1.0) <= d["residue_bound"]
+    assert abs(z.zeta0 - np.euler_gamma) <= d["zeta0_bound"]
+    assert abs(z.zeta_prime0 + STIELTJES_GAMMA1) <= d["zeta_prime0_bound"]
+
+
 def test_scaling_covariance():
     """lambda -> c lambda shifts zeta'(0) by -zeta(0) log c."""
     tr, fit, z1 = halfline_zeta()
@@ -153,10 +174,7 @@ def test_kernel_subtraction_conventions():
 
 def test_fit_residual_gate():
     tr, fit, _ = halfline_zeta()
-    bad = fit_expansion(
-        tr.restrict(t_max=0.1),
-        ExpansionTemplate.from_terms([(F(-1, 2), False), (F(1, 2), False)]),
-        trim_edge=False)
+    bad = replace(fit, residual=2e-5)
     with pytest.raises(FitResidualTooLarge):
         zeta_near_zero(tr, bad, kernel_dim=0)
 
