@@ -2,7 +2,7 @@
 model cone and edge spaces, cross-checked against an exact symbolic
 calculus of polyhomogeneous index sets."""
 
-from . import bessel, conekernel, errors, fiber, oracles, phg, zetator
+from . import bessel, conekernel, errors, fiber, phg, zetator
 from .bessel import bessel_i, bessel_j_zeros
 from .conekernel import (
     ConeSpectrum,

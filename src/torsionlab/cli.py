@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import conekernel, fiber, oracles, phg, zetator
+from . import conekernel, fiber, phg, zetator
 from ._serialize import dumps_canonical, write_atomic
 from .errors import CertificationError, TorsionLabError
 
@@ -81,17 +81,32 @@ def _parse_value(text: str):
     return text
 
 
+def _strip_comment(line: str) -> tuple[str, bool]:
+    """`line` up to its first # outside double quotes, and whether it
+    leaves a quote open."""
+    quoted = False
+    for i, char in enumerate(line):
+        if char == '"':
+            quoted = not quoted
+        elif char == "#" and not quoted:
+            return line[:i], False
+    return line, quoted
+
+
 def parse_config_file(path: str) -> dict:
     out = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line, open_quote = _strip_comment(raw)
+            if not line.strip():
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = _parse_value(value)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if open_quote:
+                raise ValueError(f"{path}:{lineno}: the value of {key} opens a quote "
+                                 "it does not close")
+            out[key] = _parse_value(value)
     return out
 
 
@@ -403,6 +418,11 @@ def _mode_error(exc: BaseException) -> int:
 
 # --------------------------------------------------------------- commands --
 
+# `structure` prints every term up to its cutoff, so its output grows with
+# the cutoff (39 kB at 250 on m = 3, b = 1); the pipeline's templates stop at 2
+STRUCTURE_CUTOFF_MAX = 100
+
+
 def cmd_structure(args: argparse.Namespace) -> int:
     m, b = args.m, args.b
     if not 0 <= b <= m - 2:
@@ -414,6 +434,8 @@ def cmd_structure(args: argparse.Namespace) -> int:
     # the report's claims at s = 0 read the t^0 terms, so the template must reach them
     if cutoff < 0:
         raise ValueError(f"--cutoff must be >= 0 to reach t^0, got {args.cutoff}")
+    if cutoff > STRUCTURE_CUTOFF_MAX:
+        raise ValueError(f"--cutoff must be <= {STRUCTURE_CUTOFF_MAX}, got {args.cutoff}")
     tpl = phg.heat_trace_structure(m, b, even=args.even, boundary=args.boundary,
                                    cutoff=cutoff)
     poles = phg.zeta_pole_structure(tpl)
@@ -487,10 +509,12 @@ def cmd_torsion(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- selftest --
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import oracles  # only selftest compiles the table
+
     convention = fiber.Convention(CONVENTION_ALIASES[args.convention or "GeometricOracle"])
     failures = 0
     width = max(len(name) for name, _, _ in oracles.ORACLES)
-    for name, _, check in oracles.ORACLES:
+    for name, number, check in oracles.ORACLES:
         start = time.perf_counter()
         try:
             status, detail = check(args.quick, convention)
@@ -504,8 +528,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         else:
             tag = "FAIL"
             failures += 1
-        print(f"{name:<{width}}  {tag:<13} {elapsed:7.2f}s  {detail}")
-    print(f"{'-' * (width + 24)}")
+        print(f"{number or '':>2}  {name:<{width}}  {tag:<13} {elapsed:7.2f}s  {detail}")
+    print(f"{'-' * (width + 28)}")
     print(f"{failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

@@ -1,245 +1,96 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Criteria 1-7 and 9 come from the oracle table in
-`torsionlab.oracles`, which `torsionlab selftest` runs too; criteria 8, 10
-and 11 and the arbitrary-precision part of criterion 3 live here.  Every
-tolerance is fixed; nothing is calibrated at run time.
+lines and timings.  Every criterion is a numbered row of the oracle table
+in `torsionlab.oracles`, which `torsionlab selftest` runs too; only the
+arbitrary-precision part of criterion 3 lives here, because mpmath is a
+test dependency.  Every tolerance is fixed; nothing is calibrated at run
+time.
 """
 
 import time
-from fractions import Fraction as F
 
 import mpmath
-import numpy as np
-import pytest
-from scipy.integrate import quad
 
 from torsionlab import oracles
 from torsionlab.bessel import bessel_j_zeros
-from torsionlab.conekernel import cone_heat_kernel
-from torsionlab.errors import IntegrabilityViolation
-from torsionlab.phg import (
-    IndexSet,
-    compose_index,
-    heat_trace_structure,
-    pushforward_trace_index,
-    zeta_pole_structure,
-)
 
-from zero_oracle import bessel_j_series
+from zero_oracle import bessel_j_series, bisect_zero
+
+CHECKS = {number: check for _, number, check in oracles.ORACLES if number is not None}
 
 
-def report(number: int, ok: bool, detail: str) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"criterion {number:2d}: {status}  {detail}")
+def gate(number: int, limit: float = float("inf"), extra=None) -> None:
+    """Run row `number` at full size (and `extra`, a further (ok, detail)
+    check), print its line and hold it to its time limit in seconds."""
+    start = time.perf_counter()
+    ok, detail = CHECKS[number](False, oracles.GEO)
+    if extra is not None:
+        more_ok, more = extra()
+        ok, detail = ok and more_ok, f"{detail}; {more}"
+    elapsed = time.perf_counter() - start
+    print(f"criterion {number:2d}: {'PASS' if ok else 'FAIL'}  {detail} in {elapsed:.2f}s")
     assert ok, f"criterion {number} failed: {detail}"
+    assert elapsed < limit, f"runtime {elapsed:.2f}s exceeds {limit}s"
 
 
-def timed(limit: float):
-    class _Timer:
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
+def test_numbered_rows_are_the_eleven_criteria():
+    numbers = [number for _, number, _ in oracles.ORACLES if number is not None]
+    assert sorted(numbers) == list(range(1, 12))
 
-        def __exit__(self, *exc):
-            self.elapsed = time.perf_counter() - self.start
-            if exc[0] is None:
-                assert self.elapsed < limit, \
-                    f"runtime {self.elapsed:.2f}s exceeds {limit}s"
-    return _Timer()
+
+def j0_zeros_against_bisection():
+    """The first 50 J_0 zeros against 30-digit bisection, and the first one
+    against bisection of the in-repo ascending series."""
+    mpmath.mp.dps = 30
+    zeros0 = bessel_j_zeros(0.0, 160.0)[:50]
+    f = lambda z: float(mpmath.besselj(0, mpmath.mpf(z)))
+    roots = [bisect_zero(f, z - 0.5, z + 0.5) for z in zeros0]
+    worst0 = max(abs(z - r) / r for z, r in zip(zeros0, roots))
+    first = bisect_zero(lambda z: bessel_j_series(0.0, z), 2.0, 3.0)
+    return len(zeros0) == 50 and worst0 <= 1e-10 and abs(zeros0[0] - first) < 1e-10, \
+        f"J_0 first {len(zeros0)} vs bisection to {worst0:.2e}"
 
 
 def test_criterion_01_bessel_closed_form():
-    with timed(1.0) as tm:
-        ok, detail = oracles.criterion(1)
-    report(1, ok, f"{detail} in {tm.elapsed:.2f}s")
+    gate(1, limit=1.0)
 
 
 def test_criterion_02_kernel_vs_images():
-    with timed(1.0) as tm:
-        ok, detail = oracles.criterion(2)
-    report(2, ok, f"{detail} in {tm.elapsed:.2f}s")
+    gate(2, limit=1.0)
 
 
 def test_criterion_03_spectral_exactness():
-    ok, detail = oracles.criterion(3)
-    mpmath.mp.dps = 30
-    zeros0 = bessel_j_zeros(0.0, 160.0)[:50]
-
-    def bisect(fn, lo, hi):
-        f_lo = fn(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid = fn(mid)
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    f = lambda z: float(mpmath.besselj(0, mpmath.mpf(z)))
-    worst0 = max(abs(z - bisect(f, z - 0.5, z + 0.5)) / z for z in zeros0)
-    # small-argument cross-check against the in-repo series evaluator
-    first = bisect(lambda z: bessel_j_series(0.0, z), 2.0, 3.0)
-    ok = ok and worst0 <= 1e-10 and abs(zeros0[0] - first) < 1e-10
-    report(3, ok, f"{detail}; J_0 first 50 vs bisection to {worst0:.2e}")
+    gate(3, extra=j0_zeros_against_bisection)
 
 
 def test_criterion_04_heat_trace_fit():
-    with timed(10.0) as tm:
-        ok, detail = oracles.criterion(4)
-    report(4, ok, f"{detail} in {tm.elapsed:.2f}s")
+    gate(4, limit=10.0)
 
 
 def test_criterion_05_zeta_oracle():
-    report(5, *oracles.criterion(5))
+    gate(5)
 
 
 def test_criterion_06_a_operator_oracle():
-    report(6, *oracles.criterion(6))
+    gate(6)
 
 
 def test_criterion_07_flat_plane_calibration():
-    with timed(120.0) as tm:
-        ok, detail = oracles.criterion(7)
-    report(7, ok, f"{detail} in {tm.elapsed:.1f}s")
-
-
-def _enumerate(gens, cutoff):
-    out = set()
-    for a, p, s in gens:
-        e = F(a)
-        while e <= cutoff:
-            for q in range(p + 1):
-                out.add((e, q))
-            e += F(s)
-    return out
-
-
-def _brute_extended(mem_e, mem_f):
-    out = set(mem_e) | set(mem_f)
-    for z, p in mem_e:
-        for w, q in mem_f:
-            if z == w:
-                out.add((z, p + q + 1))
-    return out
-
-
-def _members(ixset, cutoff):
-    out = set()
-    for t in ixset.terms_below(cutoff):
-        for q in range(t.logpower + 1):
-            out.add((t.exponent, q))
-    return out
+    gate(7, limit=120.0)
 
 
 def test_criterion_08_structure_predictions():
-    cut = F(10)
-    cases = 0
-    for m in range(2, 9):
-        for b in range(0, m - 1):
-            for even in (False, True):
-                step = 2 if even else 1
-                got = pushforward_trace_index(
-                    IndexSet.progression(-m, step=2),
-                    IndexSet.progression(-b, step=step))
-                # expected trace expansion sets, enumerated independently
-                want_exps, want_logs = set(), set()
-                n = 0
-                while F(n) - F(m, 2) <= cut:
-                    want_exps.add(F(n) - F(m, 2))
-                    n += 1
-                n = 0
-                while True:
-                    e = F(n) - F(b, 2) if even else F(n - b, 2)
-                    if e > cut:
-                        break
-                    want_exps.add(e)
-                    if even:
-                        if (m - b) % 2 == 0:
-                            want_logs.add(e)
-                    elif (n + m - b) % 2 == 0:
-                        want_logs.add(e)
-                    n += 1
-                terms = got.terms_below(cut)
-                assert {t.exponent for t in terms} == want_exps, (m, b, even)
-                assert {t.exponent for t in terms if t.logpower > 0} == want_logs, (m, b, even)
-                # brute-force coincidence enumeration of the halved sets
-                td = _enumerate([(F(-m, 2), 0, 1)], cut)
-                ff = _enumerate([(F(-b, 2), 0, F(step, 2))], cut)
-                assert _members(got, cut) == _brute_extended(td, ff), (m, b, even)
-                cases += 1
-    # zeta structure claims for the even calculus
-    for m in range(3, 9, 2):
-        for b in range(0, m - 1):
-            rep = zeta_pole_structure(heat_trace_structure(m, b, even=True))
-            assert rep.regular_at_zero, (m, b)
-            if b % 2 == 1:
-                assert rep.zeta0_coefficient_zero, (m, b)
-    report(8, True, f"trace exponent/log sets reproduced for {cases} "
-                    f"(m, b, parity) cases to order 10; zeta claims verified")
+    gate(8)
 
 
 def test_criterion_09_supersymmetry():
-    report(9, *oracles.criterion(9))
+    gate(9)
 
 
 def test_criterion_10_composition_algebra():
-    pool = [F(-1, 2), F(0), F(1, 2), F(1)]
-    sets = []
-    for e1 in pool:
-        for p1 in (0, 1):
-            sets.append([(e1, p1, F(1))])
-    for e1 in pool:
-        for e2 in pool:
-            if e2 > e1:
-                sets.append([(e1, 0, F(1)), (e2, 1, F(1))])
-    cases = 0
-    cut = F(6)
-    for a in sets:
-        for b in sets:
-            for l, lp in ((0, 0), (2, 3)):
-                ea, eb = IndexSet(a), IndexSet(b)
-                if min(e for e, _, _ in a) + min(e for e, _, _ in b) <= -1:
-                    with pytest.raises(IntegrabilityViolation):
-                        compose_index(l, lp, ea, eb, ea, eb)
-                    continue
-                got = compose_index(l, lp, ea, eb, ea, eb)
-                want_lf = _brute_extended(
-                    _enumerate(a, cut),
-                    _enumerate([(e + lp, p, s) for e, p, s in a], cut))
-                want_rf = _brute_extended(
-                    _enumerate(b, cut),
-                    _enumerate([(e + l, p, s) for e, p, s in b], cut))
-                assert _members(got.p_lf, cut) == want_lf
-                assert _members(got.p_rf, cut) == want_rf
-                cases += 1
-    report(10, cases >= 100,
-           f"composition families verified set-theoretically on {cases} cases")
-
-
-SEMIGROUP_TUPLES = [
-    (0.0, 0.1, 0.2, 0.3, 0.7), (0.0, 0.05, 0.05, 1.0, 0.4),
-    (0.5, 0.1, 0.2, 0.3, 0.7), (0.5, 0.05, 0.05, 1.0, 0.4),
-    (0.5, 0.2, 0.1, 0.9, 1.5), (1.0, 0.1, 0.2, 0.3, 0.7),
-    (1.0, 0.05, 0.05, 1.0, 0.4), (1.0, 0.15, 0.3, 0.5, 0.5),
-    (2.5, 0.1, 0.2, 0.3, 0.7), (2.5, 0.05, 0.05, 1.0, 0.4),
-    (2.5, 0.1, 0.1, 1.2, 0.8), (4.0, 0.1, 0.2, 0.6, 0.9),
-    (4.0, 0.05, 0.1, 1.0, 1.0), (0.25, 0.1, 0.05, 0.5, 1.1),
-    (0.75, 0.2, 0.2, 0.7, 0.7), (1.5, 0.1, 0.3, 0.4, 1.3),
-    (3.0, 0.08, 0.12, 0.9, 0.6), (0.0, 0.3, 0.3, 0.5, 0.5),
-    (5.5, 0.1, 0.1, 1.1, 1.0), (1.25, 0.07, 0.21, 0.8, 0.5),
-]
+    gate(10)
 
 
 def test_criterion_11_semigroup():
-    worst = 0.0
-    for nu, t1, t2, x, y in SEMIGROUP_TUPLES:
-        lhs = quad(lambda r: cone_heat_kernel(nu, t1, x, r)
-                   * cone_heat_kernel(nu, t2, r, y),
-                   0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-        rhs = cone_heat_kernel(nu, t1 + t2, x, y)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    report(11, worst <= 1e-8,
-           f"semigroup identity on 20 tuples: max rel err {worst:.2e}")
+    gate(11)

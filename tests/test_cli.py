@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torsionlab
-from torsionlab import cli
+from torsionlab import cli, oracles
 from torsionlab.cli import main, parse_config_file
 
 # a child interpreter finds the package the way this one did, installed or not
@@ -53,12 +54,21 @@ def test_structure_invalid_dimensions(capsys):
         assert "b must satisfy b <= m-2" in doc["message"]
 
 
-@pytest.mark.parametrize("m,b,cutoff", [("3", "1", "1/0"), ("2", "0", "-1/2")],
-                         ids=["zero-denominator", "below-t0"])
+@pytest.mark.parametrize("m,b,cutoff", [("3", "1", "1/0"), ("2", "0", "-1/2"),
+                                         ("3", "1", "201/2"), ("3", "1", "1e9")],
+                         ids=["zero-denominator", "below-t0", "above-limit", "far-above-limit"])
 def test_structure_cutoff_is_refused(capsys, m, b, cutoff):
     code, out, err = run(capsys, "structure", "--m", m, "--b", b, f"--cutoff={cutoff}")
     assert code == 2 and out == ""
     assert "--cutoff" in json.loads(err)["message"]
+
+
+def test_structure_cutoff_at_the_limit(capsys):
+    code, out, _ = run(capsys, "structure", "--m", "3", "--b", "1",
+                       f"--cutoff={cli.STRUCTURE_CUTOFF_MAX}")
+    assert code == 0
+    last = max(Fraction(t["exp"]) for t in json.loads(out)["template"]["terms"])
+    assert last == cli.STRUCTURE_CUTOFF_MAX
 
 
 # ----------------------------------------------------------------- torsion --
@@ -296,9 +306,26 @@ def test_format_belongs_to_trace_only(capsys, tmp_path):
 
 def test_config_parser_values(tmp_path):
     cfg = tmp_path / "x.cfg"
-    cfg.write_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\nf = word\n')
+    cfg.write_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\nf = word\n'
+                   '# a comment\ng = "run#1.json"  # the # in quotes stays\nh = 3 # "\n')
     parsed = parse_config_file(str(cfg))
-    assert parsed == {"a": 1, "b": 2.5, "c": "text", "d": True, "e": [1, 2], "f": "word"}
+    assert parsed == {"a": 1, "b": 2.5, "c": "text", "d": True, "e": [1, 2], "f": "word",
+                      "g": "run#1.json", "h": 3}
+    cfg.write_text('a = 1\noutput = "run#1.json\n')
+    with pytest.raises(ValueError, match=r"x\.cfg:2: .*output"):
+        parse_config_file(str(cfg))
+
+
+def test_config_hash_in_a_quoted_value(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text('single_nu = 0.5\nt_min = 1e-2\noutput = "run#1.json"\n')
+    code, _, _ = run(capsys, "torsion", "--config", "run.cfg")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.json", "run.cfg"]
+    (tmp_path / "open.cfg").write_text('single_nu = 0.5\noutput = "run#2.json\n')
+    code, out, err = run(capsys, "torsion", "--config", "open.cfg")
+    assert code == 2 and out == ""
+    assert "output" in json.loads(err)["message"]
 
 
 def test_config_unknown_key(capsys, tmp_path):
@@ -407,6 +434,9 @@ def test_selftest_quick_passes_fast(capsys):
     assert "FAIL" not in out.replace("EXPECTED-FAIL", "")
     assert "0 failure(s)" in out
     assert elapsed < 10.0
+    # every row runs, the eleven numbered acceptance criteria among them
+    for name, number, _ in oracles.ORACLES:
+        assert f"{number or '':>2}  {name} " in out
 
 
 def test_selftest_paper_literal_expected_fail(capsys):
@@ -428,9 +458,10 @@ def test_console_entry_point_subprocess():
 def test_torsion_path_loads_no_scipy():
     """Start-up cost: the CLI and torsion runs on the disk, the torus fiber
     and the circle product load no scipy module at all, nor numpy.ma, which
-    np.median would import.  At this t_min the disk and the product stop at
-    the fit with exit 4, after their zeros and traces; the torus run goes on
-    through the zeta stage to its report."""
+    np.median would import, nor the oracle table, which only selftest runs.
+    At this t_min the disk and the product stop at the fit with exit 4,
+    after their zeros and traces; the torus run goes on through the zeta
+    stage to its report."""
     runs = [[], ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"],
             ["--model", "product", "--base", "circle"]]
     script = (
@@ -439,11 +470,13 @@ def test_torsion_path_loads_no_scipy():
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import torsionlab.cli\n"
         "assert not loaded(), loaded()\n"
+        "assert 'torsionlab.oracles' not in sys.modules\n"
         f"for flags in {runs!r}:\n"
         "    code = torsionlab.cli.main(['torsion', '--t-min', '5e-2', *flags])\n"
         "    assert code in (0, 4), (flags, code)\n"
         "    assert not loaded(), (flags, loaded())\n"
-        "    assert 'numpy.ma' not in sys.modules, flags\n")
+        "    assert 'numpy.ma' not in sys.modules, flags\n"
+        "    assert 'torsionlab.oracles' not in sys.modules, flags\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr

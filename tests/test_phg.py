@@ -1,8 +1,9 @@
 """Index-set calculus: brute-force enumeration is the oracle throughout.
 
-The enumeration oracle materializes every (exponent, log power) member up
-to a cutoff and applies the extended-union rule literally as a set
-operation; the generator-based implementation must agree with it exactly.
+The enumeration oracle (`torsionlab.oracles`, shared with acceptance
+criteria 8 and 10) materializes every (exponent, log power) member up to a
+cutoff and applies the extended-union rule literally as a set operation;
+the generator-based implementation must agree with it exactly.
 """
 
 from fractions import Fraction
@@ -11,6 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab.errors import IntegrabilityViolation
+from torsionlab.oracles import (
+    brute_extended_union,
+    enumerate_members,
+    members_of,
+    trace_expansion_matches,
+)
 from torsionlab.phg import (
     ExpansionTemplate,
     IndexSet,
@@ -23,37 +30,6 @@ from torsionlab.phg import (
 
 F = Fraction
 CUT = F(6)
-
-
-# ---------------------------------------------------------------- oracle --
-
-def enumerate_members(gens, cutoff=CUT):
-    """Literal member set of [(start, logpower, step), ...] up to cutoff."""
-    out = set()
-    for a, p, s in gens:
-        e = F(a)
-        while e <= cutoff:
-            for q in range(p + 1):
-                out.add((e, q))
-            e += F(s)
-    return out
-
-
-def brute_extended_union(mem_e, mem_f):
-    out = set(mem_e) | set(mem_f)
-    for z, p in mem_e:
-        for w, q in mem_f:
-            if z == w:
-                out.add((z, p + q + 1))
-    return out
-
-
-def members_of(ixset, cutoff=CUT):
-    out = set()
-    for t in ixset.terms_below(cutoff):
-        for q in range(t.logpower + 1):
-            out.add((t.exponent, q))
-    return out
 
 
 # ------------------------------------------------------------ membership --
@@ -89,7 +65,7 @@ def test_normalization_prunes_dominated_generators():
     e = IndexSet.from_terms([(0, 0), (1, 0), (3, 0)])
     assert len(e.generators) == 1
     f = IndexSet([(0, 0, 2), (1, 0, 2), (0, 1, 2)])
-    assert members_of(f) == enumerate_members([(0, 1, 2), (1, 0, 2)])
+    assert members_of(f, CUT) == enumerate_members([(0, 1, 2), (1, 0, 2)], CUT)
 
 
 # -------------------------------------------------------- extended union --
@@ -145,16 +121,14 @@ GENS = st.lists(GEN, max_size=3)
 @given(GENS)
 @settings(max_examples=200)
 def test_membership_matches_enumeration(gens):
-    ix = IndexSet(gens)
-    want = enumerate_members(gens)
-    assert members_of(ix) == want
+    assert members_of(IndexSet(gens), CUT) == enumerate_members(gens, CUT)
 
 
 @given(GENS, GENS)
 @settings(max_examples=200)
 def test_extended_union_matches_bruteforce(a, b):
-    got = members_of(IndexSet(a).extended_union(IndexSet(b)))
-    want = brute_extended_union(enumerate_members(a), enumerate_members(b))
+    got = members_of(IndexSet(a).extended_union(IndexSet(b)), CUT)
+    want = brute_extended_union(enumerate_members(a, CUT), enumerate_members(b, CUT))
     assert got == want
 
 
@@ -164,7 +138,7 @@ def test_extended_union_commutes_and_contains_union(a, b):
     ea, eb = IndexSet(a), IndexSet(b)
     ab, ba = ea.extended_union(eb), eb.extended_union(ea)
     assert ab.equals_below(ba, CUT)
-    assert members_of(ea.union(eb)) <= members_of(ab)
+    assert members_of(ea.union(eb), CUT) <= members_of(ab, CUT)
 
 
 @given(GENS, GENS, GENS)
@@ -234,47 +208,6 @@ def test_compose_index_integrability_violation():
         compose_index(0, 0, bad_lf, ok, ok, bad_rf)
 
 
-def _small_sets():
-    """Index sets with generator exponents in {-1/2, 0, 1/2, 1}, log <= 1."""
-    pool = [F(-1, 2), F(0), F(1, 2), F(1)]
-    sets = []
-    for e1 in pool:
-        for p1 in (0, 1):
-            sets.append([(e1, p1, F(1))])
-    for e1 in pool:
-        for e2 in pool:
-            if e2 > e1:
-                sets.append([(e1, 0, F(1)), (e2, 1, F(1))])
-    return sets
-
-
-def test_compose_index_exhaustive_small_cases():
-    """Acceptance-style sweep: >= 100 cases against literal set arithmetic."""
-    sets = _small_sets()
-    cases = 0
-    for i, a in enumerate(sets):
-        for b in sets:
-            for l, lp in ((0, 0), (2, 3)):
-                ea, eb = IndexSet(a), IndexSet(b)
-                if min(e for e, _, _ in a) + min(e for e, _, _ in b) <= -1:
-                    with pytest.raises(IntegrabilityViolation):
-                        compose_index(l, lp, ea, eb, ea, eb)
-                    continue
-                got = compose_index(l, lp, ea, eb, ea, eb)
-                want_lf = brute_extended_union(
-                    enumerate_members(a),
-                    enumerate_members([(e + lp, p, s) for e, p, s in a]),
-                )
-                want_rf = brute_extended_union(
-                    enumerate_members(b),
-                    enumerate_members([(e + l, p, s) for e, p, s in b]),
-                )
-                assert members_of(got.p_lf) == want_lf
-                assert members_of(got.p_rf) == want_rf
-                cases += 1
-    assert cases >= 100
-
-
 # ------------------------------------------------------------ pushforward --
 
 def test_pushforward_m3_b1():
@@ -317,46 +250,11 @@ def test_pushforward_even_m2_b0():
     assert corrected.log_order(F(-1, 2)) is None
 
 
-def _expected_trace_sets(m, b, even, cutoff=CUT):
-    """Expected exponent and log sets of the short-time trace expansion:
-    interior powers l - m/2, edge powers (l-b)/2 (or l - b/2 when even),
-    logs where l + m - b is even (or everywhere when m - b is even)."""
-    exps, logs = set(), set()
-    n = 0
-    while F(n) - F(m, 2) <= cutoff:
-        exps.add(F(n) - F(m, 2))
-        n += 1
-    n = 0
-    while True:
-        e = F(n) - F(b, 2) if even else F(n - b, 2)
-        if e > cutoff:
-            break
-        exps.add(e)
-        if even:
-            if (m - b) % 2 == 0:
-                logs.add(e)
-        elif (n + m - b) % 2 == 0:
-            logs.add(e)
-        n += 1
-    return exps, logs
-
-
 @pytest.mark.parametrize("m", range(2, 9))
 @pytest.mark.parametrize("even", [False, True])
 def test_pushforward_reproduces_trace_expansion(m, even):
     for b in range(0, m - 1):
-        got = pushforward_trace_index(
-            IndexSet.progression(-m, step=2),
-            IndexSet.progression(-b, step=2 if even else 1))
-        want_exps, want_logs = _expected_trace_sets(m, b, even, cutoff=CUT)
-        terms = got.terms_below(CUT)
-        assert {t.exponent for t in terms} == want_exps
-        assert {t.exponent for t in terms if t.logpower > 0} == want_logs
-        # independent coincidence enumeration of the two halved sets
-        td = enumerate_members([(F(-m, 2), 0, 1)], CUT)
-        step = 1 if even else F(1, 2)
-        ff = enumerate_members([(F(-b, 2), 0, step)], CUT)
-        assert members_of(got, CUT) == brute_extended_union(td, ff)
+        assert trace_expansion_matches(m, b, even, CUT), b
 
 
 # ------------------------------------------------------------- templates --

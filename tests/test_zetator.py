@@ -27,7 +27,9 @@ from torsionlab.errors import DecayRateUnknown, FitResidualTooLarge
 from torsionlab.fiber import single_nu_spectrum
 from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_structure
 from torsionlab.zetator import (
+    G1,
     ZetaData,
+    _mellin_laurent,
     _not_a_knot_integral,
     _spline_integral,
     exp1,
@@ -46,11 +48,11 @@ LOG2 = math.log(2.0)
 HALF_LINE_TEMPLATE = heat_trace_structure(1, 0, even=True, boundary=True, cutoff=1)
 
 
-def halfline_zeta(split=1.0, npts=241):
+def halfline_zeta():
     spec = cone_spectrum(single_nu_spectrum(0.5), lambda_cutoff=3.4e5, cone_dim=1)
-    tr = truncated_cone_trace(spec, 0, log_grid(1e-4, 1.0, npts))
+    tr = truncated_cone_trace(spec, 0, log_grid(1e-4, 1.0, 241))
     fit = fit_expansion(tr.restrict(t_max=0.1), HALF_LINE_TEMPLATE)
-    return tr, fit, zeta_near_zero(tr, fit, kernel_dim=0, split=split)
+    return tr, fit, zeta_near_zero(tr, fit, kernel_dim=0)
 
 
 # ------------------------------------------------------ spline integral --
@@ -110,13 +112,6 @@ def test_riemann_zeta_oracle():
     assert abs(z.residue_at_zero) < 1e-12
 
 
-def test_split_point_independence():
-    _, _, z1 = halfline_zeta(split=1.0)
-    _, _, z2 = halfline_zeta(split=0.5)
-    assert abs(z1.zeta0 - z2.zeta0) <= z1.error_bound + z2.error_bound + 1e-12
-    assert abs(z1.zeta_prime0 - z2.zeta_prime0) <= z1.error_bound + z2.error_bound
-
-
 def test_single_unit_eigenvalue():
     """Trace e^{-t}: zeta(s) = 1 identically."""
     grid = log_grid(1e-3, 1.0, 241)
@@ -141,11 +136,16 @@ def test_non_regular_case_is_riemann_zeta_shifted():
     tr = _certified_trace(Spectrum.of(k, 1.0 / k, cutoff=k[-1]), q=1.0,
                           t_grid=log_grid(t_min, 1.0, 241))
     tpl = ExpansionTemplate.from_terms([(0, True), (1, False), (2, False)])
-    z = zeta_near_zero(tr, fit_expansion(tr.restrict(t_max=0.1), tpl), kernel_dim=0)
+    fit = fit_expansion(tr.restrict(t_max=0.1), tpl)
+    z = zeta_near_zero(tr, fit, kernel_dim=0)
     d = z.diagnostics
     assert abs(z.residue_at_zero - 1.0) <= d["residue_bound"]
     assert abs(z.zeta0 - np.euler_gamma) <= d["zeta0_bound"]
     assert abs(z.zeta_prime0 + STIELTJES_GAMMA1) <= d["zeta_prime0_bound"]
+    # zeta(0) = a_-1 + G1 a_-2, so its bound weighs the t^0 log t shift by G1
+    _, (s_m2, s_m1, _) = _mellin_laurent(fit.coefficients, fit.coefficient_bounds, 1.0)
+    assert s_m2 > 0.0
+    assert d["zeta0_bound"] == s_m1 + G1 * s_m2 + d["remainder_bound"]
 
 
 def test_scaling_covariance():

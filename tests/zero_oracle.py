@@ -1,5 +1,5 @@
-"""Test oracles for J_nu: the ascending series, and the scalar Bessel-zero
-finder, one order and one zero at a time.
+"""Test oracles for J_nu: the ascending series, bisection, and the scalar
+Bessel-zero finder, one order and one zero at a time.
 
 The series is a small-argument J evaluator independent of both scipy's
 `jv` and the package's recurrence.
@@ -42,6 +42,22 @@ def bessel_j_series(nu: float, z: float) -> float:
             break
     return math.exp(nu * math.log(0.5 * z) - math.lgamma(nu + 1.0)) * total if z > 0 \
         else (1.0 if nu == 0 else 0.0)
+
+
+def bisect_zero(fn, lo, hi):
+    """A zero of fn in [lo, hi], where fn changes sign, by 80 bisections."""
+    f_lo = fn(lo)
+    assert f_lo * fn(hi) < 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def polish_zero(nu: float, lo: float, hi: float, guess: float) -> float:
