@@ -2,7 +2,8 @@
 
 Floats are rendered with 17 significant digits (enough to round-trip any
 double), keys are sorted, and no whitespace depends on the environment, so
-two runs with the same inputs produce byte-identical files.
+two runs with the same inputs produce byte-identical files.  A numpy scalar
+is written as its Python value; any other non-JSON type raises TypeError.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 
 def _render(obj) -> str:
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -30,10 +35,7 @@ def _render(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
-    try:
-        return _render(float(obj))
-    except (TypeError, ValueError):
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:

@@ -436,6 +436,8 @@ def _basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
 
 def _solve_weighted(t: np.ndarray, values: np.ndarray,
                     basis: Sequence[tuple[Fraction, bool]]):
+    """Weighted least squares: coefficients, condition estimate, relative
+    residuals, and the weighted design and residuals (for the sensitivities)."""
     alpha_min = float(min(a for a, _ in basis))
     w = t ** (-alpha_min)
     design = np.column_stack([w * _basis_column(t, *key) for key in basis])
@@ -444,10 +446,7 @@ def _solve_weighted(t: np.ndarray, values: np.ndarray,
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
     weighted_resid = design @ coeff - rhs
     rel_resid = np.abs(weighted_resid / w) / np.abs(values)
-    # worst coefficient shift explained by residuals of the observed size
-    resid_sup = float(np.max(np.abs(weighted_resid)))
-    sens = np.abs(np.linalg.pinv(design)).sum(axis=1) * resid_sup
-    return coeff, condition, rel_resid, sens
+    return coeff, condition, rel_resid, design, weighted_resid
 
 
 def _median(x: np.ndarray) -> float:
@@ -478,12 +477,14 @@ def fit_expansion(samples: TraceSamples, template: ExpansionTemplate) -> FittedE
     n = len(t)
     if n < 2 * len(basis):
         raise InsufficientSamples(f"{n} samples for {len(basis)} basis functions; need 2x")
-    coeff, condition, rel_resid, sens = _solve_weighted(t, values, basis)
+    coeff, condition, rel_resid, design, resid = _solve_weighted(t, values, basis)
     while n > 2 * len(basis) and rel_resid[-1] > 10.0 * max(_median(rel_resid), 1e-13):
         n -= 1
-        coeff, condition, rel_resid, sens = _solve_weighted(t[:n], values[:n], basis)
+        coeff, condition, rel_resid, design, resid = _solve_weighted(t[:n], values[:n], basis)
     if condition > CONDITION_LIMIT:
         raise IllConditioned(f"fit condition estimate {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
+    # worst coefficient shift explained by residuals of the observed size
+    sens = np.abs(np.linalg.pinv(design)).sum(axis=1) * float(np.max(np.abs(resid)))
     return FittedExpansion(
         template=template,
         coefficients={key: float(c) for key, c in zip(basis, coeff)},

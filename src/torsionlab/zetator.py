@@ -90,7 +90,9 @@ def exp1(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZetaData:
-    """Zeta-function data of one form degree near s = 0."""
+    """Zeta-function data of one form degree near s = 0.  `poles` are those
+    of Gamma(s) zeta(s), not of zeta(s) (`structure`'s `gamma_zeta_poles`),
+    so a simple one at s = 0 carries zeta(0) (`zeta0_minus_kernel`)."""
 
     degree: int
     poles: tuple[tuple[Fraction, int, float], ...]
@@ -393,7 +395,7 @@ def torsion_assemble(per_degree: Sequence[ZetaData], model: str = "",
 
     bound = sum(res_bound(z) for z in per_degree)
     all_regular = all(abs(z.residue_at_zero) <= res_bound(z) for z in per_degree)
-    cancel = abs(res) <= bound
+    cancel = bool(abs(res) <= bound)
     return TorsionReport(
         per_degree=tuple(per_degree),
         log_torsion=log_t,

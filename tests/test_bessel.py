@@ -190,13 +190,6 @@ def test_jv_refuses_out_of_domain(nu, x):
         bessel.jv(nu, x)
 
 
-def test_half_order_zeros_are_multiples_of_pi():
-    zeros = bessel_j_zeros(0.5, 500.5 * math.pi)
-    assert len(zeros) == 500
-    for k, z in enumerate(zeros, start=1):
-        assert abs(z - k * math.pi) <= 1e-12 * k * math.pi
-
-
 def test_j0_first_zero_against_series_bisection():
     want = bisect_zero(lambda z: bessel_j_series(0.0, z), 2.0, 3.0)
     got = bessel_j_zeros(0.0, 3.0)[0]

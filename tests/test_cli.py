@@ -309,11 +309,25 @@ def test_config_parser_values(tmp_path):
     cfg.write_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\nf = word\n'
                    '# a comment\ng = "run#1.json"  # the # in quotes stays\nh = 3 # "\n')
     parsed = parse_config_file(str(cfg))
-    assert parsed == {"a": 1, "b": 2.5, "c": "text", "d": True, "e": [1, 2], "f": "word",
-                      "g": "run#1.json", "h": 3}
+    assert parsed == {"a": 1.0, "b": 2.5, "c": "text", "d": True, "e": [1.0, 2.0], "f": "word",
+                      "g": "run#1.json", "h": 3.0}
     cfg.write_text('a = 1\noutput = "run#1.json\n')
     with pytest.raises(ValueError, match=r"x\.cfg:2: .*output"):
         parse_config_file(str(cfg))
+
+
+def test_config_and_flags_give_the_same_bytes(capsys, tmp_path):
+    """A config file's integers are floats, as the flags' are, so the model
+    label and every other byte agree."""
+    cfg = tmp_path / "run.cfg"
+    for lines, flags in [('fiber_kind = "torus"\nperiods = [3, 3]\n',
+                          ["--fiber", "torus", "--periods", "3", "3"]),
+                         ("radius = 2\n", ["--radius", "2"]),
+                         ("single_nu = 1\n", ["--single-nu", "1"])]:
+        cfg.write_text(lines)
+        by_file, by_flags = (run(capsys, "spectrum", "--lambda-max", "20", *argv)
+                             for argv in (["--config", str(cfg)], flags))
+        assert by_file[0] == 0 and by_file == by_flags, lines
 
 
 def test_config_hash_in_a_quoted_value(capsys, tmp_path, monkeypatch):
@@ -426,24 +440,23 @@ def test_spectrum_paper_literal_indefinite_block(capsys):
 
 # ---------------------------------------------------------------- selftest --
 
-def test_selftest_quick_passes_fast(capsys):
+def test_selftest_runs_every_row_once(capsys):
+    """One PASS line per row, in table order, the eleven numbered acceptance
+    criteria among them; the convention rows name both conventions'
+    results; the removed --quick and --convention are refused."""
     start = time.perf_counter()
-    code, out, _ = run(capsys, "selftest", "--quick")
-    elapsed = time.perf_counter() - start
-    assert code == 0
-    assert "FAIL" not in out.replace("EXPECTED-FAIL", "")
-    assert "0 failure(s)" in out
-    assert elapsed < 10.0
-    # every row runs, the eleven numbered acceptance criteria among them
-    for name, number, _ in oracles.ORACLES:
-        assert f"{number or '':>2}  {name} " in out
-
-
-def test_selftest_paper_literal_expected_fail(capsys):
-    code, out, _ = run(capsys, "selftest", "--quick",
-                       "--convention", "paper-literal")
-    assert code == 0
-    assert "EXPECTED-FAIL" in out
+    code, out, _ = run(capsys, "selftest")
+    assert time.perf_counter() - start < 10.0
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(oracles.ORACLES) + 2 and lines[-1] == "0 failure(s)"
+    for line, (name, number, _) in zip(lines, oracles.ORACLES):
+        assert line.startswith(f"{number or '':>2}  {name} ") and " PASS " in line
+        if number is None:
+            assert "GeometricOracle" in line and "PaperLiteral" in line
+    for flags in (["--quick"], ["--convention", "paper-literal"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *flags])
+        assert exc.value.code == 2
 
 
 def test_console_entry_point_subprocess():

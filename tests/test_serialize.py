@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ def test_sorted_keys_and_stability():
 
 
 def test_numpy_scalars_coerce():
-    text = dumps_canonical({"x": np.float64(0.5), "y": np.int64(3)})
-    assert json.loads(text) == {"x": 0.5, "y": 3}
+    text = dumps_canonical({"x": np.float64(0.5), "y": np.int64(3), "z": np.bool_(True)})
+    assert text == '{"x":0.5,"y":3,"z":true}\n'
 
 
 def test_non_finite_refused():
@@ -37,8 +38,9 @@ def test_non_finite_refused():
 
 
 def test_unserializable_refused():
-    with pytest.raises(TypeError):
-        dumps_canonical({"x": object()})
+    for value in (object(), Fraction(1, 3)):  # a Fraction is not silently a float
+        with pytest.raises(TypeError):
+            dumps_canonical({"x": value})
 
 
 def test_write_atomic(tmp_path):

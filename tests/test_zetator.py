@@ -1,8 +1,9 @@
 """Zeta extraction against exactly known determinants.
 
 The k^2 pi^2 spectrum has zeta(s) = pi^(-2s) zeta_R(2s), so zeta(0) = -1/2
-and zeta'(0) = -log 2; a single unit eigenvalue has zeta identically 1.
-Both pin every piece of the Mellin-split bookkeeping.
+and zeta'(0) = -log 2 (acceptance criterion 5, `oracles.zeta_riemann`); a
+single unit eigenvalue has zeta identically 1.  Both pin every piece of the
+Mellin-split bookkeeping.
 """
 
 import math
@@ -44,7 +45,6 @@ from laurent_oracle import (
     zeta_contour_residue,
 )
 
-LOG2 = math.log(2.0)
 HALF_LINE_TEMPLATE = heat_trace_structure(1, 0, even=True, boundary=True, cutoff=1)
 
 
@@ -102,15 +102,7 @@ def test_spline_integral_error_estimate():
         assert err == pytest.approx(abs(full - coarse) / 15.0 + 1e-16 * abs(full), rel=1e-6)
 
 
-# ------------------------------------------------------------- the oracle --
-
-def test_riemann_zeta_oracle():
-    _, _, z = halfline_zeta()
-    assert abs(z.zeta0 - (-0.5)) < 1e-6
-    assert abs(z.zeta_prime0 - (-LOG2)) < 1e-5
-    assert z.zeta0 == z.zeta0_minus_kernel  # kernel_dim = 0
-    assert abs(z.residue_at_zero) < 1e-12
-
+# ----------------------------------------------------------- closed forms --
 
 def test_single_unit_eigenvalue():
     """Trace e^{-t}: zeta(s) = 1 identically."""
