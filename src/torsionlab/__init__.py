@@ -32,7 +32,6 @@ from .phg import (
     IndexSet,
     IndexTerm,
     compose_index,
-    even_parity_check,
     heat_trace_structure,
     pushforward_trace_index,
     zeta_pole_structure,

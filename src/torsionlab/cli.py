@@ -3,7 +3,8 @@
 Subcommands:
 
     structure   symbolic heat-trace template and zeta pole report
-    spectrum    fiber and Bessel-order spectra of a configured model
+    spectrum    fiber and Bessel-order spectra of a configured model; only it
+                takes --convention (see torsionlab.fiber)
     trace       per-degree heat traces (JSON, or CSV; --degree K picks one)
     fit         expansion coefficients fitted against the predicted template
     zeta        per-degree zeta data near s = 0
@@ -51,14 +52,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-CONVENTION_ALIASES = {
-    "paper-literal": "PaperLiteral",
-    "geometric-oracle": "GeometricOracle",
-    "PaperLiteral": "PaperLiteral",
-    "GeometricOracle": "GeometricOracle",
-}
-
 
 # ------------------------------------------------------------- config file --
 
@@ -141,10 +134,13 @@ def _is_number(value) -> bool:
 _NUMBER = ("a number", _is_number)
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
 _STRING = ("a string", lambda v: isinstance(v, str))
+# the values of each choice key, for the flags and for a config file
+_CHOICES = {"model": ("cone", "product"), "fiber_kind": ("circle", "torus"),
+            "base": ("point", "circle", "torus"), "format": ("json", "csv")}
 _KEY_TYPES = {
     "model": _STRING, "fiber_kind": _STRING, "radius": _NUMBER, "periods": _NUMBERS,
     "base": _STRING, "base_radius": _NUMBER, "base_periods": _NUMBERS,
-    "convention": _STRING, "lambda_max": _NUMBER, "t_min": _NUMBER,
+    "lambda_max": _NUMBER, "t_min": _NUMBER,
     "single_nu": _NUMBER, "output": _STRING, "format": _STRING,
 }
 
@@ -157,16 +153,15 @@ def _flag(key: str) -> str:
 class ModelConfig:
     """One run's settings.  The model keys default to None, so an unset
     flag differs from one set to its default value; unset, the model is
-    the cone over the unit circle in the GeometricOracle convention."""
+    the cone over the unit circle."""
 
-    model: str | None = None             # cone | product
-    fiber_kind: str | None = None        # circle | torus
+    model: str | None = None
+    fiber_kind: str | None = None
     radius: float | None = None
     periods: list | None = None
-    base: str | None = None              # point | circle | torus
+    base: str | None = None
     base_radius: float | None = None
     base_periods: list | None = None
-    convention: str | None = None
     lambda_max: float | None = None
     t_min: float = 1e-3
     single_nu: float | None = None
@@ -196,15 +191,13 @@ class ModelConfig:
             if _is_number(value) and not math.isfinite(value) \
                     or isinstance(value, list) and not all(map(math.isfinite, value)):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        if self.model not in (None, "cone", "product"):
-            raise ValueError(f"model must be cone or product, got {self.model!r}")
-        if self.fiber_kind not in (None, "circle", "torus"):
-            raise ValueError(f"fiber must be circle or torus, got {self.fiber_kind!r}")
-        if self.base not in (None, "point", "circle", "torus"):
-            raise ValueError(f"base must be point, circle or torus, got {self.base!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in (None, *choices):
+                raise ValueError(f"{key} must be {' or '.join(choices)}, "
+                                 f"got {getattr(self, key)!r}")
         if self.single_nu is not None:
             model_keys = ("model", "fiber_kind", "radius", "periods",
-                          "base", "base_radius", "base_periods", "convention")
+                          "base", "base_radius", "base_periods")
             given = [_flag(key) for key in model_keys if getattr(self, key) is not None]
             if given:
                 raise ValueError(f"--single-nu replaces the model; {', '.join(given)} "
@@ -222,15 +215,10 @@ class ModelConfig:
                                      f"{part}, and the {part} is {kind}")
             if kind == "torus" and not getattr(self, prefix + "periods"):
                 raise ValueError(f"a torus {part} needs {_flag(prefix + 'periods')}")
-        if not 0 < self.t_min < FIT_T_MAX:
-            raise ValueError(f"need 0 < t_min < {FIT_T_MAX}")
-        if self.lambda_max is not None and self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if self.convention not in (None, *CONVENTION_ALIASES):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        self.convention = CONVENTION_ALIASES.get(self.convention)
+        for key in ("radius", "periods", "base_radius", "base_periods", "lambda_max", "t_min"):
+            value = getattr(self, key)
+            if value is not None and not all(v > 0 for v in np.ravel(value)):
+                raise ValueError(f"{_flag(key)} must be positive, got {value!r}")
 
 
 def _flat_factor(kind: str, radius, periods) -> tuple[tuple[float, ...], str]:
@@ -328,11 +316,10 @@ class Pipeline:
         return fiber.torus_spectrum(self.fiber_periods,
                                     cutoff=self.nu_cutoff() + fiber.A_SPECTRUM_MARGIN)
 
-    def nu_spectra(self) -> dict[int, fiber.NuSpectrum]:
+    def nu_spectra(self, convention=fiber.Convention.GEOMETRIC_ORACLE) -> dict:
         if self.cfg.single_nu is not None:
             return {0: fiber.single_nu_spectrum(self.cfg.single_nu)}
         fib = self.fiber_spectrum()
-        convention = self.cfg.convention or "GeometricOracle"
         return {p: fiber.a_spectrum(fib, p, convention, nu_max=self.nu_cutoff())
                 for p in range(self.cone_dim + 1)}
 
@@ -362,6 +349,10 @@ class Pipeline:
     @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:
         tpl = self.template()
+        window = int(np.count_nonzero(self.grid <= FIT_T_MAX))
+        if window < 2 * tpl.basis_size:
+            raise ValueError(f"--t-min {self.cfg.t_min!r} leaves {window} samples in the fit "
+                             f"window t <= FIT_T_MAX = {FIT_T_MAX}; it needs {2 * tpl.basis_size}")
         return _each_distinct(
             self.traces(), operator.eq,
             lambda k, tr: conekernel.fit_expansion(tr.restrict(t_max=FIT_T_MAX), tpl))
@@ -472,20 +463,28 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stage_command(key: str, stage: str):
-    """A subcommand that prints one pipeline stage, keyed by degree."""
+def _stage_command(key: str, stage):
+    """A subcommand that prints `stage(pipe, args)`, keyed by degree."""
     def command(args: argparse.Namespace) -> int:
         pipe = _pipeline(args)
         _emit({"model": pipe.label,
-               key: {str(k): v.to_json_dict() for k, v in getattr(pipe, stage)().items()}},
+               key: {str(k): v.to_json_dict() for k, v in stage(pipe, args).items()}},
               pipe.cfg.output)
         return EXIT_OK
     return command
 
 
-cmd_spectrum = _stage_command("nu_spectra", "nu_spectra")
-cmd_fit = _stage_command("fits", "fits")
-cmd_zeta = _stage_command("zeta", "zetas")
+def _spectra(pipe: Pipeline, args: argparse.Namespace) -> dict:
+    """`spectrum` alone reads --convention: the stages run GeometricOracle."""
+    if args.convention is not None and pipe.cfg.single_nu is not None:
+        raise ValueError("--single-nu replaces the model; --convention would be ignored")
+    literal = args.convention == "paper-literal"
+    return pipe.nu_spectra(fiber.Convention.PAPER_LITERAL) if literal else pipe.nu_spectra()
+
+
+cmd_spectrum = _stage_command("nu_spectra", _spectra)
+cmd_fit = _stage_command("fits", lambda pipe, args: pipe.fits())
+cmd_zeta = _stage_command("zeta", lambda pipe, args: pipe.zetas())
 
 
 def cmd_torsion(args: argparse.Namespace) -> int:
@@ -531,15 +530,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="TOML-style key=value config file")
-    sub.add_argument("--model", choices=["cone", "product"])
-    sub.add_argument("--fiber", dest="fiber_kind", choices=["circle", "torus"])
+    sub.add_argument("--model", choices=_CHOICES["model"])
+    sub.add_argument("--fiber", dest="fiber_kind", choices=_CHOICES["fiber_kind"])
     sub.add_argument("--radius", type=float, help="fiber circle radius")
     sub.add_argument("--periods", type=float, nargs="+", help="fiber torus periods")
-    sub.add_argument("--base", choices=["point", "circle", "torus"])
+    sub.add_argument("--base", choices=_CHOICES["base"])
     sub.add_argument("--base-radius", dest="base_radius", type=float)
     sub.add_argument("--base-periods", dest="base_periods", type=float, nargs="+")
-    sub.add_argument("--convention",
-                     choices=sorted(CONVENTION_ALIASES))
     sub.add_argument("--lambda-max", dest="lambda_max", type=float,
                      help="spectral cutoff (default 36/t_min)")
     sub.add_argument("--t-min", dest="t_min", type=float,
@@ -573,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sub = subs.add_parser(name, help=help_text)
         _add_model_flags(sub)
+        if name == "spectrum":
+            sub.add_argument("--convention", choices=["geometric-oracle", "paper-literal"])
         if name == "trace":
-            sub.add_argument("--format", choices=["json", "csv"])
+            sub.add_argument("--format", choices=_CHOICES["format"])
             sub.add_argument("--degree", type=int)
         sub.set_defaults(func=func)
 

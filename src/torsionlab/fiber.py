@@ -17,9 +17,14 @@ Two conventions for the squared constants on the diagonal are supported:
   scalar cone over the unit circle reproduces the flat-plane separation
   nu = |k| (and the harmonic pair {1, log x} at k = 0).
 
-GeometricOracle is the default: the flat-plane oracle is unambiguous, and
-under it every block is positive semidefinite, while the literal constants
-produce an indefinite block already for 1-forms over the circle.
+GeometricOracle is the default and the only operator the pipeline's
+`trace`, `fit`, `zeta` and `torsion` run: the flat-plane oracle is
+unambiguous, and under it every block is positive semidefinite, while the
+literal constants shift the scalar orders over the unit circle to
+sqrt(k^2+1) and produce an indefinite block already for 1-forms over the
+circle.  PaperLiteral stays for `spectrum --convention paper-literal` and
+for the `gauss_bonnet` and `convention_comparison` oracle rows, which show
+these findings.
 """
 
 from __future__ import annotations

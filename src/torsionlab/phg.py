@@ -447,17 +447,3 @@ def zeta_pole_structure(tpl: ExpansionTemplate) -> ZetaPoleReport:
         zeta0_rule="zeta(0) = (coefficient of t^0 in the trace expansion) - dim ker",
     )
 
-
-def even_parity_check(front_face_coefficients: Iterable[tuple[int, str]]) -> bool:
-    """Whether supplied expansion coefficients satisfy the parity (-1)^k.
-
-    Input pairs are (order k, parity) with parity "even" or "odd" under the
-    reflection of the edge variable; orders absent from the input are
-    unconstrained (a vanishing coefficient has either parity).
-    """
-    for order, parity in front_face_coefficients:
-        if parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-        if parity != ("even" if order % 2 == 0 else "odd"):
-            return False
-    return True

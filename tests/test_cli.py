@@ -184,10 +184,12 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     (["--even"], "even = true"),
     (["--no-even"], "even = false"),
     (["--template-cutoff", "3"], 'template_cutoff = "3"'),
-], ids=["nu_max", "split", "points", "t_max", "even", "no-even", "template_cutoff"])
+    (["--convention", "paper-literal"], 'convention = "paper-literal"'),
+], ids=["nu_max", "split", "points", "t_max", "even", "no-even", "template_cutoff",
+        "convention"])
 def test_removed_knob_is_rejected(capsys, tmp_path, flag, line):
-    """t_min is the one method knob; the removed ones are unknown as flags
-    and as config keys."""
+    """t_min is the one method knob, and the pipeline runs one operator; the
+    removed knobs are unknown as flags and as config keys."""
     toy = ["torsion", "--single-nu", "0.5", "--t-min", "1e-2"]
     with pytest.raises(SystemExit) as exc:
         main(toy + flag)
@@ -225,8 +227,10 @@ SINGLE_NU_RUN = ["zeta", "--single-nu", "0.5", "--t-min", "1e-2"]
     *[pytest.param(SINGLE_NU_RUN + extra, extra[0], id=f"single-nu{extra[0][1:]}-{extra[1]}")
       for extra in (["--model", "cone"], ["--model", "product"], ["--fiber", "circle"],
                     ["--radius", "2"], ["--periods", *TORUS], ["--base", "point"],
-                    ["--base-radius", "2"], ["--base-periods", "1", "2"],
-                    ["--convention", "paper-literal"])],
+                    ["--base-radius", "2"], ["--base-periods", "1", "2"])],
+    # only spectrum reads --convention
+    pytest.param(["spectrum", "--single-nu", "0.5", "--convention", "paper-literal"],
+                 "--convention", id="single-nu-convention-paper-literal"),
 ])
 def test_flag_the_model_would_ignore_is_refused(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -270,24 +274,63 @@ NON_FINITE = [  # (flags, config file, key), with "{}" for the value
 ]
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("argv,lines,key", NON_FINITE, ids=[case[2] for case in NON_FINITE])
-def test_non_finite_number_is_refused(capsys, tmp_path, value, argv, lines, key):
-    """A non-finite model number, by flag or by config file, exits 2 and
-    names its key before any spectrum is built."""
-    cfg = tmp_path / "non_finite.cfg"
+LENGTHS = [case for case in NON_FINITE
+           if case[2] in ("radius", "periods", "base_radius", "base_periods")]
+
+
+def assert_refused(capsys, tmp_path, argv, lines, value, message):
+    """The NON_FINITE case with `value`, by flag and by config file, exits 2
+    with `message` before any spectrum is built."""
+    cfg = tmp_path / "refused.cfg"
     cfg.write_text(lines.format(value) + "\n")
     for case in ([arg.format(value) for arg in argv], [argv[0], "--config", str(cfg)]):
         code, out, err = run(capsys, *case)
         assert code == 2 and out == ""
-        assert json.loads(err)["message"].startswith(f"{key} must be finite")
+        assert json.loads(err)["message"].startswith(message)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv,lines,key", NON_FINITE, ids=[case[2] for case in NON_FINITE])
+def test_non_finite_number_is_refused(capsys, tmp_path, value, argv, lines, key):
+    assert_refused(capsys, tmp_path, argv, lines, value, f"{key} must be finite")
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("argv,lines,key", LENGTHS, ids=[case[2] for case in LENGTHS])
+def test_non_positive_length_is_refused(capsys, tmp_path, value, argv, lines, key):
+    assert_refused(capsys, tmp_path, argv, lines, value, f"{cli._flag(key)} must be positive")
+
+
+def test_t_min_past_the_fit_window(capsys, monkeypatch):
+    """trace samples [t_min, 1] and fits nothing, so it takes a t_min past
+    the fit window t <= FIT_T_MAX; fit refuses one that leaves the window
+    too few samples, naming --t-min, before any trace is computed."""
+    code, out, _ = run(capsys, "trace", "--single-nu", "0.5", "--t-min", "0.2")
+    assert code == 0 and json.loads(out)["traces"]["0"]["t"][0] == 0.2
+
+    def no_compute(self):
+        raise AssertionError("the traces were computed before --t-min was checked")
+    monkeypatch.setattr(cli.Pipeline, "traces", no_compute)
+    for t_min in ("0.2", "0.099"):
+        code, out, err = run(capsys, "fit", "--single-nu", "0.5", "--t-min", t_min)
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert message.startswith(f"--t-min {t_min} ") and "FIT_T_MAX" in message
 
 
 def test_format_belongs_to_trace_only(capsys, tmp_path):
-    for command in ("spectrum", "fit", "zeta", "torsion"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--single-nu", "0.5", "--format", "csv"])
-        assert exc.value.code == 2
+    """Each (flag, subcommand) pair: only that subcommand declares the flag.
+    --format belongs to trace, and --convention to spectrum."""
+    parser = cli.build_parser()
+    for flag, owner in ((["--format", "csv"], "trace"),
+                        (["--convention", "paper-literal"], "spectrum")):
+        assert parser.parse_args([owner, *flag]).command == owner
+        for command in ("spectrum", "trace", "fit", "zeta", "torsion"):
+            if command == owner:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--single-nu", "0.5", *flag])
+            assert exc.value.code == 2
     capsys.readouterr()
     cfg = tmp_path / "csv.cfg"
     cfg.write_text("single_nu = 0.5\nt_min = 1e-3\nformat = csv\n")
@@ -361,6 +404,12 @@ def test_spectrum_command(capsys):
     assert set(spectra) == {"0", "1", "2"}
     first = spectra["0"]["modes"][0]
     assert first["nu"] == 0.0 and first["log_branch"] is True
+    # geometric-oracle is the default; the CamelCase spellings are gone
+    assert run(capsys, "spectrum", "--fiber", "circle", "--radius", "1", "--lambda-max",
+               "50", "--convention", "geometric-oracle") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--convention", "PaperLiteral"])
+    assert exc.value.code == 2
 
 
 def test_spectrum_single_nu(capsys):

@@ -22,7 +22,6 @@ from torsionlab.phg import (
     ExpansionTemplate,
     IndexSet,
     compose_index,
-    even_parity_check,
     heat_trace_structure,
     pushforward_trace_index,
     zeta_pole_structure,
@@ -347,22 +346,3 @@ def test_zeta_log_at_zero_gives_pole():
     assert not rep.regular_at_zero
     assert (F(0), 1) in rep.poles
     assert (F(0), 2) in rep.gamma_zeta_poles
-
-
-# ------------------------------------------------------------ parity flag --
-
-def test_even_parity_check_examples():
-    assert even_parity_check([(0, "even"), (1, "odd"), (2, "even")])
-    assert not even_parity_check([(0, "even"), (1, "even")])
-    with pytest.raises(ValueError):
-        even_parity_check([(0, "sideways")])
-
-
-def test_even_parity_check_gaussian_model_kernel():
-    """Taylor orders of exp(-|w|^2 / 4 tau) in the edge variable.
-
-    Every term carries an even power of w, so even orders are even and odd
-    orders are absent; the model front-face kernel passes the parity test.
-    """
-    seq = [(2 * k, "even") for k in range(8)]
-    assert even_parity_check(seq)
