@@ -20,21 +20,36 @@ p_{j-1} = (2 (nu0 + j) / x) p_j - p_{j+1} runs down from p_{N+1} = 0,
 p_N = 1, where N is the first even index >= max(x + 12 x^(1/3) + 24, n + 2):
 there J_N(x) is below e^-40 of its size at the turning point N = x, so
 p_j is proportional to J_{nu0+j}(x) to double precision wherever J is not
-already negligible.  The Neumann series
+already negligible.  Exactly, p_j = A J_{nu0+j}(x) + B Y_{nu0+j}(x), with
+A = -(pi x / 2) Y_{N+1}(x) > 0 and B / A = -J_{N+1}(x) / Y_{N+1}(x), about
+e^-80, by the Wronskian J_N Y_{N+1} - J_{N+1} Y_N = -2 / (pi x).  The
+recurrence (`_backward`) exists once, and has two readers.  The Neumann
+series
 
     (x/2)^nu0 / Gamma(nu0 + 1) = J_nu0 + sum_{k>=1} (nu0 + 2k) (nu0+1)_{k-1} / k! J_{nu0+2k}
 
 (at nu0 = 0, 1 = J_0 + 2 sum J_2k) gives the scale.  It is summed in the
 same pass, with its coefficients run down from 1 at the start, so the only
-Gamma value needed is one `math.lgamma(nu0 + 1)` per distinct nu0.  For
-n = -1 the recurrence takes one more step, to J_{nu0-1}.  Whenever |p|
-exceeds 1e250, p, the sum and the values already taken are divided by
-1e250.  The elements are sorted by start index, so each step touches only
-those already started.  Below x = 1e-40 `jv` takes the first term of the
-ascending series instead, which is J_nu there to double precision.
+Gamma value needed is one `math.lgamma(nu0 + 1)` per distinct nu0: this
+scale is what `jv` adds to p_n.  For n = -1 the recurrence takes one more
+step, to J_{nu0-1}.  Whenever |p| exceeds 1e250, p, the sum and the values
+already taken are divided by 1e250.  The elements are sorted by start
+index, so each step touches only those already started.  Below x = 1e-40
+`jv` takes the first term of the ascending series instead, which is J_nu
+there to double precision.
+
+The zero finder needs only the sign of J_nu and the ratio J_nu / J_nu',
+so it reads the recurrence unnormalised (`_j_pair`): the same start N and
+steps, stopped at index n - 1, with no Neumann sum, no `lgamma` and no
+exp/log scale.  p_n and p_{n-1} are A J_nu and A J_{nu-1} with one A > 0
+per element, so their signs are `jv`'s.  The ratio differs from the one
+`jv(nu, x)` and `jv(nu - 1, x)` give only by rounding: of `jv`'s scale,
+and below nu = 1/2 of nu - 1 (8.4e-16 relative at most on the finder's
+inputs).  A batch's loop stops at its lowest n - 1; each element is read
+at its own.
 
 Zeros of J_nu are found for many orders at once (`bessel_j_zeros_batch`).
-One `jv` array call scans every order's grid for sign changes, with a step
+One recurrence pass scans every order's grid for sign changes, with a step
 that consecutive zeros always exceed, so no two zeros share a grid
 interval and none can hide between grid points.  The step is pi/2 below
 nu = 1: consecutive zeros of any J_nu, nu >= 0, are farther apart than
@@ -49,14 +64,15 @@ order nu >= 1 is seeded by Olver's uniform expansion of j_{nu,k} in the
 zeros of Ai (DLMF 10.21(viii)), within 7e-4 relative and mostly within
 1e-5; below nu = 1 by McMahon's expansion.  One vectorised Halley
 iteration, safeguarded by bisection, then refines all brackets together.
-A round evaluates J_nu and J_{nu-1}, which give J_nu'; Bessel's equation
-gives J_nu'' for free.  Halley's error constant at a zero of J_nu is
-1/6 - (2 nu^2 + 1)/(12 x^2), below 1/6 in size, so once a step s has
-|s|^3 <= 1e-18 x, x - s is the root to 2e-19 relative and the element
-stops without another evaluation: most zeros take one round.  This test
-comes before the bracket safeguard, so a converged step that lands on a
-bracket end is accepted instead of bisected.  A zero is then as accurate
-as `jv` allows, within 2.5e-16 relative of the true root in the tests.
+A round is one pass, whose J_nu and J_{nu-1} give J_nu' up to the same
+factor; Bessel's equation gives J_nu'' for free.  Halley's error constant
+at a zero of J_nu is 1/6 - (2 nu^2 + 1)/(12 x^2), below 1/6 in size, so
+once a step s has |s|^3 <= 1e-18 x, x - s is the root to 2e-19 relative
+and the element stops without another evaluation: most zeros take one
+round.  This test comes before the bracket safeguard, so a converged step
+that lands on a bracket end is accepted instead of bisected.  A zero is
+then as accurate as the recurrence allows, within 2.5e-16 relative of the
+true root in the tests.
 """
 
 from __future__ import annotations
@@ -226,10 +242,10 @@ def jv(nu, x):
     return out.reshape(shape)[()]
 
 
-def _miller(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) by Miller's backward recurrence, every element in one pass."""
-    if not len(x):
-        return x
+def _start(nu: np.ndarray, x: np.ndarray):
+    """Each element's split nu = n + nu0 and start index N (module
+    docstring), sorted by descending N as `_backward` needs.  Returns the
+    sort order and the sorted nu0, x/2, n and N."""
     n = np.floor(nu)
     nu0 = nu - n
     n = n.astype(np.intp)
@@ -237,22 +253,33 @@ def _miller(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     start += start % 2
     # descending start index: at index j the started elements are a prefix
     order = np.argsort(-start, kind="stable")
-    nu0, x, n, start = nu0[order], x[order], n[order], start[order]
-    size = len(x)
+    return order, nu0[order], 0.5 * x[order], n[order], start[order]
+
+
+def _at_index(idx: np.ndarray) -> dict[int, np.ndarray]:
+    """{j: the positions whose idx is j}."""
+    by_idx = np.argsort(idx, kind="stable")
+    levels, firsts = np.unique(idx[by_idx], return_index=True)
+    return dict(zip(levels.tolist(), np.split(by_idx, firsts[1:])))
+
+
+def _backward(nu0, half_x, start, last, carry=()):
+    """The backward recurrence of every element at once, from p_{N+1} = 0,
+    p_N = 1 down to index `last`; elements sorted by descending N.
+
+    Yields (j, live, p_next, p) at j = N_0, N_0 - 1, ..., last: the first
+    `live` elements have started, and p[:live], p_next[:live] hold their
+    p_j and p_{j+1}.  The buffers are reused, so a caller copies what it
+    keeps.  Whenever |p_j| exceeds RESCALE, that element's p_j, p_{j+1} and
+    entries of the `carry` arrays are divided by RESCALE.
+    """
+    size = len(start)
     # the step never forms the factor 2 (nu0 + j) / x: a rounded 2 / x errs
     # alike at every j, a rounded nu0 + j alike across each binade of j, and
     # such errors add up, to 4e-14 to 5e-14 of the amplitude up to x = 600
     # against 1.2e-14 for this form (test_jv_step_rounding_does_not_add_up)
-    half_x = 0.5 * x
     p_next, p, work = np.zeros(size), np.ones(size), np.empty(size)  # p_{j+1}, p_j
-    total = np.zeros(size)      # Neumann sum, in the scale of p
-    coef = np.ones(size)        # (nu0 + 1)_{k-1} / k! at j = 2k, 1 at the start
-    val = np.zeros(size)
     scratch = np.empty(size)
-    by_n = np.argsort(n, kind="stable")
-    levels, firsts = np.unique(n[by_n], return_index=True)
-    capture = dict(zip(levels.tolist(), np.split(by_n, firsts[1:])))
-    last = -1 if levels[0] < 0 else 0
     index = range(int(start[0]), last - 1, -1)
     started = 0
     for j, live in zip(index, np.searchsorted(-start, -np.array(index), side="right").tolist()):
@@ -260,23 +287,10 @@ def _miller(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
             p_next[started:live] = 0.0
             p[started:live] = 1.0
             started = live
-            v_nu0, v_half_x, v_total, v_coef, v_scratch = (
-                a[:live] for a in (nu0, half_x, total, coef, scratch))
+            v_nu0, v_half_x, v_scratch = nu0[:live], half_x[:live], scratch[:live]
+            v_carry = tuple(a[:live] for a in carry)
             v_next, v_p, v_work = p_next[:live], p[:live], work[:live]
-        if j >= 2 and j % 2 == 0:
-            k = j // 2
-            np.add(v_nu0, j, out=v_work)
-            v_work *= v_coef
-            v_work *= v_p
-            v_total += v_work
-            if k >= 2:
-                np.add(v_nu0, k - 1, out=v_scratch)
-                np.divide(k, v_scratch, out=v_scratch)
-                v_coef *= v_scratch
-        elif j == 0:
-            total += coef * p
-        if j in capture:
-            val[capture[j]] = p[capture[j]]
+        yield j, live, p_next, p
         if j == last:
             break
         # p_{j-1} = (j p_j + nu0 p_j) / (x/2) - p_{j+1}
@@ -289,12 +303,58 @@ def _miller(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         v_next, v_p, v_work = v_p, v_work, v_next
         if np.maximum.reduce(np.abs(v_p, out=v_scratch)) > RESCALE:
             big = v_scratch > RESCALE
-            for arr in (v_next, v_p, v_total, val[:live]):
+            for arr in (v_next, v_p) + v_carry:
                 arr[big] /= RESCALE
+
+
+def _miller(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) by Miller's backward recurrence, every element in one pass,
+    normalised by the Neumann sum."""
+    if not len(x):
+        return x
+    order, nu0, half_x, n, start = _start(nu, x)
+    size = len(x)
+    total = np.zeros(size)      # Neumann sum, in the scale of p
+    coef = np.ones(size)        # (nu0 + 1)_{k-1} / k! at j = 2k, 1 at the start
+    val = np.zeros(size)
+    work, scratch = np.empty(size), np.empty(size)
+    capture = _at_index(n)
+    last = -1 if n.min() < 0 else 0
+    for j, live, _, p in _backward(nu0, half_x, start, last, carry=(total, val)):
+        if j >= 2 and j % 2 == 0:
+            k = j // 2
+            v_coef, v_work, v_scratch = coef[:live], work[:live], scratch[:live]
+            np.add(nu0[:live], j, out=v_work)
+            v_work *= v_coef
+            v_work *= p[:live]
+            total[:live] += v_work
+            if k >= 2:
+                np.add(nu0[:live], k - 1, out=v_scratch)
+                np.divide(k, v_scratch, out=v_scratch)
+                v_coef *= v_scratch
+        elif j == 0:
+            total += coef * p
+        if j in capture:
+            val[capture[j]] = p[capture[j]]
     j_nu = val * coef * np.exp(nu0 * np.log(half_x) - _lgamma(nu0 + 1.0)) / total
     out = np.empty(size)
     out[order] = j_nu
     return out
+
+
+def _j_pair(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c J_nu(x), c J_{nu-1}(x)) for 1-d arrays, nu >= 0 and x >= 1e-40,
+    with one positive factor c per element: the recurrence from jv's start
+    N, read at index n - 1, with no normalisation (module docstring).  Its
+    signs are jv's, and J_nu / J_nu' is jv's to rounding."""
+    order, nu0, half_x, n, start = _start(nu, x)
+    f, g = np.empty(len(x)), np.empty(len(x))
+    capture = _at_index(n - 1)
+    for j, _, p_next, p in _backward(nu0, half_x, start, int(n.min()) - 1):
+        if j in capture:
+            at = capture[j]
+            f[order[at]], g[order[at]] = p_next[at], p[at]
+    return f, g
 
 
 def jvp(nu, x):
@@ -371,8 +431,8 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   f_lo: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Halley with bisection fallback, one sign-changing bracket per element.
 
-    All brackets advance together; a round costs one `jv` array call for
-    f = J_nu and one for J_{nu-1}, which gives f' = J_{nu-1} - (nu/x) f.
+    All brackets advance together; a round costs one `_j_pair` pass for
+    f = c J_nu and c J_{nu-1}, c > 0, which give f' = c J_{nu-1} - (nu/x) f.
     Bessel's equation gives f'' = -f'/x - (1 - nu^2/x^2) f for free, and
     with r = f/f' Halley's step s = r / (1 - r f''/(2 f')) is
 
@@ -398,11 +458,11 @@ def _newton_batch(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     for _ in range(60):
         if not len(idx):
             break
-        fx = jv(nu, x)
+        fx, gx = _j_pair(nu, x)
         on_lo = (fx > 0) == lo_pos
         lo = np.where(on_lo, x, lo)
         hi = np.where(on_lo, hi, x)
-        dfx = jv(nu - 1.0, x) - nu / x * fx
+        dfx = gx - nu / x * fx
         with np.errstate(divide="ignore", invalid="ignore"):
             r = fx / dfx
             halley = r / (1.0 + r / (2.0 * x) + 0.5 * (1.0 - (nu / x) ** 2) * r * r)
@@ -432,7 +492,7 @@ def zero_scan_step(nus, z_max: float) -> np.ndarray:
 def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     """All positive zeros up to z_max of J_nu for each nu in `nus`, ascending.
 
-    One `jv` array call scans every order's grid, of step `zero_scan_step`,
+    One `_j_pair` pass scans every order's grid, of step `zero_scan_step`,
     for sign changes; a grid point where J_nu is exactly 0 is a zero.  The
     k-th bracket of an order is seeded by `_zero_seeds`, and all brackets
     are refined together by `_newton_batch`'s Halley iteration.  An order
@@ -456,7 +516,7 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     i = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
     grid = start[order] + i * ((start + step) - start)[order]
     nu_at = nus[order]
-    vals = jv(nu_at, grid)
+    vals, _ = _j_pair(nu_at, grid)
     signs = np.sign(vals)
     # a bracket [grid[i], grid[i + 1]] never crosses from one order to the next
     last = np.zeros(len(grid), dtype=bool)

@@ -287,6 +287,9 @@ class Pipeline:
         cfg = self.cfg
         self.lambda_max = cfg.lambda_max if cfg.lambda_max is not None \
             else 36.0 / cfg.t_min
+        if cfg.t_min >= SPLIT:
+            raise ValueError(f"--t-min {cfg.t_min!r} must lie below the Mellin split "
+                             f"SPLIT = {SPLIT}, where the sample grid ends")
         self.grid = conekernel.log_grid(cfg.t_min, SPLIT, GRID_POINTS)
         self.fiber_periods: tuple[float, ...] = ()
         self.base_periods: tuple[float, ...] = ()

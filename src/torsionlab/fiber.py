@@ -140,7 +140,14 @@ def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     keys = np.array([float(f"{v:.12g}") for v in values.tolist()])[inverse]
     order = np.argsort(keys, kind="stable")
     shell_keys, starts, points = np.unique(keys[order], return_index=True, return_counts=True)
-    mean = np.array([np.mean(shell) for shell in np.split(mu2[order], starts[1:])])
+    # one row per shell of each size: mean(axis=1) sums each row pairwise,
+    # as np.mean of that shell alone does, so the means are the same bits;
+    # the sizes come from a set, as a bare np.unique would import numpy.ma
+    srt = mu2[order]
+    mean = np.empty(len(starts))
+    for size in sorted(set(points.tolist())):
+        sel = points == size
+        mean[sel] = srt[starts[sel][:, None] + np.arange(size)].mean(axis=1)
     nonzero = shell_keys != 0.0
     return FiberSpectrum(len(periods), cutoff, mean[nonzero], points[nonzero])
 

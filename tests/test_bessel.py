@@ -190,6 +190,59 @@ def test_jv_refuses_out_of_domain(nu, x):
         bessel.jv(nu, x)
 
 
+def _finder_passes(cfg, monkeypatch):
+    """The (nu, x) of every recurrence pass the zero finder makes for the
+    orders of `cfg`'s model up to its z_max, first the scan, then the rounds."""
+    pipe = Pipeline(cfg)
+    orders = sorted({round(nu, 12) for spec in pipe.nu_spectra().values()
+                     for nu in spec.nu.tolist()})
+    calls = []
+    pair_real = bessel._j_pair
+
+    def recording_pair(nu, x):
+        calls.append((nu.copy(), x.copy()))
+        return pair_real(nu, x)
+
+    monkeypatch.setattr(bessel, "_j_pair", recording_pair)
+    bessel_j_zeros_batch(orders, math.sqrt(pipe.lambda_max))
+    monkeypatch.setattr(bessel, "_j_pair", pair_real)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(),
+    ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi], t_min=1e-2),
+], ids=["disk", "torus"])
+def test_pair_signs_and_halley_ratios_are_jvs(cfg, monkeypatch):
+    """On the finder's own inputs the pass's J_nu and J_{nu-1} have jv's
+    signs, and the Halley ratio J_nu / J_nu' is jv's within 1e-15 relative.
+    The scan reads signs only: next to a turning point J_nu' nearly
+    cancels, and there the ratio is not compared."""
+    calls = _finder_passes(cfg, monkeypatch)
+    assert len(calls) >= 3
+    for i, (nu, x) in enumerate(calls):
+        f, g = bessel._j_pair(nu, x)
+        jf, jg = bessel.jv(nu, x), bessel.jv(nu - 1.0, x)
+        assert np.array_equal(np.sign(f), np.sign(jf)) and np.array_equal(np.sign(g), np.sign(jg))
+        if i:
+            ratio, want = f / (g - nu / x * f), jf / (jg - nu / x * jf)
+            assert np.all(np.abs(ratio - want) <= 1e-15 * np.abs(want)), i
+
+
+def test_pair_below_order_one_and_rescaled():
+    """For nu in [0, 1) the pass steps once past index 0, to J_{nu-1}; at
+    x = 1e-8 the step factor ~2e8 j drives p past RESCALE, and the pair is
+    still jv's to rounding.  The orders are ones where nu - 1 is exact."""
+    nu = np.array([0.0, 0.5, 0.75, 0.99, 0.0, 0.5, 0.0, 0.25 + 0.5])
+    x = np.array([1e-8, 1e-8, 1e-8, 1e-8, 0.3, 2.0, 7.5, 40.0])
+    f, g = bessel._j_pair(nu, x)
+    jf, jg = bessel.jv(nu, x), bessel.jv(nu - 1.0, x)
+    assert np.array_equal(np.sign(f), np.sign(jf)) and np.array_equal(np.sign(g), np.sign(jg))
+    assert np.all(np.abs(f / g - jf / jg) <= 1e-15 * np.abs(jf / jg))
+    # J_0 / J_{-1} = -J_0 / J_1 = -2/x (1 + O(x^2)) near 0
+    assert f[0] / g[0] == pytest.approx(-2e8, rel=1e-15)
+
+
 def test_j0_first_zero_against_series_bisection():
     want = bisect_zero(lambda z: bessel_j_series(0.0, z), 2.0, 3.0)
     got = bessel_j_zeros(0.0, 3.0)[0]
@@ -280,10 +333,11 @@ def test_batch_matches_scalar_oracle():
 
 
 def test_exact_grid_zero_is_a_zero(monkeypatch):
-    """A scan point where jv returns exactly 0.0 is taken as a zero and counts
-    in the McMahon index k, in the batch as in the oracle on the same grid,
-    for an order scanned with step pi/2 and one scanned with step pi."""
-    jv_real = bessel.jv
+    """A scan point where the recurrence pass gives exactly 0.0 is taken as a
+    zero and counts in the McMahon index k, in the batch as in the oracle on
+    the same grid (there through jv), for an order scanned with step pi/2
+    and one scanned with step pi."""
+    jv_real, pair_real = bessel.jv, bessel._j_pair
     for nu in (0.5, 2.0):
         step = float(zero_scan_step([nu], 30.0)[0])
         point = float(np.arange(nu, 30.0, step)[5])
@@ -291,7 +345,11 @@ def test_exact_grid_zero_is_a_zero(monkeypatch):
         def jv_zero_at_point(nu, x, point=point):
             return np.where(np.asarray(x) == point, 0.0, jv_real(nu, x))
 
-        monkeypatch.setattr(bessel, "jv", jv_zero_at_point)
+        def pair_zero_at_point(nu, x, point=point):
+            f, g = pair_real(nu, x)
+            return np.where(x == point, 0.0, f), g
+
+        monkeypatch.setattr(bessel, "_j_pair", pair_zero_at_point)
         monkeypatch.setattr(zero_oracle, "jv", jv_zero_at_point)
         got = bessel_j_zeros(nu, 30.0)
         want = oracle_zeros(nu, 30.0, step)
@@ -374,20 +432,20 @@ def test_half_order_zeros_within_two_ulp():
 
 
 def test_newton_rounds_per_zero(monkeypatch):
-    """A Halley round evaluates J_nu and J_{nu-1} once per open bracket;
-    the first `jv` call is the sign-change scan.  Most zeros take one
-    round, and the tail is short."""
+    """A Halley round makes one recurrence pass per open bracket, which
+    gives J_nu and J_{nu-1}; the first pass is the sign-change scan.  Most
+    zeros take one round, and the tail is short."""
     sizes = []
-    jv_real = bessel.jv
+    pair_real = bessel._j_pair
 
-    def counting_jv(nu, x):
+    def counting_pair(nu, x):
         sizes.append(np.size(x))
-        return jv_real(nu, x)
+        return pair_real(nu, x)
 
-    monkeypatch.setattr(bessel, "jv", counting_jv)
+    monkeypatch.setattr(bessel, "_j_pair", counting_pair)
     orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))
     zeros = sum(len(zs) for zs in bessel_j_zeros_batch(orders, 100.0))
-    rounds = (sum(sizes) - sizes[0]) / 2 / zeros
+    rounds = (sum(sizes) - sizes[0]) / zeros
     assert zeros > 3000
     assert rounds <= 1.5, rounds
 
@@ -409,17 +467,17 @@ def test_uniform_seed_accuracy():
 
 def test_halley_step_error_constant(monkeypatch):
     """From x0 = r + e, one step lands at r + K e^3 with Halley's constant
-    K = 1/6 - (2 nu^2 + 1)/(12 r^2) for J_nu; the second round's `jv`
-    call shows the first iterate."""
+    K = 1/6 - (2 nu^2 + 1)/(12 r^2) for J_nu; the second round's recurrence
+    pass shows the first iterate."""
     mpmath.mp.dps = 30
     seen = []
-    jv_real = bessel.jv
+    jv_real, pair_real = bessel.jv, bessel._j_pair
 
-    def recording_jv(nu, x):
+    def recording_pair(nu, x):
         seen.append(np.array(x, copy=True))
-        return jv_real(nu, x)
+        return pair_real(nu, x)
 
-    monkeypatch.setattr(bessel, "jv", recording_jv)
+    monkeypatch.setattr(bessel, "_j_pair", recording_pair)
     for nu, k in ((0.0, 1), (2.5, 3), (7.0, 2), (30.0, 1), (30.0, 4)):
         r = float(mpmath.besseljzero(nu, k))
         big_k = 1.0 / 6.0 - (2.0 * nu * nu + 1.0) / (12.0 * r * r)
@@ -427,8 +485,8 @@ def test_halley_step_error_constant(monkeypatch):
             seen.clear()
             lo, hi = np.array([r - 0.6]), np.array([r + 0.6])
             bessel._newton_batch(np.array([nu]), lo, hi, jv_real(nu, lo), np.array([r + e]))
-            assert seen[0][0] == r + e and len(seen) == 4
-            assert abs((seen[2][0] - r) / e ** 3 - big_k) <= 5e-3, (nu, k, e)
+            assert seen[0][0] == r + e and len(seen) == 2
+            assert abs((seen[1][0] - r) / e ** 3 - big_k) <= 5e-3, (nu, k, e)
 
 
 def test_perturbed_seeds_give_the_same_zeros(monkeypatch):
@@ -462,14 +520,14 @@ def test_scan_grid_is_arange_per_order(monkeypatch):
                              rng.uniform(0.0, 3.0, 500), rng.uniform(0.0, 160.0, 500)])
     z_max = 150.0
     scans = []
-    jv_real = bessel.jv
+    pair_real = bessel._j_pair
 
-    def recording_jv(nu, x):
+    def recording_pair(nu, x):
         if not scans:
             scans.append((np.array(nu, copy=True), np.array(x, copy=True)))
-        return jv_real(nu, x)
+        return pair_real(nu, x)
 
-    monkeypatch.setattr(bessel, "jv", recording_jv)
+    monkeypatch.setattr(bessel, "_j_pair", recording_pair)
     bessel_j_zeros_batch(orders.tolist(), z_max)
     steps = np.where(orders >= 1.0, math.pi, math.pi / 2.0)
     grids = [np.arange(max(nu, 1e-8), z_max + step, step)

@@ -318,6 +318,19 @@ def test_t_min_past_the_fit_window(capsys, monkeypatch):
         assert message.startswith(f"--t-min {t_min} ") and "FIT_T_MAX" in message
 
 
+@pytest.mark.parametrize("argv", [["trace", "--t-min", "1"],
+                                  ["trace", "--single-nu", "0.5", "--t-min", "5"]],
+                         ids=["disk-at-split", "single-nu-past-split"])
+def test_t_min_at_or_past_the_split(capsys, argv):
+    """The samples cover [t_min, SPLIT], so a t_min at or above the Mellin
+    split exits 2 with a message naming --t-min and SPLIT."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith(f"--t-min {float(argv[-1])!r} ")
+    assert f"SPLIT = {cli.SPLIT}" in message
+
+
 def test_format_belongs_to_trace_only(capsys, tmp_path):
     """Each (flag, subcommand) pair: only that subcommand declares the flag.
     --format belongs to trace, and --convention to spectrum."""
@@ -520,7 +533,8 @@ def test_console_entry_point_subprocess():
 def test_torsion_path_loads_no_scipy():
     """Start-up cost: the CLI and torsion runs on the disk, the torus fiber
     and the circle product load no scipy module at all, nor numpy.ma, which
-    np.median would import, nor the oracle table, which only selftest runs.
+    np.median and a bare np.unique(x) (numpy 2.4) would import, nor the
+    oracle table, which only selftest runs.
     At this t_min the disk and the product stop at the fit with exit 4,
     after their zeros and traces; the torus run goes on through the zeta
     stage to its report."""

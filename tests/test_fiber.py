@@ -5,7 +5,9 @@ matrix on a truncated lattice basis, diagonalized numerically) is
 acceptance criterion 6, `oracles.dense_a_oracle`, in both conventions.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -101,6 +103,27 @@ def test_torus_harmonic_multiplicities_are_binomial():
 def test_torus_rejects_empty_periods():
     with pytest.raises(ValueError):
         torus_spectrum([], cutoff=1.0)
+
+
+def test_shell_means_are_per_shell_np_mean():
+    """Each shell's mu2 is, bit for bit, np.mean of its lattice points' |kappa|^2
+    in lattice order, on square, rectangular and cubic lattices; among the
+    shells of 8 points or more are some where numpy's pairwise sum and a
+    running sum give different means."""
+    pairwise_differs = 0
+    for periods, cutoff in (((TWO_PI, TWO_PI), 60.0), ((TWO_PI, 3.7), 40.0),
+                            ((TWO_PI, TWO_PI, TWO_PI), 14.0)):
+        _, mu2 = _lattice_points(periods, cutoff)
+        keys = np.array([float(f"{v:.12g}") for v in mu2.tolist()])
+        order = np.argsort(keys, kind="stable")
+        shell_keys, starts = np.unique(keys[order], return_index=True)
+        shells = [s for k, s in zip(shell_keys, np.split(mu2[order], starts[1:])) if k != 0.0]
+        spec = torus_spectrum(periods, cutoff)
+        assert spec.points.tolist() == [len(s) for s in shells]
+        assert spec.mu2.tolist() == [np.mean(s) for s in shells]
+        pairwise_differs += sum(len(s) >= 8 and functools.reduce(operator.add, s) / len(s)
+                                != np.mean(s) for s in shells)
+    assert pairwise_differs > 0
 
 
 def test_exact_degree_matches_coexact_below():

@@ -1,10 +1,12 @@
-"""perfbench's traced child against the CLI it traces.
+"""perfbench's traced child against the CLI it traces, and its counting
+child.
 
 `perfbench/layers.py trace` hooks the pipeline by name: the CLI's parser,
 `ModelConfig.from_sources` and `validate`, the `Pipeline` stage methods,
 and public functions of `fiber`, `conekernel`, `phg` and `zetator`.  A
 renamed hook breaks the traced benchmark run, which the rest of the suite
-never starts; these runs keep it honest.
+never starts; these runs keep it honest.  The counting child replaces
+`bessel.jv` and `bessel.jvp` by wrappers of (nu, x).
 """
 
 import importlib.util
@@ -52,3 +54,14 @@ def test_traced_report_is_the_cli_report(capsys, layers, argv):
         assert figures["fiber.entries"] > 0 and figures["fiber.nu_modes"] > 0
     assert {"pipeline.traces", "zetator.kernel_dimension",
             "zetator.zeta_near_zero"} <= {s["name"] for s in tracer.spans}
+
+
+def test_counting_child_runs(layers, monkeypatch):
+    """perfbench/layers.py's `count` mode wraps `bessel.jv` and `bessel.jvp`
+    in functions of exactly (nu, x) and runs the cone traces, here with a
+    cold zero cache as in its own process.  The zero finder calls neither,
+    so only the zero count must be positive."""
+    monkeypatch.setattr(conekernel, "_cached_zeros", conekernel._ZeroCache())
+    counts = layers.counted_zeros(layers.build_pipeline(["torsion", "--t-min", "1e-2"]))
+    assert counts["bessel.zeros"] > 0
+    assert {"bessel.jv_calls", "bessel.jv_evals", "bessel.jvp_calls"} <= set(counts)
