@@ -495,8 +495,9 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     One `_j_pair` pass scans every order's grid, of step `zero_scan_step`,
     for sign changes; a grid point where J_nu is exactly 0 is a zero.  The
     k-th bracket of an order is seeded by `_zero_seeds`, and all brackets
-    are refined together by `_newton_batch`'s Halley iteration.  An order
-    with no zero up to z_max gets an empty list.
+    are refined together by `_newton_batch`'s Halley iteration; a zero not
+    above its order raises.  An order with no zero up to z_max gets an
+    empty list.
     """
     nus = np.fromiter(nus, dtype=float)
     if not np.all(nus >= 0.0):
@@ -533,6 +534,8 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     b = at[bracket]
     zeros[bracket] = _newton_batch(nu_at[b], grid[b], grid[b + 1], vals[b],
                                    _zero_seeds(nu_at[b], k[bracket]))
+    if np.any(zeros <= nu_at[at]):
+        raise RuntimeError(f"zeros {zeros[zeros <= nu_at[at]]} not above their orders")
     keep = zeros <= z_max
     cuts = np.cumsum(np.bincount(order[at][keep], minlength=len(nus))).tolist()
     flat = zeros[keep].tolist()

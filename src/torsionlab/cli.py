@@ -366,7 +366,7 @@ class Pipeline:
 
     @_stage
     def zetas(self) -> dict[int, zetator.ZetaData]:
-        traces, fits = self.traces(), self.fits()
+        fits, traces = self.fits(), self.traces()  # the fits check t_min first
         inputs = {k: (fits[k], kernel) for k, kernel in zip(self.degrees, self._kernels())}
         # `fits` shares a fit only between equal traces, so one fit object and
         # one kernel dimension give one zeta
@@ -378,12 +378,12 @@ class Pipeline:
     def torsion(self) -> zetator.TorsionReport:
         diagnostics = {"lambda_max": self.lambda_max, "t_min": self.cfg.t_min,
                        "grid_points": GRID_POINTS}
+        zetas = self.zetas()  # before the traces, as in `zetas`
         # the alternating sum pairs degrees; a single radial mode has only one
         if len(self.degrees) > 1:
             traces = self.traces()
             diagnostics["mckean_singer_defect"] = conekernel.mckean_singer_defect(
                 [traces[k] for k in self.degrees], self._kernels())
-        zetas = self.zetas()
         return zetator.torsion_assemble([zetas[k] for k in self.degrees],
                                         model=self.label, diagnostics=diagnostics)
 

@@ -123,19 +123,19 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ConeSpectrum:
-    """Dirichlet eigenvalues j_{nu,k}^2 <= lambda_cutoff of a truncated cone."""
+    """Dirichlet eigenvalues j_{nu,k}^2 <= lambda_cutoff of a truncated cone:
+    the zeros j_{nu,k} of each Bessel order of `nu_spectrum`."""
 
     nu_spectrum: NuSpectrum
-    zeros: dict[float, list[float]]
-    multiplicities: dict[float, int]
+    zeros: dict[float, tuple[float, ...]]
     lambda_cutoff: float
     cone_dim: int
 
     def spectrum(self) -> Spectrum:
         """Eigenvalues j_{nu,k}^2, each weighted by the multiplicity of nu."""
-        z = np.fromiter(chain.from_iterable(self.zeros.values()), dtype=float)
-        weight = np.repeat([self.multiplicities[nu] for nu in self.zeros],
-                           [len(zs) for zs in self.zeros.values()])
+        zeros = [self.zeros[nu] for nu in self.nu_spectrum.nu.tolist()]
+        z = np.fromiter(chain.from_iterable(zeros), dtype=float)
+        weight = np.repeat(self.nu_spectrum.mult, [len(zs) for zs in zeros])
         return Spectrum.of(z * z, weight, self.lambda_cutoff)
 
 
@@ -154,13 +154,13 @@ class _ZeroCache:
         self._zeros: dict[tuple[float, float], tuple[float, ...]] = {}
         self._hits = self._misses = 0
 
-    def lookup(self, nus: Sequence[float], z_max: float) -> dict[float, list[float]]:
-        missing = [nu for nu in nus if (nu, z_max) not in self._zeros]
+    def lookup(self, nus: Sequence[float], z_max: float) -> dict[float, tuple[float, ...]]:
+        missing = list(dict.fromkeys(nu for nu in nus if (nu, z_max) not in self._zeros))
         for nu, zs in zip(missing, bessel_j_zeros_batch(missing, z_max)):
             self._zeros[nu, z_max] = tuple(zs)
         self._misses += len(missing)
         self._hits += len(nus) - len(missing)
-        return {nu: list(self._zeros[nu, z_max]) for nu in nus}
+        return {nu: self._zeros[nu, z_max] for nu in nus}
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, None, len(self._zeros))
@@ -170,23 +170,12 @@ _cached_zeros = _ZeroCache()
 
 
 def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) -> ConeSpectrum:
-    """Enumerate all truncated-cone eigenvalues up to lambda_cutoff.
-
-    Modes sharing the same Bessel order (to 1e-12) are merged so each order
-    is root-searched once.
-    """
+    """Enumerate all truncated-cone eigenvalues up to lambda_cutoff, from the
+    zeros of each Bessel order of `nu_spec` as it holds them."""
     if lambda_cutoff <= 0:
         raise ValueError("lambda_cutoff must be positive")
-    mult: dict[float, int] = {}
-    for nu, m in zip(nu_spec.nu.tolist(), nu_spec.mult.tolist()):
-        key = round(nu, 12)
-        mult[key] = mult.get(key, 0) + m
-    z_max = math.sqrt(lambda_cutoff)
-    zeros = _cached_zeros.lookup(sorted(mult), z_max)
-    for nu, zs in zeros.items():
-        if zs and zs[0] <= nu:
-            raise RuntimeError(f"first zero {zs[0]} not above its order {nu}")
-    return ConeSpectrum(nu_spec, zeros, mult, lambda_cutoff, cone_dim)
+    zeros = _cached_zeros.lookup(nu_spec.nu.tolist(), math.sqrt(lambda_cutoff))
+    return ConeSpectrum(nu_spec, zeros, lambda_cutoff, cone_dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -161,10 +161,9 @@ def a_constants(ell: int, f: int, convention) -> tuple[float, float]:
 
 
 def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
-                        convention) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        convention) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenvalues of the block operator on fiber degrees (p-1, p),
-    as arrays (nu2, mult, family), unsorted.  The family numbers fix the
-    order that equal Bessel orders keep.
+    as arrays (nu2, mult), unsorted.
 
     Invariant subspaces: fiber-harmonic forms give the squared diagonal
     constants; a coexact (p-1)-eigenform phi pairs with d phi / mu into a
@@ -181,7 +180,7 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
     mean = mu2 + 0.5 * (c1 * c1 + c2 * c2)
     disc = np.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * mu2)
     pairs = fiber.coexact(p - 1)
-    families = [  # (nu2, mult) by family number
+    families = [  # (nu2, mult)
         (mu2 + c2 * c2, fiber.coexact(p)),                    # coexact p-forms
         (mu2 + c1 * c1, fiber.exact(p - 1)),                  # exact (p-1)-forms
         (np.array([c1 * c1]), np.array([_comb(f, p - 1)])),   # harmonic (p-1)-forms
@@ -191,15 +190,22 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
     ]
     nu2 = np.concatenate([v for v, _ in families])
     mult = np.concatenate([m for _, m in families])
-    family = np.repeat(np.arange(len(families)), [len(v) for v, _ in families])
     keep = mult > 0
-    return nu2[keep], mult[keep], family[keep]
+    return nu2[keep], mult[keep]
+
+
+def _merged_orders(nu: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly increasing orders with summed multiplicities: orders equal
+    under Python's round(nu, 12), the order whose zeros are computed, are one."""
+    orders, inverse = np.unique([round(v, 12) for v in nu.tolist()], return_inverse=True)
+    return orders, np.bincount(inverse, weights=mult, minlength=len(orders)).astype(mult.dtype)
 
 
 @dataclass(frozen=True, eq=False)
 class NuSpectrum:
     """Bessel orders `nu` with multiplicities `mult` of cone form degree
-    `degree`, complete below `cutoff`.  Each order has the indicial roots
+    `degree`, complete below `cutoff`, each order once and increasing (one
+    built by hand may repeat an order).  Each order has the indicial roots
     1/2 -+ nu; at nu = 0 they coincide and the solutions take the log branch."""
 
     nu: np.ndarray
@@ -230,8 +236,8 @@ class NuSpectrum:
 
 def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORACLE,
                nu_max: float | None = None) -> NuSpectrum:
-    """Nu-spectrum of the degree-p block operator, complete below nu_max,
-    sorted by order, then family, then nu^2.
+    """Nu-spectrum of the degree-p block operator, complete below nu_max:
+    each Bessel order once, increasing, with its summed multiplicity.
 
     Raises NegativeBlockEigenvalue when a block eigenvalue is genuinely
     negative: the operator is nonnegative by construction, so this can only
@@ -244,15 +250,14 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
         raise TailNotCertified(
             f"fiber cutoff {fiber.cutoff} cannot certify nu-completeness to {nu_max}; "
             f"need cutoff >= nu_max + {A_SPECTRUM_MARGIN}")
-    nu2, mult, family = a_block_eigenvalues(fiber, p, conv)
+    nu2, mult = a_block_eigenvalues(fiber, p, conv)
     lowest = float(np.min(nu2, initial=0.0))
     if lowest < -1e-10 * np.max(np.abs(nu2), initial=1.0):
         raise NegativeBlockEigenvalue(
             f"block eigenvalue {lowest} < 0 for p={p}, convention={conv.value}")
     nu = np.sqrt(np.maximum(nu2, 0.0))
-    order = np.lexsort((nu2, family, nu))
-    order = order[nu[order] <= nu_max]
-    return NuSpectrum(nu[order], mult[order], p, conv, float(nu_max))
+    keep = nu <= nu_max
+    return NuSpectrum(*_merged_orders(nu[keep], mult[keep]), p, conv, float(nu_max))
 
 
 def single_nu_spectrum(nu: float) -> NuSpectrum:
@@ -260,7 +265,7 @@ def single_nu_spectrum(nu: float) -> NuSpectrum:
     one l_nu."""
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
-    return NuSpectrum(np.array([float(nu)]), np.array([1]), 0,
+    return NuSpectrum(*_merged_orders(np.array([float(nu)]), np.array([1])), 0,
                       Convention.GEOMETRIC_ORACLE, math.inf)
 
 

@@ -2,9 +2,10 @@
 numbered row, as the eleven acceptance criteria of tests/test_acceptance.py.
 
 check() returns (passed, detail), at its criterion's full size, with the
-criterion's own convention and tolerances.  The two unnumbered rows check
+criterion's own convention and tolerances.  Two unnumbered rows check
 both conventions: GeometricOracle must pass, and PaperLiteral must show
-its documented discrepancy.
+its documented discrepancy.  The third, `cone_supertrace`, checks the
+closed form of the heat supertrace on genuine cones.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ LIT = fiber.Convention.PAPER_LITERAL
 TWO_PI = 2.0 * math.pi
 
 
-def _flat_nu(p: int, nu_max: float, convention=GEO) -> fiber.NuSpectrum:
-    """Nu-spectrum in degree p of the cone over the unit circle."""
-    fib = fiber.torus_spectrum((TWO_PI,), cutoff=nu_max + 1.5)
+def _flat_nu(p: int, nu_max: float, convention=GEO, radius: float = 1.0) -> fiber.NuSpectrum:
+    """Nu-spectrum in degree p of the cone over the circle of radius `radius`."""
+    fib = fiber.torus_spectrum((TWO_PI * radius,), cutoff=nu_max + 1.5)
     return fiber.a_spectrum(fib, p, convention, nu_max=nu_max)
 
 
@@ -172,7 +173,7 @@ def dense_a_gaps(periods, p: int, convention) -> tuple[float, float]:
     distance from a dense eigenvalue to the spectrum on 128 modes."""
     dense, kmax = fiber.dense_a_eigenvalues(periods, p, convention, n_modes=64)
     fib = fiber.torus_spectrum(periods, cutoff=kmax * (1 + 1e-12))
-    nu2, mult, _ = fiber.a_block_eigenvalues(fib, p, convention)
+    nu2, mult = fiber.a_block_eigenvalues(fib, p, convention)
     closed = np.sort(np.repeat(nu2, mult))
     gap = float(np.max(np.abs(closed - dense))) if len(closed) == len(dense) else math.inf
     big, _ = fiber.dense_a_eigenvalues(periods, p, convention, n_modes=128)
@@ -241,9 +242,9 @@ def mckean_singer():
 
     labels = [Counter(), Counter()]
     for p, spec in enumerate(spectra(200.0)):
-        for nu, zs in spec.zeros.items():
-            for k in range(len(zs)):
-                labels[p % 2][nu, k] += spec.multiplicities[nu]
+        for nu, mult in zip(spec.nu_spectrum.nu.tolist(), spec.nu_spectrum.mult.tolist()):
+            for k in range(len(spec.zeros[nu])):
+                labels[p % 2][nu, k] += mult
     labels_ok = labels[0] == labels[1]
     # the certified-trace defect needs a cutoff adequate for t = 0.05
     grid = conekernel.log_grid(0.05, 1.0, 20)
@@ -340,6 +341,26 @@ def convention_comparison():
         f"PaperLiteral orders sqrt(k^2 + 1): {lit}"
 
 
+def cone_supertrace():
+    """On the cone over a circle of radius r, Tr_0 - Tr_1 + Tr_2 is
+    a(1 - a)/r at small t, with a = frac(r): 0 only at integer r, so the
+    Friedrichs traces of a genuine cone keep no McKean-Singer identity."""
+    lam = 36.0 / 1e-3
+    nu_max = math.sqrt(lam) + 0.5
+    grid = conekernel.log_grid(1e-3, 1e-2, 21)
+    errors = {}
+    for r in (0.5, 1.5, 2.0, 2.3):
+        tr = [conekernel.truncated_cone_trace(
+            conekernel.cone_spectrum(_flat_nu(p, nu_max, radius=r), lam), p, grid)
+            for p in range(3)]
+        a = r % 1.0
+        errors[r] = float(np.max(np.abs(tr[0].values - tr[1].values + tr[2].values
+                                        - a * (1.0 - a) / r)))
+    worst, at = max((e, r) for r, e in errors.items())
+    return worst <= 1e-10, f"Tr_0 - Tr_1 + Tr_2 = a(1-a)/r on t in [1e-3, 1e-2] at r = " \
+        f"{', '.join(map(str, errors))}: max |diff| {worst:.2e} (r = {at})"
+
+
 # (name, acceptance criterion or None, check), in selftest order
 ORACLES = (
     ("bessel_closed_form", 1, bessel_closed_form),
@@ -355,4 +376,5 @@ ORACLES = (
     ("semigroup", 11, semigroup),
     ("gauss_bonnet", None, gauss_bonnet),
     ("convention_comparison", None, convention_comparison),
+    ("cone_supertrace", None, cone_supertrace),
 )

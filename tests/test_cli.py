@@ -303,19 +303,22 @@ def test_non_positive_length_is_refused(capsys, tmp_path, value, argv, lines, ke
 
 def test_t_min_past_the_fit_window(capsys, monkeypatch):
     """trace samples [t_min, 1] and fits nothing, so it takes a t_min past
-    the fit window t <= FIT_T_MAX; fit refuses one that leaves the window
-    too few samples, naming --t-min, before any trace is computed."""
+    the fit window t <= FIT_T_MAX; fit, zeta and torsion refuse one that
+    leaves the window too few samples, naming --t-min, before any trace is
+    computed."""
     code, out, _ = run(capsys, "trace", "--single-nu", "0.5", "--t-min", "0.2")
     assert code == 0 and json.loads(out)["traces"]["0"]["t"][0] == 0.2
 
     def no_compute(self):
         raise AssertionError("the traces were computed before --t-min was checked")
     monkeypatch.setattr(cli.Pipeline, "traces", no_compute)
-    for t_min in ("0.2", "0.099"):
-        code, out, err = run(capsys, "fit", "--single-nu", "0.5", "--t-min", t_min)
-        assert code == 2 and out == ""
-        message = json.loads(err)["message"]
-        assert message.startswith(f"--t-min {t_min} ") and "FIT_T_MAX" in message
+    for argv in (["fit", "--single-nu", "0.5"], ["zeta", "--single-nu", "0.5"],
+                 ["zeta"], ["torsion"]):
+        for t_min in ("0.2", "0.099"):
+            code, out, err = run(capsys, *argv, "--t-min", t_min)
+            assert code == 2 and out == "", argv
+            message = json.loads(err)["message"]
+            assert message.startswith(f"--t-min {t_min} ") and "FIT_T_MAX" in message
 
 
 @pytest.mark.parametrize("argv", [["trace", "--t-min", "1"],
@@ -513,7 +516,7 @@ def test_selftest_runs_every_row_once(capsys):
     assert code == 0 and len(lines) == len(oracles.ORACLES) + 2 and lines[-1] == "0 failure(s)"
     for line, (name, number, _) in zip(lines, oracles.ORACLES):
         assert line.startswith(f"{number or '':>2}  {name} ") and " PASS " in line
-        if number is None:
+        if name in ("gauss_bonnet", "convention_comparison"):
             assert "GeometricOracle" in line and "PaperLiteral" in line
     for flags in (["--quick"], ["--convention", "paper-literal"]):
         with pytest.raises(SystemExit) as exc:

@@ -203,11 +203,40 @@ def test_indicial_roots_sum_to_one():
             assert m["p"] == p
 
 
+MERGE_FIBERS = {"circle-r1": (TWO_PI,), "circle-r1.5": (1.5 * TWO_PI,),
+                "square": (TWO_PI, TWO_PI), "rect-2pi-3pi": (TWO_PI, 1.5 * TWO_PI)}
+
+
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+@pytest.mark.parametrize("periods", MERGE_FIBERS.values(), ids=MERGE_FIBERS.keys())
+def test_a_spectrum_gives_each_order_once(periods, conv):
+    """Each Bessel order once, strictly increasing, and no multiplicity
+    lost: each order repeated by its multiplicity gives the block orders up
+    to nu_max, rounded by Python's round(nu, 12) as the zeros are computed.
+    A degree whose literal block is indefinite is refused instead.  The
+    cutoff is the torus workload's (t_min 1e-2), where np.round(nu, 12)
+    differs from round in the last bit on 4 orders of the square torus's
+    degree 0 and 12 of its degree 1."""
+    fiber = torus_spectrum(periods, cutoff=61.5)
+    for p in range(len(periods) + 2):
+        nu2, mult = a_block_eigenvalues(fiber, p, conv)
+        if nu2.min() < -1e-10:
+            assert conv is LIT
+            with pytest.raises(NegativeBlockEigenvalue):
+                a_spectrum(fiber, p, conv)
+            continue
+        spec = a_spectrum(fiber, p, conv)
+        assert np.all(np.diff(spec.nu) > 0), p
+        block = np.repeat(np.sqrt(np.maximum(nu2, 0.0)), mult).tolist()
+        want = sorted(round(nu, 12) for nu in block if nu <= spec.cutoff)
+        assert np.repeat(spec.nu, spec.mult).tolist() == want, p
+
+
 def test_a_nonnegative_geometric_oracle():
     for fiber in (circle(1.0, 8.0), circle(2.0, 8.0),
                   torus_spectrum([TWO_PI, TWO_PI], 6.0)):
         for p in range(fiber.dim_f + 2):
-            nu2, mult, _ = a_block_eigenvalues(fiber, p, GEO)
+            nu2, mult = a_block_eigenvalues(fiber, p, GEO)
             assert np.all(nu2 >= -1e-10) and np.all(mult > 0)
 
 
@@ -218,7 +247,7 @@ def test_paper_literal_indefinite_block_raises():
     spectrum builder must refuse rather than silently truncate at zero.
     """
     fiber = circle(1.0, cutoff=6.0)
-    nu2, _, _ = a_block_eigenvalues(fiber, 1, LIT)
+    nu2, _ = a_block_eigenvalues(fiber, 1, LIT)
     assert nu2.min() < -0.5
     with pytest.raises(NegativeBlockEigenvalue):
         a_spectrum(fiber, 1, LIT, nu_max=4.0)

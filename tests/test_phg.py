@@ -16,7 +16,6 @@ from torsionlab.oracles import (
     brute_extended_union,
     enumerate_members,
     members_of,
-    trace_expansion_matches,
 )
 from torsionlab.phg import (
     ExpansionTemplate,
@@ -247,13 +246,6 @@ def test_pushforward_even_m2_b0():
         assert corrected.log_order(F(n)) == 1
     assert corrected.log_order(F(-1)) == 0
     assert corrected.log_order(F(-1, 2)) is None
-
-
-@pytest.mark.parametrize("m", range(2, 9))
-@pytest.mark.parametrize("even", [False, True])
-def test_pushforward_reproduces_trace_expansion(m, even):
-    for b in range(0, m - 1):
-        assert trace_expansion_matches(m, b, even, CUT), b
 
 
 # ------------------------------------------------------------- templates --

@@ -45,7 +45,6 @@ from laurent_oracle import (
     zeta_contour_residue,
 )
 
-LOG2 = math.log(2.0)
 HALF_LINE_TEMPLATE = heat_trace_structure(1, 0, even=True, boundary=True, cutoff=1)
 
 
@@ -101,17 +100,6 @@ def test_spline_integral_error_estimate():
         coarse = float(CubicSpline(u[::2], np.exp(u[::2])).integrate(0.0, 1.0))
         assert full == pytest.approx(math.e - 1.0, rel=1e-6)
         assert err == pytest.approx(abs(full - coarse) / 15.0 + 1e-16 * abs(full), rel=1e-6)
-
-
-# ------------------------------------------------------------- the oracle --
-
-def test_riemann_zeta_oracle():
-    """The cone route's half-line spectrum; criterion 5 uses the theta trace."""
-    _, _, z = halfline_zeta()
-    assert abs(z.zeta0 - (-0.5)) < 1e-6
-    assert abs(z.zeta_prime0 - (-LOG2)) < 1e-5
-    assert z.zeta0 == z.zeta0_minus_kernel  # kernel_dim = 0
-    assert abs(z.residue_at_zero) < 1e-12
 
 
 # ----------------------------------------------------------- closed forms --
