@@ -489,17 +489,20 @@ def zero_scan_step(nus, z_max: float) -> np.ndarray:
     return np.where(wide, math.pi, ZERO_SCAN_STEP)
 
 
-def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
-    """All positive zeros up to z_max of J_nu for each nu in `nus`, ascending.
+def bessel_j_zeros_batch(nus, z_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """All positive zeros up to z_max of J_nu for each nu in `nus`, as one
+    flat array and the per-order counts: the zeros of `nus[0]` ascending,
+    then those of `nus[1]`, and so on.  An order with no zero up to z_max
+    counts 0.
 
     One `_j_pair` pass scans every order's grid, of step `zero_scan_step`,
     for sign changes; a grid point where J_nu is exactly 0 is a zero.  The
     k-th bracket of an order is seeded by `_zero_seeds`, and all brackets
     are refined together by `_newton_batch`'s Halley iteration; a zero not
-    above its order raises.  An order with no zero up to z_max gets an
-    empty list.
+    above its order raises.  Each order is solved on its own, so its zeros
+    do not depend on the other orders of the batch.
     """
-    nus = np.fromiter(nus, dtype=float)
+    nus = np.asarray(nus, dtype=float)
     if not np.all(nus >= 0.0):
         raise ValueError("order nu must be nonnegative")
     if not math.isfinite(z_max):
@@ -511,7 +514,7 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     step = zero_scan_step(nus, z_max)
     sizes = np.where(z_max > nus, np.ceil((z_max + step - start) / step), 0.0).astype(np.intp)
     if not sizes.sum():
-        return [[] for _ in nus]
+        return np.empty(0), np.zeros(len(nus), dtype=np.intp)
     order = np.repeat(np.arange(len(nus)), sizes)
     ends = np.cumsum(sizes)
     i = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
@@ -537,11 +540,9 @@ def bessel_j_zeros_batch(nus, z_max: float) -> list[list[float]]:
     if np.any(zeros <= nu_at[at]):
         raise RuntimeError(f"zeros {zeros[zeros <= nu_at[at]]} not above their orders")
     keep = zeros <= z_max
-    cuts = np.cumsum(np.bincount(order[at][keep], minlength=len(nus))).tolist()
-    flat = zeros[keep].tolist()
-    return [flat[a:e] for a, e in zip([0] + cuts[:-1], cuts)]
+    return zeros[keep], np.bincount(order[at][keep], minlength=len(nus))
 
 
 def bessel_j_zeros(nu: float, z_max: float) -> list[float]:
     """All positive zeros of J_nu up to z_max, ascending (see the batch)."""
-    return bessel_j_zeros_batch([nu], z_max)[0]
+    return bessel_j_zeros_batch([nu], z_max)[0].tolist()

@@ -10,7 +10,11 @@ order nu into the eigenvalue family j_{nu,k}^2, and the heat trace becomes
 a plain double sum over (nu, k).  Every trace sample carries a certified
 tail bound obtained from a Weyl envelope N(s) <= C s^q with C read off the
 computed spectrum, plus a bound on the rounding of the sum itself, which
-runs as blocked array passes over the time grid.
+runs as blocked array passes over the time grid.  Those passes take exp
+only where t lambda <= NORMAL_REACH = -ln 2^-1022, where exp(-t lambda) is
+a normal float: a subnormal result costs ~100 times a normal one.  Each
+term left out is below w 2^-1022, and the rounding bound carries that
+dropped mass.
 
 Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
@@ -24,7 +28,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +52,10 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # exp(-x) is exactly 0.0 past x = 745.2, and so is E1(x) <= e^{-x}/x: no
 # sum of exp(-t lam) or E1(t lam) reads an eigenvalue above EXP_REACH / t
 EXP_REACH = 746.0
+# exp(-x) is a normal float up to x = -ln(2^-1022) = 708.396...; past it the
+# result is subnormal, which costs ~100 times as much (see `_blocked_sums`)
+SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+NORMAL_REACH = -math.log(SMALLEST_NORMAL)
 
 
 def gammaincc(a: float, x) -> np.ndarray:
@@ -121,29 +128,44 @@ class Spectrum:
         return Spectrum(self.lam[keep], self.weight[keep], self.cutoff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSpectrum:
     """Dirichlet eigenvalues j_{nu,k}^2 <= lambda_cutoff of a truncated cone:
-    the zeros j_{nu,k} of each Bessel order of `nu_spectrum`."""
+    the zeros j_{nu,k} of each Bessel order of `nu_spectrum`, flat in the
+    order of its orders, and how many each order has."""
 
     nu_spectrum: NuSpectrum
-    zeros: dict[float, tuple[float, ...]]
+    flat_zeros: np.ndarray
+    counts: np.ndarray
     lambda_cutoff: float
     cone_dim: int
 
+    @property
+    def zeros(self) -> dict[float, tuple[float, ...]]:
+        """{nu: its zeros}, built on each read for perfbench and the oracle
+        table; the trace reads the flat zeros."""
+        per_order = np.split(self.flat_zeros, np.cumsum(self.counts)[:-1])
+        return {nu: tuple(zs.tolist()) for nu, zs in zip(self.nu_spectrum.nu.tolist(), per_order)}
+
     def spectrum(self) -> Spectrum:
         """Eigenvalues j_{nu,k}^2, each weighted by the multiplicity of nu."""
-        zeros = [self.zeros[nu] for nu in self.nu_spectrum.nu.tolist()]
-        z = np.fromiter(chain.from_iterable(zeros), dtype=float)
-        weight = np.repeat(self.nu_spectrum.mult, [len(zs) for zs in zeros])
-        return Spectrum.of(z * z, weight, self.lambda_cutoff)
+        weight = np.repeat(self.nu_spectrum.mult, self.counts)
+        return Spectrum.of(self.flat_zeros * self.flat_zeros, weight, self.lambda_cutoff)
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
+def _segments(flat: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """flat[starts[i]:starts[i] + counts[i]] for each i, concatenated."""
+    out_starts = np.cumsum(counts) - counts
+    return flat[np.arange(int(counts.sum())) + np.repeat(starts - out_starts, counts)]
+
+
 class _ZeroCache:
-    """Bessel zeros by (nu, z_max), kept for the life of the process.
+    """Bessel zeros by z_max, kept for the life of the process: for each
+    z_max, the orders computed so far as one increasing array, their zero
+    counts, and their zeros as one flat array in the order of the orders.
 
     Form degrees of one model share most Bessel orders, so each degree's
     `cone_spectrum` computes only the orders it lacks, in one batch.
@@ -151,19 +173,40 @@ class _ZeroCache:
     """
 
     def __init__(self) -> None:
-        self._zeros: dict[tuple[float, float], tuple[float, ...]] = {}
+        self._tables: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._hits = self._misses = 0
 
-    def lookup(self, nus: Sequence[float], z_max: float) -> dict[float, tuple[float, ...]]:
-        missing = list(dict.fromkeys(nu for nu in nus if (nu, z_max) not in self._zeros))
-        for nu, zs in zip(missing, bessel_j_zeros_batch(missing, z_max)):
-            self._zeros[nu, z_max] = tuple(zs)
+    def lookup(self, nus: np.ndarray, z_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """The zeros of each order of `nus`, flat and in its order, and how
+        many each order has."""
+        empty = (np.empty(0), np.zeros(0, dtype=np.intp), np.empty(0))
+        orders, counts, zeros = self._tables.get(z_max, empty)
+        at = np.searchsorted(orders, nus)
+        known = at < len(orders)
+        known[known] = orders[at[known]] == nus[known]
+        # sorted and deduplicated by hand: a bare np.unique imports numpy.ma
+        missing = np.sort(nus[~known])
+        first = np.ones(len(missing), dtype=bool)
+        first[1:] = missing[1:] != missing[:-1]
+        missing = missing[first]
+        if len(missing):
+            new_zeros, new_counts = bessel_j_zeros_batch(missing, z_max)
+            all_orders = np.concatenate((orders, missing))
+            all_counts = np.concatenate((counts, new_counts))
+            starts = np.cumsum(all_counts) - all_counts
+            by_order = np.argsort(all_orders, kind="stable")
+            orders, counts = all_orders[by_order], all_counts[by_order]
+            zeros = _segments(np.concatenate((zeros, new_zeros)), starts[by_order], counts)
+            self._tables[z_max] = orders, counts, zeros
+            at = np.searchsorted(orders, nus)
         self._misses += len(missing)
         self._hits += len(nus) - len(missing)
-        return {nu: self._zeros[nu, z_max] for nu in nus}
+        starts = np.cumsum(counts) - counts
+        return _segments(zeros, starts[at], counts[at]), counts[at]
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, None, len(self._zeros))
+        size = sum(len(orders) for orders, _, _ in self._tables.values())
+        return CacheInfo(self._hits, self._misses, None, size)
 
 
 _cached_zeros = _ZeroCache()
@@ -174,8 +217,8 @@ def cone_spectrum(nu_spec: NuSpectrum, lambda_cutoff: float, cone_dim: int = 2) 
     zeros of each Bessel order of `nu_spec` as it holds them."""
     if lambda_cutoff <= 0:
         raise ValueError("lambda_cutoff must be positive")
-    zeros = _cached_zeros.lookup(nu_spec.nu.tolist(), math.sqrt(lambda_cutoff))
-    return ConeSpectrum(nu_spec, zeros, lambda_cutoff, cone_dim)
+    zeros, counts = _cached_zeros.lookup(nu_spec.nu, math.sqrt(lambda_cutoff))
+    return ConeSpectrum(nu_spec, zeros, counts, lambda_cutoff, cone_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +270,7 @@ def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
 def _blocked_sums(lams: np.ndarray, ws: np.ndarray, t_grid: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums sum_{i < ends[r]} ws[i] exp(-t_grid[r] lams[i]) and a bound
-    on their rounding error, TRACE_BLOCK matrix elements at a time.
+    on their error, TRACE_BLOCK matrix elements at a time.
 
     `ends` is nonincreasing along the grid, so a block of consecutive rows
     takes the columns of its first row; the extra columns of later rows
@@ -236,20 +279,39 @@ def _blocked_sums(lams: np.ndarray, ws: np.ndarray, t_grid: np.ndarray,
     any order, moves a row by at most gamma_{n+1} |value|, where
     gamma_k = k u / (1 - k u) and n counts the block's columns, since they
     set the pairwise tree.
+
+    A row takes exp only where t lam <= NORMAL_REACH; its other columns
+    are 0.0.  Past that reach exp(-t lam) is below 2^-1022: subnormal up
+    to t lam = 745.1 and 0.0 beyond.  With numpy 2.4 on an AVX-512 x86-64
+    CPU one exp costs ~1.2 ns for a normal result, ~135 ns for a subnormal
+    one and ~21 ns for an underflow to 0.0.  Taking every column of a block
+    made 44k subnormal and 52k underflowing exps on the `torus` workload
+    (t_min 1e-2), and 273k and 70k on the T^2 cone at t_min 2.5e-3.
+    Each dropped term is below w 2^-1022, so the bound adds each row's
+    dropped weight times 2^-1022.  The blocks and their n stay as they
+    were, so the pairwise trees and gamma_{n+1} do too; on the model
+    spectra the dropped terms vanish beside the row's leading terms, and
+    the sums are bit-equal to the ones that take every exp
+    (tests/trace_oracle.py keeps that loop).
     """
     values = np.empty(len(t_grid))
     rounding = np.empty(len(t_grid))
+    normal = np.searchsorted(lams, NORMAL_REACH / t_grid, side="right").tolist()
     start = 0
     while start < len(t_grid):
         n = int(ends[start])
         stop = start + max(1, TRACE_BLOCK // max(n, 1))
         terms = np.multiply.outer(-t_grid[start:stop], lams[:n])
-        np.exp(terms, out=terms)
+        for row, m in zip(terms, normal[start:stop]):
+            np.exp(row[:m], out=row[:m])
+            row[m:] = 0.0
         terms *= ws[:n]
         values[start:stop] = terms.sum(axis=1)
         ku = (n + 1) * UNIT_ROUNDOFF
         rounding[start:stop] = ku / (1.0 - ku) * np.abs(values[start:stop])
         start = stop
+    weight_below = np.concatenate(([0.0], np.cumsum(ws[:int(ends[0])])))
+    rounding += (weight_below[ends] - weight_below[normal]) * SMALLEST_NORMAL
     return values, rounding
 
 

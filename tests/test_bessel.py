@@ -306,6 +306,13 @@ ORACLE_ORDERS = (0.0, 0.5, 0.99, 1.0, 1.0 + 1e-12, 1.5, 2.0, 7.0, 30.0, 2.3, 11.
                  150.0)
 
 
+def _zeros_by_order(orders, z_max):
+    """The batch's zeros of each order, as one list per order."""
+    zeros, counts = bessel_j_zeros_batch(orders, z_max)
+    assert len(counts) == len(orders) and counts.sum() == len(zeros)
+    return [zs.tolist() for zs in np.split(zeros, np.cumsum(counts)[:-1])]
+
+
 def _ulps(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return np.abs(got - want) / np.spacing(want)
@@ -316,7 +323,7 @@ def test_batch_matches_scalar_oracle():
     # the oracle scans with step pi/2, the batch with pi from nu = 1 on
     on_grid = float(np.arange(2.0, 40.0, math.pi)[12])
     for z_max in (60.0, 190.0, 600.0, on_grid):
-        batch = bessel_j_zeros_batch(ORACLE_ORDERS, z_max)
+        batch = _zeros_by_order(ORACLE_ORDERS, z_max)
         for nu, got in zip(ORACLE_ORDERS, batch):
             want = oracle_zeros(nu, z_max)
             assert len(got) == len(want), (nu, z_max)
@@ -324,8 +331,10 @@ def test_batch_matches_scalar_oracle():
                 assert _ulps(got, want).max() <= 16, (nu, z_max)
             # each order of a batch is solved on its own
             assert got == bessel_j_zeros(nu, z_max)
-    assert bessel_j_zeros_batch([], 10.0) == []
-    assert bessel_j_zeros_batch([5.0, 0.0], 4.0) == [[], [2.404825557695773]]
+    zeros, counts = bessel_j_zeros_batch([], 10.0)
+    assert len(zeros) == 0 and len(counts) == 0
+    zeros, counts = bessel_j_zeros_batch([5.0, 0.0], 4.0)
+    assert zeros.tolist() == [2.404825557695773] and counts.tolist() == [0, 1]
     for nus, z_max in (([1.0, -1.0], 10.0), ([1.0, math.nan], 10.0), ([1.0], math.inf),
                        ([1.0], math.nan)):
         with pytest.raises(ValueError):
@@ -370,7 +379,7 @@ def _mpmath_errors(orders, z_lo, z_hi):
     to mpmath's root next to the zero."""
     mpmath.mp.dps = 30
     out = []
-    for nu, zeros in zip(orders, bessel_j_zeros_batch(orders, z_hi)):
+    for nu, zeros in zip(orders, _zeros_by_order(orders, z_hi)):
         for k, z in enumerate(zeros, start=1):
             if z < z_lo:
                 continue
@@ -397,7 +406,7 @@ def _newton_root_errors(orders, z_max, z_lo=0.0, k_max=None):
     digits from a zero within 1e-15 of the root lands within 1e-28 of it."""
     mpmath.mp.dps = 30
     errors = []
-    for nu, zeros in zip(orders, bessel_j_zeros_batch(orders, z_max)):
+    for nu, zeros in zip(orders, _zeros_by_order(orders, z_max)):
         for z in zeros[:k_max]:
             if z >= z_lo:
                 x = mpmath.mpf(z)
@@ -451,7 +460,7 @@ def test_newton_rounds_per_zero(monkeypatch):
 
     monkeypatch.setattr(bessel, "_j_pair", counting_pair)
     orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))
-    zeros = sum(len(zs) for zs in bessel_j_zeros_batch(orders, 100.0))
+    zeros = len(bessel_j_zeros_batch(orders, 100.0)[0])
     rounds = (sum(sizes) - sizes[0]) / zeros
     assert zeros > 3000
     assert rounds <= 1.5, rounds
@@ -462,10 +471,9 @@ def test_uniform_seed_accuracy():
     every zero up to 190 of orders in [1, 200], and within 1e-5 for nearly
     all of them."""
     orders = np.concatenate([np.arange(1.0, 201.0), np.linspace(1.05, 199.95, 137)])
-    zeros = bessel_j_zeros_batch(orders, 190.0)
-    nu = np.repeat(orders, [len(zs) for zs in zeros])
-    k = np.concatenate([np.arange(1, len(zs) + 1) for zs in zeros])
-    z = np.concatenate(zeros)
+    z, counts = bessel_j_zeros_batch(orders, 190.0)
+    nu = np.repeat(orders, counts)
+    k = np.arange(1, len(z) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     err = np.abs(bessel._uniform_zero(nu, k) - z) / z
     assert len(z) > 6000 and set(orders[orders <= 175.0]) <= set(nu)
     assert err.max() <= 1e-3
@@ -500,7 +508,7 @@ def test_perturbed_seeds_give_the_same_zeros(monkeypatch):
     """Seeds off by +-1e-3 relative, some of them outside their bracket,
     still end at the same zeros within 2 ulp."""
     orders = list(range(60)) + list(np.linspace(0.1, 40.3, 97))
-    want = np.concatenate(bessel_j_zeros_batch(orders, 100.0))
+    want, _ = bessel_j_zeros_batch(orders, 100.0)
     seeds_real, batch_real = bessel._zero_seeds, bessel._newton_batch
     outside = []
 
@@ -513,7 +521,7 @@ def test_perturbed_seeds_give_the_same_zeros(monkeypatch):
 
     monkeypatch.setattr(bessel, "_zero_seeds", perturbed_seeds)
     monkeypatch.setattr(bessel, "_newton_batch", batch)
-    got = np.concatenate(bessel_j_zeros_batch(orders, 100.0))
+    got, _ = bessel_j_zeros_batch(orders, 100.0)
     assert outside[0] > 0
     assert len(got) == len(want) and _ulps(got, want).max() <= 2
 

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc as scipy_gammaincc  # test oracle only
 from scipy.special import jv
 
-from torsionlab import conekernel
+from torsionlab import cli, conekernel
 from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import (
     gammaincc,
@@ -44,7 +44,7 @@ from torsionlab.fiber import (
 )
 from torsionlab.phg import ExpansionTemplate
 from torsionlab.zetator import zeta_near_zero
-from trace_oracle import fsum_trace
+from trace_oracle import every_exp_blocked_sums, fsum_trace
 
 GEO = Convention.GEOMETRIC_ORACLE
 TWO_PI = 2.0 * math.pi
@@ -141,6 +141,69 @@ def test_zero_cache_keeps_orders_shared_by_degrees():
     assert after.currsize - before.currsize == 10_000
     assert first.zeros == second.zeros
     assert sum(map(len, first.zeros.values())) > 10_000
+
+
+def _pipeline(*flags):
+    args = cli.build_parser().parse_args(["torsion", *flags])
+    cfg = cli.ModelConfig.from_sources(args, {})
+    cfg.validate()
+    return cli.Pipeline(cfg)
+
+
+TORUS_WORKLOAD = ("--fiber", "torus", "--periods", str(TWO_PI), str(TWO_PI), "--t-min", "1e-2")
+
+
+def test_zero_cache_on_the_torus_workload(monkeypatch):
+    """The torus workload's cone traces look up 4,320 orders: degree 0's
+    1,082, all computed, then degree 1's 3,238, of which only the 2,156
+    that degree 0 lacks go to the zero finder.  Each degree's zeros are
+    its orders' zeros, flat, and `zeros` splits them by the counts."""
+    monkeypatch.setattr(conekernel, "_cached_zeros", conekernel._ZeroCache())
+    batches = []
+    batch_real = conekernel.bessel_j_zeros_batch
+
+    def recording_batch(nus, z_max):
+        batches.append(np.array(nus, copy=True))
+        return batch_real(nus, z_max)
+
+    monkeypatch.setattr(conekernel, "bessel_j_zeros_batch", recording_batch)
+    pipe = _pipeline(*TORUS_WORKLOAD)
+    pipe.cone_traces()
+    info = conekernel._cached_zeros.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1082, 3238, 3238)
+    spectra = pipe.nu_spectra()
+    first, second = spectra[0].nu, spectra[1].nu
+    assert len(batches) == 2
+    assert np.array_equal(batches[0], first)
+    assert np.array_equal(batches[1], np.setdiff1d(second, first))
+
+    z_max = math.sqrt(pipe.lambda_max)
+    for spec in (spectra[0], spectra[1]):
+        cs = cone_spectrum(spec, pipe.lambda_max, cone_dim=3)
+        assert len(batches) == 2
+        assert cs.counts.sum() == len(cs.flat_zeros)
+        parts = np.split(cs.flat_zeros, np.cumsum(cs.counts)[:-1])
+        assert list(cs.zeros) == spec.nu.tolist()
+        assert list(cs.zeros.values()) == [tuple(zs.tolist()) for zs in parts]
+        flat, counts = batch_real(spec.nu, z_max)
+        assert np.array_equal(cs.flat_zeros, flat) and np.array_equal(cs.counts, counts)
+
+
+def test_zero_cache_takes_orders_in_any_order():
+    """A hand-built spectrum may list its orders in any order and repeat
+    one: each entry gets its order's zeros, and the repeat is computed once."""
+    def hand_built(nu):
+        return NuSpectrum(np.array(nu), np.ones(len(nu), dtype=int), 0, GEO, math.inf)
+
+    before = conekernel._cached_zeros.cache_info()
+    spec = cone_spectrum(hand_built([7.25, 0.75, 7.25, 3.125]), lambda_cutoff=900.0)
+    after = conekernel._cached_zeros.cache_info()
+    assert after.misses - before.misses == 3 and after.hits - before.hits == 1
+    want = [bessel_j_zeros(nu, 30.0) for nu in (7.25, 0.75, 7.25, 3.125)]
+    assert spec.counts.tolist() == [len(zs) for zs in want]
+    assert spec.flat_zeros.tolist() == [z for zs in want for z in zs]
+    eig = spec.spectrum()
+    assert np.array_equal(eig.lam, np.sort(np.square([z for zs in want for z in zs])))
 
 
 # ----------------------------------------------------------------- traces --
@@ -309,6 +372,100 @@ def test_block_budget_moves_only_last_bits(monkeypatch, budget):
     monkeypatch.setattr(conekernel, "TRACE_BLOCK", budget)
     other, other_rounding = _within_rounding_of_fsum(spectrum, grid)
     assert np.all(np.abs(other - values) <= rounding + other_rounding)
+
+
+# eigenvalues dense in the band 708.4 < t lam <= 746 of every sample of
+# BAND_GRID, ~220 a row, beside three low ones that set the trace's size
+BAND = Spectrum.of(np.concatenate([[5.0, 12.0, 30.0], np.geomspace(700.0, 75_000.0, 20_000)]),
+                   np.arange(20_003) % 5 + 1.0)
+BAND_GRID = log_grid(1e-2, 1.0, 241)
+# only band eigenvalues at t = 1: every term of that row is dropped
+BAND_ONLY = Spectrum.of(np.geomspace(710.0, 745.0, 500), np.ones(500))
+
+
+def _band_rows(spectrum, grid):
+    normal = np.searchsorted(spectrum.lam, conekernel.NORMAL_REACH / grid, side="right")
+    return np.searchsorted(spectrum.lam, 746.0 / grid, side="right") - normal
+
+
+def _assert_every_exp_bits(lams, ws, grid, ends, values, rounding):
+    """Row sums bit-equal to the every-exp oracle's, and within the rounding
+    bound, dropped terms included, of the correctly rounded sum."""
+    want, _ = every_exp_blocked_sums(lams, ws, grid, ends)
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    assert np.all(np.abs(values - fsum_trace(Spectrum(lams, ws), grid)) <= rounding)
+
+
+def test_blocked_sum_drops_band_terms_bit_for_bit():
+    """Past t lam = NORMAL_REACH (-ln 2^-1022, from np.finfo) the terms are
+    0.0, not subnormal exps: the sums are still the every-exp block loop's
+    bit for bit, and the bound still covers the correctly rounded sum."""
+    assert conekernel.NORMAL_REACH == pytest.approx(1022.0 * math.log(2.0), rel=1e-15)
+    assert np.all(_band_rows(BAND, BAND_GRID) >= 150)
+    ends = np.searchsorted(BAND.lam, 746.0 / BAND_GRID, side="right")
+    values, rounding = conekernel._blocked_sums(BAND.lam, BAND.weight, BAND_GRID, ends)
+    _assert_every_exp_bits(BAND.lam, BAND.weight, BAND_GRID, ends, values, rounding)
+
+
+def test_blocked_sum_bound_covers_the_dropped_terms():
+    """A row made of band terms only sums to 0.0 here; its bound is the
+    dropped weight times 2^-1022, which covers the correctly rounded sum."""
+    grid = np.array([1.0])
+    values, rounding = _blocked(BAND_ONLY, grid)
+    exact = fsum_trace(BAND_ONLY, grid)
+    assert values[0] == 0.0 and 0.0 < exact[0] <= rounding[0]
+    assert rounding[0] == 500 * conekernel.SMALLEST_NORMAL
+
+
+@pytest.mark.parametrize("spectrum,grid", [(BAND, BAND_GRID), (BAND_ONLY, np.array([1.0]))],
+                         ids=["band", "band-only"])
+def test_blocked_sum_takes_no_subnormal_exp(monkeypatch, spectrum, grid):
+    """An exp wrapper sees no argument below -708.40 in the blocked sums."""
+    ends = np.searchsorted(spectrum.lam, 746.0 / grid, side="right")
+    seen = []
+    exp_real = np.exp
+
+    def exp(x, *args, **kwargs):
+        seen.append(float(np.min(x, initial=0.0)))
+        return exp_real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    conekernel._blocked_sums(spectrum.lam, spectrum.weight, grid, ends)
+    monkeypatch.setattr(np, "exp", exp_real)
+    assert seen and min(seen) >= -708.40
+
+
+# the models of the reports in tests/golden
+GOLDEN_MODELS = {
+    "torus": TORUS_WORKLOAD[:-1] + ("5e-2",),
+    "disk": ("--t-min", "1e-2"),
+    "product-circle": ("--model", "product", "--base", "circle", "--t-min", "3e-3"),
+    "single-nu": ("--single-nu", "0.5", "--t-min", "1e-4"),
+    "product-torus": ("--model", "product", "--base", "torus", "--base-periods", "3", "4",
+                      "--t-min", "3e-2"),
+}
+
+
+@pytest.mark.parametrize("flags", GOLDEN_MODELS.values(), ids=GOLDEN_MODELS.keys())
+def test_blocked_sums_of_the_golden_models_take_every_exp_bits(monkeypatch, flags):
+    """Every blocked sum the golden models' traces make, cone and base
+    factor: bit-equal to the every-exp oracle, and within its bound of the
+    correctly rounded sum.  Some rows have terms in the band."""
+    calls = []
+    sums_real = conekernel._blocked_sums
+
+    def recording_sums(lams, ws, grid, ends):
+        out = sums_real(lams, ws, grid, ends)
+        calls.append((lams, ws, grid, ends, *out))
+        return out
+
+    monkeypatch.setattr(conekernel, "_blocked_sums", recording_sums)
+    _pipeline(*flags).traces()
+    assert calls
+    assert any(np.any(_band_rows(Spectrum(lams, ws), grid) > 0)
+               for lams, ws, grid, *_ in calls)
+    for call in calls:
+        _assert_every_exp_bits(*call)
 
 
 def test_trace_refuses_a_negative_weight():

@@ -12,11 +12,14 @@ import operator
 import numpy as np
 import pytest
 
+from torsionlab import fiber
 from torsionlab.errors import NegativeBlockEigenvalue, TailNotCertified
 from torsionlab.fiber import (
     Convention,
     NuSpectrum,
     _lattice_points,
+    _merged_orders,
+    _shell_keys,
     _wedge_matrix,
     a_block_eigenvalues,
     a_spectrum,
@@ -124,6 +127,83 @@ def test_shell_means_are_per_shell_np_mean():
         pairwise_differs += sum(len(s) >= 8 and functools.reduce(operator.add, s) / len(s)
                                 != np.mean(s) for s in shells)
     assert pairwise_differs > 0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("periods,cutoff", [
+    ((TWO_PI, TWO_PI), 123.0), ((TWO_PI, 1.5 * TWO_PI), 80.0), ((11.0, 3.7), 40.0),
+    ((TWO_PI, TWO_PI, TWO_PI), 14.0),
+], ids=["square", "rect-2pi-3pi", "rect-below-one", "cubic"])
+def test_shell_keys_are_the_string_rule(periods, cutoff):
+    """The shell keys are float(f"{v:.12g}") of each |kappa|^2 bit for bit,
+    on square, rectangular and cubic lattices: the square one at twice the
+    torus workload's cutoff, and one with |kappa|^2 below 1."""
+    _, mu2 = _lattice_points(periods, cutoff)
+    want = [float(f"{v:.12g}") for v in mu2.tolist()]
+    assert np.array_equal(_bits(_shell_keys(mu2)), _bits(want))
+
+
+def test_shell_keys_next_to_powers_of_ten():
+    """Where log10 could round across a power of ten, the keys are still
+    the string rule's."""
+    powers = 10.0 ** np.arange(-11.0, 13.0)
+    mu2 = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                          [0.0, 5e-324, 1e300]])
+    want = [float(f"{v:.12g}") for v in mu2.tolist()]
+    assert np.array_equal(_bits(_shell_keys(mu2)), _bits(want))
+
+
+def _round_keys(nu):
+    return [round(v, 12) for v in np.asarray(nu, dtype=float).tolist()]
+
+
+def _assert_merged_as_round(nu):
+    """`_merged_orders` keys each order as Python's round(nu, 12) does."""
+    mult = np.arange(len(nu)) % 3 + 1
+    orders, merged = _merged_orders(np.asarray(nu, dtype=float), mult)
+    keys = _round_keys(nu)
+    want = sorted(set(keys))
+    assert np.array_equal(_bits(orders), _bits(want))
+    sums = {}
+    for key, m in zip(keys, mult.tolist()):
+        sums[key] = sums.get(key, 0) + m
+    assert merged.tolist() == [sums[w] for w in want]
+
+
+def test_merged_orders_key_as_python_round(monkeypatch):
+    """Near-ties (k + 1/2) 1e-12 and the floats one ulp either side of them,
+    orders at and past 2^53 / 1e12 and nu = 0 key as round(nu, 12) bit for
+    bit, and round itself runs on the near-ties."""
+    calls = []
+
+    def counting_round12(v):
+        calls.append(v)
+        return round(v, 12)
+
+    monkeypatch.setattr(fiber, "_round12", counting_round12)
+    k = np.concatenate([np.arange(200.0), 2.0 ** np.arange(8, 50, 3), 60.5e12 + np.arange(50.0)])
+    ties = (k + 0.5) * 1e-12
+    _assert_merged_as_round(np.concatenate([ties, np.nextafter(ties, 0.0),
+                                            np.nextafter(ties, np.inf), [0.0]]))
+    assert len(calls) > 0
+    big = 2.0 ** 53 / 1e12
+    _assert_merged_as_round([big, np.nextafter(big, 0.0), np.nextafter(big, np.inf), 1e4,
+                             12345.678901234567, 0.0])
+
+
+def test_merged_orders_key_the_torus_workload_as_python_round():
+    """Every block order of the torus workload's four degrees at its cutoff
+    keys as round(nu, 12); np.round differs on some, and there round runs."""
+    fib = torus_spectrum((TWO_PI, TWO_PI), cutoff=61.5)
+    for p in range(4):
+        nu2, mult = a_block_eigenvalues(fib, p, GEO)
+        nu = np.sqrt(np.maximum(nu2, 0.0))
+        keep = nu <= 60.5
+        _assert_merged_as_round(nu[keep])
+        assert not np.array_equal(_bits(np.round(nu[keep], 12)), _bits(_round_keys(nu[keep])))
 
 
 def test_exact_degree_matches_coexact_below():
