@@ -500,7 +500,7 @@ def cmd_torsion(args: argparse.Namespace) -> int:
     _emit({"report": report.to_json_dict()}, output)
     if summary:
         write_atomic(summary, report.to_csv())
-    print(f"log T = {report.log_torsion:.12g}", file=sys.stderr)
+    print(f"log T = {report.log_torsion:.12g} ± {report.log_torsion_bound:.3g}", file=sys.stderr)
     print(f"torsion zeta regular at 0: {report.torsion_zeta_regular} "
           f"(per-degree regular: {report.all_degrees_regular}, "
           f"residues cancel: {report.residues_cancel})", file=sys.stderr)

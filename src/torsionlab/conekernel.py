@@ -466,6 +466,12 @@ class FittedExpansion:
             out += c * _basis_column(t, *key)
         return out
 
+    def columns(self, t: np.ndarray) -> np.ndarray:
+        """The basis functions on the grid t, one column per coefficient, in
+        the order of `coefficients`."""
+        t = np.asarray(t, dtype=float)
+        return np.column_stack([_basis_column(t, *key) for key in self.coefficients])
+
     def to_json_dict(self) -> dict:
         return {
             "template": self.template.to_json_dict(),

@@ -78,8 +78,9 @@ def test_torsion_single_nu_oracle(capsys, tmp_path):
     code, _, err = run(capsys, "torsion", "--single-nu", "0.5",
                        "--t-min", "1e-4", "--output", str(out_path))
     assert code == 0
-    assert "log T" in err
     doc = json.loads(out_path.read_text())
+    assert f"log T = {doc['report']['log_torsion']:.12g} ± " \
+        f"{doc['report']['log_torsion_bound']:.3g}\n" in err
     z = doc["report"]["per_degree"][0]
     assert abs(z["zeta_prime0"] + math.log(2)) < 1e-5
     assert abs(z["zeta0"] + 0.5) < 1e-6

@@ -37,6 +37,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
       "--base-periods", "3", "4", "--t-min", "3e-2"]),
     ("zeta_product_circle.json",
      ["zeta", "--model", "product", "--base", "circle", "--t-min", "3e-3"]),
+    ("torsion_disk.json", ["torsion"]),
 ])
 def test_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0

@@ -11,6 +11,7 @@ never starts; these runs keep it honest.  The counting child replaces
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from torsionlab import bessel, conekernel, fiber, phg, zetator
 from torsionlab.cli import main
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 @pytest.fixture
@@ -65,3 +67,18 @@ def test_counting_child_runs(layers, monkeypatch):
     counts = layers.counted_zeros(layers.build_pipeline(["torsion", "--t-min", "1e-2"]))
     assert counts["bessel.zeros"] > 0
     assert {"bessel.jv_calls", "bessel.jv_evals", "bessel.jvp_calls"} <= set(counts)
+
+
+def test_report_log_torsion_bound_is_the_benchmark_figure(capsys):
+    """The report's `log_torsion_bound` is perfbench's `log_t_bound`, read
+    from the report by `report_figures`, on each workload; and the
+    workload's report passes perfbench's own check."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for name in ("disk", "product", "torus"):
+        assert main(run.WORKLOADS[name]) == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)["report"]
+        assert report["log_torsion_bound"] == run.report_figures(name, text)["log_t_bound"]
+        assert run.check_report(name, text, run._reference()) == []

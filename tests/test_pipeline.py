@@ -11,8 +11,14 @@ import math
 
 import pytest
 
-from torsionlab import conekernel, fiber
-from torsionlab.cli import ModelConfig, Pipeline
+from torsionlab import conekernel, fiber, zetator
+from torsionlab.cli import SPLIT, ModelConfig, Pipeline
+
+GOLDEN_MODELS = {
+    "disk": ModelConfig(),
+    "product": ModelConfig(model="product", base="circle", t_min=3e-3),
+    "torus": ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi], t_min=5e-2),
+}
 
 
 def test_disk_model_duality_and_regularity():
@@ -142,3 +148,51 @@ def test_mirrored_degrees_are_compared_not_assumed(monkeypatch):
     assert traces[2] == own and traces[2] != traces[0]
     assert zetas[2].zeta_prime0 != zetas[0].zeta_prime0
     assert [z.degree for z in zetas.values()] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
+    """Each fit coefficient's weight in the zeta'(0) bound is the derivative
+    of the computed zeta'(0) in it.  The value is linear in the
+    coefficients, so a central difference with a step that moves it by ~1
+    agrees to rounding."""
+    pipe = Pipeline(GOLDEN_MODELS[name])
+    fits, traces = pipe.fits(), pipe.traces()
+    for k in (0, 1):
+        fit, tr = fits[k], traces[k]
+        _, partials = zetator._mellin_laurent(fit.coefficients, SPLIT)
+        weights = zetator._zeta_prime0_weights(tr, fit, partials, SPLIT)
+        assert list(weights) == list(fit.coefficients)
+        for key, w in weights.items():
+            step = 1.0 / abs(w)
+
+            def moved(sign):
+                coefficients = dict(fit.coefficients)
+                coefficients[key] += sign * step
+                shifted = dataclasses.replace(fit, coefficients=coefficients)
+                return zetator.zeta_near_zero(tr, shifted, 0, split=SPLIT).zeta_prime0
+
+            difference = (moved(1.0) - moved(-1.0)) / (2.0 * step)
+            assert abs(difference - w) <= 1e-9 * abs(w), (k, key)
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_zeta_prime0_budget_names_its_dominant_term(name):
+    """The budget's three terms sum to the bound; on these fits the t^0
+    shift, weighed by about |log t1|, dominates."""
+    for z in Pipeline(GOLDEN_MODELS[name]).zetas().values():
+        d = z.diagnostics
+        budget = d["zeta_prime0_budget"]
+        assert set(budget) == {"fit_shift", "remainder", "large_t"}
+        assert sum(budget.values()) == d["zeta_prime0_bound"]
+        assert d["zeta_prime0_dominant"] == {"term": "fit_shift", "column": "t^0"}
+        assert budget["fit_shift"] == max(budget.values())
+        assert d["total_bound"] == max(d["zeta0_bound"], d["zeta_prime0_bound"])
+
+
+def test_zeta_prime0_dominant_names_no_column_off_the_fit():
+    """On one radial mode the remainder dominates, and no column is named."""
+    (z,) = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-4)).zetas().values()
+    budget = z.diagnostics["zeta_prime0_budget"]
+    assert z.diagnostics["zeta_prime0_dominant"] == {"term": "remainder"}
+    assert budget["remainder"] > budget["fit_shift"] > 0.0

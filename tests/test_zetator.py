@@ -30,8 +30,8 @@ from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_st
 from torsionlab.zetator import (
     G1,
     ZetaData,
-    _mellin_laurent,
     _not_a_knot_integral,
+    _not_a_knot_weights,
     _spline_integral,
     exp1,
     kernel_dimension,
@@ -88,6 +88,21 @@ def test_not_a_knot_integral_is_exact_for_cubics():
             pytest.approx(exact(u_hi) - exact(u[0]), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 241])
+@pytest.mark.parametrize("kind", ["geometric", "random"])
+def test_not_a_knot_weights_integrate_each_unit_vector(n, kind):
+    """The weights are the integral's representer: weight j is the spline
+    integral of the j-th unit vector, inside the grid and past its ends."""
+    rng = np.random.default_rng(n)
+    u = _grid(kind, n, rng)
+    inner = rng.uniform(u[0], u[-1])
+    for u_lo, u_hi in [(u[0], u[-1]), (u[0], inner), (inner, u[-1]),
+                       (u[0] - 0.3, u[-1] + 0.5), (u[-1], u[0])]:
+        want = np.array([_not_a_knot_integral(u, e, u_lo, u_hi) for e in np.eye(n)])
+        got = _not_a_knot_weights(u, u_lo, u_hi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (u_lo, u_hi)
+
+
 def test_spline_integral_error_estimate():
     """Grid halving from five points on; below that the whole value is the
     error.  Halving an even count leaves a grid one step short of u_hi,
@@ -135,9 +150,9 @@ def test_non_regular_case_is_riemann_zeta_shifted():
     assert abs(z.zeta0 - np.euler_gamma) <= d["zeta0_bound"]
     assert abs(z.zeta_prime0 + STIELTJES_GAMMA1) <= d["zeta_prime0_bound"]
     # zeta(0) = a_-1 + G1 a_-2, so its bound weighs the t^0 log t shift by G1
-    _, (s_m2, s_m1, _) = _mellin_laurent(fit.coefficients, fit.coefficient_bounds, 1.0)
-    assert s_m2 > 0.0
-    assert d["zeta0_bound"] == s_m1 + G1 * s_m2 + d["remainder_bound"]
+    b = fit.coefficient_bounds
+    assert b[(F(0), True)] > 0.0
+    assert d["zeta0_bound"] == b[(F(0), False)] + G1 * b[(F(0), True)] + d["remainder_bound"]
 
 
 def test_scaling_covariance():
@@ -242,7 +257,7 @@ def test_kernel_dims_cone():
 
 def _zeta_stub(degree, zp, res=0.0, bound=1e-10):
     return ZetaData(degree, (), 0.0, 0.0, zp, 0, res,
-                    {"total_bound": bound, "split": 1.0})
+                    {"total_bound": bound, "zeta_prime0_bound": bound, "split": 1.0})
 
 
 def test_torsion_all_derivatives_zero():
