@@ -35,12 +35,11 @@ integral of the basis column over [t1, T0] off again.  So the value reads
 c_a only through the model below the first sample t1, with weight D_a of
 about t1^a / a (log t1 + g1 for t^0).  The bound charges sum_a |D_a| b_a,
 with D_a the exact derivative of the computed value: the spline part
-comes from the spline's quadrature weights (`_not_a_knot_weights`), one
-sweep for every column.  The shifts are charged independently; the
-correlated ||D^T pinv(A)||_1 max|r| is smaller, but it leaves out the
-fit's truncation bias and misses the T^2 cone's reference value.  Each
-degree's diagnostics give the budget (fit shift, remainder, large t) and
-name its dominant term.
+is `_not_a_knot_integral` of each basis column.  The shifts are charged
+independently; the correlated ||D^T pinv(A)||_1 max|r| is smaller, but it
+leaves out the fit's truncation bias and misses the T^2 cone's reference
+value.  Each degree's diagnostics give the budget (fit shift, remainder,
+large t) and name its dominant term.
 """
 
 from __future__ import annotations
@@ -147,58 +146,29 @@ def _fit_terms_with_kernel(fit: FittedExpansion, kernel_dim: int) -> dict[tuple[
 
 
 def _mellin_laurent(terms: dict[tuple[Fraction, bool], float], t0: float) -> tuple[
-        tuple[float, float, float], dict[tuple[Fraction, bool], tuple[float, float, float]]]:
+        tuple[float, float, float], dict[tuple[Fraction, bool], float]]:
     """Laurent data (a_-2, a_-1, a_0) at s = 0 of sum_j int_0^T0 t^{s-1}
-    (fitted terms), and each term's Laurent data per unit coefficient.  The
-    data are linear in the coefficients, so those are their derivatives;
-    `_zeta_prime0_weights` adds the remainder's share, and `zeta_near_zero`
-    charges the zeta(0) and residue bounds with them directly."""
+    (fitted terms), and each term's a_0 per unit coefficient, which
+    `_zeta_prime0_weights` turns into that coefficient's zeta'(0) weight.
+    Only t^0 log t and t^0 enter a_-2 and a_-1, with weights -1 and 1."""
     log_t0 = math.log(t0)
     laurent = [0.0, 0.0, 0.0]
-    partials = {}
+    shares = {}
     for (alpha, is_log), c in terms.items():
         a = float(alpha)
-        partial = [0.0, 0.0, 0.0]
         # `share` maps a coefficient to its term's part of a_0
         if alpha == 0:
             # t^0 -> 1/s + log T0, and t^0 log t -> -1/s^2 + (log T0)^2 / 2
             pole = 0 if is_log else 1
             laurent[pole] += -c if is_log else c
-            partial[pole] = -1.0 if is_log else 1.0
             share = (lambda x: x * log_t0 ** 2 / 2.0) if is_log else (lambda x: x * log_t0)
         elif is_log:    # t^a log t -> T0^a (log T0 / a - 1 / a^2)
             share = lambda x: x * t0 ** a * (log_t0 / a - 1.0 / (a * a))
         else:           # t^a -> T0^a / a
             share = lambda x: x * t0 ** a / a
         laurent[2] += share(c)
-        partial[2] = share(1.0)
-        partials[(alpha, is_log)] = tuple(partial)
-    return tuple(laurent), partials
-
-
-def _tridiagonal_solve(lower: list, diag: list, upper: list, rhs: list) -> list[float]:
-    """Thomas sweep for lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1]
-    = rhs[i], on Python floats: for a few hundred rows that is faster than
-    numpy row operations."""
-    diag, rhs = list(diag), list(rhs)
-    m = len(diag)
-    for i in range(1, m):
-        f = lower[i - 1] / diag[i - 1]
-        diag[i] -= f * upper[i - 1]
-        rhs[i] -= f * rhs[i - 1]
-    x = [0.0] * m
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = (rhs[i] - upper[i] * x[i + 1]) / diag[i]
-    return x
-
-
-def _interior_system(h: np.ndarray) -> tuple[list, list, list]:
-    """(lower, diag, upper) of the not-a-knot interior slope system on
-    steps h, with the end rows already folded in."""
-    diag = (2.0 * (h[:-1] + h[1:])).tolist()
-    diag[0], diag[-1] = float(h[0] + h[1]), float(h[-2] + h[-1])
-    return h[2:].tolist(), diag, h[:-2].tolist()
+        shares[(alpha, is_log)] = share(1.0)
+    return tuple(laurent), shares
 
 
 def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -218,13 +188,26 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n == 3:
         curv = (d[1] - d[0]) / (u[2] - u[0])
         return np.array([d[0] - curv * h[0], d[0] + curv * h[0], d[1] + curv * h[1]])
-    rhs = (3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])).tolist()
+    rhs = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
     w0, w1 = u[2] - u[0], u[-1] - u[-3]
     b0 = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
     b1 = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
-    rhs[0] -= float(b0)
-    rhs[-1] -= float(b1)
-    s = _tridiagonal_solve(*_interior_system(h), rhs)
+    # row i of the interior system: lower[i] s[i] + diag[i] s[i+1] + upper[i] s[i+2],
+    # swept on Python floats (a numpy scalar would make every step slower)
+    lower, upper = h[2:].tolist(), h[:-2].tolist()
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = rhs.tolist()
+    diag[0], rhs[0] = float(h[0] + h[1]), rhs[0] - float(b0)
+    diag[-1], rhs[-1] = float(h[-2] + h[-1]), rhs[-1] - float(b1)
+    m = len(diag)
+    for i in range(1, m):
+        f = lower[i - 1] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    s = [0.0] * m
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(m - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
     return np.array([(b0 - w0 * s[0]) / h[1], *s, (b1 - w1 * s[-1]) / h[-2]])
 
 
@@ -246,71 +229,6 @@ def _not_a_knot_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float)
         return cumulative[i] + tau * (y[i] + tau * (s[i] / 2.0 + tau * (quad / 3.0 + tau * cubic / 4.0)))
 
     return float(antiderivative(u_hi) - antiderivative(u_lo))
-
-
-def _slope_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of g . s in the secants d = diff(y) / diff(u), where s are
-    `_not_a_knot_slopes(u, y)`: that map is linear in d, and this is its
-    transpose, step by step in reverse (one transposed Thomas sweep)."""
-    h = np.diff(u)
-    n = len(u)
-    if n == 2:
-        return np.array([g[0] + g[1]])
-    if n == 3:
-        g_curv = ((g[1] - g[0]) * h[0] + g[2] * h[1]) / (u[2] - u[0])
-        return np.array([g[0] + g[1] - g_curv, g[2] + g_curv])
-    w0, w1 = u[2] - u[0], u[-1] - u[-3]
-    g_int = g[1:-1].copy()
-    g_int[0] -= g[0] * w0 / h[1]
-    g_int[-1] -= g[-1] * w1 / h[-2]
-    # the transpose swaps the off-diagonals
-    lower, diag, upper = _interior_system(h)
-    g_rhs = np.array(_tridiagonal_solve(upper, diag, lower, g_int.tolist()))
-    g_b0 = g[0] / h[1] - g_rhs[0]
-    g_b1 = g[-1] / h[-2] - g_rhs[-1]
-    gd = np.zeros(n - 1)
-    gd[:-1] += 3.0 * h[1:] * g_rhs
-    gd[1:] += 3.0 * h[:-1] * g_rhs
-    gd[0] += g_b0 * (h[0] + 2.0 * w0) * h[1] / w0
-    gd[1] += g_b0 * h[0] ** 2 / w0
-    gd[-2] += g_b1 * h[-1] ** 2 / w1
-    gd[-1] += g_b1 * (2.0 * w1 + h[-1]) * h[-2] / w1
-    return gd
-
-
-def _not_a_knot_weights(u: np.ndarray, u_lo: float, u_hi: float) -> np.ndarray:
-    """Quadrature weights w of `_not_a_knot_integral(u, ., u_lo, u_hi)`:
-    w @ y is that integral for every y, up to rounding.
-
-    The integral is linear in y and in the slopes s, each piece a cubic
-    Hermite form in its end values and slopes; its gradient in (y, s) is
-    taken in closed form, and `_slope_gradient` carries the s part back
-    to y.  One sweep then integrates any number of columns.
-    """
-    h = np.diff(u)
-    n = len(u)
-    gy, gs = np.zeros(n), np.zeros(n)
-    for x, sign in ((u_hi, 1.0), (u_lo, -1.0)):
-        i = min(max(int(np.searchsorted(u, x, side="right")) - 1, 0), n - 2)
-        # whole pieces below i: h (y_j + y_j+1) / 2 + h^2 (s_j - s_j+1) / 12
-        half, twelfth = sign * h[:i] / 2.0, sign * h[:i] ** 2 / 12.0
-        gy[:i] += half
-        gy[1:i + 1] += half
-        gs[:i] += twelfth
-        gs[1:i + 1] -= twelfth
-        # piece i up to x: tau y_i + tau^2 s_i / 2 + tau^3 (3d - 2s_i - s_i+1) / 3h
-        # + tau^4 (s_i + s_i+1 - 2d) / 4h^2, with d = (y_i+1 - y_i) / h
-        tau, step = x - u[i], h[i]
-        g_d = sign * (tau ** 3 / step - tau ** 4 / (2.0 * step * step)) / step
-        gy[i] += sign * tau - g_d
-        gy[i + 1] += g_d
-        gs[i] += sign * (tau ** 2 / 2.0 - 2.0 * tau ** 3 / (3.0 * step)
-                         + tau ** 4 / (4.0 * step * step))
-        gs[i + 1] += sign * (tau ** 4 / (4.0 * step * step) - tau ** 3 / (3.0 * step))
-    g_d = _slope_gradient(u, gs) / h
-    gy[1:] += g_d
-    gy[:-1] -= g_d
-    return gy
 
 
 def _spline_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float) -> tuple[float, float]:
@@ -368,21 +286,22 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
 
 
 def _zeta_prime0_weights(samples: TraceSamples, fit: FittedExpansion,
-                         partials: dict[tuple[Fraction, bool], tuple[float, float, float]],
+                         shares: dict[tuple[Fraction, bool], float],
                          t0: float) -> dict[tuple[Fraction, bool], float]:
     """The derivative of the computed zeta'(0) in each fit coefficient.
 
     zeta'(0) = a_0 + g1 a_-1 + g2 a_-2 is linear in the coefficients: a
-    term's Laurent data enter as `partials`, and the remainder integral
-    takes the not-a-knot integral of its basis column over [t1, T0] off
-    a_0.  The value only reads the model below the first sample t1, so a
-    weight is about t1^a / a (log t1 + g1 for t^0), not T0^a / a.
+    term adds its a_0 `shares` (and t^0, t^0 log t their poles, weighed
+    by g1 and -g2), and the remainder integral takes the not-a-knot
+    integral of its basis column over [t1, T0] off a_0 again.  The value
+    only reads the model below the first sample t1, so a weight is about
+    t1^a / a (log t1 + g1 for t^0), not T0^a / a.
     """
     u = np.log(samples.grid)
-    weights = _not_a_knot_weights(u, float(u[0]), math.log(t0))
-    integrals = weights @ fit.columns(samples.grid)
-    return {key: partials[key][2] + G1 * partials[key][1] + G2 * partials[key][0] - float(i)
-            for key, i in zip(fit.coefficients, integrals)}
+    u_lo, u_hi = float(u[0]), math.log(t0)
+    poles = {(Fraction(0), False): G1, (Fraction(0), True): -G2}
+    return {key: shares[key] + poles.get(key, 0.0) - _not_a_knot_integral(u, column, u_lo, u_hi)
+            for key, column in zip(fit.coefficients, fit.columns(samples.grid).T)}
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
@@ -395,7 +314,7 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         raise ValueError(f"samples must reach the split point {split}")
 
     terms = _fit_terms_with_kernel(fit, kernel_dim)
-    (a_m2, a_m1, a_0f), partials = _mellin_laurent(terms, split)
+    (a_m2, a_m1, a_0f), shares = _mellin_laurent(terms, split)
     rem, rem_bound = _remainder_integral(samples, fit, split)
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
     a_0 = a_0f + rem + large
@@ -406,12 +325,12 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     # zeta(0) and the residue read a_-1 and a_-2, which the t^0 and t^0 log t
     # coefficients enter directly; zeta'(0) moves by its derivative weight
     bounds = fit.coefficient_bounds
-    s_m2 = sum(bounds.get(key, 0.0) * abs(p[0]) for key, p in partials.items())
-    s_m1 = sum(bounds.get(key, 0.0) * abs(p[1]) for key, p in partials.items())
+    s_m2 = bounds.get((Fraction(0), True), 0.0)
+    s_m1 = bounds.get((Fraction(0), False), 0.0)
     zeta0_bound = s_m1 + G1 * s_m2 + rem_bound
     residue_bound = s_m2 + rem_bound
     shifts = {key: abs(w) * bounds[key]
-              for key, w in _zeta_prime0_weights(samples, fit, partials, split).items()}
+              for key, w in _zeta_prime0_weights(samples, fit, shares, split).items()}
     budget = {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
               "large_t": large_bound}
     zeta_prime0_bound = sum(budget.values())

@@ -16,7 +16,7 @@ from torsionlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TORUS = ["torsion", "--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586",
-         "--t-min", "5e-2"]
+         "--t-min", "1e-2"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 

@@ -17,7 +17,7 @@ from torsionlab.cli import SPLIT, ModelConfig, Pipeline
 GOLDEN_MODELS = {
     "disk": ModelConfig(),
     "product": ModelConfig(model="product", base="circle", t_min=3e-3),
-    "torus": ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi], t_min=5e-2),
+    "torus": ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi], t_min=1e-2),
 }
 
 
@@ -160,8 +160,8 @@ def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
     fits, traces = pipe.fits(), pipe.traces()
     for k in (0, 1):
         fit, tr = fits[k], traces[k]
-        _, partials = zetator._mellin_laurent(fit.coefficients, SPLIT)
-        weights = zetator._zeta_prime0_weights(tr, fit, partials, SPLIT)
+        _, shares = zetator._mellin_laurent(fit.coefficients, SPLIT)
+        weights = zetator._zeta_prime0_weights(tr, fit, shares, SPLIT)
         assert list(weights) == list(fit.coefficients)
         for key, w in weights.items():
             step = 1.0 / abs(w)

@@ -26,6 +26,7 @@ CASES = {
     "r=0.5": (["--radius", "0.5"], (0.3264658073242719, 0.8944960899190343)),
     "r=1.5": (["--radius", "1.5"], (1.183287092211096, 2.411968994211762)),
     "r=2.3": (["--radius", "2.3"], (1.827970529142203, 3.678503678467674)),
+    "T2 at 1e-2": (T2 + ["--t-min", "1e-2"], T2_ZETA_PRIME0),
     "T2 at 5e-3": (T2 + ["--t-min", "5e-3"], T2_ZETA_PRIME0),
     "T2 at 2.5e-3": (T2 + ["--t-min", "2.5e-3"], T2_ZETA_PRIME0),
     "single nu": (["--single-nu", "0.5", "--t-min", "1e-4"],

@@ -31,7 +31,6 @@ from torsionlab.zetator import (
     G1,
     ZetaData,
     _not_a_knot_integral,
-    _not_a_knot_weights,
     _spline_integral,
     exp1,
     kernel_dimension,
@@ -86,21 +85,6 @@ def test_not_a_knot_integral_is_exact_for_cubics():
     for u_hi in (u[-1], u[9] + 0.3 * (u[10] - u[9])):
         assert _not_a_knot_integral(u, y, u[0], u_hi) == \
             pytest.approx(exact(u_hi) - exact(u[0]), rel=1e-13)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 241])
-@pytest.mark.parametrize("kind", ["geometric", "random"])
-def test_not_a_knot_weights_integrate_each_unit_vector(n, kind):
-    """The weights are the integral's representer: weight j is the spline
-    integral of the j-th unit vector, inside the grid and past its ends."""
-    rng = np.random.default_rng(n)
-    u = _grid(kind, n, rng)
-    inner = rng.uniform(u[0], u[-1])
-    for u_lo, u_hi in [(u[0], u[-1]), (u[0], inner), (inner, u[-1]),
-                       (u[0] - 0.3, u[-1] + 0.5), (u[-1], u[0])]:
-        want = np.array([_not_a_knot_integral(u, e, u_lo, u_hi) for e in np.eye(n)])
-        got = _not_a_knot_weights(u, u_lo, u_hi)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (u_lo, u_hi)
 
 
 def test_spline_integral_error_estimate():
