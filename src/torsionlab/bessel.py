@@ -167,8 +167,8 @@ def _series_i(nu: float, z: float, scaled: bool) -> float:
     return math.exp(expo) * total if abs(expo) < 680 else math.exp(expo + math.log(total))
 
 
-def _uniform_i(nu: float, z: float, scaled: bool) -> float:
-    """Uniform large-order expansion, in the exponentially scaled form.
+def _uniform_i(nu: float, z: float) -> float:
+    """Uniform large-order expansion of e^{-z} I_nu(z).
 
     The exponent nu*eta - z is assembled from sqrt(1+w^2) - w written as
     1/(sqrt(1+w^2)+w), so no large-cancellation ever enters the exp.
@@ -185,10 +185,7 @@ def _uniform_i(nu: float, z: float, scaled: bool) -> float:
             uk = uk * p + c
         series = series / nu + uk
     pre = 1.0 / math.sqrt(2.0 * math.pi * nu * r)
-    if scaled:
-        exponent = nu / (r + w) + nu * math.log(w / (1.0 + r))
-    else:
-        exponent = nu * (r + math.log(w / (1.0 + r)))
+    exponent = nu / (r + w) + nu * math.log(w / (1.0 + r))
     return pre * math.exp(exponent) * series
 
 
@@ -206,7 +203,8 @@ def bessel_i(nu: float, z: float, scaled: bool = False) -> float:
     if not scaled and z > UNSCALED_Z_LIMIT:
         raise ValueError(f"use scaled=True for z > {UNSCALED_Z_LIMIT}")
     if nu >= UNIFORM_MIN_ORDER and z > nu * nu / 10.0:
-        return _uniform_i(nu, z, scaled)
+        # z > 90 > UNSCALED_Z_LIMIT: an unscaled call was refused above
+        return _uniform_i(nu, z)
     return _series_i(nu, z, scaled)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from .fiber import FiberSpectrum, NuSpectrum
+from .fiber import FiberSpectrum, NuSpectrum, _merged_orders
 from .phg import ExpansionTemplate
 
 TAIL_RELATIVE_LIMIT = 1e-10
@@ -413,6 +413,7 @@ def product_trace(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
     keeps the pair sums up to the smallest factor cutoff, or up to `cutoff`
     if that is smaller, which is every product eigenvalue up to there, and
     records that cutoff; it is absent when a factor carries no spectrum.
+    Pair sums merge as the Bessel orders do (`fiber._merged_orders`).
     """
     grid = _common_grid([*a.values(), *b.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
@@ -431,10 +432,9 @@ def product_trace(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
             cap = min([cutoff] + [c for ea, eb in eigs for c in (ea.cutoff, eb.cutoff)])
             # seeded empty, so a degree without factor pairs gets an empty spectrum
             sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cap) for ea, eb in eigs]
-            lam = np.round(np.concatenate([s for s, _ in sums]), 12)
-            uniq, inverse = np.unique(lam, return_inverse=True)
-            weight = np.bincount(inverse, weights=np.concatenate([w for _, w in sums]))
-            spectrum = Spectrum(uniq, weight, cap)
+            lam, weight = _merged_orders(np.concatenate([s for s, _ in sums]),
+                                         np.concatenate([w for _, w in sums]))
+            spectrum = Spectrum(lam, weight, cap)
         out[k] = TraceSamples(grid, val, tail, spectrum)
     return out
 

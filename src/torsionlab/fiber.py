@@ -10,6 +10,10 @@ on pairs of fiber form degrees (p-1, p).  Its eigenvalues nu^2, computed in
 closed form as arrays over the shells, set the Bessel orders and the
 indicial roots 1/2 +- nu of the model problem.
 
+One numpy rule each decides when two spectral values are one: |kappa|^2
+within 1e-12 relative are one shell (`_shells`), and Bessel orders and
+product eigenvalues equal under round(v, 12) are one (`_merged_orders`).
+
 Two conventions for the squared constants on the diagonal are supported:
 
 * ``PaperLiteral``   -- (l-(f+3)/2)^2 and (l-(f+1)/2)^2 verbatim.
@@ -122,68 +126,43 @@ def _lattice_points(periods: Sequence[float], cutoff: float) -> tuple[np.ndarray
     return np.argwhere(keep) - bounds, mu2[keep]
 
 
-# 10^k, exact in float64 up to k = 22
-_POW10 = np.array([float(10 ** k) for k in range(23)])
-
-
-def _decimal_keys(x: np.ndarray, p: np.ndarray, scale, exact, ok=True) -> np.ndarray:
-    """x rounded at the decimal place that p = x * scale sets, as `exact(v)`
-    rounds each float v: the exact binary value rounded half to even, read
-    back as the nearest float (Python's `round` and float formatting).
-
-    scale is a power of ten of at most 10^22, so exact, and p is rounded
-    once: where p lies below 2^53 and more than 2 ulps from a half-integer,
-    rint(p) is the exact value rounded, and rint(p) / scale, rounded once,
-    is the float `exact` gives.  `exact` runs elsewhere, and where `ok`
-    is False.
-    """
-    keys = np.rint(p) / scale
-    slow = ~(ok & (p < 2.0 ** 53)) | (np.abs(p - np.floor(p) - 0.5) <= 2.0 * np.spacing(p))
-    keys[slow] = [exact(v) for v in x[slow].tolist()]
-    return keys
-
-
-def _sig12(v: float) -> float:
-    return float(f"{v:.12g}")
-
-
-def _shell_keys(mu2: np.ndarray) -> np.ndarray:
-    """float(f"{v:.12g}") of each v in mu2: v rounded at the decimal place
-    that leaves 12 significant digits, 11 - floor(log10 v).  Where log10
-    rounds across a power of ten, or the place lies outside [0, 22], p
-    falls outside (1e11, 1e12) and the string rule runs instead."""
-    exponent = np.floor(np.log10(np.where(mu2 > 0.0, mu2, 1.0)))
-    scale = _POW10[np.clip(11.0 - exponent, 0, len(_POW10) - 1).astype(np.intp)]
-    p = mu2 * scale
-    return _decimal_keys(mu2, p, scale, _sig12, ok=(1e11 < p) & (p < 1e12))
+def _shells(mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shells of the values mu2, in increasing order: each shell's mean
+    over its values in the order of mu2, and its size.  Sorted neighbours
+    more than 1e-12 apart relative start a new shell, so values that
+    differ only by float noise are one shell, whatever their magnitude."""
+    by_value = np.argsort(mu2)
+    srt = mu2[by_value]
+    first = np.diff(srt, prepend=-np.inf) > 1e-12 * srt
+    shell = np.empty(len(mu2), dtype=np.intp)
+    shell[by_value] = np.cumsum(first) - 1
+    # stable, so each shell keeps the order of mu2 and mean(axis=1) over one
+    # row per shell of each size is np.mean of that shell alone, bit for
+    # bit; the sizes come from a set, as a bare np.unique imports numpy.ma
+    grouped = mu2[np.argsort(shell, kind="stable")]
+    starts = np.flatnonzero(first)
+    points = np.diff(starts, append=len(mu2))
+    mean = np.empty(len(starts))
+    for size in sorted(set(points.tolist())):
+        sel = points == size
+        mean[sel] = grouped[starts[sel][:, None] + np.arange(size)].mean(axis=1)
+    return mean, points
 
 
 def torus_spectrum(periods: Sequence[float], cutoff: float) -> FiberSpectrum:
     """Hodge spectrum of a flat torus with the given periods.
 
     Eigenvalues are |kappa|^2 over the dual lattice.  Lattice points whose
-    |kappa|^2 agree to 12 significant digits form one shell, whose mu2 is
-    their mean in lattice order.
+    |kappa|^2 lie within 1e-12 relative of each other form one shell
+    (`_shells`), whose mu2 is their mean in lattice order.
     """
     if not periods:
         raise ValueError("period list must be nonempty")
     if any(L <= 0 for L in periods):
         raise ValueError("periods must be positive")
     _, mu2 = _lattice_points(periods, cutoff)
-    # rounding to significant digits groups values that differ only by
-    # float noise, independent of their magnitude
-    keys = _shell_keys(mu2)
-    order = np.argsort(keys, kind="stable")
-    shell_keys, starts, points = np.unique(keys[order], return_index=True, return_counts=True)
-    # one row per shell of each size: mean(axis=1) sums each row pairwise,
-    # as np.mean of that shell alone does, so the means are the same bits;
-    # the sizes come from a set, as a bare np.unique would import numpy.ma
-    srt = mu2[order]
-    mean = np.empty(len(starts))
-    for size in sorted(set(points.tolist())):
-        sel = points == size
-        mean[sel] = srt[starts[sel][:, None] + np.arange(size)].mean(axis=1)
-    nonzero = shell_keys != 0.0
+    mean, points = _shells(mu2)
+    nonzero = mean != 0.0
     return FiberSpectrum(len(periods), cutoff, mean[nonzero], points[nonzero])
 
 
@@ -229,24 +208,38 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
     return nu2[keep], mult[keep]
 
 
-def _round12(v: float) -> float:
-    return round(v, 12)
+# 1e12 = hi + lo, each of at most 26 significant bits, for Dekker's product
+_E12_HI, _E12_LO = 1e12 - 4096.0, 4096.0
 
 
-def _merged_orders(nu: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly increasing orders with summed multiplicities: orders equal
-    under Python's round(nu, 12), the order whose zeros are computed, are one.
+def _round12(x: np.ndarray) -> np.ndarray:
+    """Python's round(v, 12) of each v in x, bit for bit.
 
-    The keys are np.rint(nu * 1e12) / 1e12, which is round(nu, 12) bit for
-    bit except where nu * 1e12 lies within 2 ulps of a half-integer or at
-    or above 2^53 (`_decimal_keys`); there `round` itself runs, on 3 % of
-    the torus workload's orders.  np.round(nu, 12) is the same rint with
-    no such exception, and it differs from `round` in the last bit on 4 of
-    that workload's degree-0 orders and 12 of degree 1's, which would move
-    the zeros.
+    round takes the exact v * 10^12 to an integer N, half to even, and
+    reads N / 10^12 back as the nearest float.  Dekker's product, with
+    Veltkamp's split of x, gives v * 10^12 exactly as p + e, p the rounded
+    product: N is rint(p), except that the sign of e settles a
+    representable half-integer p.  N < 2^53 is exact, so one division
+    rounds N / 10^12 once.  Where p >= 2^53, the key is v itself.
     """
-    keys = _decimal_keys(nu, nu * 1e12, 1e12, _round12)
-    orders, inverse = np.unique(keys, return_inverse=True)
+    p = x * 1e12
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    e = lo * _E12_LO - (((p - hi * _E12_HI) - lo * _E12_HI) - hi * _E12_LO)
+    n = np.rint(p)
+    tie = (np.abs(p - np.trunc(p)) == 0.5) & (e != 0.0)
+    n[tie] = np.copysign(np.floor(p[tie]) + (e[tie] > 0.0), p[tie])
+    return np.where(np.abs(p) < 2.0 ** 53, n / 1e12, x)
+
+
+def _merged_orders(values: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly increasing values with summed multiplicities: values equal
+    under Python's round(v, 12) (`_round12`) are one.  This merges the
+    Bessel orders, whose zeros are computed at the merged order, and the
+    eigenvalues of a product spectrum.
+    """
+    orders, inverse = np.unique(_round12(values), return_inverse=True)
     return orders, np.bincount(inverse, weights=mult, minlength=len(orders)).astype(mult.dtype)
 
 

@@ -431,8 +431,8 @@ def torsion_assemble(per_degree: Sequence[ZetaData], model: str = "",
     log T = (1/2) sum_k (-1)^k k zeta_k'(0), with the bound
     (1/2) sum_k k |zeta_k'(0) bound|.  Regularity of the torsion
     zeta function holds when every degree is regular at 0, or when the
-    per-degree residues cancel in the same weighted alternating sum; both
-    facts are reported separately.
+    per-degree residues cancel, within their bounds, in the same weighted
+    alternating sum; both facts are reported separately.
     """
     degrees = [z.degree for z in per_degree]
     if degrees != list(range(len(per_degree))):
@@ -442,9 +442,9 @@ def torsion_assemble(per_degree: Sequence[ZetaData], model: str = "",
     res = 0.5 * sum((-1) ** z.degree * z.degree * z.residue_at_zero for z in per_degree)
 
     def res_bound(z: ZetaData) -> float:
-        return max(z.diagnostics.get("residue_bound", z.error_bound), 1e-10)
+        return max(z.diagnostics["residue_bound"], 1e-10)
 
-    bound = sum(res_bound(z) for z in per_degree)
+    bound = 0.5 * sum(z.degree * res_bound(z) for z in per_degree)
     all_regular = all(abs(z.residue_at_zero) <= res_bound(z) for z in per_degree)
     cancel = bool(abs(res) <= bound)
     return TorsionReport(

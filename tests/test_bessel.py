@@ -84,7 +84,7 @@ def test_regime_crossover_agreement():
         for fac in (0.8, 1.0, 1.25):
             z = fac * nu * nu / 10.0
             a = _series_i(nu, z, scaled=True)
-            b = _uniform_i(nu, z, scaled=True)
+            b = _uniform_i(nu, z)
             assert abs(a - b) <= 1e-11 * abs(b), (nu, z)
     assert UNIFORM_MIN_ORDER == 30.0
 

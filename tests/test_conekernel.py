@@ -20,6 +20,7 @@ from torsionlab.conekernel import (
     gammaincc,
     Spectrum,
     TraceSamples,
+    _certified_trace,
     cone_heat_kernel,
     cone_spectrum,
     fiber_factor_trace,
@@ -38,6 +39,7 @@ from torsionlab.errors import (
 from torsionlab.fiber import (
     Convention,
     NuSpectrum,
+    _round12,
     a_spectrum,
     single_nu_spectrum,
     torus_spectrum,
@@ -229,6 +231,15 @@ def test_trace_tail_certification_failure():
     spec = cone_spectrum(single_nu_spectrum(0.5), lambda_cutoff=1e4, cone_dim=1)
     with pytest.raises(TailNotCertified):
         truncated_cone_trace(spec, 0, log_grid(1e-4, 1e-1, 10))
+
+
+def test_trace_refuses_a_tail_bound_past_the_limit():
+    """exp(-t Lambda) passes the precheck at t = 0.33, but the envelope of
+    the heavy top eigenvalue bounds the tail at 9.6e-9, above 1e-10 x the
+    trace 0.719."""
+    spectrum = Spectrum.of([1.0, 100.0], [1.0, 1e6], cutoff=100.0)
+    with pytest.raises(TailNotCertified, match="tail bound 9.6e-09 at t=0.33"):
+        _certified_trace(spectrum, q=1.0, t_grid=np.array([0.33]))
 
 
 def test_doubling_cutoff_stays_within_tail_bound():
@@ -589,7 +600,7 @@ def test_product_spectrum_complete_to_smaller_cutoff():
     lam = (a.lam[:, None] + b.lam[None, :]).ravel()
     weight = (a.weight[:, None] * b.weight[None, :]).ravel()
     keep = lam <= cutoff
-    uniq, inverse = np.unique(np.round(lam[keep], 12), return_inverse=True)
+    uniq, inverse = np.unique([round(v, 12) for v in lam[keep].tolist()], return_inverse=True)
     assert np.array_equal(prod.eigenvalues.lam, uniq)
     assert np.array_equal(prod.eigenvalues.weight, np.bincount(inverse, weights=weight[keep]))
 
@@ -599,6 +610,28 @@ def test_product_spectrum_complete_to_smaller_cutoff():
     z = zeta_near_zero(prod, fit_expansion(prod.restrict(t_max=0.1), tpl), kernel_dim=1)
     beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
     assert abs(z.zeta_prime0 - (-math.log(TWO_PI) - 2.0 * beta1)) <= z.error_bound
+
+
+def test_product_pair_sums_merge_as_python_round(monkeypatch):
+    """The circle product workload's 10,116 pair sums key as Python's
+    round(v, 12) bit for bit, as the Bessel orders do; np.round(v, 12)
+    differs on 414 of them.  Each degree merges to 1,686 eigenvalues."""
+    sums = []
+    pair_sums = conekernel._pair_sums
+
+    def recording(a, b, cutoff):
+        lam, weight = pair_sums(a, b, cutoff)
+        sums.append(lam)
+        return lam, weight
+
+    monkeypatch.setattr(conekernel, "_pair_sums", recording)
+    traces = _pipeline("--model", "product", "--base", "circle").traces()
+    lam = np.concatenate(sums)
+    want = np.array([round(v, 12) for v in lam.tolist()])
+    assert np.array_equal(_round12(lam).view(np.int64), want.view(np.int64))
+    assert len(lam) == 10_116
+    assert np.count_nonzero(np.round(lam, 12) != want) == 414
+    assert [len(tr.eigenvalues) for tr in traces.values()] == [1686] * 4
 
 
 def test_product_spectrum_cut_at_a_given_cutoff():

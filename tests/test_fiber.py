@@ -12,14 +12,14 @@ import operator
 import numpy as np
 import pytest
 
-from torsionlab import fiber
 from torsionlab.errors import NegativeBlockEigenvalue, TailNotCertified
 from torsionlab.fiber import (
     Convention,
     NuSpectrum,
     _lattice_points,
     _merged_orders,
-    _shell_keys,
+    _round12,
+    _shells,
     _wedge_matrix,
     a_block_eigenvalues,
     a_spectrum,
@@ -108,6 +108,15 @@ def test_torus_rejects_empty_periods():
         torus_spectrum([], cutoff=1.0)
 
 
+def _string_rule_shells(mu2):
+    """Oracle: the values of mu2 grouped by float(f"{v:.12g}"), by
+    increasing key, each group in the order of mu2."""
+    groups = {}
+    for v in mu2.tolist():
+        groups.setdefault(float(f"{v:.12g}"), []).append(v)
+    return [np.array(groups[key]) for key in sorted(groups)]
+
+
 def test_shell_means_are_per_shell_np_mean():
     """Each shell's mu2 is, bit for bit, np.mean of its lattice points' |kappa|^2
     in lattice order, on square, rectangular and cubic lattices; among the
@@ -117,10 +126,7 @@ def test_shell_means_are_per_shell_np_mean():
     for periods, cutoff in (((TWO_PI, TWO_PI), 60.0), ((TWO_PI, 3.7), 40.0),
                             ((TWO_PI, TWO_PI, TWO_PI), 14.0)):
         _, mu2 = _lattice_points(periods, cutoff)
-        keys = np.array([float(f"{v:.12g}") for v in mu2.tolist()])
-        order = np.argsort(keys, kind="stable")
-        shell_keys, starts = np.unique(keys[order], return_index=True)
-        shells = [s for k, s in zip(shell_keys, np.split(mu2[order], starts[1:])) if k != 0.0]
+        shells = [s for s in _string_rule_shells(mu2) if s[0] != 0.0]
         spec = torus_spectrum(periods, cutoff)
         assert spec.points.tolist() == [len(s) for s in shells]
         assert spec.mu2.tolist() == [np.mean(s) for s in shells]
@@ -133,27 +139,34 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def _assert_shells_are_the_string_rule(mu2):
+    mean, points = _shells(mu2)
+    want = _string_rule_shells(mu2)
+    assert points.tolist() == [len(s) for s in want]
+    assert np.array_equal(_bits(mean), _bits([np.mean(s) for s in want]))
+
+
 @pytest.mark.parametrize("periods,cutoff", [
     ((TWO_PI, TWO_PI), 123.0), ((TWO_PI, 1.5 * TWO_PI), 80.0), ((11.0, 3.7), 40.0),
-    ((TWO_PI, TWO_PI, TWO_PI), 14.0),
-], ids=["square", "rect-2pi-3pi", "rect-below-one", "cubic"])
+    ((TWO_PI, TWO_PI, TWO_PI), 14.0), ((3.0, 4.5), 101.0), ((1.5 * TWO_PI,), 500.0),
+], ids=["square", "rect-2pi-3pi", "rect-below-one", "cubic", "rect-3-4.5", "circle-r1.5"])
 def test_shell_keys_are_the_string_rule(periods, cutoff):
-    """The shell keys are float(f"{v:.12g}") of each |kappa|^2 bit for bit,
-    on square, rectangular and cubic lattices: the square one at twice the
-    torus workload's cutoff, and one with |kappa|^2 below 1."""
-    _, mu2 = _lattice_points(periods, cutoff)
-    want = [float(f"{v:.12g}") for v in mu2.tolist()]
-    assert np.array_equal(_bits(_shell_keys(mu2)), _bits(want))
+    """The shells, cut where sorted neighbours differ by more than 1e-12
+    relative, are the groups of float(f"{v:.12g}") of each |kappa|^2, with
+    the same means bit for bit, on square, rectangular, cubic and circle
+    lattices: the square one at twice the torus workload's cutoff, and one
+    with |kappa|^2 below 1."""
+    _assert_shells_are_the_string_rule(_lattice_points(periods, cutoff)[1])
 
 
 def test_shell_keys_next_to_powers_of_ten():
-    """Where log10 could round across a power of ten, the keys are still
-    the string rule's."""
+    """Values one ulp either side of a power of ten share its shell, as they
+    share its 12-digit string; 0, the smallest subnormal and 1e300 are
+    shells of their own."""
     powers = 10.0 ** np.arange(-11.0, 13.0)
     mu2 = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
                           [0.0, 5e-324, 1e300]])
-    want = [float(f"{v:.12g}") for v in mu2.tolist()]
-    assert np.array_equal(_bits(_shell_keys(mu2)), _bits(want))
+    _assert_shells_are_the_string_rule(mu2)
 
 
 def _round_keys(nu):
@@ -161,10 +174,13 @@ def _round_keys(nu):
 
 
 def _assert_merged_as_round(nu):
-    """`_merged_orders` keys each order as Python's round(nu, 12) does."""
+    """`_round12` is Python's round(nu, 12) bit for bit, and `_merged_orders`
+    keys each order by it."""
+    nu = np.asarray(nu, dtype=float)
     mult = np.arange(len(nu)) % 3 + 1
-    orders, merged = _merged_orders(np.asarray(nu, dtype=float), mult)
     keys = _round_keys(nu)
+    assert np.array_equal(_bits(_round12(nu)), _bits(keys))
+    orders, merged = _merged_orders(nu, mult)
     want = sorted(set(keys))
     assert np.array_equal(_bits(orders), _bits(want))
     sums = {}
@@ -173,22 +189,20 @@ def _assert_merged_as_round(nu):
     assert merged.tolist() == [sums[w] for w in want]
 
 
-def test_merged_orders_key_as_python_round(monkeypatch):
+def test_merged_orders_key_as_python_round():
     """Near-ties (k + 1/2) 1e-12 and the floats one ulp either side of them,
     orders at and past 2^53 / 1e12 and nu = 0 key as round(nu, 12) bit for
-    bit, and round itself runs on the near-ties."""
-    calls = []
-
-    def counting_round12(v):
-        calls.append(v)
-        return round(v, 12)
-
-    monkeypatch.setattr(fiber, "_round12", counting_round12)
-    k = np.concatenate([np.arange(200.0), 2.0 ** np.arange(8, 50, 3), 60.5e12 + np.arange(50.0)])
+    bit.  On the near-ties x 1e12 often rounds to a representable
+    half-integer off the exact product, where rint alone (np.round) misses
+    round.  Negative values and signed zeros round as Python's do too."""
+    k = np.concatenate([np.arange(200.0), 2.0 ** np.arange(8, 53, 3), 60.5e12 + np.arange(50.0),
+                        2.0 ** 52 + np.arange(50.0)])
     ties = (k + 0.5) * 1e-12
-    _assert_merged_as_round(np.concatenate([ties, np.nextafter(ties, 0.0),
-                                            np.nextafter(ties, np.inf), [0.0]]))
-    assert len(calls) > 0
+    near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    _assert_merged_as_round(np.concatenate([near, [0.0]]))
+    assert np.count_nonzero(_bits(np.round(near, 12)) != _bits(_round_keys(near))) > 100
+    signed = np.concatenate([-near, [-0.0, -1e-13, -5e-13]])
+    assert np.array_equal(_bits(_round12(signed)), _bits(_round_keys(signed)))
     big = 2.0 ** 53 / 1e12
     _assert_merged_as_round([big, np.nextafter(big, 0.0), np.nextafter(big, np.inf), 1e4,
                              12345.678901234567, 0.0])
@@ -196,7 +210,7 @@ def test_merged_orders_key_as_python_round(monkeypatch):
 
 def test_merged_orders_key_the_torus_workload_as_python_round():
     """Every block order of the torus workload's four degrees at its cutoff
-    keys as round(nu, 12); np.round differs on some, and there round runs."""
+    keys as round(nu, 12); np.round differs on some."""
     fib = torus_spectrum((TWO_PI, TWO_PI), cutoff=61.5)
     for p in range(4):
         nu2, mult = a_block_eigenvalues(fib, p, GEO)

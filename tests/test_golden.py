@@ -38,6 +38,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
     ("zeta_product_circle.json",
      ["zeta", "--model", "product", "--base", "circle", "--t-min", "3e-3"]),
     ("torsion_disk.json", ["torsion"]),
+    ("torsion_product.json", ["torsion", "--model", "product", "--base", "circle"]),
 ])
 def test_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0

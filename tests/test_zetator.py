@@ -177,6 +177,23 @@ def test_decay_rate_required_without_eigenvalues():
         zeta_near_zero(stripped, fit, kernel_dim=0)
 
 
+def test_large_t_integral_refuses_a_zero_mode_weight_off_the_kernel():
+    """Two zero modes in the spectrum, kernel_dim 1: the large-t integral
+    cannot tell which decay the rest of the trace has."""
+    grid = log_grid(1e-3, 1.0, 241)
+    tr = _certified_trace(Spectrum.of([0.0, 1.0], [2.0, 1.0], 4e4), q=0.5, t_grid=grid)
+    fit = fit_expansion(tr.restrict(t_max=0.1),
+                        ExpansionTemplate.from_terms([(k, False) for k in range(6)]))
+    with pytest.raises(DecayRateUnknown, match="zero-mode weight 2.0"):
+        zeta_near_zero(tr, fit, kernel_dim=1)
+
+
+def test_samples_must_reach_the_split_point():
+    tr, fit, _ = halfline_zeta()
+    with pytest.raises(ValueError, match="samples must reach the split point 2.0"):
+        zeta_near_zero(tr, fit, kernel_dim=0, split=2.0)
+
+
 # ------------------------------------------------------------- pole checks --
 
 def test_pole_list_matches_symbolic_prediction():
@@ -241,7 +258,8 @@ def test_kernel_dims_cone():
 
 def _zeta_stub(degree, zp, res=0.0, bound=1e-10):
     return ZetaData(degree, (), 0.0, 0.0, zp, 0, res,
-                    {"total_bound": bound, "zeta_prime0_bound": bound, "split": 1.0})
+                    {"total_bound": bound, "zeta_prime0_bound": bound, "residue_bound": bound,
+                     "split": 1.0})
 
 
 def test_torsion_all_derivatives_zero():
@@ -278,6 +296,18 @@ def test_torsion_residue_cancellation():
     assert not report.all_degrees_regular
     assert report.residues_cancel
     assert report.torsion_zeta_regular
+
+
+def test_torsion_residue_bounded_with_its_weights():
+    """Residues (0, 0, 2e-3), each bounded by 1e-3, sum to 2e-3 with the
+    bound (1/2) sum_k k b_k = 1.5e-3, the weights of the sum itself: they
+    do not cancel (the unweighted sum of the bounds, 3e-3, would say so)."""
+    zs = [_zeta_stub(k, 0.0, res=r, bound=1e-3) for k, r in enumerate((0.0, 0.0, 2e-3))]
+    report = torsion_assemble(zs)
+    assert report.torsion_residue == pytest.approx(2e-3, rel=1e-15)
+    assert not report.all_degrees_regular
+    assert not report.residues_cancel
+    assert not report.torsion_zeta_regular
 
 
 def test_torsion_missing_degree():
