@@ -110,10 +110,19 @@ def parse_config_file(path: str) -> dict:
 #   so every second sample, the quadrature's error estimate, keeps both ends.
 # - The expansion is asymptotic as t -> 0, so only t <= FIT_T_MAX enters
 #   the fit.
-# - TEMPLATE_CUTOFF is the fit basis order.  3 (the symbolic default) makes
-#   the m = 2 log basis collide with the conditioning limit (fit condition
-#   2.2e13 on the disk, 2.9e14 on the circle product); 2 is accurate and
-#   well-posed.  One radial mode has the two-term theta expansion, order 1.
+# - TEMPLATE_CUTOFF is the order of the fit the report reads.  The fit pins
+#   the volume and boundary coefficients (`Pipeline.pins`) and has no
+#   t^a log t column: these models' zeta functions have only simple poles
+#   (Bordag-Kirsten-Dowker), and with its log columns the order-3 m = 2
+#   basis collides with the conditioning limit (fit condition 2.2e13 on the
+#   disk, 2.9e14 on the circle product).
+# - PARTNER_CUTOFF is the order of a second fit to the same window, with
+#   the same pins; |order 2 - order 3| joins the zeta(0) and zeta'(0)
+#   bounds as the fit's truncation bias.  The partner keeps the t^0 log t
+#   column where the full template has one (even m): its coefficient is the
+#   measured residue at s = 0.  Its condition is 2.4e9 on the disk.
+# - One radial mode has the two-term theta expansion, order 1, and takes
+#   no pins and no partner.
 # - The models are exact cones, so their metric is exactly even, the
 #   paper's even case, and the template always uses the even calculus.  The
 #   odd one adds terms the traces lack: on the cone over T^2 at t_min 1e-2
@@ -122,6 +131,7 @@ SPLIT = 1.0
 GRID_POINTS = 241
 FIT_T_MAX = 0.1
 TEMPLATE_CUTOFF = Fraction(2)
+PARTNER_CUTOFF = Fraction(3)
 SINGLE_NU_TEMPLATE_CUTOFF = Fraction(1)
 
 
@@ -347,18 +357,43 @@ class Pipeline:
         cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \
             else TEMPLATE_CUTOFF
         return phg.heat_trace_structure(self.m, self.b, even=True, boundary=True,
-                                        cutoff=cutoff)
+                                        cutoff=cutoff).without_logs()
+
+    def partner_template(self) -> phg.ExpansionTemplate | None:
+        """The order-3 template whose fit's spread bounds the order-2 fit's
+        truncation; it keeps the t^0 log column, which measures the residue
+        at s = 0.  One radial mode has none."""
+        if self.cfg.single_nu is not None:
+            return None
+        return phg.heat_trace_structure(self.m, self.b, even=True, boundary=True,
+                                        cutoff=PARTNER_CUTOFF).without_logs(keep=(0,))
+
+    def pins(self, degree: int) -> dict[Fraction, float]:
+        """The volume and boundary heat coefficients of `degree`: the cone
+        over the fiber N (dimension n) cut at x = 1 has volume vol(N)/(n+1)
+        and boundary vol(N), each times the base's volume.  One radial mode
+        takes none."""
+        if self.cfg.single_nu is not None:
+            return {}
+        fiber_volume, base_volume = math.prod(self.fiber_periods), math.prod(self.base_periods)
+        return conekernel.heat_pins(self.m, degree,
+                                    fiber_volume / self.cone_dim * base_volume,
+                                    fiber_volume * base_volume)
 
     @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:
-        tpl = self.template()
+        tpl, partner = self.template(), self.partner_template()
+        columns = max(tpl.basis_size, partner.basis_size if partner else 0) \
+            - len(self.pins(0))
         window = int(np.count_nonzero(self.grid <= FIT_T_MAX))
-        if window < 2 * tpl.basis_size:
+        if window < 2 * columns:
             raise ValueError(f"--t-min {self.cfg.t_min!r} leaves {window} samples in the fit "
-                             f"window t <= FIT_T_MAX = {FIT_T_MAX}; it needs {2 * tpl.basis_size}")
+                             f"window t <= FIT_T_MAX = {FIT_T_MAX}; it needs {2 * columns}")
+        inputs = {k: (tr, self.pins(k)) for k, tr in self.traces().items()}
         return _each_distinct(
-            self.traces(), operator.eq,
-            lambda k, tr: conekernel.fit_expansion(tr.restrict(t_max=FIT_T_MAX), tpl))
+            inputs, operator.eq,
+            lambda k, x: conekernel.fit_expansion(x[0].restrict(t_max=FIT_T_MAX), tpl,
+                                                  x[1], partner))
 
     def _kernels(self) -> list[int]:
         kernels = zetator.kernel_dimension(self.m)
@@ -382,7 +417,7 @@ class Pipeline:
         # the alternating sum pairs degrees; a single radial mode has only one
         if len(self.degrees) > 1:
             traces = self.traces()
-            diagnostics["mckean_singer_defect"] = conekernel.mckean_singer_defect(
+            diagnostics["supertrace_sup"] = conekernel.mckean_singer_defect(
                 [traces[k] for k in self.degrees], self._kernels())
         return zetator.torsion_assemble([zetas[k] for k in self.degrees],
                                         model=self.label, diagnostics=diagnostics)

@@ -18,15 +18,18 @@ dropped mass.
 
 Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
-t^(-a_min) so the leading term carries comparable influence across the
-sample range.
+t^(-a_min) so the leading fitted term carries comparable influence across
+the sample range.  Coefficients that geometry fixes (`heat_pins`: volume
+and Dirichlet boundary) can be pinned, so that only the others are
+fitted, and a higher-order partner template can be fitted alongside, to
+measure the truncation of the first.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -447,7 +450,9 @@ class FittedExpansion:
     each coefficient consistent with the observed weighted residuals (L1
     norm of the pseudoinverse row times the residual sup).  They dominate
     collinearity noise when the template carries log columns the data does
-    not actually need.
+    not actually need.  A `pinned` coefficient was given, not fitted, and
+    its bound is 0.  `partner` is the fit of a higher-order template to the
+    same samples and pins, whose spread from this one measures truncation.
     """
 
     template: ExpansionTemplate
@@ -455,6 +460,8 @@ class FittedExpansion:
     residual: float
     condition: float
     coefficient_bounds: dict[tuple[Fraction, bool], float]
+    pinned: tuple[tuple[Fraction, bool], ...] = ()
+    partner: "FittedExpansion | None" = None
 
     def coefficient(self, exponent, log: bool = False) -> float:
         return self.coefficients.get((Fraction(exponent), log), 0.0)
@@ -473,7 +480,7 @@ class FittedExpansion:
         return np.column_stack([_basis_column(t, *key) for key in self.coefficients])
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "template": self.template.to_json_dict(),
             "coefficients": [
                 {"exp": str(alpha), "log": is_log, "coeff": c,
@@ -483,6 +490,29 @@ class FittedExpansion:
             "residual": self.residual,
             "condition": self.condition,
         }
+        if self.pinned:
+            out["pinned"] = [column_name(key) for key in self.pinned]
+        if self.partner is not None:
+            out["partner"] = self.partner.to_json_dict()
+        return out
+
+
+def heat_pins(m: int, degree: int, volume: float, boundary: float) -> dict[Fraction, float]:
+    """The two heat coefficients that geometry fixes in form degree p of an
+    m-dimensional model with Dirichlet boundary: rank C(m, p) times the
+    volume term V/(4 pi)^(m/2) at t^(-m/2) (Weyl), and the boundary term
+    -A/(4 (4 pi)^((m-1)/2)) at t^(-(m-1)/2) (Branson-Gilkey; Gilkey,
+    Asymptotic Formulae in Spectral Geometry, 2004).  The edge enters from
+    t^(-b/2) on, b < m - 1, so it shares neither exponent."""
+    rank = math.comb(m, degree)
+    return {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
+            Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
+
+
+def column_name(key: tuple[Fraction, bool]) -> str:
+    """A basis column as it reads: t^alpha, or t^alpha log t."""
+    alpha, is_log = key
+    return f"t^{alpha}" + (" log t" if is_log else "")
 
 
 def _basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
@@ -491,63 +521,99 @@ def _basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
     return col * np.log(t) if is_log else col
 
 
-def _solve_weighted(t: np.ndarray, values: np.ndarray,
-                    basis: Sequence[tuple[Fraction, bool]]):
-    """Weighted least squares: coefficients, condition estimate, relative
-    residuals, and the weighted design and residuals (for the sensitivities)."""
-    alpha_min = float(min(a for a, _ in basis))
-    w = t ** (-alpha_min)
-    design = np.column_stack([w * _basis_column(t, *key) for key in basis])
-    rhs = w * values
-    coeff, _, _, sing = np.linalg.lstsq(design, rhs, rcond=None)
-    condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
-    weighted_resid = design @ coeff - rhs
-    rel_resid = np.abs(weighted_resid / w) / np.abs(values)
-    return coeff, condition, rel_resid, design, weighted_resid
-
-
 def _median(x: np.ndarray) -> float:
     """`float(np.median(x))` of a non-empty 1-d float array, bit for bit,
     NaN included, from a sort: np.median's NaN check imports numpy.ma, some
-    15 ms on its first call in a process."""
-    s = np.sort(x)
-    if np.isnan(s[-1]):         # the sort puts NaN last, and np.median returns it
-        return float(s[-1])
+    15 ms on its first call in a process.  The mean of the two middle
+    values is np.mean's (a + b) / 2 on floats."""
+    s = np.sort(x).tolist()
+    if s[-1] != s[-1]:          # the sort puts NaN last, and np.median returns it
+        return s[-1]
     half = len(s) // 2
-    return float(np.mean(s[half:half + 1] if len(s) % 2 else s[half - 1:half + 1]))
+    return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2.0
 
 
-def fit_expansion(samples: TraceSamples, template: ExpansionTemplate) -> FittedExpansion:
+def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fraction, bool]],
+                 pins: Mapping[Fraction, float]):
+    """Weighted least squares of `values` minus the pinned terms in the
+    `free` columns, trimmed from the end (see `fit_expansion`).
+
+    The weighted design is built once; each trim step solves its leading
+    rows, which are bit for bit the design a rebuild on the shorter grid
+    would make.  Returns the coefficients, the condition estimate, the
+    residuals relative to `values`, and the trimmed design and weighted
+    residuals (for the sensitivities).
+    """
+    w = t ** (-float(min(a for a, _ in free)))
+    design = np.column_stack([w * _basis_column(t, *key) for key in free])
+    rhs = values
+    for alpha, c in pins.items():
+        rhs = rhs - c * _basis_column(t, alpha, False)
+    rhs = w * rhs
+    size = np.abs(values)
+    n = len(t)
+    while True:
+        coeff, _, _, sing = np.linalg.lstsq(design[:n], rhs[:n], rcond=None)
+        weighted_resid = design[:n] @ coeff - rhs[:n]
+        rel_resid = np.abs(weighted_resid / w[:n]) / size[:n]
+        if n <= 2 * len(free) or rel_resid[-1] <= 10.0 * max(_median(rel_resid), 1e-13):
+            break
+        n -= 1
+    condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
+    return coeff, condition, rel_resid, design[:n], weighted_resid
+
+
+def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
+                  pins: Mapping[Fraction, float] | None = None,
+                  partner: ExpansionTemplate | None = None) -> FittedExpansion:
     """Weighted least squares of trace samples in the template basis.
 
-    Weights t^(-alpha_min) equalize the influence of the leading term over
-    a log-spaced grid.  A truncated template cannot represent the trace all
-    the way to the largest times (the omitted content grows with t), so
-    trailing samples are trimmed one at a time, down to twice the basis
-    size, while the last relative residual stands out against the median
-    by a factor 10; for data the template describes exactly, nothing is
+    `pins` gives the coefficients of some t^alpha columns; their terms are
+    subtracted from the samples, and only the other columns are fitted.
+    Weights t^(-alpha_min), alpha_min the least fitted exponent, equalize
+    the influence of the leading fitted term over a log-spaced grid.  A
+    truncated template cannot represent the trace all the way to the
+    largest times (the omitted content grows with t), so trailing samples
+    are trimmed one at a time, down to twice the number of fitted columns,
+    while the last relative residual stands out against the median by a
+    factor 10; for data the template describes exactly, nothing is
     trimmed.  Fits whose design matrix is effectively singular are refused
-    rather than returned.
+    rather than returned.  A `partner` template is fitted to the same
+    samples with the same pins, in the same way, and returned with the fit.
     """
-    basis = template.basis
+    pins = {Fraction(alpha): float(c) for alpha, c in (pins or {}).items()}
+    fit = _fit(samples, template, pins)
+    if partner is None:
+        return fit
+    return replace(fit, partner=_fit(samples, partner, pins))
+
+
+def _fit(samples: TraceSamples, template: ExpansionTemplate,
+         pins: dict[Fraction, float]) -> FittedExpansion:
+    """One template's fit for `fit_expansion`."""
+    pinned = tuple((alpha, False) for alpha in pins)
+    missing = [column_name(key) for key in pinned if key not in template.basis]
+    if missing:
+        raise ValueError(f"pinned columns {missing} are not in the template")
+    free = [key for key in template.basis if key not in pinned]
     t, values = samples.grid, samples.values
-    n = len(t)
-    if n < 2 * len(basis):
-        raise InsufficientSamples(f"{n} samples for {len(basis)} basis functions; need 2x")
-    coeff, condition, rel_resid, design, resid = _solve_weighted(t, values, basis)
-    while n > 2 * len(basis) and rel_resid[-1] > 10.0 * max(_median(rel_resid), 1e-13):
-        n -= 1
-        coeff, condition, rel_resid, design, resid = _solve_weighted(t[:n], values[:n], basis)
+    if len(t) < 2 * len(free):
+        raise InsufficientSamples(f"{len(t)} samples for {len(free)} fitted basis functions; "
+                                  "need 2x")
+    coeff, condition, rel_resid, design, resid = _trimmed_fit(t, values, free, pins)
     if condition > CONDITION_LIMIT:
         raise IllConditioned(f"fit condition estimate {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
     # worst coefficient shift explained by residuals of the observed size
     sens = np.abs(np.linalg.pinv(design)).sum(axis=1) * float(np.max(np.abs(resid)))
+    fitted, bounds = dict(zip(free, coeff.tolist())), dict(zip(free, sens.tolist()))
     return FittedExpansion(
         template=template,
-        coefficients={key: float(c) for key, c in zip(basis, coeff)},
+        coefficients={key: fitted[key] if key in fitted else pins[key[0]]
+                      for key in template.basis},
         residual=float(np.max(rel_resid)),
         condition=condition,
-        coefficient_bounds={key: float(s) for key, s in zip(basis, sens)},
+        coefficient_bounds={key: bounds.get(key, 0.0) for key in template.basis},
+        pinned=pinned,
     )
 
 

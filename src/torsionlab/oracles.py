@@ -5,7 +5,8 @@ check() returns (passed, detail), at its criterion's full size, with the
 criterion's own convention and tolerances.  Two unnumbered rows check
 both conventions: GeometricOracle must pass, and PaperLiteral must show
 its documented discrepancy.  The third, `cone_supertrace`, checks the
-closed form of the heat supertrace on genuine cones.
+closed form of the heat supertrace on genuine cones, and the fourth,
+`heat_coefficients_pinned`, the heat coefficients the pipeline pins.
 """
 
 from __future__ import annotations
@@ -361,6 +362,31 @@ def cone_supertrace():
         f"{', '.join(map(str, errors))}: max |diff| {worst:.2e} (r = {at})"
 
 
+def heat_coefficients_pinned():
+    """The volume and boundary heat coefficients the pipeline pins, against
+    a free fit (the order-2 template with its log columns) of the disk at
+    t_min 1e-3 and the T^2 cone at 2.5e-3, degrees 0 and 1.  Measured: the
+    free fit is within 4.1e-6 relative on the disk and 5.3e-5 on T^2."""
+    from .cli import FIT_T_MAX, TEMPLATE_CUTOFF, ModelConfig, Pipeline
+
+    cases = {"disk": (ModelConfig(), 1e-5),
+             "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=2.5e-3),
+                     1.5e-4)}
+    worst = {}
+    for name, (cfg, _) in cases.items():
+        pipe = Pipeline(cfg)
+        tpl = phg.heat_trace_structure(pipe.m, pipe.b, even=True, boundary=True,
+                                       cutoff=TEMPLATE_CUTOFF)
+        errors = []
+        for k in (0, 1):
+            fit = conekernel.fit_expansion(pipe.traces()[k].restrict(t_max=FIT_T_MAX), tpl)
+            errors += [abs(fit.coefficient(alpha) / c - 1.0) for alpha, c in pipe.pins(k).items()]
+        worst[name] = max(errors)
+    return all(worst[name] <= tol for name, (_, tol) in cases.items()), \
+        "free-fit volume and boundary coefficients vs the pins, degrees 0 and 1: max rel err " \
+        + ", ".join(f"{name} {err:.2e} (tol {cases[name][1]:.1e})" for name, err in worst.items())
+
+
 # (name, acceptance criterion or None, check), in selftest order
 ORACLES = (
     ("bessel_closed_form", 1, bessel_closed_form),
@@ -377,4 +403,5 @@ ORACLES = (
     ("gauss_bonnet", None, gauss_bonnet),
     ("convention_comparison", None, convention_comparison),
     ("cone_supertrace", None, cone_supertrace),
+    ("heat_coefficients_pinned", None, heat_coefficients_pinned),
 )

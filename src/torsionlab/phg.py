@@ -21,7 +21,7 @@ zeta functions near s = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -332,6 +332,13 @@ class ExpansionTemplate:
     @property
     def basis_size(self) -> int:
         return len(self.basis)
+
+    def without_logs(self, keep: Sequence[Rational] = ()) -> "ExpansionTemplate":
+        """The same powers with no log column, except at the exponents in
+        `keep` where the template has one."""
+        keep = {_frac(e) for e in keep}
+        return replace(self, terms=tuple(replace(t, haslog=t.haslog and t.exponent in keep)
+                                         for t in self.terms))
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,8 +38,18 @@ with D_a the exact derivative of the computed value: the spline part
 is `_not_a_knot_integral` of each basis column.  The shifts are charged
 independently; the correlated ||D^T pinv(A)||_1 max|r| is smaller, but it
 leaves out the fit's truncation bias and misses the T^2 cone's reference
-value.  Each degree's diagnostics give the budget (fit shift, remainder,
-large t) and name its dominant term.
+value.  A pinned coefficient (volume, boundary) has b_a = 0.
+
+The bounds on the shifts say nothing about the terms the template leaves
+out.  So a fit may carry a partner: the fit of a higher-order template
+to the same samples, with the same pins.  The reported values are the
+fit's own, and the spread |fit - partner| of each joins the zeta(0) and
+zeta'(0) bounds as the fit's truncation bias; the partner's values need
+no bounds of their own.  The partner keeps the t^0 log t column where the
+template calculus has one, and the residue at s = 0 is its coefficient,
+so the regularity of the zeta function stays a measurement.  Each
+degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
+large t, bias), name its dominant term, and name the pinned columns.
 """
 
 from __future__ import annotations
@@ -51,7 +61,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .conekernel import EXP_REACH, ZERO_EIGENVALUE, FittedExpansion, TraceSamples
+from .conekernel import (
+    EXP_REACH,
+    ZERO_EIGENVALUE,
+    FittedExpansion,
+    TraceSamples,
+    column_name,
+)
 from .errors import DecayRateUnknown, FitResidualTooLarge
 
 EULER_GAMMA = 0.57721566490153286
@@ -172,23 +188,26 @@ def _mellin_laurent(terms: dict[tuple[Fraction, bool], float], t0: float) -> tup
 
 
 def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through (u, y).
+    """Node slopes of the not-a-knot cubic spline through (u, y), for each
+    column of y (shape (n, k)).
 
     Two points give the line through them and three the parabola.  From
     four points on, the end rows (third derivative continuous across u[1]
     and u[-2]) are subtracted from their neighbours, which leaves a
     strictly diagonally dominant tridiagonal system for the interior
     slopes; a Thomas sweep solves it and the end rows give s[0], s[-1].
+    The system depends on u alone, so it is eliminated once, and each
+    column's right-hand side is swept with its multipliers.
     """
     h = np.diff(u)
-    d = np.diff(y) / h
+    d = np.diff(y, axis=0) / h[:, None]
     n = len(u)
     if n == 2:
         return np.array([d[0], d[0]])
     if n == 3:
         curv = (d[1] - d[0]) / (u[2] - u[0])
         return np.array([d[0] - curv * h[0], d[0] + curv * h[0], d[1] + curv * h[1]])
-    rhs = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    rhs = 3.0 * (h[1:, None] * d[:-1] + h[:-1, None] * d[1:])
     w0, w1 = u[2] - u[0], u[-1] - u[-3]
     b0 = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
     b1 = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
@@ -196,39 +215,48 @@ def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     # swept on Python floats (a numpy scalar would make every step slower)
     lower, upper = h[2:].tolist(), h[:-2].tolist()
     diag = (2.0 * (h[:-1] + h[1:])).tolist()
-    rhs = rhs.tolist()
-    diag[0], rhs[0] = float(h[0] + h[1]), rhs[0] - float(b0)
-    diag[-1], rhs[-1] = float(h[-2] + h[-1]), rhs[-1] - float(b1)
+    diag[0], diag[-1] = float(h[0] + h[1]), float(h[-2] + h[-1])
     m = len(diag)
+    factors = [0.0] * m
     for i in range(1, m):
-        f = lower[i - 1] / diag[i - 1]
-        diag[i] -= f * upper[i - 1]
-        rhs[i] -= f * rhs[i - 1]
-    s = [0.0] * m
-    s[-1] = rhs[-1] / diag[-1]
-    for i in range(m - 2, -1, -1):
-        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
-    return np.array([(b0 - w0 * s[0]) / h[1], *s, (b1 - w1 * s[-1]) / h[-2]])
+        factors[i] = lower[i - 1] / diag[i - 1]
+        diag[i] -= factors[i] * upper[i - 1]
+    slopes = []
+    for r, first, last in zip(rhs.T.tolist(), b0.tolist(), b1.tolist()):
+        r[0] -= first
+        r[-1] -= last
+        for i in range(1, m):
+            r[i] -= factors[i] * r[i - 1]
+        r[-1] /= diag[-1]
+        for i in range(m - 2, -1, -1):
+            r[i] = (r[i] - upper[i] * r[i + 1]) / diag[i]
+        slopes.append(r)
+    s = np.array(slopes).T
+    return np.concatenate(([(b0 - w0 * s[0]) / h[1]], s, [(b1 - w1 * s[-1]) / h[-2]]))
 
 
-def _not_a_knot_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float) -> float:
+def _not_a_knot_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float):
     """Integral over [u_lo, u_hi] of the not-a-knot cubic spline through
     (u, y), piece by piece in closed form (de Boor, A Practical Guide to
-    Splines, 1978).  Past the grid ends the end pieces extend, as in
-    scipy: every second point of an even count ends one step short."""
-    s = _not_a_knot_slopes(u, y)
-    h = np.diff(u)
-    pieces = h * (y[:-1] + y[1:]) / 2.0 + h * h * (s[:-1] - s[1:]) / 12.0
-    cumulative = np.concatenate(([0.0], np.cumsum(pieces)))
+    Splines, 1978): a float, or for y of shape (n, k) one per column.
+    Past the grid ends the end pieces extend, as in scipy: every second
+    point of an even count ends one step short."""
+    columns = y.reshape(len(u), -1)
+    s = _not_a_knot_slopes(u, columns)
+    h = np.diff(u)[:, None]
+    pieces = h * (columns[:-1] + columns[1:]) / 2.0 + h * h * (s[:-1] - s[1:]) / 12.0
+    cumulative = np.concatenate((np.zeros((1, columns.shape[1])), np.cumsum(pieces, axis=0)))
 
-    def antiderivative(x: float) -> float:
+    def antiderivative(x: float) -> np.ndarray:
         i = min(max(int(np.searchsorted(u, x, side="right")) - 1, 0), len(u) - 2)
-        tau, d = x - u[i], (y[i + 1] - y[i]) / h[i]
-        t = (s[i] + s[i + 1] - 2.0 * d) / h[i]
-        quad, cubic = (d - s[i]) / h[i] - t, t / h[i]
-        return cumulative[i] + tau * (y[i] + tau * (s[i] / 2.0 + tau * (quad / 3.0 + tau * cubic / 4.0)))
+        yi, si = columns[i], s[i]
+        tau, d = x - u[i], (columns[i + 1] - yi) / h[i]
+        t = (si + s[i + 1] - 2.0 * d) / h[i]
+        quad, cubic = (d - si) / h[i] - t, t / h[i]
+        return cumulative[i] + tau * (yi + tau * (si / 2.0 + tau * (quad / 3.0 + tau * cubic / 4.0)))
 
-    return float(antiderivative(u_hi) - antiderivative(u_lo))
+    integrals = antiderivative(u_hi) - antiderivative(u_lo)
+    return float(integrals[0]) if y.ndim == 1 else integrals
 
 
 def _spline_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float) -> tuple[float, float]:
@@ -298,46 +326,75 @@ def _zeta_prime0_weights(samples: TraceSamples, fit: FittedExpansion,
     t1^a / a (log t1 + g1 for t^0), not T0^a / a.
     """
     u = np.log(samples.grid)
-    u_lo, u_hi = float(u[0]), math.log(t0)
+    integrals = _not_a_knot_integral(u, fit.columns(samples.grid), float(u[0]), math.log(t0))
     poles = {(Fraction(0), False): G1, (Fraction(0), True): -G2}
-    return {key: shares[key] + poles.get(key, 0.0) - _not_a_knot_integral(u, column, u_lo, u_hi)
-            for key, column in zip(fit.coefficients, fit.columns(samples.grid).T)}
+    return {key: shares[key] + poles.get(key, 0.0) - integral
+            for key, integral in zip(fit.coefficients, integrals.tolist())}
+
+
+def _laurent_data(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
+                  split: float, large: float):
+    """The fit's terms with the kernel folded in, their a_0 shares, the
+    Laurent data (a_-2, a_-1, a_0) of Gamma zeta at s = 0, and the
+    remainder integral with its bound."""
+    terms = _fit_terms_with_kernel(fit, kernel_dim)
+    (a_m2, a_m1, a_0f), shares = _mellin_laurent(terms, split)
+    rem, rem_bound = _remainder_integral(samples, fit, split)
+    return terms, shares, (a_m2, a_m1, a_0f + rem + large), rem, rem_bound
+
+
+def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
+    """zeta(0) and zeta'(0) from the Laurent data of Gamma zeta."""
+    a_m2, a_m1, a_0 = laurent
+    return a_m1 + G1 * a_m2, a_0 + G1 * a_m1 + G2 * a_m2
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
                    split: float = 1.0, degree: int = 0) -> ZetaData:
-    """Zeta invariants at s = 0 from trace samples and a fitted expansion."""
+    """Zeta invariants at s = 0 from trace samples and a fitted expansion.
+
+    With a partner fit, the spread of its zeta(0) and zeta'(0) from the
+    fit's own joins their bounds (`bias`), and the residue at s = 0 is the
+    partner's t^0 log t term."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
     if samples.grid[-1] < split:
         raise ValueError(f"samples must reach the split point {split}")
 
-    terms = _fit_terms_with_kernel(fit, kernel_dim)
-    (a_m2, a_m1, a_0f), shares = _mellin_laurent(terms, split)
-    rem, rem_bound = _remainder_integral(samples, fit, split)
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
-    a_0 = a_0f + rem + large
+    terms, shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
+    zeta0, zeta_prime0 = _at_zero(laurent)
 
-    zeta0 = a_m1 + G1 * a_m2
-    zeta_prime0 = a_0 + G1 * a_m1 + G2 * a_m2
-
-    # zeta(0) and the residue read a_-1 and a_-2, which the t^0 and t^0 log t
-    # coefficients enter directly; zeta'(0) moves by its derivative weight
+    # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
+    # enter directly; zeta'(0) moves by its derivative weight
     bounds = fit.coefficient_bounds
     s_m2 = bounds.get((Fraction(0), True), 0.0)
     s_m1 = bounds.get((Fraction(0), False), 0.0)
     zeta0_bound = s_m1 + G1 * s_m2 + rem_bound
-    residue_bound = s_m2 + rem_bound
     shifts = {key: abs(w) * bounds[key]
               for key, w in _zeta_prime0_weights(samples, fit, shares, split).items()}
     budget = {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
               "large_t": large_bound}
+    residue, residue_bound = laurent[0], s_m2 + rem_bound
+    extra = {}
+    if fit.pinned:
+        extra["pinned"] = [column_name(key) for key in fit.pinned]
+    if fit.partner is not None:
+        # the partner's values need no bounds of their own: only their spread
+        *_, partner, _, partner_rem_bound = _laurent_data(samples, fit.partner, kernel_dim,
+                                                         split, large)
+        partner_zeta0, partner_zeta_prime0 = _at_zero(partner)
+        extra["zeta0_bias"] = abs(zeta0 - partner_zeta0)
+        zeta0_bound += extra["zeta0_bias"]
+        budget["bias"] = abs(zeta_prime0 - partner_zeta_prime0)
+        residue = partner[0]
+        residue_bound = fit.partner.coefficient_bounds.get((Fraction(0), True), 0.0) \
+            + partner_rem_bound
     zeta_prime0_bound = sum(budget.values())
     dominant = {"term": max(budget, key=budget.get)}
     if dominant["term"] == "fit_shift":
-        alpha, is_log = max(shifts, key=shifts.get)
-        dominant["column"] = f"t^{alpha}" + (" log t" if is_log else "")
+        dominant["column"] = column_name(max(shifts, key=shifts.get))
     total_bound = max(zeta0_bound, zeta_prime0_bound)
 
     # one pole per location: a log term upgrades the order to 2, and the
@@ -357,8 +414,9 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         zeta0_minus_kernel=zeta0,
         zeta_prime0=zeta_prime0,
         kernel_dim=kernel_dim,
-        residue_at_zero=a_m2,
+        residue_at_zero=residue,
         diagnostics={
+            **extra,
             "split": split,
             "remainder_integral": rem,
             "remainder_bound": rem_bound,

@@ -85,7 +85,7 @@ def test_torsion_single_nu_oracle(capsys, tmp_path):
     assert abs(z["zeta_prime0"] + math.log(2)) < 1e-5
     assert abs(z["zeta0"] + 0.5) < 1e-6
     # one degree has no alternating sum to check
-    assert "mckean_singer_defect" not in doc["report"]["diagnostics"]
+    assert "supertrace_sup" not in doc["report"]["diagnostics"]
     csv_path = tmp_path / "report.csv"
     assert csv_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("degree,")
@@ -136,7 +136,7 @@ def test_torsion_disk_reports_defect_diagnostic(capsys):
     code, out, _ = run(capsys, "torsion", "--fiber", "circle", "--radius", "1")
     assert code == 0
     doc = json.loads(out)
-    assert doc["report"]["diagnostics"]["mckean_singer_defect"] < 1e-6
+    assert doc["report"]["diagnostics"]["supertrace_sup"] < 1e-6
 
 
 def test_torsion_certification_failure_exit_code(capsys):

@@ -46,6 +46,7 @@ from torsionlab.fiber import (
 )
 from torsionlab.phg import ExpansionTemplate
 from torsionlab.zetator import zeta_near_zero
+from fit_oracle import rebuilt_trim_fit
 from trace_oracle import every_exp_blocked_sums, fsum_trace
 
 GEO = Convention.GEOMETRIC_ORACLE
@@ -528,6 +529,65 @@ def test_fit_serialization():
     tr = _theta_trace(log_grid(1e-4, 1e-1, 40))
     d = fit_expansion(tr, THETA_TEMPLATE).to_json_dict()
     assert {"template", "coefficients", "residual", "condition"} <= set(d)
+
+
+# ------------------------------------------------------------ pinned fits --
+
+PINNED_TEMPLATE = ExpansionTemplate.from_terms(
+    [(-1, False), (F(-1, 2), False), (0, False), (F(1, 2), False), (1, False)], m=2)
+
+
+def _pinned_synthetic():
+    g = log_grid(1e-3, 1e-1, 80)
+    vals = 0.25 / g - 0.4431 / np.sqrt(g) + 1.0 / 6.0 + 0.3 * np.sqrt(g) - 0.2 * g
+    return TraceSamples(g, vals, np.zeros_like(g)), {F(-1): 0.25, F(-1, 2): -0.4431}
+
+
+def test_pinned_fit_returns_the_pins_and_recovers_the_rest():
+    """The pinned coefficients come back as given, with bound 0; the free
+    ones are recovered; the partner is fitted with the same pins."""
+    samples, pins = _pinned_synthetic()
+    partner = ExpansionTemplate.from_terms([(F(e, 2), e == 0) for e in range(-2, 5)], m=2)
+    fit = fit_expansion(samples, PINNED_TEMPLATE, pins, partner)
+    for part in (fit, fit.partner):
+        assert part.pinned == ((F(-1), False), (F(-1, 2), False))
+        assert part.coefficient(-1) == 0.25 and part.coefficient(F(-1, 2)) == -0.4431
+        assert part.coefficient_bounds[F(-1), False] == part.coefficient_bounds[F(-1, 2), False] == 0.0
+        assert abs(part.coefficient(0) - 1.0 / 6.0) < 1e-9
+        assert abs(part.coefficient(F(1, 2)) - 0.3) < 1e-8
+        assert abs(part.coefficient(1) + 0.2) < 1e-8
+        assert part.residual < 1e-9
+    assert list(fit.coefficients) == list(PINNED_TEMPLATE.basis)
+    assert abs(fit.partner.coefficient(0, log=True)) < 1e-8 and fit.partner.partner is None
+    assert fit.to_json_dict()["pinned"] == ["t^-1", "t^-1/2"]
+
+
+def test_pin_outside_the_template_is_refused():
+    samples, _ = _pinned_synthetic()
+    with pytest.raises(ValueError, match=r"t\^-3/2"):
+        fit_expansion(samples, PINNED_TEMPLATE, {F(-3, 2): 1.0})
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+def test_trim_loop_slices_the_design_bit_for_bit(pinned):
+    """The design built once and sliced at every trim step gives the
+    coefficients, the condition and the trimmed sample count of a design
+    rebuilt at every step (tests/fit_oracle.py), on the disk's degree-0
+    trace, where the pinned fit trims dozens of samples."""
+    pipe = _pipeline()
+    samples = pipe.traces()[0].restrict(t_max=cli.FIT_T_MAX)
+    pins = pipe.pins(0) if pinned else {}
+    for tpl in (pipe.template(), pipe.partner_template()):
+        free = [key for key in tpl.basis if key[1] or key[0] not in pins]
+        coeff, condition, rel_resid, design, _ = conekernel._trimmed_fit(
+            samples.grid, samples.values, free, pins)
+        want, sing, n = rebuilt_trim_fit(samples.grid, samples.values, free, pins)
+        assert len(rel_resid) == len(design) == n
+        assert np.array_equal(coeff, want)
+        assert condition == float(sing[0] / sing[-1])
+    assert pipe.fits()[0].partner is not None
+    if pinned:
+        assert len(samples.grid) - n >= 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 241])

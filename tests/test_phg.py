@@ -300,6 +300,17 @@ def test_template_serialization_roundtrip_fields():
     assert exps == sorted(exps)
 
 
+def test_without_logs_keeps_only_the_named_log_columns():
+    """The m = 2 template's log columns sit at 0, 1, 2 and 3; the pipeline's
+    partner keeps the one at 0, and its order-2 fit keeps none."""
+    tpl = heat_trace_structure(2, 0, even=True, boundary=True, cutoff=3)
+    assert tpl.log_exponents == (0, 1, 2, 3)
+    for keep, logs in (((), ()), ((0,), (0,)), ((F(1, 2), 1), (1,))):
+        stripped = tpl.without_logs(keep=keep)
+        assert stripped.exponents == tpl.exponents and stripped.log_exponents == logs
+        assert [t.source for t in stripped.terms] == [t.source for t in tpl.terms]
+
+
 def test_template_invariants():
     with pytest.raises(ValueError):
         ExpansionTemplate.from_terms([(0, False), (0, True)])

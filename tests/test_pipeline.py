@@ -8,6 +8,7 @@ symbolic pole calculus.
 
 import dataclasses
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -78,7 +79,7 @@ def test_torus_fiber_cone_regularity():
     # predicted log set is half-integer, so the residues vanish identically
     assert all(d.residue_at_zero == 0.0 for d in report.per_degree)
     assert report.all_degrees_regular and report.torsion_zeta_regular
-    assert report.diagnostics["mckean_singer_defect"] < 1e-9
+    assert report.diagnostics["supertrace_sup"] < 1e-9
     # log T = (1/2)(zeta_1' - 3 zeta_0') under the degree pairing
     want = 0.5 * (z[1].zeta_prime0 - 3.0 * z[0].zeta_prime0)
     assert report.log_torsion == pytest.approx(want, abs=1e-12)
@@ -95,6 +96,32 @@ def test_pipeline_template_matches_symbolic_prediction():
     for z in zetas.values():
         got = {(loc, order) for loc, order, _ in z.poles}
         assert got == set(rep.gamma_zeta_poles)
+
+
+def test_pins_are_the_volume_and_boundary_of_the_model():
+    """Degree k pins C(m, k) V / (4 pi)^(m/2) and -C(m, k) A / (4 (4 pi)^((m-1)/2)):
+    the disk has V = pi and A = 2 pi, the T^2 cone (2 pi)^2 / 3 and (2 pi)^2,
+    and a product multiplies both by the base's volume.  One radial mode
+    takes no pins and no partner."""
+    four_pi = 4.0 * math.pi
+    cases = [(ModelConfig(), 2, math.pi, 2 * math.pi),
+             (ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi], t_min=1e-2),
+              3, (2 * math.pi) ** 2 / 3, (2 * math.pi) ** 2),
+             (ModelConfig(model="product", base="circle", base_radius=2.0), 3,
+              math.pi * 4 * math.pi, 2 * math.pi * 4 * math.pi)]
+    for cfg, m, volume, boundary in cases:
+        pipe = Pipeline(cfg)
+        for k in pipe.degrees:
+            rank = math.comb(m, k)
+            want = {F(-m, 2): rank * volume / four_pi ** (m / 2),
+                    F(1 - m, 2): -rank * boundary / (4 * four_pi ** ((m - 1) / 2))}
+            assert pipe.pins(k) == pytest.approx(want, rel=1e-15), (cfg, k)
+    assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
+        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4}, rel=1e-15)
+    single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
+    assert single.pins(0) == {} and single.partner_template() is None
+    fit = single.fits()[0]
+    assert fit.pinned == () and fit.partner is None
 
 
 def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
@@ -176,17 +203,43 @@ def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
             assert abs(difference - w) <= 1e-9 * abs(w), (k, key)
 
 
+@pytest.mark.parametrize("name", ["disk", "torus"])
+def test_bias_is_the_spread_to_the_partner(name):
+    """A fit's zeta data are its own, their bounds add the spread to the
+    zeta data of its partner alone, and the residue at s = 0 is the
+    partner's: its t^0 log t term on the disk (m = 2), none on T^2 (m = 3)."""
+    pipe = Pipeline(GOLDEN_MODELS[name])
+    fit, tr = pipe.fits()[0], pipe.traces()[0]
+    z = zetator.zeta_near_zero(tr, fit, 0, split=SPLIT)
+    alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0, split=SPLIT)
+    partner = zetator.zeta_near_zero(tr, fit.partner, 0, split=SPLIT)
+    d, d_alone = z.diagnostics, alone.diagnostics
+    assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
+    assert d["zeta0_bias"] == abs(alone.zeta0 - partner.zeta0)
+    assert d["zeta0_bound"] == d_alone["zeta0_bound"] + d["zeta0_bias"]
+    assert d["zeta_prime0_budget"] == {
+        **d_alone["zeta_prime0_budget"], "bias": abs(alone.zeta_prime0 - partner.zeta_prime0)}
+    assert "bias" not in d_alone["zeta_prime0_budget"] and "zeta0_bias" not in d_alone
+    assert (z.residue_at_zero, d["residue_bound"]) \
+        == (partner.residue_at_zero, partner.diagnostics["residue_bound"])
+    assert ((F(0), True) in fit.partner.coefficients) == (name == "disk")
+    assert d["pinned"] == ([f"t^{F(-pipe.m, 2)}", f"t^{F(1 - pipe.m, 2)}"])
+
+
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_budget_names_its_dominant_term(name):
-    """The budget's three terms sum to the bound; on these fits the t^0
-    shift, weighed by about |log t1|, dominates."""
+    """The budget's four terms sum to the bound, and the dominant term is
+    the largest.  On these fits it is the t^0 shift, weighed by about
+    |log t1|, or the order-3 partner's spread (`bias`)."""
     for z in Pipeline(GOLDEN_MODELS[name]).zetas().values():
         d = z.diagnostics
         budget = d["zeta_prime0_budget"]
-        assert set(budget) == {"fit_shift", "remainder", "large_t"}
+        assert set(budget) == {"fit_shift", "remainder", "large_t", "bias"}
         assert sum(budget.values()) == d["zeta_prime0_bound"]
-        assert d["zeta_prime0_dominant"] == {"term": "fit_shift", "column": "t^0"}
-        assert budget["fit_shift"] == max(budget.values())
+        largest = max(budget, key=budget.get)
+        assert largest in ("fit_shift", "bias")
+        assert d["zeta_prime0_dominant"] == (
+            {"term": "fit_shift", "column": "t^0"} if largest == "fit_shift" else {"term": "bias"})
         assert d["total_bound"] == max(d["zeta0_bound"], d["zeta_prime0_bound"])
 
 

@@ -2,13 +2,15 @@
 
 The whole-model values are ROADMAP's References table: Weisberger's disk,
 circle cones of radius r computed in mpmath at 25-30 digits, the cone over
-the square 2 pi-torus (T^2), and one radial order nu with its closed form
-nu log 2 + log Gamma(nu + 1) - (1/2) log 2 pi.  Hodge duality maps degree
-k to m - k, so a model's reference has one entry per dual pair.
+the square 2 pi-torus (T^2), and one radial order nu with its closed forms
+zeta(0) = -(2 nu + 1)/4 and zeta'(0) = nu log 2 + log Gamma(nu + 1)
+- (1/2) log 2 pi.  The circle cones' zeta(0) are closed forms too.  Hodge
+duality maps degree k to m - k, so a model's reference has one entry per
+dual pair.
 
-Only zeta'(0) is asserted.  On T^2 the fit's zeta(0) still misses its own
-bound (0.3647 +- 0.0136 against 0.3376 at t_min 5e-3): the fit's
-truncation bias is not yet in any bound.
+Both zeta(0) and zeta'(0) are asserted.  On T^2 the fit's zeta(0) missed
+its own bound until the bound carried the fit's truncation bias, the
+spread between the order-2 fit and its order-3 partner.
 """
 
 import json
@@ -19,18 +21,23 @@ import pytest
 from torsionlab.cli import main
 
 T2 = ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"]
-T2_ZETA_PRIME0 = (0.2280004067, -5.1266568546)
+T2_REFERENCE = ((0.3376204449, -1.0579349921), (0.2280004067, -5.1266568546))
 
+# flags, (zeta(0) per dual pair, zeta'(0) per dual pair)
 CASES = {
-    "disk": ([], (0.7737138522837891, 1.547427704567578)),
-    "r=0.5": (["--radius", "0.5"], (0.3264658073242719, 0.8944960899190343)),
-    "r=1.5": (["--radius", "1.5"], (1.183287092211096, 2.411968994211762)),
-    "r=2.3": (["--radius", "2.3"], (1.827970529142203, 3.678503678467674)),
-    "T2 at 1e-2": (T2 + ["--t-min", "1e-2"], T2_ZETA_PRIME0),
-    "T2 at 5e-3": (T2 + ["--t-min", "5e-3"], T2_ZETA_PRIME0),
-    "T2 at 2.5e-3": (T2 + ["--t-min", "2.5e-3"], T2_ZETA_PRIME0),
+    "disk": ([], ((1 / 6, 1 / 3), (0.7737138522837891, 1.547427704567578))),
+    "r=0.5": (["--radius", "0.5"],
+              ((5 / 24, -1 / 12), (0.3264658073242719, 0.8944960899190343))),
+    "r=1.5": (["--radius", "1.5"],
+              ((13 / 72, 7 / 36), (1.183287092211096, 2.411968994211762))),
+    "r=2.3": (["--radius", "2.3"],
+              ((0.2278985507246377, 0.3644927536231884), (1.827970529142203, 3.678503678467674))),
+    "T2 at 1e-2": (T2 + ["--t-min", "1e-2"], T2_REFERENCE),
+    "T2 at 5e-3": (T2 + ["--t-min", "5e-3"], T2_REFERENCE),
+    "T2 at 2.5e-3": (T2 + ["--t-min", "2.5e-3"], T2_REFERENCE),
     "single nu": (["--single-nu", "0.5", "--t-min", "1e-4"],
-                  (0.5 * math.log(2.0) + math.lgamma(1.5) - 0.5 * math.log(2.0 * math.pi),)),
+                  ((-(2 * 0.5 + 1) / 4,),
+                   (0.5 * math.log(2.0) + math.lgamma(1.5) - 0.5 * math.log(2.0 * math.pi),))),
 }
 
 
@@ -41,12 +48,22 @@ def _torsion(capsys, flags):
 
 @pytest.mark.parametrize("name", CASES)
 def test_zeta_prime0_bound_covers_the_reference(capsys, name):
-    flags, reference = CASES[name]
+    flags, (_, reference) = CASES[name]
     per = _torsion(capsys, flags)["per_degree"]
     m = len(per) - 1
     for z in per:
         want = reference[min(z["degree"], m - z["degree"])]
         assert abs(z["zeta_prime0"] - want) <= z["diagnostics"]["zeta_prime0_bound"], z["degree"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_zeta0_bound_covers_the_reference(capsys, name):
+    flags, (reference, _) = CASES[name]
+    per = _torsion(capsys, flags)["per_degree"]
+    m = len(per) - 1
+    for z in per:
+        want = reference[min(z["degree"], m - z["degree"])]
+        assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
 
 
 def test_log_torsion_bound_covers_the_circle_product(capsys):
