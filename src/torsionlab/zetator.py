@@ -47,7 +47,8 @@ fit's own, and the spread |fit - partner| of each joins the zeta(0) and
 zeta'(0) bounds as the fit's truncation bias; the partner's values need
 no bounds of their own.  The partner keeps the t^0 log t column where the
 template calculus has one, and the residue at s = 0 is its coefficient,
-so the regularity of the zeta function stays a measurement.  Each
+as is the double pole at s = 0 in `poles`, so the regularity of the zeta
+function stays a measurement.  Each
 degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
 large t, bias), name its dominant term, and name the pinned columns.
 """
@@ -349,13 +350,28 @@ def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
     return a_m1 + G1 * a_m2, a_0 + G1 * a_m1 + G2 * a_m2
 
 
+def _poles_by_location(terms: dict[tuple[Fraction, bool], float]) -> dict[
+        Fraction, tuple[int, float]]:
+    """One pole of Gamma zeta per location -alpha: a log term upgrades the
+    order to 2, and the reported number is then the leading (double-pole)
+    coefficient."""
+    by_loc: dict[Fraction, tuple[int, float]] = {}
+    for (alpha, is_log), c in sorted(terms.items()):
+        loc = -alpha
+        if is_log:
+            by_loc[loc] = (2, -c)
+        elif loc not in by_loc:
+            by_loc[loc] = (1, c)
+    return by_loc
+
+
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
                    split: float = 1.0, degree: int = 0) -> ZetaData:
     """Zeta invariants at s = 0 from trace samples and a fitted expansion.
 
     With a partner fit, the spread of its zeta(0) and zeta'(0) from the
     fit's own joins their bounds (`bias`), and the residue at s = 0 is the
-    partner's t^0 log t term."""
+    partner's t^0 log t term, as is the double pole at s = 0 in `poles`."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
@@ -377,13 +393,14 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     budget = {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
               "large_t": large_bound}
     residue, residue_bound = laurent[0], s_m2 + rem_bound
+    by_loc = _poles_by_location(terms)
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]
     if fit.partner is not None:
         # the partner's values need no bounds of their own: only their spread
-        *_, partner, _, partner_rem_bound = _laurent_data(samples, fit.partner, kernel_dim,
-                                                         split, large)
+        partner_terms, _, partner, _, partner_rem_bound = _laurent_data(
+            samples, fit.partner, kernel_dim, split, large)
         partner_zeta0, partner_zeta_prime0 = _at_zero(partner)
         extra["zeta0_bias"] = abs(zeta0 - partner_zeta0)
         zeta0_bound += extra["zeta0_bias"]
@@ -391,21 +408,15 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         residue = partner[0]
         residue_bound = fit.partner.coefficient_bounds.get((Fraction(0), True), 0.0) \
             + partner_rem_bound
+        if (Fraction(0), True) in partner_terms:
+            # the double pole at s = 0 is the partner's, as the residue is
+            by_loc[Fraction(0)] = _poles_by_location(partner_terms)[Fraction(0)]
     zeta_prime0_bound = sum(budget.values())
     dominant = {"term": max(budget, key=budget.get)}
     if dominant["term"] == "fit_shift":
         dominant["column"] = column_name(max(shifts, key=shifts.get))
     total_bound = max(zeta0_bound, zeta_prime0_bound)
 
-    # one pole per location: a log term upgrades the order to 2, and the
-    # reported number is then the leading (double-pole) coefficient
-    by_loc: dict[Fraction, tuple[int, float]] = {}
-    for (alpha, is_log), c in sorted(terms.items()):
-        loc = -alpha
-        if is_log:
-            by_loc[loc] = (2, -c)
-        elif loc not in by_loc:
-            by_loc[loc] = (1, c)
     poles = [(loc, order, c) for loc, (order, c) in sorted(by_loc.items())]
     return ZetaData(
         degree=degree,
