@@ -1,17 +1,12 @@
 """Bessel functions I_nu and J_nu, and enumeration of J_nu zeros.
 
-I_nu is computed from scratch in two regimes chosen so both are free of
-cancellation:
-
-* ascending series (all terms positive, compensated summation, periodic
-  rescaling so arbitrarily large sums never overflow), used whenever the
-  uniform expansion is not safely applicable;
-* uniform large-order asymptotics in 1/nu (DLMF 10.41.3) for nu >= 30 and
-  z > nu^2/10, with the U_k polynomials generated exactly by their
-  integral recurrence on first use.
-
-The two regimes overlap on a strip around z = nu^2/10 where they agree to
-better than 1e-11; `bessel_i` switches between them there.
+I_nu is its ascending series: all terms are positive, so no cancellation
+enters; the sum is compensated, and rescaled periodically so that
+arbitrarily large sums never overflow.  It takes about z/2 terms (5,434
+and about 1 ms at z = 1e4).  The U_k polynomials of the uniform large-order
+expansion (DLMF 10.41.10) are generated exactly by their integral
+recurrence (`_u_polynomials`), for the Debye coefficients of the contour
+method; no evaluator reads them.
 
 J_nu (`jv`) is Miller's backward recurrence (Gautschi, SIAM Rev. 9 (1967)
 24), for a whole array of orders and arguments in one pass.  With
@@ -77,14 +72,11 @@ true root in the tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-UNIFORM_MIN_ORDER = 30.0
-UNIFORM_TERMS = 12
 UNSCALED_Z_LIMIT = 50.0
 ZERO_SCAN_STEP = math.pi / 2.0
 # orders from WIDE_SCAN_MIN_ORDER on scan with step pi up to WIDE_SCAN_MAX_Z
@@ -131,13 +123,6 @@ def _u_polynomials(n: int) -> list[list[Fraction]]:
     return polys
 
 
-@functools.cache
-def _u_float() -> tuple[tuple[float, ...], ...]:
-    """The U_k coefficients as floats, built on first use: only `bessel_i`
-    reads them, and importing the package should not pay for them."""
-    return tuple(tuple(float(c) for c in poly) for poly in _u_polynomials(UNIFORM_TERMS))
-
-
 def _series_i(nu: float, z: float, scaled: bool) -> float:
     """Ascending series; valid everywhere, cost grows like z/2 terms."""
     q = 0.25 * z * z
@@ -167,28 +152,6 @@ def _series_i(nu: float, z: float, scaled: bool) -> float:
     return math.exp(expo) * total if abs(expo) < 680 else math.exp(expo + math.log(total))
 
 
-def _uniform_i(nu: float, z: float) -> float:
-    """Uniform large-order expansion of e^{-z} I_nu(z).
-
-    The exponent nu*eta - z is assembled from sqrt(1+w^2) - w written as
-    1/(sqrt(1+w^2)+w), so no large-cancellation ever enters the exp.
-    """
-    w = z / nu
-    r = math.hypot(1.0, w)
-    p = 1.0 / r
-    series = 0.0
-    u_float = _u_float()
-    for k in range(UNIFORM_TERMS, -1, -1):
-        coeffs = u_float[k]
-        uk = 0.0
-        for c in reversed(coeffs):
-            uk = uk * p + c
-        series = series / nu + uk
-    pre = 1.0 / math.sqrt(2.0 * math.pi * nu * r)
-    exponent = nu / (r + w) + nu * math.log(w / (1.0 + r))
-    return pre * math.exp(exponent) * series
-
-
 def bessel_i(nu: float, z: float, scaled: bool = False) -> float:
     """I_nu(z), or e^{-z} I_nu(z) when `scaled`.
 
@@ -202,9 +165,6 @@ def bessel_i(nu: float, z: float, scaled: bool = False) -> float:
         raise ValueError("argument z must be positive")
     if not scaled and z > UNSCALED_Z_LIMIT:
         raise ValueError(f"use scaled=True for z > {UNSCALED_Z_LIMIT}")
-    if nu >= UNIFORM_MIN_ORDER and z > nu * nu / 10.0:
-        # z > 90 > UNSCALED_Z_LIMIT: an unscaled call was refused above
-        return _uniform_i(nu, z)
     return _series_i(nu, z, scaled)
 
 

@@ -119,8 +119,8 @@ def parse_config_file(path: str) -> dict:
 # - PARTNER_CUTOFF is the order of a second fit to the same window, with
 #   the same pins; |order 2 - order 3| joins the zeta(0) and zeta'(0)
 #   bounds as the fit's truncation bias.  The partner keeps the t^0 log t
-#   column where the full template has one (even m): its coefficient is the
-#   measured residue at s = 0.  Its condition is 2.4e9 on the disk.
+#   column where the full template has one (even m): minus its coefficient
+#   is the measured residue at s = 0.  Its condition is 2.4e9 on the disk.
 # - One radial mode has the two-term theta expansion, order 1, and takes
 #   no pins and no partner.
 # - The models are exact cones, so their metric is exactly even, the

@@ -46,11 +46,12 @@ to the same samples, with the same pins.  The reported values are the
 fit's own, and the spread |fit - partner| of each joins the zeta(0) and
 zeta'(0) bounds as the fit's truncation bias; the partner's values need
 no bounds of their own.  The partner keeps the t^0 log t column where the
-template calculus has one, and the residue at s = 0 is its coefficient,
-as is the double pole at s = 0 in `poles`, so the regularity of the zeta
-function stays a measurement.  Each
-degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
-large t, bias), name its dominant term, and name the pinned columns.
+template calculus has one, and the residue at s = 0 is minus its
+coefficient, so the regularity of the zeta function stays a measurement.
+Each degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
+large t, bias), name its dominant term, and name the pinned columns; the
+fitted coefficients stay with the fit, the predicted poles with
+`phg.zeta_pole_structure`.
 """
 
 from __future__ import annotations
@@ -122,12 +123,10 @@ def exp1(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZetaData:
-    """Zeta-function data of one form degree near s = 0.  `poles` are those
-    of Gamma(s) zeta(s), not of zeta(s) (`structure`'s `gamma_zeta_poles`),
-    so a simple one at s = 0 carries zeta(0) (`zeta0_minus_kernel`)."""
+    """Zeta-function data of one form degree at s = 0: each measured value
+    once, with its bounds and budget in `diagnostics`."""
 
     degree: int
-    poles: tuple[tuple[Fraction, int, float], ...]
     zeta0: float
     zeta0_minus_kernel: float
     zeta_prime0: float
@@ -137,13 +136,12 @@ class ZetaData:
 
     @property
     def error_bound(self) -> float:
-        return self.diagnostics["total_bound"]
+        """The larger of the zeta(0) and zeta'(0) bounds."""
+        return max(self.diagnostics["zeta0_bound"], self.diagnostics["zeta_prime0_bound"])
 
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
-            "poles": [{"s": str(loc), "order": order, "coeff": c}
-                      for loc, order, c in self.poles],
             "zeta0": self.zeta0,
             "zeta0_minus_kernel": self.zeta0_minus_kernel,
             "zeta_prime0": self.zeta_prime0,
@@ -335,13 +333,12 @@ def _zeta_prime0_weights(samples: TraceSamples, fit: FittedExpansion,
 
 def _laurent_data(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
                   split: float, large: float):
-    """The fit's terms with the kernel folded in, their a_0 shares, the
+    """The a_0 shares of the fit's terms with the kernel folded in, the
     Laurent data (a_-2, a_-1, a_0) of Gamma zeta at s = 0, and the
     remainder integral with its bound."""
-    terms = _fit_terms_with_kernel(fit, kernel_dim)
-    (a_m2, a_m1, a_0f), shares = _mellin_laurent(terms, split)
+    (a_m2, a_m1, a_0f), shares = _mellin_laurent(_fit_terms_with_kernel(fit, kernel_dim), split)
     rem, rem_bound = _remainder_integral(samples, fit, split)
-    return terms, shares, (a_m2, a_m1, a_0f + rem + large), rem, rem_bound
+    return shares, (a_m2, a_m1, a_0f + rem + large), rem, rem_bound
 
 
 def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
@@ -350,28 +347,13 @@ def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
     return a_m1 + G1 * a_m2, a_0 + G1 * a_m1 + G2 * a_m2
 
 
-def _poles_by_location(terms: dict[tuple[Fraction, bool], float]) -> dict[
-        Fraction, tuple[int, float]]:
-    """One pole of Gamma zeta per location -alpha: a log term upgrades the
-    order to 2, and the reported number is then the leading (double-pole)
-    coefficient."""
-    by_loc: dict[Fraction, tuple[int, float]] = {}
-    for (alpha, is_log), c in sorted(terms.items()):
-        loc = -alpha
-        if is_log:
-            by_loc[loc] = (2, -c)
-        elif loc not in by_loc:
-            by_loc[loc] = (1, c)
-    return by_loc
-
-
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
                    split: float = 1.0, degree: int = 0) -> ZetaData:
     """Zeta invariants at s = 0 from trace samples and a fitted expansion.
 
     With a partner fit, the spread of its zeta(0) and zeta'(0) from the
-    fit's own joins their bounds (`bias`), and the residue at s = 0 is the
-    partner's t^0 log t term, as is the double pole at s = 0 in `poles`."""
+    fit's own joins their bounds (`bias`), and the residue at s = 0 is read
+    from the partner's t^0 log t term."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
@@ -379,7 +361,7 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         raise ValueError(f"samples must reach the split point {split}")
 
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
-    terms, shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
+    shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
     zeta0, zeta_prime0 = _at_zero(laurent)
 
     # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
@@ -393,13 +375,12 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     budget = {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
               "large_t": large_bound}
     residue, residue_bound = laurent[0], s_m2 + rem_bound
-    by_loc = _poles_by_location(terms)
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]
     if fit.partner is not None:
         # the partner's values need no bounds of their own: only their spread
-        partner_terms, _, partner, _, partner_rem_bound = _laurent_data(
+        _, partner, _, partner_rem_bound = _laurent_data(
             samples, fit.partner, kernel_dim, split, large)
         partner_zeta0, partner_zeta_prime0 = _at_zero(partner)
         extra["zeta0_bias"] = abs(zeta0 - partner_zeta0)
@@ -408,19 +389,13 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         residue = partner[0]
         residue_bound = fit.partner.coefficient_bounds.get((Fraction(0), True), 0.0) \
             + partner_rem_bound
-        if (Fraction(0), True) in partner_terms:
-            # the double pole at s = 0 is the partner's, as the residue is
-            by_loc[Fraction(0)] = _poles_by_location(partner_terms)[Fraction(0)]
     zeta_prime0_bound = sum(budget.values())
     dominant = {"term": max(budget, key=budget.get)}
     if dominant["term"] == "fit_shift":
         dominant["column"] = column_name(max(shifts, key=shifts.get))
-    total_bound = max(zeta0_bound, zeta_prime0_bound)
 
-    poles = [(loc, order, c) for loc, (order, c) in sorted(by_loc.items())]
     return ZetaData(
         degree=degree,
-        poles=tuple(poles),
         zeta0=zeta0 + kernel_dim,          # plain t^0-coefficient convention
         zeta0_minus_kernel=zeta0,
         zeta_prime0=zeta_prime0,
@@ -430,9 +405,7 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
             **extra,
             "split": split,
             "remainder_integral": rem,
-            "remainder_bound": rem_bound,
             "large_t_integral": large,
-            "large_t_bound": large_bound,
             "fit_residual": fit.residual,
             "fit_condition": fit.condition,
             "zeta0_bound": zeta0_bound,
@@ -440,7 +413,6 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
             "zeta_prime0_budget": budget,
             "zeta_prime0_dominant": dominant,
             "residue_bound": residue_bound,
-            "total_bound": total_bound,
         },
     )
 

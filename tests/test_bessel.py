@@ -1,17 +1,14 @@
 """Bessel evaluators and zero enumeration against independent references.
 
 References used: the elementary closed forms at half-integer order, scipy's
-ive/iv (a different algorithm family than the series/uniform expansion
+ive/iv (a different algorithm family than the ascending series
 implemented here), mpmath's arbitrary-precision J_nu, bisection on the
 small-argument series and on mpmath's J_150, mpmath's findroot on J_nu, and
 the scalar zero finder kept in tests/zero_oracle.py.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,10 +18,8 @@ from scipy.special import ive
 from torsionlab import bessel
 from torsionlab.cli import ModelConfig, Pipeline
 from torsionlab.bessel import (
-    UNIFORM_MIN_ORDER,
     WIDE_SCAN_MAX_Z,
-    _series_i,
-    _uniform_i,
+    _u_polynomials,
     bessel_i,
     bessel_j_zeros,
     bessel_j_zeros_batch,
@@ -78,15 +73,13 @@ def test_scaled_against_scipy_grid(nu):
         assert abs(got - want) <= 2e-12 * want, (nu, z)
 
 
-def test_regime_crossover_agreement():
-    """Series and uniform expansion agree on the overlap strip."""
-    for nu in (30.0, 45.0, 80.0, 140.0, 200.0):
-        for fac in (0.8, 1.0, 1.25):
-            z = fac * nu * nu / 10.0
-            a = _series_i(nu, z, scaled=True)
-            b = _uniform_i(nu, z)
-            assert abs(a - b) <= 1e-11 * abs(b), (nu, z)
-    assert UNIFORM_MIN_ORDER == 30.0
+def test_debye_polynomials_first_two():
+    """U_1 = (3p - 5p^3)/24 and U_2 = (81p^2 - 462p^4 + 385p^6)/1152 (DLMF
+    10.41.10), exactly, as coefficient lists from p^0 up."""
+    u = _u_polynomials(2)
+    assert u[0] == [1]
+    assert u[1] == [0, Fraction(3, 24), 0, Fraction(-5, 24)]
+    assert u[2] == [0, 0, Fraction(81, 1152), 0, Fraction(-462, 1152), 0, Fraction(385, 1152)]
 
 
 def test_scaled_matches_unscaled_where_both_valid():
@@ -560,23 +553,3 @@ def test_wide_scan_step_needs_its_margin():
         half, half, wide, wide]
     assert zero_scan_step([1.0, 40.0], math.nextafter(WIDE_SCAN_MAX_Z, math.inf)).tolist() \
         == [half, half]
-
-
-def test_uniform_polynomials_are_built_on_first_use():
-    """`import torsionlab.cli` does not build the U_k table, and `bessel_i`
-    values in the uniform regime are those of the table built at import."""
-    code = ("import torsionlab.cli\n"
-            "from torsionlab import bessel\n"
-            "print(bessel._u_float.cache_info().currsize)\n")
-    src = str(Path(bessel.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout == "0\n"
-    want = {(30.0, 95.0): "0x1.7e21a4f325fcap-12", (30.0, 1e4): "0x1.f3e5d4cf5e36dp-9",
-            (45.5, 300.0): "0x1.7fb033856b501p-11", (80.0, 700.0): "0x1.47b0c0f5d407cp-13",
-            (140.0, 2000.0): "0x1.16da740700f36p-14", (200.0, 4100.0): "0x1.8dfdb4406b5adp-15",
-            (200.0, 1e4): "0x1.1b0ff06423073p-11"}
-    for (nu, z), hexval in want.items():
-        assert bessel_i(nu, z, scaled=True) == float.fromhex(hexval), (nu, z)

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from torsionlab import conekernel, fiber, zetator
-from torsionlab.cli import SPLIT, TEMPLATE_CUTOFF, ModelConfig, Pipeline
+from torsionlab.cli import PARTNER_CUTOFF, SPLIT, TEMPLATE_CUTOFF, ModelConfig, Pipeline
 
 GOLDEN_MODELS = {
     "disk": ModelConfig(),
@@ -85,31 +85,30 @@ def test_torus_fiber_cone_regularity():
     assert report.log_torsion == pytest.approx(want, abs=1e-12)
 
 
-def test_pipeline_template_matches_symbolic_prediction():
-    """The reported poles sit where the full order-2 template of the
-    symbolic calculus puts them.  The fit has no log column, so the orders
-    differ in one way: the calculus's double poles away from s = 0 read as
-    simple ones.  At s = 0 the partner keeps the t^0 log t column, so a
-    double pole predicted there (the disk, m = 2) is reported, with the
-    residue as its coefficient; the product (m = 3) predicts none."""
+def test_fit_route_follows_the_symbolic_calculus():
+    """What the calculus decides on the fit route, on the disk (m = 2) and
+    the circle product (m = 3): the fit's basis is the order-2 template
+    without its log columns, the order-3 partner keeps t^0 log t exactly
+    where the calculus says zeta is not regular at s = 0, and the residue
+    at s = 0 is minus that column's coefficient, or 0 without it."""
     from torsionlab.phg import heat_trace_structure, zeta_pole_structure
-    cases = [(ModelConfig(), {F(-2), F(-1)}, False),
-             (ModelConfig(model="product", base="circle"), {F(-3, 2), F(-1, 2), F(1, 2)}, True)]
-    for cfg, doubles_off_zero, regular in cases:
+    log_zero = (F(0), True)
+    for cfg, regular in [(ModelConfig(), False),
+                         (ModelConfig(model="product", base="circle"), True)]:
         pipe = Pipeline(cfg)
-        rep = zeta_pole_structure(heat_trace_structure(pipe.m, pipe.b, even=True, boundary=True,
-                                                       cutoff=TEMPLATE_CUTOFF))
-        assert rep.regular_at_zero == regular
-        assert {loc for loc, order in rep.gamma_zeta_poles
-                if order == 2 and loc != 0} == doubles_off_zero
-        want = {(loc, order if loc == 0 else 1) for loc, order in rep.gamma_zeta_poles}
-        for z in pipe.zetas().values():
-            assert {(loc, order) for loc, order, _ in z.poles} == want
-            (at_zero,) = [(order, c) for loc, order, c in z.poles if loc == 0]
-            if not regular:
-                assert at_zero == (2, z.residue_at_zero)
-            else:
-                assert at_zero[0] == 1 and z.residue_at_zero == 0.0
+
+        def template(cutoff):
+            return heat_trace_structure(pipe.m, pipe.b, even=True, boundary=True, cutoff=cutoff)
+
+        assert zeta_pole_structure(template(PARTNER_CUTOFF)).regular_at_zero == regular
+        basis = template(TEMPLATE_CUTOFF).without_logs().basis
+        fits, zetas = pipe.fits(), pipe.zetas()
+        for k in pipe.degrees:
+            assert tuple(fits[k].coefficients) == basis
+            partner = fits[k].partner.coefficients
+            assert (log_zero in partner) == (not regular)
+            want = 0.0 if regular else -partner[log_zero]
+            assert zetas[k].residue_at_zero == want
 
 
 def test_pins_are_the_volume_and_boundary_of_the_model():
@@ -262,7 +261,7 @@ def test_zeta_prime0_budget_names_its_dominant_term(name):
         assert set(budget) == {"fit_shift", "remainder", "large_t", "bias"}
         assert sum(budget.values()) == d["zeta_prime0_bound"]
         assert d["zeta_prime0_dominant"]["term"] == max(budget, key=budget.get)
-        assert d["total_bound"] == max(d["zeta0_bound"], d["zeta_prime0_bound"])
+        assert z.error_bound == max(d["zeta0_bound"], d["zeta_prime0_bound"])
 
 
 def test_zeta_prime0_dominant_names_no_column_off_the_fit():

@@ -26,7 +26,7 @@ from torsionlab.conekernel import (
 )
 from torsionlab.errors import DecayRateUnknown, FitResidualTooLarge
 from torsionlab.fiber import single_nu_spectrum
-from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_structure
+from torsionlab.phg import ExpansionTemplate, heat_trace_structure
 from torsionlab.zetator import (
     G1,
     ZetaData,
@@ -136,7 +136,8 @@ def test_non_regular_case_is_riemann_zeta_shifted():
     # zeta(0) = a_-1 + G1 a_-2, so its bound weighs the t^0 log t shift by G1
     b = fit.coefficient_bounds
     assert b[(F(0), True)] > 0.0
-    assert d["zeta0_bound"] == b[(F(0), False)] + G1 * b[(F(0), True)] + d["remainder_bound"]
+    assert d["zeta0_bound"] == b[(F(0), False)] + G1 * b[(F(0), True)] \
+        + d["zeta_prime0_budget"]["remainder"]
 
 
 def test_scaling_covariance():
@@ -194,23 +195,15 @@ def test_samples_must_reach_the_split_point():
         zeta_near_zero(tr, fit, kernel_dim=0, split=2.0)
 
 
-# ------------------------------------------------------------- pole checks --
-
-def test_pole_list_matches_symbolic_prediction():
-    _, _, z = halfline_zeta()
-    rep = zeta_pole_structure(HALF_LINE_TEMPLATE)
-    got = {(loc, order) for loc, order, _ in z.poles}
-    want = set(rep.gamma_zeta_poles)
-    assert got == want
-
+# ---------------------------------------------------------- contour checks --
 
 def test_gamma_zeta_laurent_agreement():
-    """Contour Laurent data at predicted poles matches fitted coefficients."""
-    tr, fit, z = halfline_zeta()
-    by_loc = {loc: (order, coeff) for loc, order, coeff in z.poles}
-    for loc in (F(1, 2), F(0)):
-        order, coeff = by_loc[loc]
-        got = gamma_zeta_laurent_coefficient(tr, fit, 0, s0=complex(loc), order=order)
+    """Contour Laurent data of Gamma zeta at its simple poles s = 1/2 and
+    s = 0 matches the fit's t^(-1/2) and t^0 coefficients."""
+    tr, fit, _ = halfline_zeta()
+    for alpha in (F(-1, 2), F(0)):
+        coeff = fit.coefficient(alpha)
+        got = gamma_zeta_laurent_coefficient(tr, fit, 0, s0=complex(-alpha), order=1)
         if abs(coeff) > 1e-8:
             assert abs(got - coeff) < 1e-4 * abs(coeff)
         else:
@@ -257,8 +250,8 @@ def test_kernel_dims_cone():
 # ----------------------------------------------------------- torsion report --
 
 def _zeta_stub(degree, zp, res=0.0, bound=1e-10):
-    return ZetaData(degree, (), 0.0, 0.0, zp, 0, res,
-                    {"total_bound": bound, "zeta_prime0_bound": bound, "residue_bound": bound,
+    return ZetaData(degree, 0.0, 0.0, zp, 0, res,
+                    {"zeta0_bound": bound, "zeta_prime0_bound": bound, "residue_bound": bound,
                      "split": 1.0})
 
 
@@ -340,3 +333,13 @@ def test_exp1_against_scipy():
 def test_exp1_refuses_out_of_domain(x):
     with pytest.raises(ValueError):
         exp1(np.array([1.0, x]))
+
+
+def test_csv_error_bound_is_the_larger_bound():
+    """The CSV summary's error_bound is the larger of a degree's zeta(0) and
+    zeta'(0) bounds, whichever of the two that is."""
+    for b0, b1 in ((2.0, 1.0), (1.0, 3.0)):
+        z = ZetaData(0, 0.0, 0.0, 0.0, 0, 0.0,
+                     {"zeta0_bound": b0, "zeta_prime0_bound": b1, "residue_bound": 0.0})
+        assert z.error_bound == max(b0, b1)
+        assert torsion_assemble([z]).to_csv().splitlines()[1].endswith(f",{max(b0, b1):.17g}")
