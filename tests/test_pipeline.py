@@ -85,7 +85,7 @@ def test_torus_fiber_cone_regularity():
     assert report.log_torsion == pytest.approx(want, abs=1e-12)
 
 
-def test_fit_route_follows_the_symbolic_calculus():
+def test_pipeline_template_matches_symbolic_prediction():
     """What the calculus decides on the fit route, on the disk (m = 2) and
     the circle product (m = 3): the fit's basis is the order-2 template
     without its log columns, the order-3 partner keeps t^0 log t exactly

@@ -26,7 +26,7 @@ from torsionlab.conekernel import (
 )
 from torsionlab.errors import DecayRateUnknown, FitResidualTooLarge
 from torsionlab.fiber import single_nu_spectrum
-from torsionlab.phg import ExpansionTemplate, heat_trace_structure
+from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_structure
 from torsionlab.zetator import (
     G1,
     ZetaData,
@@ -193,6 +193,19 @@ def test_samples_must_reach_the_split_point():
     tr, fit, _ = halfline_zeta()
     with pytest.raises(ValueError, match="samples must reach the split point 2.0"):
         zeta_near_zero(tr, fit, kernel_dim=0, split=2.0)
+
+
+# ------------------------------------------------------------- pole checks --
+
+def test_pole_list_matches_symbolic_prediction():
+    """The poles of Gamma zeta that the fit's columns carry (t^alpha at
+    s = -alpha, of order 2 where a t^alpha log t column joins it) are the
+    ones the calculus predicts for the half-line template."""
+    _, fit, _ = halfline_zeta()
+    got: dict[F, int] = {}
+    for alpha, is_log in fit.coefficients:
+        got[-alpha] = max(got.get(-alpha, 1), 2 if is_log else 1)
+    assert set(got.items()) == set(zeta_pole_structure(HALF_LINE_TEMPLATE).gamma_zeta_poles)
 
 
 # ---------------------------------------------------------- contour checks --
