@@ -30,11 +30,27 @@ are sorted, so identical configurations give byte-identical files.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# The largest matrix here is a least-squares design of at most 241 x 13,
+# too small for a BLAS thread pool, yet OpenBLAS starts one when numpy
+# loads: timed inside the process, `import numpy` took a median 88 ms with
+# the pool and 46 ms with one thread (numpy 2.4, 2 CPUs, 12 runs each).  So
+# numpy starts with one thread, unless the caller set a count or loaded
+# numpy already, and the environment is restored for any process this one
+# starts.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 import argparse
 import math
 import operator
-import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import wraps
@@ -109,18 +125,27 @@ def parse_config_file(path: str) -> dict:
 # - GRID_POINTS log-spaced samples cover [t_min, SPLIT].  The count is odd,
 #   so every second sample, the quadrature's error estimate, keeps both ends.
 # - The expansion is asymptotic as t -> 0, so only t <= FIT_T_MAX enters
-#   the fit.
-# - TEMPLATE_CUTOFF is the order of the fit the report reads.  The fit pins
-#   the volume and boundary coefficients (`Pipeline.pins`) and has no
-#   t^a log t column: these models' zeta functions have only simple poles
-#   (Bordag-Kirsten-Dowker), and with its log columns the order-3 m = 2
-#   basis collides with the conditioning limit (fit condition 2.2e13 on the
-#   disk, 2.9e14 on the circle product).
+#   the fit.  The window keeps out terms like t^a e^(-d^2/4t), d >= 2, that
+#   no template term models; geodesics diffracted at the cone tip and
+#   reflected at x = 1 would make them (Cheeger-Taylor, CPAM 35 (1982)).
+#   e^(-1/t) is 4.5e-5 at t = 0.1 and 2.3e-16 at 1/36; at 0.07 the T^2
+#   cone misses its reference value.
+# - TEMPLATE_CUTOFF is the order of the first fit.  The fit pins the volume
+#   and boundary coefficients (`Pipeline.pins`) and has no t^a log t
+#   column: these models' zeta functions have only simple poles
+#   (Bordag-Kirsten-Dowker), and the log columns are near-collinear with
+#   the powers (order 3 with all of them: condition 1.7e9 on the disk and
+#   1.7e10 on the circle product, on unit columns).
 # - PARTNER_CUTOFF is the order of a second fit to the same window, with
-#   the same pins; |order 2 - order 3| joins the zeta(0) and zeta'(0)
-#   bounds as the fit's truncation bias.  The partner keeps the t^0 log t
-#   column where the full template has one (even m): minus its coefficient
-#   is the measured residue at s = 0.  Its condition is 2.4e9 on the disk.
+#   the same pins; |order 2 - order 3| joins both fits' zeta(0) and
+#   zeta'(0) bounds as the truncation bias, and the report reads the fit
+#   with the smaller zeta'(0) bound: order 2 on the disk, order 3 on the
+#   circle product and the T^2 cone.  Either fixed order is worse: order 2
+#   misses the T^2 reference at t_min 1.5e-2, and order 3 makes the
+#   torus-base product's log T bound 39 times larger.  The partner keeps
+#   the t^0 log t column where the full template has one (even m): minus
+#   its coefficient is the measured residue at s = 0.  Its condition is
+#   3.0e5 on the disk.
 # - One radial mode has the two-term theta expansion, order 1, and takes
 #   no pins and no partner.
 # - The models are exact cones, so their metric is exactly even, the
@@ -129,7 +154,7 @@ def parse_config_file(path: str) -> dict:
 #   its zeta'(0) bounds are 1.6e3 and 2.8e3.
 SPLIT = 1.0
 GRID_POINTS = 241
-FIT_T_MAX = 0.1
+FIT_T_MAX = 1.0 / 36.0
 TEMPLATE_CUTOFF = Fraction(2)
 PARTNER_CUTOFF = Fraction(3)
 SINGLE_NU_TEMPLATE_CUTOFF = Fraction(1)
@@ -360,9 +385,9 @@ class Pipeline:
                                         cutoff=cutoff).without_logs()
 
     def partner_template(self) -> phg.ExpansionTemplate | None:
-        """The order-3 template whose fit's spread bounds the order-2 fit's
-        truncation; it keeps the t^0 log column, which measures the residue
-        at s = 0.  One radial mode has none."""
+        """The order-3 template whose fit's spread from the order-2 fit is
+        both fits' truncation bias; it keeps the t^0 log column, which
+        measures the residue at s = 0.  One radial mode has none."""
         if self.cfg.single_nu is not None:
             return None
         return phg.heat_trace_structure(self.m, self.b, even=True, boundary=True,
@@ -388,7 +413,7 @@ class Pipeline:
         window = int(np.count_nonzero(self.grid <= FIT_T_MAX))
         if window < 2 * columns:
             raise ValueError(f"--t-min {self.cfg.t_min!r} leaves {window} samples in the fit "
-                             f"window t <= FIT_T_MAX = {FIT_T_MAX}; it needs {2 * columns}")
+                             f"window t <= FIT_T_MAX = {FIT_T_MAX:.4g}; it needs {2 * columns}")
         inputs = {k: (tr, self.pins(k)) for k, tr in self.traces().items()}
         return _each_distinct(
             inputs, operator.eq,

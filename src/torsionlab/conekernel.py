@@ -540,9 +540,9 @@ def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fractio
 
     The weighted design is built once; each trim step solves its leading
     rows, which are bit for bit the design a rebuild on the shorter grid
-    would make.  Returns the coefficients, the condition estimate, the
-    residuals relative to `values`, and the trimmed design and weighted
-    residuals (for the sensitivities).
+    would make.  Returns the coefficients, the condition estimate of the
+    trimmed design with unit columns, the residuals relative to `values`,
+    and the trimmed design and weighted residuals (for the sensitivities).
     """
     w = t ** (-float(min(a for a, _ in free)))
     design = np.column_stack([w * _basis_column(t, *key) for key in free])
@@ -553,12 +553,15 @@ def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fractio
     size = np.abs(values)
     n = len(t)
     while True:
-        coeff, _, _, sing = np.linalg.lstsq(design[:n], rhs[:n], rcond=None)
+        coeff = np.linalg.lstsq(design[:n], rhs[:n], rcond=None)[0]
         weighted_resid = design[:n] @ coeff - rhs[:n]
         rel_resid = np.abs(weighted_resid / w[:n]) / size[:n]
         if n <= 2 * len(free) or rel_resid[-1] <= 10.0 * max(_median(rel_resid), 1e-13):
             break
         n -= 1
+    # column scales say nothing of collinearity, and no bound depends on them:
+    # for diagonal D, pinv(A D) = D^-1 pinv(A)
+    sing = np.linalg.svd(design[:n] / np.linalg.norm(design[:n], axis=0), compute_uv=False)
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
     return coeff, condition, rel_resid, design[:n], weighted_resid
 
@@ -577,9 +580,10 @@ def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
     are trimmed one at a time, down to twice the number of fitted columns,
     while the last relative residual stands out against the median by a
     factor 10; for data the template describes exactly, nothing is
-    trimmed.  Fits whose design matrix is effectively singular are refused
-    rather than returned.  A `partner` template is fitted to the same
-    samples with the same pins, in the same way, and returned with the fit.
+    trimmed.  Fits whose design matrix is effectively singular, with its
+    columns scaled to unit norm, are refused rather than returned.  A
+    `partner` template is fitted to the same samples with the same pins,
+    in the same way, and returned with the fit.
     """
     pins = {Fraction(alpha): float(c) for alpha, c in (pins or {}).items()}
     fit = _fit(samples, template, pins)

@@ -366,7 +366,8 @@ def heat_coefficients_pinned():
     """The volume and boundary heat coefficients the pipeline pins, against
     a free fit (the order-2 template with its log columns) of the disk at
     t_min 1e-3 and the T^2 cone at 2.5e-3, degrees 0 and 1.  Measured: the
-    free fit is within 4.1e-6 relative on the disk and 5.3e-5 on T^2."""
+    free fit is within 7.5e-8 relative on the disk and 9.2e-7 on T^2 (4.1e-6
+    and 5.3e-5 with the fit window t <= 0.1)."""
     from .cli import FIT_T_MAX, TEMPLATE_CUTOFF, ModelConfig, Pipeline
 
     cases = {"disk": (ModelConfig(), 1e-5),

@@ -42,11 +42,12 @@ value.  A pinned coefficient (volume, boundary) has b_a = 0.
 
 The bounds on the shifts say nothing about the terms the template leaves
 out.  So a fit may carry a partner: the fit of a higher-order template
-to the same samples, with the same pins.  The reported values are the
-fit's own, and the spread |fit - partner| of each joins the zeta(0) and
-zeta'(0) bounds as the fit's truncation bias; the partner's values need
-no bounds of their own.  The partner keeps the t^0 log t column where the
-template calculus has one, and the residue at s = 0 is minus its
+to the same samples, with the same pins.  The spread |fit - partner| of
+zeta(0) and of zeta'(0) joins both fits' bounds as the truncation bias,
+and the report takes the values, bounds and budget of the fit whose
+zeta'(0) bound is the smaller (`fit_order` names it); each bound then
+covers the other fit's value too.  The partner keeps the t^0 log t column
+where the template calculus has one, and the residue at s = 0 is minus its
 coefficient, so the regularity of the zeta function stays a measurement.
 Each degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
 large t, bias), name its dominant term, and name the pinned columns; the
@@ -347,13 +348,36 @@ def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
     return a_m1 + G1 * a_m2, a_0 + G1 * a_m1 + G2 * a_m2
 
 
+def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
+                split: float, large: float, large_bound: float) -> dict:
+    """One fit's zeta(0) and zeta'(0), their bounds before the bias, the
+    zeta'(0) budget with each coefficient's shift, and the residue at
+    s = 0 (a_-2) with its bound."""
+    shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
+    zeta0, zeta_prime0 = _at_zero(laurent)
+    # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
+    # enter directly; zeta'(0) moves by its derivative weight
+    bounds = fit.coefficient_bounds
+    s_m2 = bounds.get((Fraction(0), True), 0.0)
+    s_m1 = bounds.get((Fraction(0), False), 0.0)
+    shifts = {key: abs(w) * bounds[key]
+              for key, w in _zeta_prime0_weights(samples, fit, shares, split).items()}
+    return {"fit": fit, "zeta0": zeta0, "zeta_prime0": zeta_prime0, "remainder": rem,
+            "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound, "shifts": shifts,
+            "budget": {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
+                       "large_t": large_bound},
+            "residue": laurent[0], "residue_bound": s_m2 + rem_bound}
+
+
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
                    split: float = 1.0, degree: int = 0) -> ZetaData:
     """Zeta invariants at s = 0 from trace samples and a fitted expansion.
 
-    With a partner fit, the spread of its zeta(0) and zeta'(0) from the
-    fit's own joins their bounds (`bias`), and the residue at s = 0 is read
-    from the partner's t^0 log t term."""
+    With a partner fit, the spread of the two fits' zeta(0) and zeta'(0)
+    joins both fits' bounds (`bias`), and the fit with the smaller zeta'(0)
+    bound gives the values, their bounds, the residual and the condition;
+    on a tie the fit's own.  The residue at s = 0 is read from the
+    partner's t^0 log t term."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
@@ -361,58 +385,49 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         raise ValueError(f"samples must reach the split point {split}")
 
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
-    shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
-    zeta0, zeta_prime0 = _at_zero(laurent)
-
-    # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
-    # enter directly; zeta'(0) moves by its derivative weight
-    bounds = fit.coefficient_bounds
-    s_m2 = bounds.get((Fraction(0), True), 0.0)
-    s_m1 = bounds.get((Fraction(0), False), 0.0)
-    zeta0_bound = s_m1 + G1 * s_m2 + rem_bound
-    shifts = {key: abs(w) * bounds[key]
-              for key, w in _zeta_prime0_weights(samples, fit, shares, split).items()}
-    budget = {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
-              "large_t": large_bound}
-    residue, residue_bound = laurent[0], s_m2 + rem_bound
+    reports = [_fit_report(samples, f, kernel_dim, split, large, large_bound)
+               for f in (fit, fit.partner) if f is not None]
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]
     if fit.partner is not None:
-        # the partner's values need no bounds of their own: only their spread
-        _, partner, _, partner_rem_bound = _laurent_data(
-            samples, fit.partner, kernel_dim, split, large)
-        partner_zeta0, partner_zeta_prime0 = _at_zero(partner)
-        extra["zeta0_bias"] = abs(zeta0 - partner_zeta0)
-        zeta0_bound += extra["zeta0_bias"]
-        budget["bias"] = abs(zeta_prime0 - partner_zeta_prime0)
-        residue = partner[0]
-        residue_bound = fit.partner.coefficient_bounds.get((Fraction(0), True), 0.0) \
-            + partner_rem_bound
-    zeta_prime0_bound = sum(budget.values())
+        own, partner = reports
+        extra["zeta0_bias"] = abs(own["zeta0"] - partner["zeta0"])
+        bias = abs(own["zeta_prime0"] - partner["zeta_prime0"])
+        for r in reports:
+            r["zeta0_bound"] += extra["zeta0_bias"]
+            r["budget"]["bias"] = bias
+    for r in reports:
+        r["zeta_prime0_bound"] = sum(r["budget"].values())
+    chosen = min((r for r in reports if r["fit"].residual < FIT_RESIDUAL_LIMIT),
+                 key=lambda r: r["zeta_prime0_bound"])
+    # the partner, the last fit, keeps t^0 log t where the calculus has one
+    residue_from = reports[-1]
+    budget, shifts = chosen["budget"], chosen["shifts"]
     dominant = {"term": max(budget, key=budget.get)}
     if dominant["term"] == "fit_shift":
         dominant["column"] = column_name(max(shifts, key=shifts.get))
 
     return ZetaData(
         degree=degree,
-        zeta0=zeta0 + kernel_dim,          # plain t^0-coefficient convention
-        zeta0_minus_kernel=zeta0,
-        zeta_prime0=zeta_prime0,
+        zeta0=chosen["zeta0"] + kernel_dim,          # plain t^0-coefficient convention
+        zeta0_minus_kernel=chosen["zeta0"],
+        zeta_prime0=chosen["zeta_prime0"],
         kernel_dim=kernel_dim,
-        residue_at_zero=residue,
+        residue_at_zero=residue_from["residue"],
         diagnostics={
             **extra,
             "split": split,
-            "remainder_integral": rem,
+            "remainder_integral": chosen["remainder"],
             "large_t_integral": large,
-            "fit_residual": fit.residual,
-            "fit_condition": fit.condition,
-            "zeta0_bound": zeta0_bound,
-            "zeta_prime0_bound": zeta_prime0_bound,
+            "fit_order": str(max(chosen["fit"].template.exponents)),
+            "fit_residual": chosen["fit"].residual,
+            "fit_condition": chosen["fit"].condition,
+            "zeta0_bound": chosen["zeta0_bound"],
+            "zeta_prime0_bound": chosen["zeta_prime0_bound"],
             "zeta_prime0_budget": budget,
             "zeta_prime0_dominant": dominant,
-            "residue_bound": residue_bound,
+            "residue_bound": residue_from["residue_bound"],
         },
     )
 

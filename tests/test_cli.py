@@ -322,6 +322,18 @@ def test_t_min_past_the_fit_window(capsys, monkeypatch):
             assert message.startswith(f"--t-min {t_min} ") and "FIT_T_MAX" in message
 
 
+@pytest.mark.parametrize("t_min", ["3e-2", "5e-2"])
+def test_t2_cone_past_the_fit_window_is_refused(capsys, t_min):
+    """On the T^2 cone these t_min lie past FIT_T_MAX = 1/36: at 5e-2 the
+    fit window t <= 0.1 printed a zeta(0) of 0.167 +- 0.128 against the
+    reference 0.338.  torsion exits 2, prints nothing, and names the window."""
+    code, out, err = run(capsys, "torsion", "--fiber", "torus", "--periods",
+                         "6.283185307179586", "6.283185307179586", "--t-min", t_min)
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith(f"--t-min {float(t_min)!r} ") and "FIT_T_MAX" in message
+
+
 @pytest.mark.parametrize("argv", [["trace", "--t-min", "1"],
                                   ["trace", "--single-nu", "0.5", "--t-min", "5"]],
                          ids=["disk-at-split", "single-nu-past-split"])
@@ -538,9 +550,7 @@ def test_torsion_path_loads_no_scipy():
     """Start-up cost: the CLI and torsion runs on the disk, the torus fiber
     and the circle product load no scipy module at all, nor numpy.ma, which
     np.median and a bare np.unique(x) (numpy 2.4) would import, nor the
-    oracle table, which only selftest runs.
-    At this t_min the disk and the product stop at the fit with exit 4,
-    after their zeros and traces; the torus run goes on through the zeta
+    oracle table, which only selftest runs.  Each run goes through every
     stage to its report."""
     runs = [[], ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"],
             ["--model", "product", "--base", "circle"]]
@@ -552,11 +562,27 @@ def test_torsion_path_loads_no_scipy():
         "assert not loaded(), loaded()\n"
         "assert 'torsionlab.oracles' not in sys.modules\n"
         f"for flags in {runs!r}:\n"
-        "    code = torsionlab.cli.main(['torsion', '--t-min', '5e-2', *flags])\n"
-        "    assert code in (0, 4), (flags, code)\n"
+        "    code = torsionlab.cli.main(['torsion', '--t-min', '1e-2', *flags])\n"
+        "    assert code == 0, (flags, code)\n"
         "    assert not loaded(), (flags, loaded())\n"
         "    assert 'numpy.ma' not in sys.modules, flags\n"
         "    assert 'torsionlab.oracles' not in sys.modules, flags\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
+def test_cli_starts_numpy_with_one_blas_thread():
+    """Imported with no thread count set, the CLI loads numpy with one BLAS
+    thread, so the process has one task, and leaves no variable behind; a
+    count the caller sets is kept (two threads, on two CPUs or more)."""
+    script = ("import os, torsionlab.cli\n"
+              "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    unset = {k: v for k, v in CHILD_ENV.items() if k not in cli._BLAS_THREAD_VARS}
+    for env, want in ((unset, "1 None"),
+                      ({**unset, "OPENBLAS_NUM_THREADS": "2"}, f"{min(2, os.cpu_count())} 2")):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == want.split()

@@ -43,7 +43,7 @@ def layers(monkeypatch):
     ["torsion", "--t-min", "1e-2"],
     ["torsion", "--model", "product", "--base", "circle", "--t-min", "3e-3"],
     ["torsion", "--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586",
-     "--t-min", "5e-2"],
+     "--t-min", "1e-2"],
 ], ids=["single-nu", "disk", "product", "torus"])
 def test_traced_report_is_the_cli_report(capsys, layers, argv):
     assert main(argv) == 0

@@ -154,7 +154,7 @@ def test_stages_computed_once(monkeypatch):
     calls = _count_calls(monkeypatch, "fit_expansion", "cone_spectrum")
     for cfg in (ModelConfig(model="product", base="circle", t_min=3e-3), ModelConfig(),
                 ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi],
-                            t_min=5e-2)):
+                            t_min=1e-2)):
         calls.update(dict.fromkeys(calls, 0))
         pipe = Pipeline(cfg)
         pipe.fits()
@@ -192,14 +192,21 @@ def test_mirrored_degrees_are_compared_not_assumed(monkeypatch):
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
-    """Each fit coefficient's weight in the zeta'(0) bound is the derivative
-    of the computed zeta'(0) in it.  The value is linear in the
-    coefficients, so a central difference with a step that moves it by ~1
-    agrees to rounding."""
+    """Each coefficient's weight in the zeta'(0) bound of the reported fit
+    is the derivative of the reported zeta'(0) in it.  The value is linear
+    in the coefficients, so a central difference with a step that moves it
+    by ~1 agrees to rounding: relative 1e-9, or 1e-14 absolute, the
+    rounding of a shifted model that reaches step x max|column| ~ 1/|w| on
+    [t1, T0] before the remainder integral takes it off again (the order-3
+    fit's t^3 column has w ~ 1e-8 on the circle product)."""
     pipe = Pipeline(GOLDEN_MODELS[name])
-    fits, traces = pipe.fits(), pipe.traces()
+    fits, traces, zetas = pipe.fits(), pipe.traces(), pipe.zetas()
     for k in (0, 1):
-        fit, tr = fits[k], traces[k]
+        reported = zetas[k].diagnostics["fit_order"]
+        fit = fits[k] if reported == str(TEMPLATE_CUTOFF) else fits[k].partner
+        fit, tr = dataclasses.replace(fit, partner=None), traces[k]
+        assert zetator.zeta_near_zero(tr, fit, 0, split=SPLIT).zeta_prime0 \
+            == zetas[k].zeta_prime0
         _, shares = zetator._mellin_laurent(fit.coefficients, SPLIT)
         weights = zetator._zeta_prime0_weights(tr, fit, shares, SPLIT)
         assert list(weights) == list(fit.coefficients)
@@ -213,46 +220,62 @@ def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
                 return zetator.zeta_near_zero(tr, shifted, 0, split=SPLIT).zeta_prime0
 
             difference = (moved(1.0) - moved(-1.0)) / (2.0 * step)
-            assert abs(difference - w) <= 1e-9 * abs(w), (k, key)
+            assert abs(difference - w) <= 1e-9 * abs(w) + 1e-14, (k, key)
 
 
-@pytest.mark.parametrize("name", ["disk", "torus"])
+# the order of the fit each golden model reports: the one of the two fits
+# whose zeta'(0) bound is the smaller once both carry the bias
+REPORTED_ORDER = {"disk": TEMPLATE_CUTOFF, "product": PARTNER_CUTOFF, "torus": PARTNER_CUTOFF}
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_bias_is_the_spread_to_the_partner(name):
-    """A fit's zeta data are its own, their bounds add the spread to the
-    zeta data of its partner alone, and the residue at s = 0 is the
-    partner's: its t^0 log t term on the disk (m = 2), none on T^2 (m = 3)."""
+    """Both fits' bounds add the spread of their zeta data (the bias, bit
+    for bit the same whichever fit is reported), and the fit with the
+    smaller zeta'(0) bound gives the values, bounds, budget, residual and
+    condition: order 2 on the disk, order 3 on the circle product and on
+    T^2.  The residue at s = 0 is the partner's: minus its t^0 log t
+    coefficient on the disk (m = 2), none on m = 3."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     z = zetator.zeta_near_zero(tr, fit, 0, split=SPLIT)
     alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0, split=SPLIT)
     partner = zetator.zeta_near_zero(tr, fit.partner, 0, split=SPLIT)
-    d, d_alone = z.diagnostics, alone.diagnostics
-    assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
-    assert d["zeta0_bias"] == abs(alone.zeta0 - partner.zeta0)
-    assert d["zeta0_bound"] == d_alone["zeta0_bound"] + d["zeta0_bias"]
-    assert d["zeta_prime0_budget"] == {
-        **d_alone["zeta_prime0_budget"], "bias": abs(alone.zeta_prime0 - partner.zeta_prime0)}
-    assert "bias" not in d_alone["zeta_prime0_budget"] and "zeta0_bias" not in d_alone
+    d = z.diagnostics
+    zeta0_bias, bias = abs(alone.zeta0 - partner.zeta0), abs(alone.zeta_prime0 - partner.zeta_prime0)
+    assert d["zeta0_bias"] == zeta0_bias and d["zeta_prime0_budget"]["bias"] == bias
+    assert "bias" not in alone.diagnostics["zeta_prime0_budget"] and "zeta0_bias" not in alone.diagnostics
+    budgets = [{**each.diagnostics["zeta_prime0_budget"], "bias": bias} for each in (alone, partner)]
+    bounds = [sum(budget.values()) for budget in budgets]
+    i = 0 if REPORTED_ORDER[name] == TEMPLATE_CUTOFF else 1
+    assert bounds[i] < bounds[1 - i] and d["fit_order"] == str(REPORTED_ORDER[name])
+    reported, reported_fit = (alone, partner)[i], (fit, fit.partner)[i]
+    assert (z.zeta0, z.zeta_prime0) == (reported.zeta0, reported.zeta_prime0)
+    assert d["zeta_prime0_budget"] == budgets[i] and d["zeta_prime0_bound"] == bounds[i]
+    assert d["zeta0_bound"] == reported.diagnostics["zeta0_bound"] + zeta0_bias
+    assert (d["fit_residual"], d["fit_condition"]) == (reported_fit.residual, reported_fit.condition)
+    assert d["remainder_integral"] == reported.diagnostics["remainder_integral"]
     assert (z.residue_at_zero, d["residue_bound"]) \
         == (partner.residue_at_zero, partner.diagnostics["residue_bound"])
-    assert ((F(0), True) in fit.partner.coefficients) == (name == "disk")
+    log_zero = (F(0), True)
+    assert (log_zero in fit.partner.coefficients) == (name == "disk")
+    assert z.residue_at_zero == -fit.partner.coefficients.get(log_zero, 0.0)
     assert d["pinned"] == ([f"t^{F(-pipe.m, 2)}", f"t^{F(1 - pipe.m, 2)}"])
 
 
 # the dominant zeta'(0) term of each golden model's degrees 0, 1, ...: the
-# t^0 shift, weighed by about |log t1|, or the order-3 partner's spread
+# t^0 shift, weighed by about |log t1|, or the spread of the two fits
 SHIFT, BIAS = {"term": "fit_shift", "column": "t^0"}, {"term": "bias"}
-DOMINANT = {"disk": [BIAS, BIAS, BIAS],
-            "product": [SHIFT, SHIFT, SHIFT, SHIFT],
-            "torus": [SHIFT, BIAS, BIAS, SHIFT]}
+DOMINANT = {"disk": [SHIFT, SHIFT, SHIFT],
+            "product": [BIAS, BIAS, BIAS, BIAS],
+            "torus": [BIAS, BIAS, BIAS, BIAS]}
 
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_budget_names_its_dominant_term(name):
     """The budget's four terms sum to the bound, and the dominant term is
-    the largest: the bias on the disk, the t^0 shift on the circle product,
-    and on T^2 at 1e-2 the t^0 shift in degrees 0 and 3 and the bias in
-    degrees 1 and 2."""
+    the largest: the t^0 shift on the disk, and the bias on the circle
+    product and on T^2 at 1e-2, which report their order-3 fits."""
     zetas = Pipeline(GOLDEN_MODELS[name]).zetas()
     assert [z.diagnostics["zeta_prime0_dominant"] for z in zetas.values()] == DOMINANT[name]
     for z in zetas.values():

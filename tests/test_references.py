@@ -10,7 +10,9 @@ dual pair.
 
 Both zeta(0) and zeta'(0) are asserted.  On T^2 the fit's zeta(0) missed
 its own bound until the bound carried the fit's truncation bias, the
-spread between the order-2 fit and its order-3 partner.
+spread between the order-2 fit and its order-3 partner.  T^2 runs from
+t_min 2e-2 down: at 3e-2 and above no sample lies in the fit window
+t <= 1/36, and torsion refuses the run (tests/test_cli.py).
 """
 
 import json
@@ -30,8 +32,12 @@ CASES = {
               ((5 / 24, -1 / 12), (0.3264658073242719, 0.8944960899190343))),
     "r=1.5": (["--radius", "1.5"],
               ((13 / 72, 7 / 36), (1.183287092211096, 2.411968994211762))),
+    "r=2": (["--radius", "2"],
+            ((5 / 24, 5 / 12), (1.586850722837555, 3.173701445675110))),
     "r=2.3": (["--radius", "2.3"],
               ((0.2278985507246377, 0.3644927536231884), (1.827970529142203, 3.678503678467674))),
+    "T2 at 2e-2": (T2 + ["--t-min", "2e-2"], T2_REFERENCE),
+    "T2 at 1.5e-2": (T2 + ["--t-min", "1.5e-2"], T2_REFERENCE),
     "T2 at 1e-2": (T2 + ["--t-min", "1e-2"], T2_REFERENCE),
     "T2 at 5e-3": (T2 + ["--t-min", "5e-3"], T2_REFERENCE),
     "T2 at 2.5e-3": (T2 + ["--t-min", "2.5e-3"], T2_REFERENCE),
