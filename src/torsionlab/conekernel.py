@@ -466,19 +466,6 @@ class FittedExpansion:
     def coefficient(self, exponent, log: bool = False) -> float:
         return self.coefficients.get((Fraction(exponent), log), 0.0)
 
-    def model(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for key, c in self.coefficients.items():
-            out += c * _basis_column(t, *key)
-        return out
-
-    def columns(self, t: np.ndarray) -> np.ndarray:
-        """The basis functions on the grid t, one column per coefficient, in
-        the order of `coefficients`."""
-        t = np.asarray(t, dtype=float)
-        return np.column_stack([_basis_column(t, *key) for key in self.coefficients])
-
     def to_json_dict(self) -> dict:
         out = {
             "template": self.template.to_json_dict(),
@@ -515,7 +502,7 @@ def column_name(key: tuple[Fraction, bool]) -> str:
     return f"t^{alpha}" + (" log t" if is_log else "")
 
 
-def _basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
+def basis_column(t: np.ndarray, alpha: Fraction, is_log: bool) -> np.ndarray:
     """The basis function t^alpha, or t^alpha log t, on the grid t."""
     col = t ** float(alpha)
     return col * np.log(t) if is_log else col
@@ -545,10 +532,10 @@ def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fractio
     and the trimmed design and weighted residuals (for the sensitivities).
     """
     w = t ** (-float(min(a for a, _ in free)))
-    design = np.column_stack([w * _basis_column(t, *key) for key in free])
+    design = np.column_stack([w * basis_column(t, *key) for key in free])
     rhs = values
     for alpha, c in pins.items():
-        rhs = rhs - c * _basis_column(t, alpha, False)
+        rhs = rhs - c * basis_column(t, alpha, False)
     rhs = w * rhs
     size = np.abs(values)
     n = len(t)

@@ -28,14 +28,17 @@ zeta(0) (with and without the kernel-dimension subtraction) are reported.
 
 Each fitted coefficient c_a carries a bound b_a (`FittedExpansion`).
 zeta(0) and the residue read a_-1 and a_-2, which the t^0 and t^0 log t
-coefficients enter with weight 1.  zeta'(0) is linear in every c_a: the
-closed form on (0, T0) adds T0^a / a per unit c_a (its log or a = 0 form
-for the other columns), and the remainder integral takes the spline
-integral of the basis column over [t1, T0] off again.  So the value reads
-c_a only through the model below the first sample t1, with weight D_a of
-about t1^a / a (log t1 + g1 for t^0).  The bound charges sum_a |D_a| b_a,
-with D_a the exact derivative of the computed value: the spline part
-is `_not_a_knot_integral` of each basis column.  The shifts are charged
+coefficients enter with weight 1.  zeta'(0) is one linear map of the
+coefficients: each trace's samples and basis columns are integrated over
+[t1, T0] once, on every sample and on every second one (`_integral_table`),
+and zeta'(0) = sum_a D_a c_a + S(trace) + (large t) - k (log T0 + g1),
+where D_a is the closed form on (0, T0) per unit c_a (T0^a / a, or its log
+or a = 0 form) less the integral S of the basis column.  So the value
+reads c_a only through the model below the first sample t1, with weight
+D_a of about t1^a / a (log t1 + g1 for t^0).  The remainder, its value at
+t1 and its error estimate are the same sum over the table's other rows,
+and the bound charges sum_a |D_a| b_a with the same D_a: value and bound
+weights are one map by construction.  The shifts are charged
 independently; the correlated ||D^T pinv(A)||_1 max|r| is smaller, but it
 leaves out the fit's truncation bias and misses the T^2 cone's reference
 value.  A pinned coefficient (volume, boundary) has b_a = 0.
@@ -66,9 +69,11 @@ import numpy as np
 
 from .conekernel import (
     EXP_REACH,
+    UNIT_ROUNDOFF,
     ZERO_EIGENVALUE,
     FittedExpansion,
     TraceSamples,
+    basis_column,
     column_name,
 )
 from .errors import DecayRateUnknown, FitResidualTooLarge
@@ -152,39 +157,17 @@ class ZetaData:
         }
 
 
-def _fit_terms_with_kernel(fit: FittedExpansion, kernel_dim: int) -> dict[tuple[Fraction, bool], float]:
-    """Fitted coefficients with the kernel projector folded into t^0."""
-    terms = dict(fit.coefficients)
-    if kernel_dim:
-        key = (Fraction(0), False)
-        terms[key] = terms.get(key, 0.0) - kernel_dim
-    return terms
-
-
-def _mellin_laurent(terms: dict[tuple[Fraction, bool], float], t0: float) -> tuple[
-        tuple[float, float, float], dict[tuple[Fraction, bool], float]]:
-    """Laurent data (a_-2, a_-1, a_0) at s = 0 of sum_j int_0^T0 t^{s-1}
-    (fitted terms), and each term's a_0 per unit coefficient, which
-    `_zeta_prime0_weights` turns into that coefficient's zeta'(0) weight.
-    Only t^0 log t and t^0 enter a_-2 and a_-1, with weights -1 and 1."""
+def _closed_form_weight(key: tuple[Fraction, bool], t0: float) -> float:
+    """zeta'(0) = a_0 + g1 a_-1 + g2 a_-2 of int_0^T0 t^{s-1} (one term) at
+    s = 0, per unit coefficient: t^a -> T0^a / a, t^a log t ->
+    T0^a (log T0 / a - 1 / a^2), t^0 -> 1/s + log T0 and t^0 log t ->
+    -1/s^2 + (log T0)^2 / 2, whose poles 1/Gamma weighs by g1 and g2."""
+    alpha, is_log = key
     log_t0 = math.log(t0)
-    laurent = [0.0, 0.0, 0.0]
-    shares = {}
-    for (alpha, is_log), c in terms.items():
-        a = float(alpha)
-        # `share` maps a coefficient to its term's part of a_0
-        if alpha == 0:
-            # t^0 -> 1/s + log T0, and t^0 log t -> -1/s^2 + (log T0)^2 / 2
-            pole = 0 if is_log else 1
-            laurent[pole] += -c if is_log else c
-            share = (lambda x: x * log_t0 ** 2 / 2.0) if is_log else (lambda x: x * log_t0)
-        elif is_log:    # t^a log t -> T0^a (log T0 / a - 1 / a^2)
-            share = lambda x: x * t0 ** a * (log_t0 / a - 1.0 / (a * a))
-        else:           # t^a -> T0^a / a
-            share = lambda x: x * t0 ** a / a
-        laurent[2] += share(c)
-        shares[(alpha, is_log)] = share(1.0)
-    return tuple(laurent), shares
+    if alpha == 0:
+        return log_t0 ** 2 / 2.0 - G2 if is_log else log_t0 + G1
+    a = float(alpha)
+    return t0 ** a * (log_t0 / a - 1.0 / (a * a)) if is_log else t0 ** a / a
 
 
 def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,33 +242,24 @@ def _not_a_knot_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float)
     return float(integrals[0]) if y.ndim == 1 else integrals
 
 
-def _spline_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float) -> tuple[float, float]:
-    """Integral of the sampled function over [u_lo, u_hi] inside the grid,
-    with a grid-halving error estimate."""
-    full = _not_a_knot_integral(u, y, u_lo, u_hi)
-    if len(u) >= 5:
-        coarse = _not_a_knot_integral(u[::2], y[::2], u_lo, u_hi)
-        err = abs(full - coarse) / 15.0 + 1e-16 * abs(full)
-    else:
-        err = abs(full)
-    return float(full), float(err)
-
-
-def _remainder_integral(samples: TraceSamples, fit: FittedExpansion,
-                        t0: float) -> tuple[float, float]:
-    """int_0^T0 (trace - fitted model) dt/t from the samples.
-
-    Below the first sample the remainder is bounded by twice its value
-    there (it decays at least like sqrt(t) relative to the local scale);
-    the bound goes into the error budget, never into the value.
-    """
+def _integral_table(samples: TraceSamples, keys: Sequence[tuple[Fraction, bool]],
+                    t0: float) -> tuple[np.ndarray, dict[tuple[Fraction, bool], np.ndarray]]:
+    """What every fit to the samples reads of them, three numbers per
+    function, each linear in it: its value at the first sample t1, its
+    not-a-knot integral S over [t1, T0] in u = log t, and the error
+    estimate of S: from five samples on, S minus the same integral on every
+    second sample, over 15 as for a fourth-order rule; below five, S
+    itself.  The samples' row, and one row per basis column in `keys`,
+    from two spline calls on one array."""
     t = samples.grid
-    resid = samples.values - fit.model(t)
-    u = np.log(t)
-    val, err = _spline_integral(u, resid, float(u[0]), math.log(t0))
-    below = 2.0 * abs(resid[0])
-    tail_cert = float(np.max(samples.tail_bound)) * (math.log(t0) - u[0])
-    return val, err + below + tail_cert
+    u, u_hi = np.log(t), math.log(t0)
+    keys = list(dict.fromkeys(keys))
+    y = np.column_stack([samples.values, *(basis_column(t, *key) for key in keys)])
+    full = _not_a_knot_integral(u, y, float(u[0]), u_hi)
+    error = (full - _not_a_knot_integral(u[::2], y[::2], float(u[0]), u_hi)) / 15.0 \
+        if len(t) >= 5 else full
+    rows = np.stack([y[0], full, error], axis=1)
+    return rows[0], dict(zip(keys, rows[1:]))
 
 
 def _large_t_integral(samples: TraceSamples, kernel_dim: int,
@@ -313,60 +287,57 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
     return val, float(np.max(samples.tail_bound)) + above
 
 
-def _zeta_prime0_weights(samples: TraceSamples, fit: FittedExpansion,
-                         shares: dict[tuple[Fraction, bool], float],
+def _coefficient_weights(fit: FittedExpansion, columns: dict[tuple[Fraction, bool], np.ndarray],
                          t0: float) -> dict[tuple[Fraction, bool], float]:
-    """The derivative of the computed zeta'(0) in each fit coefficient.
-
-    zeta'(0) = a_0 + g1 a_-1 + g2 a_-2 is linear in the coefficients: a
-    term adds its a_0 `shares` (and t^0, t^0 log t their poles, weighed
-    by g1 and -g2), and the remainder integral takes the not-a-knot
-    integral of its basis column over [t1, T0] off a_0 again.  The value
-    only reads the model below the first sample t1, so a weight is about
-    t1^a / a (log t1 + g1 for t^0), not T0^a / a.
-    """
-    u = np.log(samples.grid)
-    integrals = _not_a_knot_integral(u, fit.columns(samples.grid), float(u[0]), math.log(t0))
-    poles = {(Fraction(0), False): G1, (Fraction(0), True): -G2}
-    return {key: shares[key] + poles.get(key, 0.0) - integral
-            for key, integral in zip(fit.coefficients, integrals.tolist())}
+    """D_a, the weight of each fit coefficient in zeta'(0): its term's
+    closed form on (0, T0), less the integral of its basis column over
+    [t1, T0], which the remainder integral takes off again.  The value
+    reads the model only below the first sample t1, so a weight is about
+    t1^a / a (log t1 + g1 for t^0), not T0^a / a."""
+    return {key: _closed_form_weight(key, t0) - columns[key][1] for key in fit.coefficients}
 
 
-def _laurent_data(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
-                  split: float, large: float):
-    """The a_0 shares of the fit's terms with the kernel folded in, the
-    Laurent data (a_-2, a_-1, a_0) of Gamma zeta at s = 0, and the
-    remainder integral with its bound."""
-    (a_m2, a_m1, a_0f), shares = _mellin_laurent(_fit_terms_with_kernel(fit, kernel_dim), split)
-    rem, rem_bound = _remainder_integral(samples, fit, split)
-    return shares, (a_m2, a_m1, a_0f + rem + large), rem, rem_bound
-
-
-def _at_zero(laurent: tuple[float, float, float]) -> tuple[float, float]:
-    """zeta(0) and zeta'(0) from the Laurent data of Gamma zeta."""
-    a_m2, a_m1, a_0 = laurent
-    return a_m1 + G1 * a_m2, a_0 + G1 * a_m1 + G2 * a_m2
-
-
-def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
-                split: float, large: float, large_bound: float) -> dict:
+def _fit_report(samples: TraceSamples, fit: FittedExpansion, table, kernel_dim: int,
+                t0: float, large: float, large_bound: float) -> dict:
     """One fit's zeta(0) and zeta'(0), their bounds before the bias, the
     zeta'(0) budget with each coefficient's shift, and the residue at
-    s = 0 (a_-2) with its bound."""
-    shares, laurent, rem, rem_bound = _laurent_data(samples, fit, kernel_dim, split, large)
-    zeta0, zeta_prime0 = _at_zero(laurent)
+    s = 0 (a_-2) with its bound, read off the trace's integral table.
+
+    zeta'(0) = sum_a D_a c_a + S(trace) + large - k (log T0 + g1), with S
+    the integral over [t1, T0]; the remainder S(trace) - sum_a c_a S(col_a),
+    its value at t1 and its error estimate are the same sum on the table's
+    three rows.  Below t1 the remainder is bounded by twice its value there
+    (it decays at least like sqrt(t) relative to the local scale), in the
+    bound, never in the value.
+    """
+    values, columns = table
+    weights = _coefficient_weights(fit, columns, t0)
+    c = np.array(list(fit.coefficients.values()))
+    terms = c[:, None] * np.array([columns[key] for key in fit.coefficients])
+    first, rem, estimate = values - terms.sum(axis=0)
+    zero, log_zero = (Fraction(0), False), (Fraction(0), True)
+    a_m1 = fit.coefficients.get(zero, 0.0) - kernel_dim
+    a_m2 = 0.0 - fit.coefficients.get(log_zero, 0.0)
+    zeta_prime0 = math.fsum([*(w * x for w, x in zip(weights.values(), fit.coefficients.values())),
+                             values[1], large, -kernel_dim * _closed_form_weight(zero, t0)])
+    # the trace minus the model rounds on the scale of its terms, gamma_n as
+    # in conekernel._blocked_sums, n the samples; so does sum_a D_a c_a
+    n = len(samples.grid)
+    rounding = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) \
+        * (abs(values[1]) + float(np.abs(terms[:, 1]).sum()))
+    tail = float(np.max(samples.tail_bound)) * (math.log(t0) - np.log(samples.grid[0]))
+    rem_bound = float(abs(estimate) + rounding + 2.0 * abs(first) + tail)
     # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
     # enter directly; zeta'(0) moves by its derivative weight
     bounds = fit.coefficient_bounds
-    s_m2 = bounds.get((Fraction(0), True), 0.0)
-    s_m1 = bounds.get((Fraction(0), False), 0.0)
-    shifts = {key: abs(w) * bounds[key]
-              for key, w in _zeta_prime0_weights(samples, fit, shares, split).items()}
-    return {"fit": fit, "zeta0": zeta0, "zeta_prime0": zeta_prime0, "remainder": rem,
-            "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound, "shifts": shifts,
+    s_m2, s_m1 = bounds.get(log_zero, 0.0), bounds.get(zero, 0.0)
+    shifts = {key: abs(w) * bounds[key] for key, w in weights.items()}
+    return {"fit": fit, "zeta0": a_m1 + G1 * a_m2, "zeta_prime0": zeta_prime0,
+            "remainder": float(rem), "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound,
+            "shifts": shifts,
             "budget": {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
                        "large_t": large_bound},
-            "residue": laurent[0], "residue_bound": s_m2 + rem_bound}
+            "residue": a_m2, "residue_bound": s_m2 + rem_bound}
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
@@ -385,8 +356,10 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         raise ValueError(f"samples must reach the split point {split}")
 
     large, large_bound = _large_t_integral(samples, kernel_dim, split)
-    reports = [_fit_report(samples, f, kernel_dim, split, large, large_bound)
-               for f in (fit, fit.partner) if f is not None]
+    fits = [f for f in (fit, fit.partner) if f is not None]
+    table = _integral_table(samples, [key for f in fits for key in f.coefficients], split)
+    reports = [_fit_report(samples, f, table, kernel_dim, split, large, large_bound)
+               for f in fits]
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from torsionlab.conekernel import _basis_column, _median
+from torsionlab.conekernel import _median, basis_column
 
 
 def _solve_weighted(t, values, free, pins):
     w = t ** (-float(min(a for a, _ in free)))
-    design = np.column_stack([w * _basis_column(t, *key) for key in free])
+    design = np.column_stack([w * basis_column(t, *key) for key in free])
     rhs = values
     for alpha, c in pins.items():
-        rhs = rhs - c * _basis_column(t, alpha, False)
+        rhs = rhs - c * basis_column(t, alpha, False)
     rhs = w * rhs
     coeff = np.linalg.lstsq(design, rhs, rcond=None)[0]
     # the condition is taken on unit columns, as in the fit

@@ -5,10 +5,13 @@ reads off analytically: the fitted expansion and the remainder are
 integrated at complex s, the large-t piece by quadrature of the eigenvalue
 sum, and contour averages recover residues and Laurent coefficients.  The
 tests compare the two routes; the package itself has only the analytic one.
+Only the fit's coefficients are shared: this route folds the kernel into
+t^0 and evaluates the fitted terms on the grid itself.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -17,7 +20,7 @@ from scipy.special import gamma as gamma_fn
 
 from torsionlab.conekernel import FittedExpansion, TraceSamples
 from torsionlab.errors import DecayRateUnknown
-from torsionlab.zetator import _fit_terms_with_kernel
+
 
 def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
                         kernel_dim: int, s: complex, split: float = 1.0) -> complex:
@@ -29,7 +32,8 @@ def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
     """
     if samples.grid[-1] < split:
         raise ValueError(f"samples must reach the split point {split}")
-    terms = _fit_terms_with_kernel(fit, kernel_dim)
+    terms = dict(fit.coefficients)
+    terms[(Fraction(0), False)] = terms.get((Fraction(0), False), 0.0) - kernel_dim
     t0 = split
     log_t0 = math.log(t0)
     total = 0j
@@ -42,8 +46,10 @@ def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
         else:
             total += c * scale / pole
     t = samples.grid
-    resid = samples.values - fit.model(t)
     u = np.log(t)
+    model = sum(c * t ** float(alpha) * (u if is_log else 1.0)
+                for (alpha, is_log), c in fit.coefficients.items())
+    resid = samples.values - model
     total += complex(CubicSpline(u, resid * np.exp(s.real * u)
                                  * np.exp(1j * s.imag * u)).integrate(u[0], math.log(t0)))
     if samples.eigenvalues is None:

@@ -30,8 +30,8 @@ from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_st
 from torsionlab.zetator import (
     G1,
     ZetaData,
+    _integral_table,
     _not_a_knot_integral,
-    _spline_integral,
     exp1,
     kernel_dimension,
     torsion_assemble,
@@ -88,17 +88,24 @@ def test_not_a_knot_integral_is_exact_for_cubics():
 
 
 def test_spline_integral_error_estimate():
-    """Grid halving from five points on; below that the whole value is the
-    error.  Halving an even count leaves a grid one step short of u_hi,
-    over which the last piece extends as scipy's does."""
+    """The integral table's error row: grid halving over 15 from five
+    points on; below that the whole value is the error.  Halving an even
+    count leaves a grid one step short of u_hi, over which the last piece
+    extends as scipy's does."""
+    def table_row(u, y):
+        samples = TraceSamples(np.exp(u), y, np.zeros_like(u), None)
+        values, columns = _integral_table(samples, [], math.e)
+        assert columns == {} and values[0] == y[0]
+        return values[1:]
+
     u = np.linspace(0.0, 1.0, 4)
-    assert _spline_integral(u, u ** 3, 0.0, 1.0) == pytest.approx((0.25, 0.25))
+    assert table_row(u, u ** 3) == pytest.approx((0.25, 0.25))
     for n in (9, 10):
         u = np.linspace(0.0, 1.0, n)
-        full, err = _spline_integral(u, np.exp(u), 0.0, 1.0)
+        full, err = table_row(u, np.exp(u))
         coarse = float(CubicSpline(u[::2], np.exp(u[::2])).integrate(0.0, 1.0))
         assert full == pytest.approx(math.e - 1.0, rel=1e-6)
-        assert err == pytest.approx(abs(full - coarse) / 15.0 + 1e-16 * abs(full), rel=1e-6)
+        assert err == pytest.approx((full - coarse) / 15.0, rel=1e-6)
 
 
 # ----------------------------------------------------------- closed forms --
