@@ -18,7 +18,7 @@ product --base circle|torus` with `--base-radius` or `--base-periods`), or
 replace it by one radial mode (`--single-nu`).  Their one method knob is
 `--t-min`, which sets cost and accuracy; `--lambda-max` overrides the
 spectral cutoff it implies.  The other method constants are fixed (see
-SPLIT and its neighbours).  A flag the chosen model would not read is
+GRID_T_MAX and its neighbours).  A flag the chosen model would not read is
 refused, not ignored.
 
 Configuration comes from `--config file` (TOML-style `key = value` lines)
@@ -120,10 +120,10 @@ def parse_config_file(path: str) -> dict:
 
 # Method constants of the pipeline, whose one knob is t_min (lambda_max
 # defaults to 36/t_min):
-# - SPLIT is the Mellin split point T0 (zetator).  The zeta data do not
-#   depend on it within their bounds (acceptance criterion 5).
-# - GRID_POINTS log-spaced samples cover [t_min, SPLIT].  The count is odd,
-#   so every second sample, the quadrature's error estimate, keeps both ends.
+# - GRID_POINTS log-spaced samples cover [t_min, GRID_T_MAX], for `trace`
+#   and `supertrace_sup`; the zeta data read the fit window and split the
+#   Mellin integral at the first sample, on which they do not depend
+#   within their bounds (zetator, acceptance criterion 5).
 # - The expansion is asymptotic as t -> 0, so only t <= FIT_T_MAX enters
 #   the fit.  The window keeps out terms like t^a e^(-d^2/4t), d >= 2, that
 #   no template term models; geodesics diffracted at the cone tip and
@@ -152,7 +152,7 @@ def parse_config_file(path: str) -> dict:
 #   paper's even case, and the template always uses the even calculus.  The
 #   odd one adds terms the traces lack: on the cone over T^2 at t_min 1e-2
 #   its zeta'(0) bounds are 1.6e3 and 2.8e3.
-SPLIT = 1.0
+GRID_T_MAX = 1.0
 GRID_POINTS = 241
 FIT_T_MAX = 1.0 / 36.0
 TEMPLATE_CUTOFF = Fraction(2)
@@ -322,10 +322,10 @@ class Pipeline:
         cfg = self.cfg
         self.lambda_max = cfg.lambda_max if cfg.lambda_max is not None \
             else 36.0 / cfg.t_min
-        if cfg.t_min >= SPLIT:
-            raise ValueError(f"--t-min {cfg.t_min!r} must lie below the Mellin split "
-                             f"SPLIT = {SPLIT}, where the sample grid ends")
-        self.grid = conekernel.log_grid(cfg.t_min, SPLIT, GRID_POINTS)
+        if cfg.t_min >= GRID_T_MAX:
+            raise ValueError(f"--t-min {cfg.t_min!r} must lie below GRID_T_MAX = "
+                             f"{GRID_T_MAX}, where the sample grid ends")
+        self.grid = conekernel.log_grid(cfg.t_min, GRID_T_MAX, GRID_POINTS)
         self.fiber_periods: tuple[float, ...] = ()
         self.base_periods: tuple[float, ...] = ()
         if cfg.single_nu is not None:
@@ -375,8 +375,7 @@ class Pipeline:
         base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
         base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
                 for d in range(self.b + 1)}
-        # the large-t integral reads no product eigenvalue past its reach
-        return conekernel.product_trace(base, cone, cutoff=conekernel.EXP_REACH / SPLIT)
+        return conekernel.product_trace(base, cone, self.base_periods)
 
     def template(self) -> phg.ExpansionTemplate:
         cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \
@@ -432,7 +431,7 @@ class Pipeline:
         # one kernel dimension give one zeta
         return _each_distinct(
             inputs, lambda a, b: a[0] is b[0] and a[1] == b[1],
-            lambda k, x: zetator.zeta_near_zero(traces[k], *x, split=SPLIT, degree=k),
+            lambda k, x: zetator.zeta_near_zero(traces[k], *x, degree=k),
             lambda k, z: replace(z, degree=k))
 
     def torsion(self) -> zetator.TorsionReport:

@@ -42,7 +42,7 @@ from .errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from .fiber import FiberSpectrum, NuSpectrum, _merged_orders
+from .fiber import FiberSpectrum, NuSpectrum
 from .phg import ExpansionTemplate
 
 TAIL_RELATIVE_LIMIT = 1e-10
@@ -52,8 +52,8 @@ CONDITION_LIMIT = 1e12
 # raise peak memory and run no faster
 TRACE_BLOCK = 1 << 15
 UNIT_ROUNDOFF = 2.0 ** -53
-# exp(-x) is exactly 0.0 past x = 745.2, and so is E1(x) <= e^{-x}/x: no
-# sum of exp(-t lam) or E1(t lam) reads an eigenvalue above EXP_REACH / t
+# exp(-x) is exactly 0.0 past x = 745.2: no sum of exp(-t lam) reads an
+# eigenvalue above EXP_REACH / t
 EXP_REACH = 746.0
 # exp(-x) is a normal float up to x = -ln(2^-1022) = 708.396...; past it the
 # result is subnormal, which costs ~100 times as much (see `_blocked_sums`)
@@ -109,11 +109,14 @@ ZERO_EIGENVALUE = 1e-14
 class Spectrum:
     """Eigenvalues `lam` with weights (multiplicities), as float64 arrays
     sorted by (lam, weight).  Every eigenvalue up to `cutoff` is present;
-    the default `inf` marks a complete list."""
+    the default `inf` marks a complete list.  With `base_periods`, the
+    trace is the scalar heat trace of the flat torus of those periods
+    times sum w e^{-t lam}: the spectrum of a product with that base."""
 
     lam: np.ndarray
     weight: np.ndarray
     cutoff: float = math.inf
+    base_periods: tuple[float, ...] = ()
 
     @classmethod
     def of(cls, lam, weight, cutoff: float = math.inf) -> "Spectrum":
@@ -128,7 +131,7 @@ class Spectrum:
 
     def positive(self) -> "Spectrum":
         keep = self.lam > ZERO_EIGENVALUE
-        return Spectrum(self.lam[keep], self.weight[keep], self.cutoff)
+        return replace(self, lam=self.lam[keep], weight=self.weight[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +238,8 @@ class TraceSamples:
 
     def __eq__(self, other) -> bool:
         """The same object, or bit-equal grid, values and tail bounds of a
-        bit-equal eigenvalue spectrum (`lam`, `weight` and `cutoff`), or of
-        none: every quantity computed from the samples is then the same."""
+        bit-equal eigenvalue spectrum (each field of it), or of none: every
+        quantity computed from the samples is then the same."""
         if self is other:
             return True
         if not isinstance(other, TraceSamples):
@@ -247,7 +250,7 @@ class TraceSamples:
         arrays = [(self.grid, other.grid), (self.values, other.values),
                   (self.tail_bound, other.tail_bound)]
         if a is not None:
-            if a.cutoff != b.cutoff:
+            if (a.cutoff, a.base_periods) != (b.cutoff, b.base_periods):
                 return False
             arrays += [(a.lam, b.lam), (a.weight, b.weight)]
         return all(np.array_equal(x, y) for x, y in arrays)
@@ -396,48 +399,39 @@ def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
     return grid
 
 
-def _pair_sums(a: Spectrum, b: Spectrum, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sums a.lam[i] + b.lam[j] <= cutoff with weights a.weight[i] * b.weight[j].
+def product_trace(base: Mapping[int, TraceSamples], cone: Mapping[int, TraceSamples],
+                  base_periods: Sequence[float]) -> dict[int, TraceSamples]:
+    """Kunneth assembly: Tr_k(B x C) = sum_{i+j=k} Tr_i(B) Tr_j(C).
 
-    Row i holds the b-eigenvalues up to cutoff - a.lam[i], so the full
-    outer product is never formed.
+    Tail bounds propagate through the product rule.  `base` holds the
+    traces of the flat torus B of periods `base_periods`, whose degree i is
+    C(b, i) times its scalar trace.  So degree k's spectrum holds each cone
+    degree j's eigenvalues, weights times C(b, k - j), complete to the least
+    cone cutoff, and records the base periods; it is absent when a cone
+    trace carries no spectrum.
     """
-    counts = np.searchsorted(b.lam, cutoff - a.lam, side="right")
-    rows = np.repeat(np.arange(len(a)), counts)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return a.lam[rows] + b.lam[cols], a.weight[rows] * b.weight[cols]
-
-
-def product_trace(a: Mapping[int, TraceSamples], b: Mapping[int, TraceSamples],
-                  cutoff: float = math.inf) -> dict[int, TraceSamples]:
-    """Kunneth assembly: Tr_k(A x B) = sum_{i+j=k} Tr_i(A) Tr_j(B).
-
-    Tail bounds propagate through the product rule.  The product spectrum
-    keeps the pair sums up to the smallest factor cutoff, or up to `cutoff`
-    if that is smaller, which is every product eigenvalue up to there, and
-    records that cutoff; it is absent when a factor carries no spectrum.
-    Pair sums merge as the Bessel orders do (`fiber._merged_orders`).
-    """
-    grid = _common_grid([*a.values(), *b.values()], "factor traces")
+    grid = _common_grid([*base.values(), *cone.values()], "factor traces")
     out: dict[int, TraceSamples] = {}
-    for k in range(max(a) + max(b) + 1):
-        pairs = [(a[i], b[k - i]) for i in range(k + 1) if i in a and k - i in b]
+    for k in range(max(base) + max(cone) + 1):
+        pairs = [(base[i], cone[k - i], math.comb(len(base_periods), i))
+                 for i in range(k + 1) if i in base and k - i in cone]
         val = np.zeros_like(grid)
         tail = np.zeros_like(grid)
-        for sa, sb in pairs:
+        for sa, sb, _ in pairs:
             val += sa.values * sb.values
             tail += (np.abs(sa.values) * sb.tail_bound
                      + np.abs(sb.values) * sa.tail_bound
                      + sa.tail_bound * sb.tail_bound)
-        eigs = [(sa.eigenvalues, sb.eigenvalues) for sa, sb in pairs]
         spectrum = None
-        if all(ea is not None and eb is not None for ea, eb in eigs):
-            cap = min([cutoff] + [c for ea, eb in eigs for c in (ea.cutoff, eb.cutoff)])
-            # seeded empty, so a degree without factor pairs gets an empty spectrum
-            sums = [(np.empty(0), np.empty(0))] + [_pair_sums(ea, eb, cap) for ea, eb in eigs]
-            lam, weight = _merged_orders(np.concatenate([s for s, _ in sums]),
-                                         np.concatenate([w for _, w in sums]))
-            spectrum = Spectrum(lam, weight, cap)
+        if all(sb.eigenvalues is not None for _, sb, _ in pairs):
+            # seeded empty, so a degree without factor pairs gets an empty spectrum;
+            # an eigenvalue of several cone degrees is one, its weights summed
+            lam, at = np.unique(np.concatenate(
+                [np.empty(0)] + [sb.eigenvalues.lam for _, sb, _ in pairs]), return_inverse=True)
+            weight = np.concatenate([np.empty(0)] + [r * sb.eigenvalues.weight for _, sb, r in pairs])
+            cutoff = min([math.inf] + [sb.eigenvalues.cutoff for _, sb, _ in pairs])
+            spectrum = Spectrum(lam, np.bincount(at, weight, len(lam)), cutoff,
+                                tuple(base_periods))
         out[k] = TraceSamples(grid, val, tail, spectrum)
     return out
 

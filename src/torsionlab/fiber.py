@@ -11,8 +11,8 @@ closed form as arrays over the shells, set the Bessel orders and the
 indicial roots 1/2 +- nu of the model problem.
 
 One numpy rule each decides when two spectral values are one: |kappa|^2
-within 1e-12 relative are one shell (`_shells`), and Bessel orders and
-product eigenvalues equal under round(v, 12) are one (`_merged_orders`).
+within 1e-12 relative are one shell (`_shells`), and Bessel orders equal
+under round(v, 12) are one (`_merged_orders`).
 
 Two conventions for the squared constants on the diagonal are supported:
 
@@ -236,8 +236,7 @@ def _round12(x: np.ndarray) -> np.ndarray:
 def _merged_orders(values: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Strictly increasing values with summed multiplicities: values equal
     under Python's round(v, 12) (`_round12`) are one.  This merges the
-    Bessel orders, whose zeros are computed at the merged order, and the
-    eigenvalues of a product spectrum.
+    Bessel orders, whose zeros are computed at the merged order.
     """
     orders, inverse = np.unique(_round12(values), return_inverse=True)
     return orders, np.bincount(inverse, weights=mult, minlength=len(orders)).astype(mult.dtype)

@@ -150,11 +150,15 @@ def theta_fit():
 
 
 def zeta_riemann():
-    """Criterion 5: zeta(0) = -1/2, zeta'(0) = -log 2, independent of the split."""
+    """Criterion 5: zeta(0) = -1/2, zeta'(0) = -log 2, independent of the
+    split: the fit handing over at the first sample or at t = 2.5e-4."""
     tr, tpl = _theta_trace(conekernel.log_grid(1e-4, 1.0, 241))
     fit = conekernel.fit_expansion(tr.restrict(t_max=0.1), tpl)
-    z1 = zetator.zeta_near_zero(tr, fit, kernel_dim=0, split=1.0)
-    z2 = zetator.zeta_near_zero(tr, fit, kernel_dim=0, split=0.5)
+    later = int(np.searchsorted(tr.grid, 2.5e-4))
+    z1 = zetator.zeta_near_zero(tr, fit, kernel_dim=0)
+    z2 = zetator.zeta_near_zero(
+        conekernel.TraceSamples(tr.grid[later:], tr.values[later:], tr.tail_bound[later:],
+                                tr.eigenvalues), fit, kernel_dim=0)
     e0 = abs(z1.zeta0 + 0.5)
     e1 = abs(z1.zeta_prime0 + math.log(2))
     split_ok = (abs(z1.zeta0 - z2.zeta0)

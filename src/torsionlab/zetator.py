@@ -1,23 +1,17 @@
 """Zeta regularization near s = 0 and analytic-torsion assembly.
 
-The Mellin transform of a heat trace splits at a point T0 (default 1):
+The Mellin transform of a heat trace splits at its first sample t1:
 
-* on (0, T0) the fitted expansion integrates in closed form, term by term
-  (t^a -> T0^{s+a}/(s+a), with an extra -1/(s+a)^2 for log terms); the
-  remainder trace-minus-model is integrated numerically on the sampled
-  range in u = log t, with the piece below the first sample bounded, not
-  guessed.  The quadrature is the exact integral of the not-a-knot cubic
-  spline through the samples (in-house, numpy only, the same spline as
-  scipy's CubicSpline), and its error estimate compares it with the same
-  integral on every second sample (grid halving, /15 as for a fourth-order
-  rule);
-* on (T0, inf) the trace decays exponentially and is integrated in closed
-  form from the spectrum the samples carry, with the eigenvalues above
-  its cutoff bounded in closed form.
+* on (0, t1) the fitted expansion integrates in closed form, term by term
+  (t^a -> t1^{s+a}/(s+a), with an extra -1/(s+a)^2 for log terms); the
+  remainder trace-minus-model there is bounded, not guessed;
+* on (t1, inf) the trace integrates in closed form over the spectrum the
+  samples carry (`_large_t_integral`), with the eigenvalues above its
+  cutoff bounded.
 
-Dividing by Gamma(s) then happens analytically: with G = Gamma * zeta
-holding Laurent data (a_-2, a_-1, a_0) at s = 0 and 1/Gamma(s) =
-s + g1 s^2 + g2 s^3 + ..., one reads off
+No quadrature enters.  Dividing by Gamma(s) then happens analytically:
+with G = Gamma * zeta holding Laurent data (a_-2, a_-1, a_0) at s = 0 and
+1/Gamma(s) = s + g1 s^2 + g2 s^3 + ..., one reads off
 
     zeta(0)  = a_-1 + g1 a_-2,
     zeta'(0) = a_0 + g1 a_-1 + g2 a_-2,
@@ -29,19 +23,18 @@ zeta(0) (with and without the kernel-dimension subtraction) are reported.
 Each fitted coefficient c_a carries a bound b_a (`FittedExpansion`).
 zeta(0) and the residue read a_-1 and a_-2, which the t^0 and t^0 log t
 coefficients enter with weight 1.  zeta'(0) is one linear map of the
-coefficients: each trace's samples and basis columns are integrated over
-[t1, T0] once, on every sample and on every second one (`_integral_table`),
-and zeta'(0) = sum_a D_a c_a + S(trace) + (large t) - k (log T0 + g1),
-where D_a is the closed form on (0, T0) per unit c_a (T0^a / a, or its log
-or a = 0 form) less the integral S of the basis column.  So the value
-reads c_a only through the model below the first sample t1, with weight
-D_a of about t1^a / a (log t1 + g1 for t^0).  The remainder, its value at
-t1 and its error estimate are the same sum over the table's other rows,
-and the bound charges sum_a |D_a| b_a with the same D_a: value and bound
-weights are one map by construction.  The shifts are charged
-independently; the correlated ||D^T pinv(A)||_1 max|r| is smaller, but it
-leaves out the fit's truncation bias and misses the T^2 cone's reference
-value.  A pinned coefficient (volume, boundary) has b_a = 0.
+coefficients,
+
+    zeta'(0) = sum_a D_a c_a + I - k (log t1 + g1),
+
+where D_a is the closed form on (0, t1) per unit c_a (t1^a / a, its log
+form, or log t1 + g1 for t^0), I the integral of t^-1 (trace - k) over
+(t1, inf) and k the kernel dimension.  The bound charges sum_a |D_a| b_a
+with the same D_a: value and bound weights are one map by construction.
+The shifts are charged independently; the correlated
+||D^T pinv(A)||_1 max|r| is smaller, but it leaves out the fit's
+truncation bias and misses the T^2 cone's reference value.  A pinned
+coefficient (volume, boundary) has b_a = 0.
 
 The bounds on the shifts say nothing about the terms the template leaves
 out.  So a fit may carry a partner: the fit of a higher-order template
@@ -67,16 +60,22 @@ from typing import Sequence
 
 import numpy as np
 
+from .bessel import bessel_k
 from .conekernel import (
-    EXP_REACH,
+    SMALLEST_NORMAL,
+    TRACE_BLOCK,
     UNIT_ROUNDOFF,
     ZERO_EIGENVALUE,
     FittedExpansion,
+    Spectrum,
     TraceSamples,
+    _segments,
     basis_column,
     column_name,
+    gammaincc,
 )
 from .errors import DecayRateUnknown, FitResidualTooLarge
+from .fiber import _lattice_points
 
 EULER_GAMMA = 0.57721566490153286
 # 1/Gamma(s) = s + g1 s^2 + g2 s^3 + O(s^4)
@@ -84,6 +83,14 @@ G1 = EULER_GAMMA
 G2 = EULER_GAMMA ** 2 / 2.0 - math.pi ** 2 / 12.0
 
 FIT_RESIDUAL_LIMIT = 1e-5
+# exp1, sqrt(pi) gammaincc(1/2, x) and bessel_k at x are within
+# SPECIAL_FUNCTION_ERROR (1 + x) of their values, plus the smallest normal
+# float where the value is below it, as tests/test_zetator.py holds them
+# against mpmath; the bounds charge that
+SPECIAL_FUNCTION_ERROR = 1e-14
+# a product's lattice term (l, lam) with |l| sqrt(lam) past this reach is
+# left out, and charged (`_large_t_integral`)
+LATTICE_REACH = -4.0 * math.log(UNIT_ROUNDOFF)
 # modified Lentz stops once a factor is within this of 1
 LENTZ_TOLERANCE = 4.0 * np.finfo(float).eps
 
@@ -93,7 +100,8 @@ def exp1(x) -> np.ndarray:
 
     Up to x = 1 the ascending series -gamma - log x + sum (-1)^{k+1}
     x^k / (k k!), 20 terms; above, e^{-x} times the continued fraction
-    1/(x+1- 1/(x+3- 4/(x+5- ...))), by the modified Lentz method.
+    1/(x+1- 1/(x+3- 4/(x+5- ...))), by the modified Lentz method, which
+    runs on each element until its own factor is within LENTZ_TOLERANCE of 1.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x > 0.0)):
@@ -111,7 +119,7 @@ def exp1(x) -> np.ndarray:
     b = xl + 1.0
     c = np.full_like(xl, np.inf)
     d = 1.0 / b
-    frac = d
+    frac, done, at = d, np.empty_like(xl), np.arange(len(xl))
     for i in range(1, 1000):
         a = -float(i * i)
         b += 2.0
@@ -119,11 +127,15 @@ def exp1(x) -> np.ndarray:
         c = b + a / c
         factor = c * d
         frac = frac * factor
-        if np.all(np.abs(factor - 1.0) <= LENTZ_TOLERANCE):
+        stop = np.abs(factor - 1.0) <= LENTZ_TOLERANCE
+        done[at[stop]] = frac[stop]
+        if np.all(stop):
             break
+        go = ~stop
+        at, b, c, d, frac = at[go], b[go], c[go], d[go], frac[go]
     else:
         raise RuntimeError("E1 continued fraction failed to converge")
-    out[~small] = frac * np.exp(-xl)
+    out[~small] = done * np.exp(-xl)
     return out
 
 
@@ -157,119 +169,80 @@ class ZetaData:
         }
 
 
-def _closed_form_weight(key: tuple[Fraction, bool], t0: float) -> float:
-    """zeta'(0) = a_0 + g1 a_-1 + g2 a_-2 of int_0^T0 t^{s-1} (one term) at
-    s = 0, per unit coefficient: t^a -> T0^a / a, t^a log t ->
-    T0^a (log T0 / a - 1 / a^2), t^0 -> 1/s + log T0 and t^0 log t ->
-    -1/s^2 + (log T0)^2 / 2, whose poles 1/Gamma weighs by g1 and g2."""
+def _closed_form_weight(key: tuple[Fraction, bool], t1: float) -> float:
+    """zeta'(0) = a_0 + g1 a_-1 + g2 a_-2 of int_0^t1 t^{s-1} (one term) at
+    s = 0, per unit coefficient: t^a -> t1^a / a, t^a log t ->
+    t1^a (log t1 / a - 1 / a^2), t^0 -> 1/s + log t1 and t^0 log t ->
+    -1/s^2 + (log t1)^2 / 2, whose poles 1/Gamma weighs by g1 and g2."""
     alpha, is_log = key
-    log_t0 = math.log(t0)
+    log_t1 = math.log(t1)
     if alpha == 0:
-        return log_t0 ** 2 / 2.0 - G2 if is_log else log_t0 + G1
+        return log_t1 ** 2 / 2.0 - G2 if is_log else log_t1 + G1
     a = float(alpha)
-    return t0 ** a * (log_t0 / a - 1.0 / (a * a)) if is_log else t0 ** a / a
+    return t1 ** a * (log_t1 / a - 1.0 / (a * a)) if is_log else t1 ** a / a
 
 
-def _not_a_knot_slopes(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through (u, y), for each
-    column of y (shape (n, k)).
-
-    Two points give the line through them and three the parabola.  From
-    four points on, the end rows (third derivative continuous across u[1]
-    and u[-2]) are subtracted from their neighbours, which leaves a
-    strictly diagonally dominant tridiagonal system for the interior
-    slopes; a Thomas sweep solves it and the end rows give s[0], s[-1].
-    The system depends on u alone, so it is eliminated once, and each
-    column's right-hand side is swept with its multipliers.
-    """
-    h = np.diff(u)
-    d = np.diff(y, axis=0) / h[:, None]
-    n = len(u)
-    if n == 2:
-        return np.array([d[0], d[0]])
-    if n == 3:
-        curv = (d[1] - d[0]) / (u[2] - u[0])
-        return np.array([d[0] - curv * h[0], d[0] + curv * h[0], d[1] + curv * h[1]])
-    rhs = 3.0 * (h[1:, None] * d[:-1] + h[:-1, None] * d[1:])
-    w0, w1 = u[2] - u[0], u[-1] - u[-3]
-    b0 = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
-    b1 = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
-    # row i of the interior system: lower[i] s[i] + diag[i] s[i+1] + upper[i] s[i+2],
-    # swept on Python floats (a numpy scalar would make every step slower)
-    lower, upper = h[2:].tolist(), h[:-2].tolist()
-    diag = (2.0 * (h[:-1] + h[1:])).tolist()
-    diag[0], diag[-1] = float(h[0] + h[1]), float(h[-2] + h[-1])
-    m = len(diag)
-    factors = [0.0] * m
-    for i in range(1, m):
-        factors[i] = lower[i - 1] / diag[i - 1]
-        diag[i] -= factors[i] * upper[i - 1]
-    slopes = []
-    for r, first, last in zip(rhs.T.tolist(), b0.tolist(), b1.tolist()):
-        r[0] -= first
-        r[-1] -= last
-        for i in range(1, m):
-            r[i] -= factors[i] * r[i - 1]
-        r[-1] /= diag[-1]
-        for i in range(m - 2, -1, -1):
-            r[i] = (r[i] - upper[i] * r[i + 1]) / diag[i]
-        slopes.append(r)
-    s = np.array(slopes).T
-    return np.concatenate(([(b0 - w0 * s[0]) / h[1]], s, [(b1 - w1 * s[-1]) / h[-2]]))
+def _upper_gamma(b: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(-b/2, x), x > 0, by Gamma(a, x) = (Gamma(a + 1, x) - x^a e^-x) / a
+    down from E1(x) = Gamma(0, x) or sqrt(pi) Q(1/2, x) = Gamma(1/2, x); and
+    the same recurrence on the sizes of its terms, the scale of its error."""
+    if b % 2:
+        a, value = 0.5, math.sqrt(math.pi) * gammaincc(0.5, x)
+    else:
+        a, value = 0.0, exp1(x)
+    size = value
+    while a > -b / 2.0:
+        a -= 1.0
+        step = x ** a * np.exp(-x)
+        value, size = (value - step) / a, (size + step) / -a
+    return value, size
 
 
-def _not_a_knot_integral(u: np.ndarray, y: np.ndarray, u_lo: float, u_hi: float):
-    """Integral over [u_lo, u_hi] of the not-a-knot cubic spline through
-    (u, y), piece by piece in closed form (de Boor, A Practical Guide to
-    Splines, 1978): a float, or for y of shape (n, k) one per column.
-    Past the grid ends the end pieces extend, as in scipy: every second
-    point of an even count ends one step short."""
-    columns = y.reshape(len(u), -1)
-    s = _not_a_knot_slopes(u, columns)
-    h = np.diff(u)[:, None]
-    pieces = h * (columns[:-1] + columns[1:]) / 2.0 + h * h * (s[:-1] - s[1:]) / 12.0
-    cumulative = np.concatenate((np.zeros((1, columns.shape[1])), np.cumsum(pieces, axis=0)))
-
-    def antiderivative(x: float) -> np.ndarray:
-        i = min(max(int(np.searchsorted(u, x, side="right")) - 1, 0), len(u) - 2)
-        yi, si = columns[i], s[i]
-        tau, d = x - u[i], (columns[i + 1] - yi) / h[i]
-        t = (si + s[i + 1] - 2.0 * d) / h[i]
-        quad, cubic = (d - si) / h[i] - t, t / h[i]
-        return cumulative[i] + tau * (yi + tau * (si / 2.0 + tau * (quad / 3.0 + tau * cubic / 4.0)))
-
-    integrals = antiderivative(u_hi) - antiderivative(u_lo)
-    return float(integrals[0]) if y.ndim == 1 else integrals
-
-
-def _integral_table(samples: TraceSamples, keys: Sequence[tuple[Fraction, bool]],
-                    t0: float) -> tuple[np.ndarray, dict[tuple[Fraction, bool], np.ndarray]]:
-    """What every fit to the samples reads of them, three numbers per
-    function, each linear in it: its value at the first sample t1, its
-    not-a-knot integral S over [t1, T0] in u = log t, and the error
-    estimate of S: from five samples on, S minus the same integral on every
-    second sample, over 15 as for a fourth-order rule; below five, S
-    itself.  The samples' row, and one row per basis column in `keys`,
-    from two spline calls on one array."""
-    t = samples.grid
-    u, u_hi = np.log(t), math.log(t0)
-    keys = list(dict.fromkeys(keys))
-    y = np.column_stack([samples.values, *(basis_column(t, *key) for key in keys)])
-    full = _not_a_knot_integral(u, y, float(u[0]), u_hi)
-    error = (full - _not_a_knot_integral(u[::2], y[::2], float(u[0]), u_hi)) / 15.0 \
-        if len(t) >= 5 else full
-    rows = np.stack([y[0], full, error], axis=1)
-    return rows[0], dict(zip(keys, rows[1:]))
+def _lattice_terms(pos: Spectrum, t1: float) -> tuple[float, float, float]:
+    """Sums of 2 w (lam / a_l)^{b/4} K_{b/2}(|l| sqrt(lam)), a_l = |l|^2 / 4,
+    over lattice vectors l != 0 of the base periods and eigenvalues with
+    |l| sqrt(lam) <= LATTICE_REACH, and of their error charges, formed in
+    blocks of about TRACE_BLOCK terms; and the bound on their part below t1,
+    sum_l W_l a_l^{-b/2} Gamma(b/2, a_l / t1), W_l the weight they take."""
+    b = len(pos.base_periods)
+    _, ell2 = _lattice_points([2.0 * math.pi / L for L in pos.base_periods],
+                              LATTICE_REACH / math.sqrt(pos.lam[0]))
+    ell2 = ell2[ell2 > 0.0]
+    counts = np.searchsorted(pos.lam, LATTICE_REACH ** 2 / ell2, side="right")
+    sums, errors = [], []
+    for block in np.array_split(np.arange(len(ell2)), 1 + int(counts.sum()) // TRACE_BLOCK):
+        rows = np.repeat(ell2[block], counts[block])
+        cols = _segments(np.arange(len(pos)), np.zeros_like(block), counts[block])
+        lam, z = pos.lam[cols], np.sqrt(rows * pos.lam[cols])
+        terms = 2.0 * pos.weight[cols] * (4.0 * lam / rows) ** (b / 4.0) * bessel_k(b / 2.0, z)
+        sums.append(math.fsum(terms))
+        errors.append(math.fsum(terms * SPECIAL_FUNCTION_ERROR * (1.0 + z)))
+    a = ell2 / 4.0
+    prefix = np.concatenate(([0.0], np.cumsum(pos.weight)))[counts]
+    below = prefix * a ** (-b / 2.0) * math.gamma(b / 2.0) * gammaincc(b / 2.0, a / t1)
+    return math.fsum(sums), math.fsum(errors), float(below.sum())
 
 
-def _large_t_integral(samples: TraceSamples, kernel_dim: int,
-                      t0: float) -> tuple[float, float]:
-    """int_T0^inf t^{-1} (trace - kernel_dim) dt with certified error.
+def _large_t_integral(samples: TraceSamples, kernel_dim: int) -> tuple[float, float]:
+    """I = int_t1^inf t^-1 (trace - kernel_dim) dt from the spectrum, t1 the
+    first sample, with a bound on its error.
 
-    The spectrum sums exactly to its cutoff W.  Past the first sample t1,
-    the eigenvalues above W decay at least like exp(-W (t - t1)) times
-    their share of Tr(t1), so they add at most
-    exp(-W (T0 - t1)) (|Tr(t1)| + tail(t1)) / (W T0).
+    A cone eigenvalue adds w E1(lam t1).  A product with the flat torus B
+    (dimension b, periods L_i) has the trace Theta_B(t) sum w e^{-lam t};
+    by Poisson summation on B (Kirsten, Spectral Functions in Mathematics
+    and Physics, 2001) an eigenvalue adds w vol(B) (4 pi)^{-b/2} times
+    lam^{b/2} Gamma(-b/2, lam t1) plus the l != 0 terms of `_lattice_terms`
+    less their part below t1, which is charged.  The terms with
+    |l| sqrt(lam) > X = LATTICE_REACH are left out: a_l/t + lam t >=
+    |l| sqrt(lam) puts each below e^{-X/2} = u^2 times its share of
+    2^{b/2} Theta_B(2t) sum w e^{-lam t/2}, so all of them below
+    e^{-X/2} 2^{b/2} Theta_B(t1) W E1(lam_1 t1 / 2), W the total weight and
+    Theta_B(t1) <= prod_i L_i (4 pi t1)^{-1/2} (1 + q_i) / (1 - q_i),
+    q_i = e^{-L_i^2 / 4 t1}.  Past the cutoff Lambda, E1(x) <= e^-x / x and
+    Theta_B decreasing bound the eigenvalues left out by
+    tail(t1) / (Lambda t1).  The positive terms are summed by math.fsum,
+    each charged its special functions' error, which covers its roundings;
+    three more roundings form the value.
     """
     eig = samples.eigenvalues
     if eig is None:
@@ -278,62 +251,65 @@ def _large_t_integral(samples: TraceSamples, kernel_dim: int,
     if abs(zero_w - kernel_dim) > 1e-9:
         raise DecayRateUnknown(
             f"zero-mode weight {zero_w} does not match kernel_dim {kernel_dim}")
-    pos = eig.positive()
-    n = np.searchsorted(pos.lam, EXP_REACH / t0, side="right")
-    val = float(np.dot(pos.weight[:n], exp1(pos.lam[:n] * t0)))
-    w, t1 = eig.cutoff, float(samples.grid[0])
-    above = 0.0 if math.isinf(w) else math.exp(-w * (t0 - t1)) \
-        * (abs(samples.values[0]) + samples.tail_bound[0]) / (w * t0)
-    return val, float(np.max(samples.tail_bound)) + above
+    periods = eig.base_periods
+    if periods and zero_w:
+        raise DecayRateUnknown("a zero mode times a flat base does not decay")
+    t1, pos, b = float(samples.grid[0]), eig.positive(), len(periods)
+    x = pos.lam * t1
+    gamma, size = _upper_gamma(b, x)
+    scale = pos.weight * pos.lam ** (b / 2.0)
+    error = scale * (size * SPECIAL_FUNCTION_ERROR * (1.0 + x) + SMALLEST_NORMAL)
+    factor = math.prod(periods) * (4.0 * math.pi) ** (-b / 2.0)
+    lattice = lattice_error = charge = dropped = 0.0
+    if b and len(pos):
+        lattice, lattice_error, charge = _lattice_terms(pos, t1)
+        theta = math.prod(L / math.sqrt(4.0 * math.pi * t1) * (1.0 + math.exp(-L * L / (4.0 * t1)))
+                          / -math.expm1(-L * L / (4.0 * t1)) for L in periods)
+        dropped = math.exp(-LATTICE_REACH / 2.0) * 2.0 ** (b / 2.0) * theta \
+            * float(pos.weight.sum()) * float(exp1(pos.lam[:1] * t1 / 2.0)[0])
+    value = factor * (math.fsum(scale * gamma) + lattice)
+    bound = factor * (math.fsum(error) + lattice_error + charge) + dropped \
+        + 3.0 * UNIT_ROUNDOFF * abs(value)
+    if math.isfinite(eig.cutoff):
+        bound += float(samples.tail_bound[0]) / (eig.cutoff * t1)
+    return value, bound
 
 
-def _coefficient_weights(fit: FittedExpansion, columns: dict[tuple[Fraction, bool], np.ndarray],
-                         t0: float) -> dict[tuple[Fraction, bool], float]:
-    """D_a, the weight of each fit coefficient in zeta'(0): its term's
-    closed form on (0, T0), less the integral of its basis column over
-    [t1, T0], which the remainder integral takes off again.  The value
-    reads the model only below the first sample t1, so a weight is about
-    t1^a / a (log t1 + g1 for t^0), not T0^a / a."""
-    return {key: _closed_form_weight(key, t0) - columns[key][1] for key in fit.coefficients}
-
-
-def _fit_report(samples: TraceSamples, fit: FittedExpansion, table, kernel_dim: int,
-                t0: float, large: float, large_bound: float) -> dict:
+def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
+                large: float, large_bound: float) -> dict:
     """One fit's zeta(0) and zeta'(0), their bounds before the bias, the
     zeta'(0) budget with each coefficient's shift, and the residue at
-    s = 0 (a_-2) with its bound, read off the trace's integral table.
+    s = 0 (a_-2) with its bound.
 
-    zeta'(0) = sum_a D_a c_a + S(trace) + large - k (log T0 + g1), with S
-    the integral over [t1, T0]; the remainder S(trace) - sum_a c_a S(col_a),
-    its value at t1 and its error estimate are the same sum on the table's
-    three rows.  Below t1 the remainder is bounded by twice its value there
-    (it decays at least like sqrt(t) relative to the local scale), in the
-    bound, never in the value.
+    zeta'(0) = sum_a D_a c_a + large - k (log t1 + g1).  Below t1 the
+    remainder r = trace - model is bounded by twice |r(t1)| (it decays at
+    least like sqrt(t) relative to the local scale), in the bound, never in
+    the value; r(t1) is charged the sample's tail bound, and r(t1) and
+    sum_a D_a c_a their rounding, gamma_n on the scale of their m terms.
     """
-    values, columns = table
-    weights = _coefficient_weights(fit, columns, t0)
-    c = np.array(list(fit.coefficients.values()))
-    terms = c[:, None] * np.array([columns[key] for key in fit.coefficients])
-    first, rem, estimate = values - terms.sum(axis=0)
+    t1 = samples.grid[:1]
+    keys, c = list(fit.coefficients), list(fit.coefficients.values())
+    weights = [_closed_form_weight(key, float(t1[0])) for key in keys]
+    model = [ci * float(basis_column(t1, *key)[0]) for ci, key in zip(c, keys)]
+    trace = float(samples.values[0])
+    first = trace - math.fsum(model)
+    terms = [w * ci for w, ci in zip(weights, c)]
     zero, log_zero = (Fraction(0), False), (Fraction(0), True)
     a_m1 = fit.coefficients.get(zero, 0.0) - kernel_dim
     a_m2 = 0.0 - fit.coefficients.get(log_zero, 0.0)
-    zeta_prime0 = math.fsum([*(w * x for w, x in zip(weights.values(), fit.coefficients.values())),
-                             values[1], large, -kernel_dim * _closed_form_weight(zero, t0)])
-    # the trace minus the model rounds on the scale of its terms, gamma_n as
-    # in conekernel._blocked_sums, n the samples; so does sum_a D_a c_a
-    n = len(samples.grid)
-    rounding = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) \
-        * (abs(values[1]) + float(np.abs(terms[:, 1]).sum()))
-    tail = float(np.max(samples.tail_bound)) * (math.log(t0) - np.log(samples.grid[0]))
-    rem_bound = float(abs(estimate) + rounding + 2.0 * abs(first) + tail)
+    zeta_prime0 = math.fsum([*terms, large, -kernel_dim * _closed_form_weight(zero, float(t1[0]))])
+    n = len(c) + 3
+    rounding = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    rem_bound = 2.0 * (abs(first) + float(samples.tail_bound[0])
+                       + rounding * (abs(trace) + math.fsum(map(abs, model)))) \
+        + rounding * math.fsum(map(abs, terms))
     # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
     # enter directly; zeta'(0) moves by its derivative weight
     bounds = fit.coefficient_bounds
     s_m2, s_m1 = bounds.get(log_zero, 0.0), bounds.get(zero, 0.0)
-    shifts = {key: abs(w) * bounds[key] for key, w in weights.items()}
+    shifts = {key: abs(w) * bounds[key] for key, w in zip(keys, weights)}
     return {"fit": fit, "zeta0": a_m1 + G1 * a_m2, "zeta_prime0": zeta_prime0,
-            "remainder": float(rem), "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound,
+            "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound,
             "shifts": shifts,
             "budget": {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
                        "large_t": large_bound},
@@ -341,8 +317,9 @@ def _fit_report(samples: TraceSamples, fit: FittedExpansion, table, kernel_dim: 
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
-                   split: float = 1.0, degree: int = 0) -> ZetaData:
-    """Zeta invariants at s = 0 from trace samples and a fitted expansion.
+                   degree: int = 0) -> ZetaData:
+    """Zeta invariants at s = 0 from trace samples and a fitted expansion,
+    split at the first sample.
 
     With a partner fit, the spread of the two fits' zeta(0) and zeta'(0)
     joins both fits' bounds (`bias`), and the fit with the smaller zeta'(0)
@@ -352,14 +329,10 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
             f"fit residual {fit.residual:.3g} >= {FIT_RESIDUAL_LIMIT}")
-    if samples.grid[-1] < split:
-        raise ValueError(f"samples must reach the split point {split}")
 
-    large, large_bound = _large_t_integral(samples, kernel_dim, split)
+    large, large_bound = _large_t_integral(samples, kernel_dim)
     fits = [f for f in (fit, fit.partner) if f is not None]
-    table = _integral_table(samples, [key for f in fits for key in f.coefficients], split)
-    reports = [_fit_report(samples, f, table, kernel_dim, split, large, large_bound)
-               for f in fits]
+    reports = [_fit_report(samples, f, kernel_dim, large, large_bound) for f in fits]
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]
@@ -390,8 +363,6 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
         residue_at_zero=residue_from["residue"],
         diagnostics={
             **extra,
-            "split": split,
-            "remainder_integral": chosen["remainder"],
             "large_t_integral": large,
             "fit_order": str(max(chosen["fit"].template.exponents)),
             "fit_residual": chosen["fit"].residual,

@@ -1,12 +1,14 @@
 """Test oracle: Gamma(s) * zeta(s) at complex s, and its Laurent data by contours.
 
 A second route to the Laurent coefficients that `zetator.zeta_near_zero`
-reads off analytically: the fitted expansion and the remainder are
-integrated at complex s, the large-t piece by quadrature of the eigenvalue
-sum, and contour averages recover residues and Laurent coefficients.  The
-tests compare the two routes; the package itself has only the analytic one.
-Only the fit's coefficients are shared: this route folds the kernel into
-t^0 and evaluates the fitted terms on the grid itself.
+reads off analytically: the Mellin integral splits at T0 (default 1), the
+fitted expansion below it integrates in closed form and the remainder by
+scipy's cubic spline over the samples, the piece above T0 by quadrature
+of the eigenvalue sum, all at complex s, and contour averages recover
+residues and Laurent coefficients.  The tests compare the two routes; the
+package itself has only the analytic one.  Only the fit's coefficients
+are shared: this route folds the kernel into t^0 and evaluates the fitted
+terms on the grid itself.
 """
 
 import cmath
@@ -54,6 +56,9 @@ def gamma_weighted_zeta(samples: TraceSamples, fit: FittedExpansion,
                                  * np.exp(1j * s.imag * u)).integrate(u[0], math.log(t0)))
     if samples.eigenvalues is None:
         raise DecayRateUnknown("complex evaluation requires eigenvalue data")
+    if samples.eigenvalues.base_periods:
+        raise ValueError("the eigenvalues of a spectrum that records a base are not "
+                         "the trace's; this route reads plain eigenvalues only")
     pos = samples.eigenvalues.positive()
 
     def trace_minus_kernel(tt: float) -> float:

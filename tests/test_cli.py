@@ -338,13 +338,13 @@ def test_t2_cone_past_the_fit_window_is_refused(capsys, t_min):
                                   ["trace", "--single-nu", "0.5", "--t-min", "5"]],
                          ids=["disk-at-split", "single-nu-past-split"])
 def test_t_min_at_or_past_the_split(capsys, argv):
-    """The samples cover [t_min, SPLIT], so a t_min at or above the Mellin
-    split exits 2 with a message naming --t-min and SPLIT."""
+    """The samples cover [t_min, GRID_T_MAX], so a t_min at or above the
+    grid's end exits 2 with a message naming --t-min and GRID_T_MAX."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     message = json.loads(err)["message"]
     assert message.startswith(f"--t-min {float(argv[-1])!r} ")
-    assert f"SPLIT = {cli.SPLIT}" in message
+    assert f"GRID_T_MAX = {cli.GRID_T_MAX}" in message
 
 
 def test_format_belongs_to_trace_only(capsys, tmp_path):

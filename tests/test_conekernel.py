@@ -39,13 +39,11 @@ from torsionlab.errors import (
 from torsionlab.fiber import (
     Convention,
     NuSpectrum,
-    _round12,
     a_spectrum,
     single_nu_spectrum,
     torus_spectrum,
 )
 from torsionlab.phg import ExpansionTemplate
-from torsionlab.zetator import zeta_near_zero
 from fit_oracle import rebuilt_trim_fit
 from trace_oracle import every_exp_blocked_sums, fsum_trace
 
@@ -620,7 +618,7 @@ def test_product_with_point_factor_is_identity():
     base = {0: fiber_factor_trace(fiber, 0, grid), 1: fiber_factor_trace(fiber, 1, grid)}
     point = {0: TraceSamples(grid, np.ones_like(grid), np.zeros_like(grid),
                              Spectrum.of([0.0], [1.0]))}
-    prod = product_trace(base, point)
+    prod = product_trace(base, point, (TWO_PI,))
     for k in (0, 1):
         assert prod[k].values == pytest.approx(base[k].values, rel=1e-15)
 
@@ -629,7 +627,7 @@ def test_product_circle_circle_matches_torus():
     grid = log_grid(0.05, 1.0, 12)
     circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace(fact, fact)
+    prod = product_trace(fact, fact, (TWO_PI,))
     torus = torus_spectrum([2 * math.pi, 2 * math.pi], cutoff=27.0)
     for k in (0, 1, 2):
         want = fiber_factor_trace(torus, k, grid)
@@ -640,76 +638,35 @@ def test_product_euler_characteristic_factorizes():
     grid = log_grid(0.05, 0.5, 6)
     circle = torus_spectrum((TWO_PI,), cutoff=27.0)
     fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace(fact, fact)
+    prod = product_trace(fact, fact, (TWO_PI,))
     alt = sum((-1) ** k * prod[k].values for k in prod)
     assert np.max(np.abs(alt)) < 1e-12
 
 
 def test_product_spectrum_complete_to_smaller_cutoff():
-    """Factors of 2001 and 1001 distinct eigenvalues (over 2,000,000 pairs): the
-    product keeps exactly the pair sums up to the smaller factor cutoff."""
-    grid = log_grid(1e-3, 1.0, 60)
-    big = torus_spectrum((TWO_PI,), cutoff=2000.5)
-    small = torus_spectrum((TWO_PI,), cutoff=1000.3)
-    fa = {0: fiber_factor_trace(big, 0, grid)}
-    fb = {0: fiber_factor_trace(small, 0, grid)}
-    a, b = fa[0].eigenvalues, fb[0].eigenvalues
-    assert len(a) * len(b) > 2_000_000
-    prod = product_trace(fa, fb)[0]
-    cutoff = min(a.cutoff, b.cutoff)
-    assert prod.eigenvalues.cutoff == cutoff == 1000.3 ** 2
-
-    lam = (a.lam[:, None] + b.lam[None, :]).ravel()
-    weight = (a.weight[:, None] * b.weight[None, :]).ravel()
-    keep = lam <= cutoff
-    uniq, inverse = np.unique([round(v, 12) for v in lam[keep].tolist()], return_inverse=True)
-    assert np.array_equal(prod.eigenvalues.lam, uniq)
-    assert np.array_equal(prod.eigenvalues.weight, np.bincount(inverse, weights=weight[keep]))
-
-    # the square torus of period 2 pi: zeta'(0) = -log 2 pi - 2 beta'(0),
-    # beta'(0) = log(Gamma(1/4)^2 / (2 pi sqrt 2)) for Dirichlet's beta
-    tpl = ExpansionTemplate.from_terms([(-1, False), (0, False), (1, False)])
-    z = zeta_near_zero(prod, fit_expansion(prod.restrict(t_max=0.1), tpl), kernel_dim=1)
-    beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
-    assert abs(z.zeta_prime0 - (-math.log(TWO_PI) - 2.0 * beta1)) <= z.error_bound
-
-
-def test_product_pair_sums_merge_as_python_round(monkeypatch):
-    """The circle product workload's 10,116 pair sums key as Python's
-    round(v, 12) bit for bit, as the Bessel orders do; np.round(v, 12)
-    differs on 414 of them.  Each degree merges to 1,686 eigenvalues."""
-    sums = []
-    pair_sums = conekernel._pair_sums
-
-    def recording(a, b, cutoff):
-        lam, weight = pair_sums(a, b, cutoff)
-        sums.append(lam)
-        return lam, weight
-
-    monkeypatch.setattr(conekernel, "_pair_sums", recording)
-    traces = _pipeline("--model", "product", "--base", "circle").traces()
-    lam = np.concatenate(sums)
-    want = np.array([round(v, 12) for v in lam.tolist()])
-    assert np.array_equal(_round12(lam).view(np.int64), want.view(np.int64))
-    assert len(lam) == 10_116
-    assert np.count_nonzero(np.round(lam, 12) != want) == 414
-    assert [len(tr.eigenvalues) for tr in traces.values()] == [1686] * 4
-
-
-def test_product_spectrum_cut_at_a_given_cutoff():
-    """A cutoff below the factors' keeps exactly the pair sums up to it and
-    leaves the trace values alone."""
+    """A square torus base times two cone degrees that share an eigenvalue:
+    degree k holds each cone degree j's eigenvalues weighted by
+    C(2, k - j), an eigenvalue of both degrees once with its weights
+    summed, complete to the smaller cutoff of the degrees it reads, with
+    the base periods."""
     grid = log_grid(0.05, 1.0, 12)
-    circle = torus_spectrum((TWO_PI,), cutoff=40.0)
-    fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    full = product_trace(fact, fact)
-    cut = product_trace(fact, fact, cutoff=300.0)
-    for k in full:
-        keep = full[k].eigenvalues.lam <= 300.0
-        assert cut[k].eigenvalues.cutoff == 300.0
-        assert np.array_equal(cut[k].eigenvalues.lam, full[k].eigenvalues.lam[keep])
-        assert np.array_equal(cut[k].eigenvalues.weight, full[k].eigenvalues.weight[keep])
-        assert np.array_equal(cut[k].values, full[k].values)
+    periods = (TWO_PI, TWO_PI)
+    torus = torus_spectrum(periods, cutoff=40.0)
+    base = {d: fiber_factor_trace(torus, d, grid) for d in (0, 1, 2)}
+    cone = {0: _certified_trace(Spectrum.of([2.0, 5.0], [1.0, 3.0], 1000.0), 0.5, grid),
+            1: _certified_trace(Spectrum.of([5.0, 7.0], [2.0, 1.0], 900.0), 0.5, grid)}
+    prod = product_trace(base, cone, periods)
+    want = {0: ([2.0, 5.0], [1.0, 3.0], 1000.0),
+            1: ([2.0, 5.0, 7.0], [2.0, 8.0, 1.0], 900.0),
+            2: ([2.0, 5.0, 7.0], [1.0, 7.0, 2.0], 900.0),
+            3: ([5.0, 7.0], [2.0, 1.0], 900.0)}
+    assert list(prod) == list(want)
+    for k, (lam, weight, cutoff) in want.items():
+        spectrum = prod[k].eigenvalues
+        assert np.array_equal(spectrum.lam, lam) and np.array_equal(spectrum.weight, weight)
+        assert spectrum.cutoff == cutoff and spectrum.base_periods == periods
+        assert np.array_equal(spectrum.positive().lam, lam)
+        assert spectrum.positive().base_periods == periods
 
 
 def test_product_mismatched_grids():
@@ -717,7 +674,7 @@ def test_product_mismatched_grids():
     a = {0: TraceSamples(g1, np.ones_like(g1), np.zeros_like(g1))}
     b = {0: TraceSamples(g2, np.ones_like(g2), np.zeros_like(g2))}
     with pytest.raises(MismatchedGrids):
-        product_trace(a, b)
+        product_trace(a, b, ())
 
 
 # ----------------------------------------------------- McKean-Singer defect --

@@ -10,11 +10,10 @@ import dataclasses
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from torsionlab import conekernel, fiber, zetator
-from torsionlab.cli import PARTNER_CUTOFF, SPLIT, TEMPLATE_CUTOFF, ModelConfig, Pipeline
+from torsionlab.cli import PARTNER_CUTOFF, TEMPLATE_CUTOFF, ModelConfig, Pipeline
 from torsionlab.conekernel import UNIT_ROUNDOFF
 
 GOLDEN_MODELS = {
@@ -166,22 +165,6 @@ def test_stages_computed_once(monkeypatch):
         assert [z.degree for z in zetas.values()] == pipe.degrees
 
 
-@pytest.mark.parametrize("name", GOLDEN_MODELS)
-def test_zeta_stage_integrates_each_trace_twice(monkeypatch, name):
-    """The zeta stage integrates a distinct trace's samples and the basis
-    columns of both its fits in two spline calls, on every sample and on
-    every second one: 4 on each golden model, whose Hodge-dual degrees
-    share a trace."""
-    calls = []
-    integral = zetator._not_a_knot_integral
-    monkeypatch.setattr(zetator, "_not_a_knot_integral",
-                        lambda *args: calls.append(args) or integral(*args))
-    pipe = Pipeline(GOLDEN_MODELS[name])
-    distinct = len({id(fit) for fit in pipe.fits().values()})
-    pipe.zetas()
-    assert distinct == 2 and len(calls) == 2 * distinct
-
-
 def test_mirrored_degrees_are_compared_not_assumed(monkeypatch):
     """With the last Bessel order of degree m = 2 of the disk halved, degrees
     0 and 2 differ, and each gets its own cone spectrum, trace, fit and zeta."""
@@ -218,19 +201,18 @@ def _reported_fit(fit: conekernel.FittedExpansion, z: zetator.ZetaData) -> conek
 def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
     """Each coefficient's weight in the zeta'(0) bound of the reported fit
     is the derivative of the reported zeta'(0) in it.  The value is one
-    linear map of the coefficients, so a central difference with a step
-    that moves it by ~1 agrees to the rounding of the products D_a c_a,
-    which reach ~1e3 (t^-3/2 on the circle product): relative 1e-12
-    (5.7e-14 measured)."""
+    linear map of the coefficients, with weights D_a = t1^a / a (its log
+    form, or log t1 + g1 for t^0) at the first sample t1, so a central
+    difference with a step that moves it by ~1 agrees to the rounding of
+    the products D_a c_a, which reach ~1e3 (t^-3/2 on the circle product):
+    relative 1e-12."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fits, traces, zetas = pipe.fits(), pipe.traces(), pipe.zetas()
     for k in (0, 1):
         fit, tr = _reported_fit(fits[k], zetas[k]), traces[k]
-        assert zetator.zeta_near_zero(tr, fit, 0, split=SPLIT).zeta_prime0 \
-            == zetas[k].zeta_prime0
-        _, columns = zetator._integral_table(tr, fit.coefficients, SPLIT)
-        weights = zetator._coefficient_weights(fit, columns, SPLIT)
-        assert list(weights) == list(fit.coefficients)
+        assert zetator.zeta_near_zero(tr, fit, 0).zeta_prime0 == zetas[k].zeta_prime0
+        weights = {key: zetator._closed_form_weight(key, float(tr.grid[0]))
+                   for key in fit.coefficients}
         for key, w in weights.items():
             step = 1.0 / abs(w)
 
@@ -238,7 +220,7 @@ def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
                 coefficients = dict(fit.coefficients)
                 coefficients[key] += sign * step
                 shifted = dataclasses.replace(fit, coefficients=coefficients)
-                return zetator.zeta_near_zero(tr, shifted, 0, split=SPLIT).zeta_prime0
+                return zetator.zeta_near_zero(tr, shifted, 0).zeta_prime0
 
             difference = (moved(1.0) - moved(-1.0)) / (2.0 * step)
             assert abs(difference - w) <= 1e-12 * abs(w), (k, key)
@@ -246,36 +228,31 @@ def test_zeta_prime0_weights_are_the_derivative_of_the_value(name):
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_remainder_bound_charges_its_rounding(name):
-    """The reported remainder, S(trace) - sum_a c_a S(col_a) from the
-    integral table, and the spline integral of the trace minus the model,
-    with the model summed sample by sample in either order of its terms,
-    agree within gamma_n (|S(trace)| + sum_a |c_a S(col_a)|), n the
-    samples: forming trace - model rounds on the scale of its terms.  The
-    remainder bound holds at least that gap beyond its three other parts
-    (the halving estimate, twice the value at t1, the tail)."""
+    """The remainder bound holds twice |trace(t1) - model(t1)| and the
+    sample's tail bound, with the model at t1 summed in either order of its
+    terms: forming trace - model rounds on the scale of its terms, and the
+    bound charges gamma_n (|trace(t1)| + sum_a |c_a t1^a|), n the terms
+    plus three, which covers both orders."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fits, traces, zetas = pipe.fits(), pipe.traces(), pipe.zetas()
     for k in (0, 1):
         fit, tr, d = _reported_fit(fits[k], zetas[k]), traces[k], zetas[k].diagnostics
-        t, u, u_hi = tr.grid, np.log(tr.grid), math.log(SPLIT)
-        u_lo, n = float(u[0]), len(t)
-        columns = [conekernel.basis_column(t, *key) for key in fit.coefficients]
-        integrals = zetator._not_a_knot_integral(u, np.column_stack([tr.values, *columns]),
-                                                 u_lo, u_hi)
-        charge = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * (abs(integrals[0]) + sum(
-            abs(c * s) for c, s in zip(fit.coefficients.values(), integrals[1:])))
-        tail = float(np.max(tr.tail_bound)) * (u_hi - u_lo)
+        t1, trace = tr.grid[:1], float(tr.values[0])
+        terms = [c * float(conekernel.basis_column(t1, *key)[0])
+                 for key, c in fit.coefficients.items()]
+        n = len(terms) + 3
+        charge = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) \
+            * (abs(trace) + sum(map(abs, terms)))
+        firsts = []
         for order in (1, -1):
-            model = np.zeros_like(t)
-            for c, column in list(zip(fit.coefficients.values(), columns))[::order]:
-                model += c * column
-            resid = tr.values - model
-            remainder = zetator._not_a_knot_integral(u, resid, u_lo, u_hi)
-            estimate = (remainder - zetator._not_a_knot_integral(u[::2], resid[::2], u_lo, u_hi)) / 15
-            gap = abs(d["remainder_integral"] - remainder)
-            assert gap <= charge, (k, order)
-            others = abs(estimate) + 2.0 * abs(resid[0]) + tail
-            assert d["zeta_prime0_budget"]["remainder"] - others >= gap, (k, order)
+            model = 0.0
+            for term in terms[::order]:
+                model += term
+            firsts.append(trace - model)
+        assert abs(firsts[0] - firsts[1]) <= 2.0 * charge, k
+        for first in firsts:
+            assert d["zeta_prime0_budget"]["remainder"] \
+                >= 2.0 * (abs(first) + float(tr.tail_bound[0])), k
 
 
 # the order of the fit each golden model reports: the one of the two fits
@@ -293,9 +270,9 @@ def test_bias_is_the_spread_to_the_partner(name):
     coefficient on the disk (m = 2), none on m = 3."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
-    z = zetator.zeta_near_zero(tr, fit, 0, split=SPLIT)
-    alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0, split=SPLIT)
-    partner = zetator.zeta_near_zero(tr, fit.partner, 0, split=SPLIT)
+    z = zetator.zeta_near_zero(tr, fit, 0)
+    alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0)
+    partner = zetator.zeta_near_zero(tr, fit.partner, 0)
     d = z.diagnostics
     zeta0_bias, bias = abs(alone.zeta0 - partner.zeta0), abs(alone.zeta_prime0 - partner.zeta_prime0)
     assert d["zeta0_bias"] == zeta0_bias and d["zeta_prime0_budget"]["bias"] == bias
@@ -309,7 +286,6 @@ def test_bias_is_the_spread_to_the_partner(name):
     assert d["zeta_prime0_budget"] == budgets[i] and d["zeta_prime0_bound"] == bounds[i]
     assert d["zeta0_bound"] == reported.diagnostics["zeta0_bound"] + zeta0_bias
     assert (d["fit_residual"], d["fit_condition"]) == (reported_fit.residual, reported_fit.condition)
-    assert d["remainder_integral"] == reported.diagnostics["remainder_integral"]
     assert (z.residue_at_zero, d["residue_bound"]) \
         == (partner.residue_at_zero, partner.diagnostics["residue_bound"])
     log_zero = (F(0), True)
@@ -328,9 +304,9 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     rough = dataclasses.replace(fit, partner=dataclasses.replace(fit.partner, residual=2e-5))
     assert rough.partner.residual > zetator.FIT_RESIDUAL_LIMIT > fit.residual
-    z = zetator.zeta_near_zero(tr, rough, 0, split=SPLIT)
-    both = zetator.zeta_near_zero(tr, fit, 0, split=SPLIT)
-    alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0, split=SPLIT)
+    z = zetator.zeta_near_zero(tr, rough, 0)
+    both = zetator.zeta_near_zero(tr, fit, 0)
+    alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0)
     assert both.diagnostics["fit_order"] == str(REPORTED_ORDER[name])
     d, bias = z.diagnostics, both.diagnostics["zeta_prime0_budget"]["bias"]
     assert d["fit_order"] == str(TEMPLATE_CUTOFF) and d["fit_residual"] == fit.residual
@@ -367,8 +343,16 @@ def test_zeta_prime0_budget_names_its_dominant_term(name):
 
 
 def test_zeta_prime0_dominant_names_no_column_off_the_fit():
-    """On one radial mode the remainder dominates, and no column is named."""
-    (z,) = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-4)).zetas().values()
-    budget = z.diagnostics["zeta_prime0_budget"]
-    assert z.diagnostics["zeta_prime0_dominant"] == {"term": "remainder"}
-    assert budget["remainder"] > budget["fit_shift"] > 0.0
+    """A column is named when the fit shift dominates, and only then: on
+    one radial mode, and on its fit with every coefficient bound zeroed,
+    where the remainder dominates and no column is named."""
+    pipe = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-4))
+    (z,) = pipe.zetas().values()
+    dominant = z.diagnostics["zeta_prime0_dominant"]
+    assert ("column" in dominant) == (dominant["term"] == "fit_shift")
+    fit = pipe.fits()[0]
+    exact = dataclasses.replace(fit, coefficient_bounds=dict.fromkeys(fit.coefficient_bounds, 0.0))
+    d = zetator.zeta_near_zero(pipe.traces()[0], exact, 0).diagnostics
+    budget = d["zeta_prime0_budget"]
+    assert d["zeta_prime0_dominant"] == {"term": "remainder"}
+    assert budget["remainder"] > budget["large_t"] > budget["fit_shift"] == 0.0

@@ -48,8 +48,12 @@ CASES = {
 
 
 def _torsion(capsys, flags):
+    """The report of one case, whose torsion zeta function is regular at
+    s = 0, as the calculus predicts for every case here."""
     assert main(["torsion", *flags]) == 0
-    return json.loads(capsys.readouterr().out)["report"]
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["torsion_zeta_regular"]
+    return report
 
 
 @pytest.mark.parametrize("name", CASES)

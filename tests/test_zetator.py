@@ -3,35 +3,46 @@
 The k^2 pi^2 spectrum has zeta(s) = pi^(-2s) zeta_R(2s), so zeta(0) = -1/2
 and zeta'(0) = -log 2 (acceptance criterion 5, `oracles.zeta_riemann`); a
 single unit eigenvalue has zeta identically 1.  Both pin every piece of the
-Mellin-split bookkeeping.
+Mellin-split bookkeeping.  The (t1, inf) integral is checked on its own:
+its special functions against mpmath and scipy, a product's Poisson form
+against the sum over pairs of cone and base eigenvalues, and one radial
+mode against a quadrature of its theta series.
 """
 
 import math
 from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath  # test oracle only
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline  # test oracle only
 from scipy.special import exp1 as scipy_exp1  # test oracle only
+from scipy.special import kv as scipy_kv  # test oracle only
 
+from torsionlab.bessel import bessel_k
+from torsionlab.cli import ModelConfig, Pipeline
 from torsionlab.conekernel import (
+    SMALLEST_NORMAL,
     Spectrum,
     TraceSamples,
     _certified_trace,
     cone_spectrum,
+    fiber_factor_trace,
     fit_expansion,
+    gammaincc,
     log_grid,
+    product_trace,
     truncated_cone_trace,
 )
 from torsionlab.errors import DecayRateUnknown, FitResidualTooLarge
-from torsionlab.fiber import single_nu_spectrum
+from torsionlab.fiber import single_nu_spectrum, torus_spectrum
 from torsionlab.phg import ExpansionTemplate, heat_trace_structure, zeta_pole_structure
 from torsionlab.zetator import (
     G1,
+    SPECIAL_FUNCTION_ERROR,
     ZetaData,
-    _integral_table,
-    _not_a_knot_integral,
+    _large_t_integral,
+    _upper_gamma,
     exp1,
     kernel_dimension,
     torsion_assemble,
@@ -54,60 +65,6 @@ def halfline_zeta():
     return tr, fit, zeta_near_zero(tr, fit, kernel_dim=0)
 
 
-# ------------------------------------------------------ spline integral --
-
-def _grid(kind, n, rng):
-    if kind == "geometric":
-        return np.log(np.geomspace(1e-4, 1.0, n))
-    return np.concatenate(([-9.0], np.sort(rng.uniform(-9.0, 0.0, n - 2)), [0.0]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 241])
-@pytest.mark.parametrize("kind", ["geometric", "random"])
-def test_not_a_knot_integral_matches_cubic_spline(n, kind):
-    rng = np.random.default_rng(n)
-    for trial in range(20):
-        u = _grid(kind, n, rng)
-        y = rng.standard_normal(n) if trial % 2 else np.exp(u) * np.sin(3.0 * u)
-        scale = float(np.sum(np.abs(y[:-1]) * np.diff(u)))
-        inner = rng.uniform(u[0], u[-1])
-        for u_lo, u_hi in [(u[0], u[-1]), (u[0], inner), (inner, u[-1]),
-                           (u[0], 0.5 * (u[-2] + u[-1]))]:
-            expect = float(CubicSpline(u, y).integrate(u_lo, u_hi))
-            got = _not_a_knot_integral(u, y, u_lo, u_hi)
-            assert abs(got - expect) <= 1e-12 * scale, (trial, u_lo, u_hi)
-
-
-def test_not_a_knot_integral_is_exact_for_cubics():
-    u = np.log(np.geomspace(1e-3, 1.0, 17))
-    y = 2.0 - u + 0.5 * u ** 2 - 0.25 * u ** 3
-    exact = lambda x: 2.0 * x - x ** 2 / 2 + x ** 3 / 6 - x ** 4 / 16
-    for u_hi in (u[-1], u[9] + 0.3 * (u[10] - u[9])):
-        assert _not_a_knot_integral(u, y, u[0], u_hi) == \
-            pytest.approx(exact(u_hi) - exact(u[0]), rel=1e-13)
-
-
-def test_spline_integral_error_estimate():
-    """The integral table's error row: grid halving over 15 from five
-    points on; below that the whole value is the error.  Halving an even
-    count leaves a grid one step short of u_hi, over which the last piece
-    extends as scipy's does."""
-    def table_row(u, y):
-        samples = TraceSamples(np.exp(u), y, np.zeros_like(u), None)
-        values, columns = _integral_table(samples, [], math.e)
-        assert columns == {} and values[0] == y[0]
-        return values[1:]
-
-    u = np.linspace(0.0, 1.0, 4)
-    assert table_row(u, u ** 3) == pytest.approx((0.25, 0.25))
-    for n in (9, 10):
-        u = np.linspace(0.0, 1.0, n)
-        full, err = table_row(u, np.exp(u))
-        coarse = float(CubicSpline(u[::2], np.exp(u[::2])).integrate(0.0, 1.0))
-        assert full == pytest.approx(math.e - 1.0, rel=1e-6)
-        assert err == pytest.approx((full - coarse) / 15.0, rel=1e-6)
-
-
 # ----------------------------------------------------------- closed forms --
 
 def test_single_unit_eigenvalue():
@@ -119,6 +76,18 @@ def test_single_unit_eigenvalue():
     z = zeta_near_zero(tr, fit, kernel_dim=0)
     assert abs(z.zeta0 - 1.0) < 1e-9
     assert abs(z.zeta_prime0) < 1e-8
+
+
+def test_square_torus_zeta_prime0():
+    """The square torus of period 2 pi, a spectrum with one zero mode:
+    zeta'(0) = -log 2 pi - 2 beta'(0), beta'(0) = log(Gamma(1/4)^2 / (2 pi sqrt 2))
+    for Dirichlet's beta."""
+    torus = torus_spectrum((2.0 * math.pi, 2.0 * math.pi), cutoff=200.0)
+    tr = fiber_factor_trace(torus, 0, log_grid(1e-3, 1.0, 60))
+    tpl = ExpansionTemplate.from_terms([(-1, False), (0, False), (1, False)])
+    z = zeta_near_zero(tr, fit_expansion(tr.restrict(t_max=0.1), tpl), kernel_dim=1)
+    beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
+    assert abs(z.zeta_prime0 - (-math.log(2.0 * math.pi) - 2.0 * beta1)) <= z.error_bound
 
 
 # Stieltjes' constant gamma_1: zeta_R(1 + s) = 1/s + gamma - gamma_1 s + O(s^2)
@@ -196,10 +165,106 @@ def test_large_t_integral_refuses_a_zero_mode_weight_off_the_kernel():
         zeta_near_zero(tr, fit, kernel_dim=1)
 
 
-def test_samples_must_reach_the_split_point():
-    tr, fit, _ = halfline_zeta()
-    with pytest.raises(ValueError, match="samples must reach the split point 2.0"):
-        zeta_near_zero(tr, fit, kernel_dim=0, split=2.0)
+def test_large_t_integral_refuses_a_zero_mode_times_a_base():
+    """A zero mode of the cone times a flat base does not decay, and the
+    lattice sums of the Poisson form diverge for it: refused."""
+    grid = log_grid(1e-2, 1.0, 20)
+    base = {0: fiber_factor_trace(torus_spectrum((3.0,), cutoff=70.0), 0, grid)}
+    cone = {0: _certified_trace(Spectrum.of([0.0, 1.0], [1.0, 1.0], 4e4), q=0.5, t_grid=grid)}
+    with pytest.raises(DecayRateUnknown, match="zero mode times a flat base"):
+        _large_t_integral(product_trace(base, cone, (3.0,))[0], kernel_dim=1)
+
+
+# ------------------------------------------------------ large-t integral --
+
+# each special function of the large-t integral and its mpmath value;
+# bessel_k over the arguments |l| sqrt(lam) that lattice sums reach, from
+# 0.1 (a base period of 0.04 on the disk) on
+SPECIAL_FUNCTIONS = {
+    "E1": (exp1, mpmath.e1, 1e-6),
+    "sqrt(pi) Q(1/2)": (lambda x: math.sqrt(math.pi) * gammaincc(0.5, x),
+                        lambda v: mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.sqrt(v)), 1e-6),
+    **{f"K_{nu}": (lambda x, nu=nu: bessel_k(nu, x), lambda v, nu=nu: mpmath.besselk(nu, v), 0.1)
+       for nu in (0.5, 1.0, 1.5)},
+}
+
+
+@pytest.mark.parametrize("name", SPECIAL_FUNCTIONS)
+def test_special_functions_within_their_charged_error(name):
+    """exp1, sqrt(pi) Q(1/2, x) and bessel_k at nu in {1/2, 1, 3/2} are
+    within SPECIAL_FUNCTION_ERROR (1 + x) relative of mpmath, plus the
+    smallest normal float where they underflow, up to 746: the error the
+    large-t bound charges them; bessel_k also of scipy.special.kv."""
+    ours, theirs, lowest = SPECIAL_FUNCTIONS[name]
+    mpmath.mp.dps = 30
+    x = np.geomspace(lowest, 746.0, 120)
+    got = ours(x)
+    want = np.array([float(theirs(v)) for v in x.tolist()])
+    charged = SPECIAL_FUNCTION_ERROR * (1.0 + x) * want + SMALLEST_NORMAL
+    assert np.all(np.abs(got - want) <= charged)
+    if name.startswith("K_"):
+        assert np.all(np.abs(got - scipy_kv(float(name[2:]), x)) <= charged)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+def test_bessel_k_refuses_out_of_domain(x):
+    with pytest.raises(ValueError):
+        bessel_k(1.0, np.array([1.0, x]))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_upper_gamma_recurrence_against_mpmath(b):
+    """Gamma(-b/2, x) by the downward recurrence, against mpmath, is within
+    SPECIAL_FUNCTION_ERROR (1 + x) of the recurrence's size, the scale the
+    bound charges, which is at least the value, plus the smallest normal
+    float; the product's l = 0 term lam^{b/2} Gamma(-b/2, lam t1) reads it
+    at x = lam t1."""
+    mpmath.mp.dps = 30
+    x = np.geomspace(1e-4, 746.0, 200)
+    value, size = _upper_gamma(b, x)
+    want = np.array([float(mpmath.gammainc(-b / 2, v)) for v in x.tolist()])
+    assert np.all(size >= value) and np.all(value >= 0.0)
+    assert np.all(np.abs(value - want) <= SPECIAL_FUNCTION_ERROR * (1.0 + x) * size
+                  + SMALLEST_NORMAL)
+
+
+@pytest.mark.parametrize("periods", [(3.0,), (3.0, 4.0)], ids=["circle", "torus"])
+def test_product_large_t_integral_against_pair_sums(periods):
+    """The (t1, inf) integral of a product degree k by Poisson summation on
+    the base, against sum_j C(b, k - j) sum w p E1((lam + mu) t1) over every
+    eigenvalue lam of cone degree j and base eigenvalue mu (p lattice
+    points) with (lam + mu) t1 <= 746, scipy's E1: the disk at t_min 3e-2
+    times a circle and a torus."""
+    pipe = Pipeline(ModelConfig(t_min=3e-2))
+    t1, cone = float(pipe.grid[0]), pipe.cone_traces()
+    base_fiber = torus_spectrum(periods, cutoff=math.sqrt(746.0 / t1))
+    base = {d: fiber_factor_trace(base_fiber, d, pipe.grid) for d in range(len(periods) + 1)}
+    product = product_trace(base, cone, periods)
+    mu = np.concatenate(([0.0], base_fiber.mu2))
+    points = np.concatenate(([1.0], base_fiber.points))
+    for k in (0, 1):
+        value, bound = _large_t_integral(product[k], kernel_dim=0)
+        pairs = 0.0
+        for j in range(k + 1):
+            spectrum = cone[j].eigenvalues
+            for lam, w in zip(spectrum.lam.tolist(), spectrum.weight.tolist()):
+                near = (lam + mu) * t1 <= 746.0
+                pairs += math.comb(len(periods), k - j) * w \
+                    * float(np.dot(points[near], scipy_exp1((lam + mu[near]) * t1)))
+        assert abs(value - pairs) <= bound, k
+        assert abs(value - pairs) <= 1e-13 * value, k
+
+
+def test_single_order_large_t_integral_against_quadrature():
+    """One radial mode of order 1/2 (eigenvalues k^2 pi^2 up to 3.4e5, t1 =
+    1e-4): the integral against mpmath's quadrature of
+    int_t1^inf t^-1 (theta_3(0, e^{-pi^2 t}) - 1) / 2 dt, within its bound."""
+    tr, _, _ = halfline_zeta()
+    value, bound = _large_t_integral(tr, kernel_dim=0)
+    mpmath.mp.dps = 30
+    want = mpmath.quad(lambda t: (mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi ** 2 * t)) - 1)
+                       / (2 * t), [tr.grid[0], 1e-3, 1e-2, 1e-1, 1, mpmath.inf])
+    assert abs(value - float(want)) <= bound < 1e-12
 
 
 # ------------------------------------------------------------- pole checks --
@@ -234,6 +299,16 @@ def test_contour_residue_regular_at_zero():
     tr, fit, z = halfline_zeta()
     res = zeta_contour_residue(tr, fit, 0)
     assert abs(res) <= max(z.error_bound, 1e-8)
+
+
+def test_contour_oracle_refuses_a_spectrum_with_a_base():
+    """The oracle sums the eigenvalues as the trace's own, which a product
+    spectrum's are not: it refuses one that records a base."""
+    tr, fit, _ = halfline_zeta()
+    based = TraceSamples(tr.grid, tr.values, tr.tail_bound,
+                         replace(tr.eigenvalues, base_periods=(3.0,)))
+    with pytest.raises(ValueError, match="records a base"):
+        gamma_weighted_zeta(based, fit, 0, s=2.0 + 0j)
 
 
 def test_complex_evaluator_against_closed_form():
@@ -271,8 +346,7 @@ def test_kernel_dims_cone():
 
 def _zeta_stub(degree, zp, res=0.0, bound=1e-10):
     return ZetaData(degree, 0.0, 0.0, zp, 0, res,
-                    {"zeta0_bound": bound, "zeta_prime0_bound": bound, "residue_bound": bound,
-                     "split": 1.0})
+                    {"zeta0_bound": bound, "zeta_prime0_bound": bound, "residue_bound": bound})
 
 
 def test_torsion_all_derivatives_zero():
