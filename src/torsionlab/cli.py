@@ -131,21 +131,24 @@ def parse_config_file(path: str) -> dict:
 #   e^(-1/t) is 4.5e-5 at t = 0.1 and 2.3e-16 at 1/36; at 0.07 the T^2
 #   cone misses its reference value.
 # - TEMPLATE_CUTOFF is the order of the first fit.  The fit pins the volume
-#   and boundary coefficients (`Pipeline.pins`) and has no t^a log t
-#   column: these models' zeta functions have only simple poles
+#   and boundary coefficients, and the third where the edge does not share
+#   its exponent (`Pipeline.pins`), and has no t^a log t column: these
+#   models' zeta functions have only simple poles
 #   (Bordag-Kirsten-Dowker), and the log columns are near-collinear with
 #   the powers (order 3 with all of them: condition 1.7e9 on the disk and
 #   1.7e10 on the circle product, on unit columns).
 # - PARTNER_CUTOFF is the order of a second fit to the same window, with
-#   the same pins; |order 2 - order 3| joins both fits' zeta(0) and
-#   zeta'(0) bounds as the truncation bias, and the report reads the fit
-#   with the smaller zeta'(0) bound: order 2 on the disk, order 3 on the
-#   circle product and the T^2 cone.  Either fixed order is worse: order 2
-#   misses the T^2 reference at t_min 1.5e-2, and order 3 makes the
-#   torus-base product's log T bound 39 times larger.  The partner keeps
-#   the t^0 log t column where the full template has one (even m): minus
-#   its coefficient is the measured residue at s = 0.  Its condition is
-#   3.0e5 on the disk.
+#   the same pins.  The spread |order 2 - order 3| of zeta(0) and zeta'(0)
+#   is the truncation bias: order 3's bounds add it, and order 2's add it
+#   plus order 3's own bound, at most the spread again (`zetator`).  The
+#   report reads the fit with the smaller zeta'(0) bound: order 2 on the
+#   circle cones and the torus-base product, order 3 on the circle product
+#   and the T^2 cone.  Either fixed order is worse: order 2 misses the T^2
+#   reference at t_min 2e-2 and doubles the circle product's log T bound,
+#   and order 3 makes the torus-base product's 7.5 times larger.  The
+#   partner keeps the t^0 log t column where the full template has one
+#   (even m): minus its coefficient is the measured residue at s = 0.  Its
+#   condition is 4.1e4 on the disk.
 # - One radial mode has the two-term theta expansion, order 1, and takes
 #   no pins and no partner.
 # - The models are exact cones, so their metric is exactly even, the
@@ -393,14 +396,14 @@ class Pipeline:
                                         cutoff=PARTNER_CUTOFF).without_logs(keep=(0,))
 
     def pins(self, degree: int) -> dict[Fraction, float]:
-        """The volume and boundary heat coefficients of `degree`: the cone
-        over the fiber N (dimension n) cut at x = 1 has volume vol(N)/(n+1)
-        and boundary vol(N), each times the base's volume.  One radial mode
-        takes none."""
+        """The heat coefficients of `degree` that geometry fixes
+        (`conekernel.heat_pins`): the cone over the fiber N (dimension n)
+        cut at x = 1 has volume vol(N)/(n+1) and boundary vol(N), each
+        times the base's volume.  One radial mode takes none."""
         if self.cfg.single_nu is not None:
             return {}
         fiber_volume, base_volume = math.prod(self.fiber_periods), math.prod(self.base_periods)
-        return conekernel.heat_pins(self.m, degree,
+        return conekernel.heat_pins(self.m, len(self.fiber_periods), degree,
                                     fiber_volume / self.cone_dim * base_volume,
                                     fiber_volume * base_volume)
 

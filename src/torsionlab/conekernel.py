@@ -19,10 +19,11 @@ dropped mass.
 Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
 t^(-a_min) so the leading fitted term carries comparable influence across
-the sample range.  Coefficients that geometry fixes (`heat_pins`: volume
-and Dirichlet boundary) can be pinned, so that only the others are
-fitted, and a higher-order partner template can be fitted alongside, to
-measure the truncation of the first.
+the sample range.  Coefficients that geometry fixes (`heat_pins`: volume,
+Dirichlet boundary, and the third where the edge does not share it) can
+be pinned, so that only the others are fitted, and a higher-order
+partner template can be fitted alongside, to measure the truncation of
+the first.
 """
 
 from __future__ import annotations
@@ -478,16 +479,39 @@ class FittedExpansion:
         return out
 
 
-def heat_pins(m: int, degree: int, volume: float, boundary: float) -> dict[Fraction, float]:
-    """The two heat coefficients that geometry fixes in form degree p of an
-    m-dimensional model with Dirichlet boundary: rank C(m, p) times the
-    volume term V/(4 pi)^(m/2) at t^(-m/2) (Weyl), and the boundary term
-    -A/(4 (4 pi)^((m-1)/2)) at t^(-(m-1)/2) (Branson-Gilkey; Gilkey,
-    Asymptotic Formulae in Spectral Geometry, 2004).  The edge enters from
-    t^(-b/2) on, b < m - 1, so it shares neither exponent."""
+def heat_pins(m: int, n: int, degree: int, volume: float,
+              boundary: float) -> dict[Fraction, float]:
+    """The heat coefficients that geometry fixes in form degree k of an
+    m-dimensional model, the cone over a flat n-torus N cut at x = 1 with
+    a Dirichlet condition, times a flat base B (Branson-Gilkey; Gilkey,
+    Asymptotic Formulae in Spectral Geometry, 2004).  With C = C(m, k),
+    V the volume and A = vol(N) vol(B) the boundary's:
+
+    * t^(-m/2): C V / (4 pi)^(m/2) (Weyl);
+    * t^(-(m-1)/2): -C A / (4 (4 pi)^((m-1)/2));
+    * n = 2, at t^(-(m-2)/2): a_1 = n A [C/6 + C(m-2, k-1)] / (4 pi)^(m/2),
+      from the scalar curvature -n(n-1)/x^2, its Weitzenboeck trace on
+      k-forms and the boundary's mean curvature n;
+    * n = 1, at t^(-(m-3)/2): the Dirichlet a_(3/2) of a flat space with
+      a unit-curvature boundary, C A / (128 (4 pi)^((m-1)/2)).
+
+    The cone's tip adds only a t^0 term, so with the base's theta
+    function the edge enters at t^(-b/2) = t^(-(m-n-1)/2), and no
+    coefficient it shares is pinned: a_1 when n = 1, a_(3/2) when n = 2.
+    Nor is a_(3/2) when m = 3, where it is zeta(0) itself, which stays a
+    measurement.  A torus fiber of dimension 3 or more pins only the first
+    two: no run has checked its a_1."""
     rank = math.comb(m, degree)
-    return {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
+    pins = {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
             Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
+    if n == 2:
+        # math.comb refuses C(m-2, -1), which is 0
+        weitzenboeck = math.comb(m - 2, degree - 1) if degree else 0
+        pins[Fraction(2 - m, 2)] = n * boundary * (rank / 6.0 + weitzenboeck) \
+            / (4.0 * math.pi) ** (m / 2.0)
+    elif n == 1 and m != 3:
+        pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
+    return pins
 
 
 def column_name(key: tuple[Fraction, bool]) -> str:

@@ -367,29 +367,44 @@ def cone_supertrace():
 
 
 def heat_coefficients_pinned():
-    """The volume and boundary heat coefficients the pipeline pins, against
-    a free fit (the order-2 template with its log columns) of the disk at
-    t_min 1e-3 and the T^2 cone at 2.5e-3, degrees 0 and 1.  Measured: the
-    free fit is within 7.5e-8 relative on the disk and 9.2e-7 on T^2 (4.1e-6
-    and 5.3e-5 with the fit window t <= 0.1)."""
+    """The heat coefficients the pipeline pins, against free fits in
+    degrees 0 and 1.  The volume and boundary coefficients of the disk at
+    t_min 1e-3 and the T^2 cone at 2.5e-3 are fitted in the order-2
+    template with its log columns.  Measured: within 7.5e-8 relative on
+    the disk and 9.2e-7 on T^2 (4.1e-6 and 5.3e-5 with the fit window
+    t <= 0.1).  The third pin (a_(3/2) on circle fibers, a_1 on torus
+    fibers) is fitted in the log-free partner template with only the first
+    two pinned, on those two and on the torus-base product at 1e-3; the log
+    columns' collinearity puts the disk's order-2 fit off by 9.3e-3.
+    Measured: within 7.9e-6 on the disk (the same at every radius: the
+    template's truncation), 9.5e-8 on T^2 and 5.4e-7 on the product."""
     from .cli import FIT_T_MAX, TEMPLATE_CUTOFF, ModelConfig, Pipeline
 
-    cases = {"disk": (ModelConfig(), 1e-5),
+    # config, tolerance of the first two pins (or None), of the third
+    cases = {"disk": (ModelConfig(), 1e-5, 3e-5),
              "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=2.5e-3),
-                     1.5e-4)}
-    worst = {}
-    for name, (cfg, _) in cases.items():
+                     1.5e-4, 1e-6),
+             "T x disk": (ModelConfig(model="product", base="torus",
+                                      base_periods=[TWO_PI, TWO_PI]), None, 5e-6)}
+    details, passed = [], True
+    for name, (cfg, tol, tol3) in cases.items():
         pipe = Pipeline(cfg)
         tpl = phg.heat_trace_structure(pipe.m, pipe.b, even=True, boundary=True,
                                        cutoff=TEMPLATE_CUTOFF)
-        errors = []
+        errors, errors3 = [], []
         for k in (0, 1):
-            fit = conekernel.fit_expansion(pipe.traces()[k].restrict(t_max=FIT_T_MAX), tpl)
-            errors += [abs(fit.coefficient(alpha) / c - 1.0) for alpha, c in pipe.pins(k).items()]
-        worst[name] = max(errors)
-    return all(worst[name] <= tol for name, (_, tol) in cases.items()), \
-        "free-fit volume and boundary coefficients vs the pins, degrees 0 and 1: max rel err " \
-        + ", ".join(f"{name} {err:.2e} (tol {cases[name][1]:.1e})" for name, err in worst.items())
+            samples = pipe.traces()[k].restrict(t_max=FIT_T_MAX)
+            *lead, (third, c3) = pipe.pins(k).items()
+            fit3 = conekernel.fit_expansion(samples, pipe.partner_template(), dict(lead))
+            errors3.append(abs(fit3.coefficient(third) / c3 - 1.0))
+            if tol is not None:
+                fit = conekernel.fit_expansion(samples, tpl)
+                errors += [abs(fit.coefficient(alpha) / c - 1.0) for alpha, c in lead]
+        passed &= (tol is None or max(errors) <= tol) and max(errors3) <= tol3
+        first = f"{max(errors):.2e} (tol {tol:.1e}) / " if tol is not None else ""
+        details.append(f"{name} {first}{max(errors3):.2e} (tol {tol3:.1e})")
+    return passed, "free fits vs the pins, degrees 0 and 1, max rel err of the first two / " \
+        "the third: " + ", ".join(details)
 
 
 # (name, acceptance criterion or None, check), in selftest order

@@ -34,17 +34,26 @@ with the same D_a: value and bound weights are one map by construction.
 The shifts are charged independently; the correlated
 ||D^T pinv(A)||_1 max|r| is smaller, but it leaves out the fit's
 truncation bias and misses the T^2 cone's reference value.  A pinned
-coefficient (volume, boundary) has b_a = 0.
+coefficient (`conekernel.heat_pins`) has b_a = 0.
 
 The bounds on the shifts say nothing about the terms the template leaves
 out.  So a fit may carry a partner: the fit of a higher-order template
 to the same samples, with the same pins.  The spread |fit - partner| of
-zeta(0) and of zeta'(0) joins both fits' bounds as the truncation bias,
-and the report takes the values, bounds and budget of the fit whose
-zeta'(0) bound is the smaller (`fit_order` names it); each bound then
-covers the other fit's value too.  The partner keeps the t^0 log t column
-where the template calculus has one, and the residue at s = 0 is minus its
-coefficient, so the regularity of the zeta function stays a measurement.
+zeta(0) and of zeta'(0) is the truncation bias, and the partner's bounds
+add it.  For the fit's value v2 and the partner's v3, |v2 - true| <=
+spread + |v3 - true|, so the spread measures the fit's truncation only
+while the partner's own error is small beside it: the fit's bounds add the spread plus the partner's
+own bound (before the bias), but at most the spread again.  The charge is
+continuous.  The plain spread left the pinned T^2 cone's order-2 zeta(0)
+at t_min 2e-2 off its reference by 1.20 times its bound.  The partner's
+whole bound would make the fit's bound always the larger, which is
+"report the partner always", measured and rejected: it makes the
+torus-base product's log T bound 7.5 times larger.  The report takes the
+values, bounds and budget of the fit whose zeta'(0) bound is the smaller
+(`fit_order` names it); each bound then covers the other fit's value
+too.  The partner keeps the t^0 log t column where the template calculus
+has one, and the residue at s = 0 is minus its coefficient, so the
+regularity of the zeta function stays a measurement.
 Each degree's diagnostics give the zeta'(0) budget (fit shift, remainder,
 large t, bias), name its dominant term, and name the pinned columns; the
 fitted coefficients stay with the fit, the predicted poles with
@@ -322,9 +331,10 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     split at the first sample.
 
     With a partner fit, the spread of the two fits' zeta(0) and zeta'(0)
-    joins both fits' bounds (`bias`), and the fit with the smaller zeta'(0)
-    bound gives the values, their bounds, the residual and the condition;
-    on a tie the fit's own.  The residue at s = 0 is read from the
+    joins the partner's bounds (`zeta0_bias`, `bias`), and the spread plus
+    min(the partner's own bound, the spread) joins the fit's; the fit with
+    the smaller zeta'(0) bound gives the values, their bounds, the
+    residual and the condition; on a tie the fit's own.  The residue at s = 0 is read from the
     partner's t^0 log t term."""
     if fit.residual >= FIT_RESIDUAL_LIMIT:
         raise FitResidualTooLarge(
@@ -336,17 +346,23 @@ def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     extra = {}
     if fit.pinned:
         extra["pinned"] = [column_name(key) for key in fit.pinned]
-    if fit.partner is not None:
-        own, partner = reports
-        extra["zeta0_bias"] = abs(own["zeta0"] - partner["zeta0"])
-        bias = abs(own["zeta_prime0"] - partner["zeta_prime0"])
-        for r in reports:
-            r["zeta0_bound"] += extra["zeta0_bias"]
-            r["budget"]["bias"] = bias
     for r in reports:
         r["zeta_prime0_bound"] = sum(r["budget"].values())
+    if fit.partner is not None:
+        own, partner = reports
+        spread0 = abs(own["zeta0"] - partner["zeta0"])
+        spread = abs(own["zeta_prime0"] - partner["zeta_prime0"])
+        # |v2 - true| <= spread + |v3 - true|, charged at most twice the spread
+        own["zeta0_bias"] = spread0 + min(partner["zeta0_bound"], spread0)
+        own["budget"]["bias"] = spread + min(partner["zeta_prime0_bound"], spread)
+        partner["zeta0_bias"], partner["budget"]["bias"] = spread0, spread
+        for r in reports:
+            r["zeta0_bound"] += r["zeta0_bias"]
+            r["zeta_prime0_bound"] = sum(r["budget"].values())
     chosen = min((r for r in reports if r["fit"].residual < FIT_RESIDUAL_LIMIT),
                  key=lambda r: r["zeta_prime0_bound"])
+    if "zeta0_bias" in chosen:
+        extra["zeta0_bias"] = chosen["zeta0_bias"]
     # the partner, the last fit, keeps t^0 log t where the calculus has one
     residue_from = reports[-1]
     budget, shifts = chosen["budget"], chosen["shifts"]

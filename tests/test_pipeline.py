@@ -113,8 +113,8 @@ def test_pipeline_template_matches_symbolic_prediction():
 
 
 def test_pins_are_the_volume_and_boundary_of_the_model():
-    """Degree k pins C(m, k) V / (4 pi)^(m/2) and -C(m, k) A / (4 (4 pi)^((m-1)/2)):
-    the disk has V = pi and A = 2 pi, the T^2 cone (2 pi)^2 / 3 and (2 pi)^2,
+    """Degree k pins C(m, k) V / (4 pi)^(m/2) and -C(m, k) A / (4 (4 pi)^((m-1)/2))
+    first: the disk has V = pi and A = 2 pi, the T^2 cone (2 pi)^2 / 3 and (2 pi)^2,
     and a product multiplies both by the base's volume.  One radial mode
     takes no pins and no partner."""
     four_pi = 4.0 * math.pi
@@ -129,9 +129,12 @@ def test_pins_are_the_volume_and_boundary_of_the_model():
             rank = math.comb(m, k)
             want = {F(-m, 2): rank * volume / four_pi ** (m / 2),
                     F(1 - m, 2): -rank * boundary / (4 * four_pi ** ((m - 1) / 2))}
-            assert pipe.pins(k) == pytest.approx(want, rel=1e-15), (cfg, k)
+            pins = pipe.pins(k)
+            assert {alpha: pins[alpha] for alpha in want} == pytest.approx(want, rel=1e-15), \
+                (cfg, k)
     assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
-        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4}, rel=1e-15)
+        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(1, 2): math.sqrt(math.pi) / 128},
+        rel=1e-15)
     single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
     assert single.pins(0) == {} and single.partner_template() is None
     fit = single.fits()[0]
@@ -146,6 +149,55 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(conekernel, name, counted)
     return calls
+
+
+TWO_PI = 2 * math.pi
+# flags of each model, and the exponent of its third pin: a_(3/2) at
+# t^(-(m-3)/2) on circle fibers, a_1 at t^(-(m-2)/2) on T^2 fibers; none
+# where the edge shares it (the circle product's t^0); one radial mode
+# takes no pins (test_pins_are_the_volume_and_boundary_of_the_model)
+THIRD_PIN = {
+    "disk": (ModelConfig(), F(1, 2)),
+    "r=0.5": (ModelConfig(radius=0.5), F(1, 2)),
+    "r=2.3": (ModelConfig(radius=2.3), F(1, 2)),
+    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), F(-1, 2)),
+    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), F(-1, 2)),
+    "torus-base product": (ModelConfig(model="product", base="torus",
+                                       base_periods=[TWO_PI, 3.0]), F(-1, 2)),
+    "circle x T^2": (ModelConfig(model="product", base="circle", fiber_kind="torus",
+                                 periods=[TWO_PI, TWO_PI]), F(-1)),
+    "circle product": (ModelConfig(model="product", base="circle", radius=1.5), None),
+}
+
+
+@pytest.mark.parametrize("name", THIRD_PIN)
+def test_third_pin_where_the_edge_does_not_share_it(name):
+    """The pinned exponents of each model, and the third pin's closed form:
+    (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 + C(m-2, k-1)] on torus
+    fibers (n = 2), C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) on
+    circle fibers.  The disk's is the planar sqrt(pi t) / 128, T^2's is
+    sqrt(pi) [1/6, 3/2, 3/2, 1/6], and each is Hodge-symmetric."""
+    cfg, third = THIRD_PIN[name]
+    pipe = Pipeline(cfg)
+    m, n = pipe.m, len(pipe.fiber_periods)
+    volume = math.prod(pipe.fiber_periods) * math.prod(pipe.base_periods)
+    for k in pipe.degrees:
+        pins = pipe.pins(k)
+        assert list(pins) == [F(-m, 2), F(1 - m, 2)] + ([third] if third else []), k
+        assert pins == pytest.approx(pipe.pins(m - k), rel=1e-15), k
+        if third is None:
+            continue
+        if n == 2:
+            want = n * volume * (math.comb(m, k) / 6 + (math.comb(m - 2, k - 1) if k else 0)) \
+                / (4 * math.pi) ** (m / 2)
+        else:
+            want = math.comb(m, k) * volume / (128 * (4 * math.pi) ** ((m - 1) / 2))
+        assert pins[third] == pytest.approx(want, rel=1e-15), k
+    if name == "disk":
+        assert pipe.pins(0)[third] == pytest.approx(math.sqrt(math.pi) / 128, rel=1e-15)
+    if name == "T^2":
+        assert [pipe.pins(k)[third] for k in pipe.degrees] \
+            == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14)
 
 
 def test_stages_computed_once(monkeypatch):
@@ -262,44 +314,48 @@ REPORTED_ORDER = {"disk": TEMPLATE_CUTOFF, "product": PARTNER_CUTOFF, "torus": P
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_bias_is_the_spread_to_the_partner(name):
-    """Both fits' bounds add the spread of their zeta data (the bias, bit
-    for bit the same whichever fit is reported), and the fit with the
-    smaller zeta'(0) bound gives the values, bounds, budget, residual and
-    condition: order 2 on the disk, order 3 on the circle product and on
-    T^2.  The residue at s = 0 is the partner's: minus its t^0 log t
-    coefficient on the disk (m = 2), none on m = 3."""
+    """The partner's bounds add the spread of the two fits' zeta data (the
+    bias), and the order-2 fit's add the spread plus the partner's own
+    bound, at most the spread again; the fit with the smaller zeta'(0)
+    bound gives the values, bounds, budget, residual and condition: order
+    2 on the disk, order 3 on the circle product and on T^2.  The residue
+    at s = 0 is the partner's: minus its t^0 log t coefficient on the disk
+    (m = 2), none on m = 3."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     z = zetator.zeta_near_zero(tr, fit, 0)
     alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0)
     partner = zetator.zeta_near_zero(tr, fit.partner, 0)
-    d = z.diagnostics
-    zeta0_bias, bias = abs(alone.zeta0 - partner.zeta0), abs(alone.zeta_prime0 - partner.zeta_prime0)
-    assert d["zeta0_bias"] == zeta0_bias and d["zeta_prime0_budget"]["bias"] == bias
+    d, own = z.diagnostics, partner.diagnostics
+    spread0, spread = abs(alone.zeta0 - partner.zeta0), abs(alone.zeta_prime0 - partner.zeta_prime0)
+    zeta0_biases = [spread0 + min(own["zeta0_bound"], spread0), spread0]
+    biases = [spread + min(own["zeta_prime0_bound"], spread), spread]
     assert "bias" not in alone.diagnostics["zeta_prime0_budget"] and "zeta0_bias" not in alone.diagnostics
-    budgets = [{**each.diagnostics["zeta_prime0_budget"], "bias": bias} for each in (alone, partner)]
+    budgets = [{**each.diagnostics["zeta_prime0_budget"], "bias": bias}
+               for each, bias in zip((alone, partner), biases)]
     bounds = [sum(budget.values()) for budget in budgets]
     i = 0 if REPORTED_ORDER[name] == TEMPLATE_CUTOFF else 1
     assert bounds[i] < bounds[1 - i] and d["fit_order"] == str(REPORTED_ORDER[name])
     reported, reported_fit = (alone, partner)[i], (fit, fit.partner)[i]
     assert (z.zeta0, z.zeta_prime0) == (reported.zeta0, reported.zeta_prime0)
     assert d["zeta_prime0_budget"] == budgets[i] and d["zeta_prime0_bound"] == bounds[i]
-    assert d["zeta0_bound"] == reported.diagnostics["zeta0_bound"] + zeta0_bias
+    assert d["zeta0_bias"] == zeta0_biases[i]
+    assert d["zeta0_bound"] == reported.diagnostics["zeta0_bound"] + zeta0_biases[i]
     assert (d["fit_residual"], d["fit_condition"]) == (reported_fit.residual, reported_fit.condition)
     assert (z.residue_at_zero, d["residue_bound"]) \
         == (partner.residue_at_zero, partner.diagnostics["residue_bound"])
     log_zero = (F(0), True)
     assert (log_zero in fit.partner.coefficients) == (name == "disk")
     assert z.residue_at_zero == -fit.partner.coefficients.get(log_zero, 0.0)
-    assert d["pinned"] == ([f"t^{F(-pipe.m, 2)}", f"t^{F(1 - pipe.m, 2)}"])
+    assert d["pinned"] == [f"t^{alpha}" for alpha in pipe.pins(0)]
 
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_partner_over_the_residual_limit_is_never_reported(name):
     """A partner whose residual is over FIT_RESIDUAL_LIMIT is not eligible:
     the order-2 fit is reported, also on the circle product and on T^2,
-    where the partner's zeta'(0) bound is the smaller, and the partner's
-    spread still joins both bounds as the bias."""
+    where the partner's zeta'(0) bound is the smaller, and it still
+    carries the order-2 bias of the spread to the partner."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     rough = dataclasses.replace(fit, partner=dataclasses.replace(fit.partner, residual=2e-5))
@@ -307,11 +363,14 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     z = zetator.zeta_near_zero(tr, rough, 0)
     both = zetator.zeta_near_zero(tr, fit, 0)
     alone = zetator.zeta_near_zero(tr, dataclasses.replace(fit, partner=None), 0)
+    partner = zetator.zeta_near_zero(tr, fit.partner, 0)
     assert both.diagnostics["fit_order"] == str(REPORTED_ORDER[name])
-    d, bias = z.diagnostics, both.diagnostics["zeta_prime0_budget"]["bias"]
+    d, own = z.diagnostics, partner.diagnostics
+    spread0, spread = abs(alone.zeta0 - partner.zeta0), abs(alone.zeta_prime0 - partner.zeta_prime0)
+    bias = spread + min(own["zeta_prime0_bound"], spread)
     assert d["fit_order"] == str(TEMPLATE_CUTOFF) and d["fit_residual"] == fit.residual
     assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
-    assert d["zeta0_bias"] == both.diagnostics["zeta0_bias"] > 0.0 and bias > 0.0
+    assert d["zeta0_bias"] == spread0 + min(own["zeta0_bound"], spread0) > 0.0 and bias > 0.0
     assert d["zeta_prime0_budget"] == {**alone.diagnostics["zeta_prime0_budget"], "bias": bias}
     assert d["zeta0_bound"] == alone.diagnostics["zeta0_bound"] + d["zeta0_bias"]
     assert d["zeta_prime0_bound"] == alone.diagnostics["zeta_prime0_bound"] + bias

@@ -12,7 +12,12 @@ Both zeta(0) and zeta'(0) are asserted.  On T^2 the fit's zeta(0) missed
 its own bound until the bound carried the fit's truncation bias, the
 spread between the order-2 fit and its order-3 partner.  T^2 runs from
 t_min 2e-2 down: at 3e-2 and above no sample lies in the fit window
-t <= 1/36, and torsion refuses the run (tests/test_cli.py).
+t <= 1/36, and torsion refuses the run (tests/test_cli.py).  At 2e-2 the
+order-2 fit's bound needs more than the spread: with three pins it
+missed until it carried the partner's own bound too, up to the spread.
+
+The circle products' zeta(0) is the Dirichlet a_(3/2) coefficient
+C(3, k) L r / 256, which the fit measures rather than pins.
 """
 
 import json
@@ -74,6 +79,19 @@ def test_zeta0_bound_covers_the_reference(capsys, name):
     for z in per:
         want = reference[min(z["degree"], m - z["degree"])]
         assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+def test_circle_product_zeta0_is_the_boundary_coefficient(capsys, r):
+    """On S^1_L x cone(S^1_r), m = 3, the Dirichlet a_(3/2) coefficient
+    lands on t^0, the edge enters at t^(-1/2) only, so zeta(0) in degree k
+    is C(3, k) L r / 256 (L = 2 pi here).  The pins leave that coefficient
+    to the fit, and this holds it to its closed form."""
+    per = _torsion(capsys, ["--model", "product", "--base", "circle", "--radius", str(r)])
+    for z in per["per_degree"]:
+        want = math.comb(3, z["degree"]) * 2.0 * math.pi * r / 256.0
+        assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
+        assert "t^0" not in z["diagnostics"]["pinned"]
 
 
 def test_log_torsion_bound_covers_the_circle_product(capsys):

@@ -90,6 +90,43 @@ def test_square_torus_zeta_prime0():
     assert abs(z.zeta_prime0 - (-math.log(2.0 * math.pi) - 2.0 * beta1)) <= z.error_bound
 
 
+@pytest.mark.parametrize("partner_bound", [0.0, 1.0])
+def test_order_two_bias_adds_the_partner_bound_up_to_the_spread(partner_bound):
+    """e^-t fitted at order 2 with an order-3 partner, the partner's
+    coefficient bounds set to `partner_bound`.  |v2 - true| <= spread +
+    |v3 - true|, so order 2's zeta(0) and zeta'(0) bounds add the spread
+    plus the partner's own bound, own_3, but at most the spread again;
+    order 3's add the spread alone.  With bounds 0, own_3 is below the
+    spread and order 3 is reported; with bounds 1 it is far above it, and
+    order 2 is reported.  A partner over the residual limit makes order 2
+    the report in either case."""
+    tr = _certified_trace(Spectrum.of([1.0], [1.0], 4e4), q=0.5, t_grid=log_grid(1e-3, 1.0, 241))
+    fit = fit_expansion(tr.restrict(t_max=1.0 / 36.0), ExpansionTemplate.from_terms(
+        [(k, False) for k in range(3)]), partner=ExpansionTemplate.from_terms(
+        [(k, False) for k in range(4)]))
+    partner = replace(fit.partner,
+                      coefficient_bounds=dict.fromkeys(fit.partner.coefficient_bounds, partner_bound))
+    fit = replace(fit, partner=partner)
+    alone, third = (zeta_near_zero(tr, f, 0) for f in (replace(fit, partner=None), partner))
+    spread0, spread = abs(alone.zeta0 - third.zeta0), abs(alone.zeta_prime0 - third.zeta_prime0)
+    own0, own = third.diagnostics["zeta0_bound"], third.diagnostics["zeta_prime0_bound"]
+    assert (own0 < spread0, own < spread) == (partner_bound == 0.0,) * 2
+    order_two = {"zeta0_bias": spread0 + min(own0, spread0), "bias": spread + min(own, spread)}
+    rough = replace(fit, partner=replace(partner, residual=2e-5))
+    reports = [zeta_near_zero(tr, f, 0).diagnostics for f in (fit, rough)]
+    assert [d["fit_order"] for d in reports] == ["3" if partner_bound == 0.0 else "2", "2"]
+    for d in reports:
+        bias = d["zeta_prime0_budget"]["bias"]
+        if d["fit_order"] == "3":
+            assert (d["zeta0_bias"], bias) == (spread0, spread)
+            assert d["zeta0_bound"] == own0 + spread0 and d["zeta_prime0_bound"] == own + spread
+            assert alone.diagnostics["zeta_prime0_bound"] + order_two["bias"] > own + spread
+        else:
+            assert (d["zeta0_bias"], bias) == (order_two["zeta0_bias"], order_two["bias"])
+            assert d["zeta0_bound"] == alone.diagnostics["zeta0_bound"] + order_two["zeta0_bias"]
+            assert d["zeta_prime0_bound"] == alone.diagnostics["zeta_prime0_bound"] + bias
+
+
 # Stieltjes' constant gamma_1: zeta_R(1 + s) = 1/s + gamma - gamma_1 s + O(s^2)
 STIELTJES_GAMMA1 = -0.0728158454836767
 
