@@ -20,10 +20,10 @@ Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
 t^(-a_min) so the leading fitted term carries comparable influence across
 the sample range.  Coefficients that geometry fixes (`heat_pins`: volume,
-Dirichlet boundary, and the third where the edge does not share it) can
-be pinned, so that only the others are fitted, and a higher-order
-partner template can be fitted alongside, to measure the truncation of
-the first.
+Dirichlet boundary, and the later ones where the edge does not share
+their exponent) can be pinned, so that only the others are fitted, and a
+higher-order partner template can be fitted alongside, to measure the
+truncation of the first.
 """
 
 from __future__ import annotations
@@ -492,15 +492,22 @@ def heat_pins(m: int, n: int, degree: int, volume: float,
     * n = 2, at t^(-(m-2)/2): a_1 = n A [C/6 + C(m-2, k-1)] / (4 pi)^(m/2),
       from the scalar curvature -n(n-1)/x^2, its Weitzenboeck trace on
       k-forms and the boundary's mean curvature n;
-    * n = 1, at t^(-(m-3)/2): the Dirichlet a_(3/2) of a flat space with
-      a unit-curvature boundary, C A / (128 (4 pi)^((m-1)/2)).
+    * n = 1, at t^(-(m-3)/2) and t^(-(m-4)/2): the Dirichlet a_(3/2) and
+      a_2 of a flat space with a unit-curvature boundary,
+      C A / (128 (4 pi)^((m-1)/2)) and 4 C A / (315 (4 pi)^(m/2)).  The
+      planar a_2 is the integral of kappa^3 ds / (315 pi) (van den
+      Berg-Srisatkunarajah, 1990); the base's flat factor
+      vol(B) (4 pi t)^(-b/2) carries it to the product.
 
     The cone's tip adds only a t^0 term, so with the base's theta
     function the edge enters at t^(-b/2) = t^(-(m-n-1)/2), and no
     coefficient it shares is pinned: a_1 when n = 1, a_(3/2) when n = 2.
-    Nor is a_(3/2) when m = 3, where it is zeta(0) itself, which stays a
-    measurement.  A torus fiber of dimension 3 or more pins only the first
-    two: no run has checked its a_1."""
+    On the circle product (m = 3) the pinned a_(3/2) is zeta(0) itself.
+    The next circle coefficient, a_(5/2) = 37 C A / (2^15 sqrt(pi)
+    (4 pi)^((m-2)/2)), is left to the fit: pinned too, it turned the disk
+    to the order-3 fit and raised its log T bound from 4.7e-9 to 7.9e-9.
+    A torus fiber of dimension 3 or more pins only the first two: no run
+    has checked its a_1."""
     rank = math.comb(m, degree)
     pins = {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
             Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
@@ -509,8 +516,9 @@ def heat_pins(m: int, n: int, degree: int, volume: float,
         weitzenboeck = math.comb(m - 2, degree - 1) if degree else 0
         pins[Fraction(2 - m, 2)] = n * boundary * (rank / 6.0 + weitzenboeck) \
             / (4.0 * math.pi) ** (m / 2.0)
-    elif n == 1 and m != 3:
+    elif n == 1:
         pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
+        pins[Fraction(4 - m, 2)] = 4.0 * rank * boundary / (315.0 * (4.0 * math.pi) ** (m / 2.0))
     return pins
 
 

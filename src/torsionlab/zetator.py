@@ -47,8 +47,8 @@ own bound (before the bias), but at most the spread again.  The charge is
 continuous.  The plain spread left the pinned T^2 cone's order-2 zeta(0)
 at t_min 2e-2 off its reference by 1.20 times its bound.  The partner's
 whole bound would make the fit's bound always the larger, which is
-"report the partner always", measured and rejected: it makes the
-torus-base product's log T bound 7.5 times larger.  The report takes the
+"report the partner always", measured and rejected: it makes the disk's
+log T bound 2.5 times larger.  The report takes the
 values, bounds and budget of the fit whose zeta'(0) bound is the smaller
 (`fit_order` names it); each bound then covers the other fit's value
 too.  The partner keeps the t^0 log t column where the template calculus

@@ -133,8 +133,8 @@ def test_pins_are_the_volume_and_boundary_of_the_model():
             assert {alpha: pins[alpha] for alpha in want} == pytest.approx(want, rel=1e-15), \
                 (cfg, k)
     assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
-        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(1, 2): math.sqrt(math.pi) / 128},
-        rel=1e-15)
+        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(1, 2): math.sqrt(math.pi) / 128,
+         F(1): 2 / 315}, rel=1e-15)
     single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
     assert single.pins(0) == {} and single.partner_template() is None
     fit = single.fits()[0]
@@ -152,52 +152,58 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 
 
 TWO_PI = 2 * math.pi
-# flags of each model, and the exponent of its third pin: a_(3/2) at
-# t^(-(m-3)/2) on circle fibers, a_1 at t^(-(m-2)/2) on T^2 fibers; none
-# where the edge shares it (the circle product's t^0); one radial mode
-# takes no pins (test_pins_are_the_volume_and_boundary_of_the_model)
-THIRD_PIN = {
-    "disk": (ModelConfig(), F(1, 2)),
-    "r=0.5": (ModelConfig(radius=0.5), F(1, 2)),
-    "r=2.3": (ModelConfig(radius=2.3), F(1, 2)),
-    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), F(-1, 2)),
-    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), F(-1, 2)),
+# flags of each model, and the exponents of its pins after the first two:
+# a_(3/2) at t^(-(m-3)/2) and a_2 at t^(-(m-4)/2) on circle fibers, a_1 at
+# t^(-(m-2)/2) on T^2 fibers; none the edge shares (t^(-b/2)); one radial
+# mode takes no pins (test_pins_are_the_volume_and_boundary_of_the_model)
+LATER_PINS = {
+    "disk": (ModelConfig(), [F(1, 2), F(1)]),
+    "r=0.5": (ModelConfig(radius=0.5), [F(1, 2), F(1)]),
+    "r=2.3": (ModelConfig(radius=2.3), [F(1, 2), F(1)]),
+    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), [F(-1, 2)]),
+    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), [F(-1, 2)]),
     "torus-base product": (ModelConfig(model="product", base="torus",
-                                       base_periods=[TWO_PI, 3.0]), F(-1, 2)),
+                                       base_periods=[TWO_PI, 3.0]), [F(-1, 2), F(0)]),
     "circle x T^2": (ModelConfig(model="product", base="circle", fiber_kind="torus",
-                                 periods=[TWO_PI, TWO_PI]), F(-1)),
-    "circle product": (ModelConfig(model="product", base="circle", radius=1.5), None),
+                                 periods=[TWO_PI, TWO_PI]), [F(-1)]),
+    "circle product": (ModelConfig(model="product", base="circle", radius=1.5), [F(0), F(1, 2)]),
 }
 
 
-@pytest.mark.parametrize("name", THIRD_PIN)
+@pytest.mark.parametrize("name", LATER_PINS)
 def test_third_pin_where_the_edge_does_not_share_it(name):
-    """The pinned exponents of each model, and the third pin's closed form:
-    (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 + C(m-2, k-1)] on torus
-    fibers (n = 2), C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) on
-    circle fibers.  The disk's is the planar sqrt(pi t) / 128, T^2's is
-    sqrt(pi) [1/6, 3/2, 3/2, 1/6], and each is Hodge-symmetric."""
-    cfg, third = THIRD_PIN[name]
+    """The pinned exponents of each model, and the closed forms of the pins
+    after the first two: (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 +
+    C(m-2, k-1)] on torus fibers (n = 2); C(m, k) vol(N) vol(B) / (128
+    (4 pi)^((m-1)/2)) and 4 C(m, k) vol(N) vol(B) / (315 (4 pi)^(m/2)) on
+    circle fibers.  The disk's are the planar sqrt(pi t) / 128 and 2 t /
+    315, T^2's is sqrt(pi) [1/6, 3/2, 3/2, 1/6], the circle product's t^0
+    pin is zeta(0) = C(3, k) L r / 256, and each is Hodge-symmetric."""
+    cfg, later = LATER_PINS[name]
     pipe = Pipeline(cfg)
     m, n = pipe.m, len(pipe.fiber_periods)
     volume = math.prod(pipe.fiber_periods) * math.prod(pipe.base_periods)
     for k in pipe.degrees:
         pins = pipe.pins(k)
-        assert list(pins) == [F(-m, 2), F(1 - m, 2)] + ([third] if third else []), k
+        assert list(pins) == [F(-m, 2), F(1 - m, 2)] + later, k
         assert pins == pytest.approx(pipe.pins(m - k), rel=1e-15), k
-        if third is None:
-            continue
+        rank = math.comb(m, k)
         if n == 2:
-            want = n * volume * (math.comb(m, k) / 6 + (math.comb(m - 2, k - 1) if k else 0)) \
-                / (4 * math.pi) ** (m / 2)
+            want = [n * volume * (rank / 6 + (math.comb(m - 2, k - 1) if k else 0))
+                    / (4 * math.pi) ** (m / 2)]
         else:
-            want = math.comb(m, k) * volume / (128 * (4 * math.pi) ** ((m - 1) / 2))
-        assert pins[third] == pytest.approx(want, rel=1e-15), k
+            want = [rank * volume / (128 * (4 * math.pi) ** ((m - 1) / 2)),
+                    4 * rank * volume / (315 * (4 * math.pi) ** (m / 2))]
+        assert [pins[alpha] for alpha in later] == pytest.approx(want, rel=1e-15), k
     if name == "disk":
-        assert pipe.pins(0)[third] == pytest.approx(math.sqrt(math.pi) / 128, rel=1e-15)
+        assert [pipe.pins(1)[alpha] for alpha in later] \
+            == pytest.approx([math.sqrt(math.pi) / 64, 4 / 315], rel=1e-15)
     if name == "T^2":
-        assert [pipe.pins(k)[third] for k in pipe.degrees] \
+        assert [pipe.pins(k)[later[0]] for k in pipe.degrees] \
             == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14)
+    if name == "circle product":
+        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] \
+            == pytest.approx([c * TWO_PI * 1.5 / 256 for c in (1, 3, 3, 1)], rel=1e-15)
 
 
 def test_stages_computed_once(monkeypatch):
@@ -355,7 +361,8 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     """A partner whose residual is over FIT_RESIDUAL_LIMIT is not eligible:
     the order-2 fit is reported, also on the circle product and on T^2,
     where the partner's zeta'(0) bound is the smaller, and it still
-    carries the order-2 bias of the spread to the partner."""
+    carries the order-2 bias of the spread to the partner: none in zeta(0)
+    on the circle product, whose two fits pin it."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     rough = dataclasses.replace(fit, partner=dataclasses.replace(fit.partner, residual=2e-5))
@@ -370,7 +377,9 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     bias = spread + min(own["zeta_prime0_bound"], spread)
     assert d["fit_order"] == str(TEMPLATE_CUTOFF) and d["fit_residual"] == fit.residual
     assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
-    assert d["zeta0_bias"] == spread0 + min(own["zeta0_bound"], spread0) > 0.0 and bias > 0.0
+    assert d["zeta0_bias"] == spread0 + min(own["zeta0_bound"], spread0) and bias > 0.0
+    # the circle product pins t^0, its zeta(0), in both fits
+    assert (d["zeta0_bias"] > 0.0) == ("t^0" not in d["pinned"]) == (name != "product")
     assert d["zeta_prime0_budget"] == {**alone.diagnostics["zeta_prime0_budget"], "bias": bias}
     assert d["zeta0_bound"] == alone.diagnostics["zeta0_bound"] + d["zeta0_bias"]
     assert d["zeta_prime0_bound"] == alone.diagnostics["zeta_prime0_bound"] + bias

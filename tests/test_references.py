@@ -17,7 +17,12 @@ order-2 fit's bound needs more than the spread: with three pins it
 missed until it carried the partner's own bound too, up to the spread.
 
 The circle products' zeta(0) is the Dirichlet a_(3/2) coefficient
-C(3, k) L r / 256, which the fit measures rather than pins.
+C(3, k) L r / 256, which the fit pins; the oracle row
+heat_coefficients_pinned measures it by a free fit.  Their log T has the
+closed form of ROADMAP item 7's identity over the cone's spectrum (the
+oracle row circle_product_identity), whose values at two radii and two
+base lengths each lie within log_torsion_bound, with every degree's
+zeta'(0) bound at most 1e-6.
 """
 
 import json
@@ -85,13 +90,30 @@ def test_zeta0_bound_covers_the_reference(capsys, name):
 def test_circle_product_zeta0_is_the_boundary_coefficient(capsys, r):
     """On S^1_L x cone(S^1_r), m = 3, the Dirichlet a_(3/2) coefficient
     lands on t^0, the edge enters at t^(-1/2) only, so zeta(0) in degree k
-    is C(3, k) L r / 256 (L = 2 pi here).  The pins leave that coefficient
-    to the fit, and this holds it to its closed form."""
+    is C(3, k) L r / 256 (L = 2 pi here).  The fit pins that coefficient,
+    and the report's zeta(0) is its closed form."""
     per = _torsion(capsys, ["--model", "product", "--base", "circle", "--radius", str(r)])
     for z in per["per_degree"]:
         want = math.comb(3, z["degree"]) * 2.0 * math.pi * r / 256.0
         assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
-        assert "t^0" not in z["diagnostics"]["pinned"]
+        assert z["zeta0"] == pytest.approx(want, rel=1e-15), z["degree"]
+        assert "t^0" in z["diagnostics"]["pinned"]
+
+
+# r, base radius rho: log T of S^1_(2 pi rho) x cone(S^1_r) by item 7's identity
+CIRCLE_PRODUCT_LOG_T = {(0.5, 1.0): 1.5466061342, (1.5, 1.0): 0.4643978628,
+                        (2.3, 1.0): 0.2514722576, (1.5, 0.5): 0.2315100693}
+
+
+@pytest.mark.parametrize("r,rho", CIRCLE_PRODUCT_LOG_T)
+def test_log_torsion_bound_covers_the_circle_product_identity(capsys, r, rho):
+    """The References log T of circle products lies within the report's
+    bound, and every degree's zeta'(0) bound is at most 1e-6."""
+    report = _torsion(capsys, ["--model", "product", "--base", "circle", "--radius", str(r),
+                               "--base-radius", str(rho)])
+    assert abs(report["log_torsion"] - CIRCLE_PRODUCT_LOG_T[r, rho]) \
+        <= report["log_torsion_bound"]
+    assert all(z["diagnostics"]["zeta_prime0_bound"] <= 1e-6 for z in report["per_degree"])
 
 
 def test_log_torsion_bound_covers_the_circle_product(capsys):
