@@ -145,9 +145,9 @@ def parse_config_file(path: str) -> dict:
 #   report reads the fit with the smaller zeta'(0) bound: order 2 on the
 #   circle cones and the torus-base product, order 3 on the circle product
 #   and the T^2 cone.  Either fixed order is worse: order 2 misses the T^2
-#   reference at t_min 2e-2 and makes the circle product's log T bound 1.7
-#   times larger, and order 3 makes the disk's 2.5 times and the
-#   torus-base product's 1.09 times larger.  The partner keeps the t^0
+#   reference at t_min 2e-2 and makes the circle product's log T bound 2.6
+#   times larger, and order 3 makes the disk's 2.7 times and the
+#   torus-base product's 1.25 times larger.  The partner keeps the t^0
 #   log t column where the full template has one (even m): minus its
 #   coefficient is the measured residue at s = 0.  Its condition is 5.4e3
 #   on the disk.

@@ -52,6 +52,11 @@ CONDITION_LIMIT = 1e12
 # float64 elements per block of the trace sum (256 KiB): larger blocks
 # raise peak memory and run no faster
 TRACE_BLOCK = 1 << 15
+# each row of a trace block sums in runs of SUM_BLOCK terms, then the runs,
+# so its rounding bound grows with SUM_BLOCK + n / SUM_BLOCK, not with n
+SUM_BLOCK = 128
+# roundings in one trace term w exp(-t lam): the product, and two for np.exp
+TERM_ROUNDINGS = 3
 UNIT_ROUNDOFF = 2.0 ** -53
 # exp(-x) is exactly 0.0 past x = 745.2: no sum of exp(-t lam) reads an
 # eigenvalue above EXP_REACH / t
@@ -274,18 +279,36 @@ def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
+def rounding_gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): a value that n roundings, each within the
+    unit roundoff u, carry moves by at most gamma_n of itself (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
 def _blocked_sums(lams: np.ndarray, ws: np.ndarray, t_grid: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums sum_{i < ends[r]} ws[i] exp(-t_grid[r] lams[i]) and a bound
-    on their error, TRACE_BLOCK matrix elements at a time.
+    on their error, about TRACE_BLOCK matrix elements at a time.
 
     `ends` is nonincreasing along the grid, so a block of consecutive rows
-    takes the columns of its first row; the extra columns of later rows
-    are exact zeros.  numpy's pairwise row sum uses no BLAS and no threads.
-    With n nonnegative terms w e, rounding the products and their sum, in
-    any order, moves a row by at most gamma_{n+1} |value|, where
-    gamma_k = k u / (1 - k u) and n counts the block's columns, since they
-    set the pairwise tree.
+    takes the n columns of its first row; the extra columns of later rows
+    are exact zeros.  Each row sums in a fixed two-level order: its
+    columns, zero-padded to k = ceil(n / SUM_BLOCK) runs of SUM_BLOCK, sum
+    run by run, then the k run sums (einsum and a pairwise sum, each along
+    a contiguous axis, with no BLAS and no threads).  With nonnegative
+    terms, any order inside a level passes each term through at most
+    min(n, SUM_BLOCK) - 1 + k - 1 roundings of a sum (Higham, 2002, 4.2),
+    so the row moves by at most
+    gamma_{min(n, SUM_BLOCK) + k + TERM_ROUNDINGS} |value|, where one sum
+    of all n terms in any order could take gamma_{n - 1}.  TERM_ROUNDINGS
+    = 3 covers each term w e: the product rounds once, and np.exp is
+    within 1.15 u of exp(x) on [-NORMAL_REACH, 0] (222k points against
+    mpmath, numpy 2.4 on an AVX-512 x86-64 CPU; tests/test_conekernel.py
+    holds it to 2 u, two roundings).  The terms are those of the rounded
+    arguments fl(t lam), as the oracle fsum_trace takes them: that
+    rounding moves lam by at most u of itself, less than the error of a
+    computed eigenvalue, which no bound here charges.
 
     A row takes exp only where t lam <= NORMAL_REACH; its other columns
     are 0.0.  Past that reach exp(-t lam) is below 2^-1022: subnormal up
@@ -295,29 +318,40 @@ def _blocked_sums(lams: np.ndarray, ws: np.ndarray, t_grid: np.ndarray,
     made 44k subnormal and 52k underflowing exps on the `torus` workload
     (t_min 1e-2), and 273k and 70k on the T^2 cone at t_min 2.5e-3.
     Each dropped term is below w 2^-1022, so the bound adds each row's
-    dropped weight times 2^-1022.  The blocks and their n stay as they
-    were, so the pairwise trees and gamma_{n+1} do too; on the model
-    spectra the dropped terms vanish beside the row's leading terms, and
-    the sums are bit-equal to the ones that take every exp
-    (tests/trace_oracle.py keeps that loop).
+    dropped weight times 2^-1022.  The blocks, their n and the order of
+    the sums are those of taking every exp; on the model spectra the
+    dropped terms vanish beside the row's leading terms, and the sums are
+    bit-equal to the ones that take every exp (tests/trace_oracle.py keeps
+    that loop).
     """
     values = np.empty(len(t_grid))
     rounding = np.empty(len(t_grid))
     normal = np.searchsorted(lams, NORMAL_REACH / t_grid, side="right").tolist()
+    # the first row's columns, zero-padded to whole runs, so that each
+    # block's terms fill a C-contiguous buffer whose rows split into runs as
+    # a view; the pad columns take no exp and weigh 0
+    first = int(ends[0])
+    pad = np.zeros(-first % SUM_BLOCK)
+    lam_cols, w_cols = np.concatenate((lams[:first], pad)), np.concatenate((ws[:first], pad))
     start = 0
     while start < len(t_grid):
         n = int(ends[start])
-        stop = start + max(1, TRACE_BLOCK // max(n, 1))
-        terms = np.multiply.outer(-t_grid[start:stop], lams[:n])
+        runs = -(-n // SUM_BLOCK)
+        width = runs * SUM_BLOCK
+        stop = min(len(t_grid), start + max(1, TRACE_BLOCK // max(width, 1)))
+        terms = np.multiply.outer(-t_grid[start:stop], lam_cols[:width])
         for row, m in zip(terms, normal[start:stop]):
             np.exp(row[:m], out=row[:m])
             row[m:] = 0.0
-        terms *= ws[:n]
-        values[start:stop] = terms.sum(axis=1)
-        ku = (n + 1) * UNIT_ROUNDOFF
-        rounding[start:stop] = ku / (1.0 - ku) * np.abs(values[start:stop])
+        terms *= w_cols[:width]
+        # einsum sums the runs as fast as one pairwise sum of each row, where
+        # sum(axis=2) takes ~1.5 times as long
+        run_sums = np.einsum("rkb->rk", terms.reshape(stop - start, runs, SUM_BLOCK))
+        values[start:stop] = run_sums.sum(axis=1)
+        rounding[start:stop] = rounding_gamma(min(n, SUM_BLOCK) + runs + TERM_ROUNDINGS) \
+            * np.abs(values[start:stop])
         start = stop
-    weight_below = np.concatenate(([0.0], np.cumsum(ws[:int(ends[0])])))
+    weight_below = np.concatenate(([0.0], np.cumsum(ws[:first])))
     rounding += (weight_below[ends] - weight_below[normal]) * SMALLEST_NORMAL
     return values, rounding
 
@@ -404,7 +438,8 @@ def product_trace(base: Mapping[int, TraceSamples], cone: Mapping[int, TraceSamp
                   base_periods: Sequence[float]) -> dict[int, TraceSamples]:
     """Kunneth assembly: Tr_k(B x C) = sum_{i+j=k} Tr_i(B) Tr_j(C).
 
-    Tail bounds propagate through the product rule.  `base` holds the
+    Tail bounds propagate through the product rule, and the bound adds
+    the rounding of the products and of their sum.  `base` holds the
     traces of the flat torus B of periods `base_periods`, whose degree i is
     C(b, i) times its scalar trace.  So degree k's spectrum holds each cone
     degree j's eigenvalues, weights times C(b, k - j), complete to the least
@@ -418,11 +453,16 @@ def product_trace(base: Mapping[int, TraceSamples], cone: Mapping[int, TraceSamp
                  for i in range(k + 1) if i in base and k - i in cone]
         val = np.zeros_like(grid)
         tail = np.zeros_like(grid)
+        size = np.zeros_like(grid)
         for sa, sb, _ in pairs:
-            val += sa.values * sb.values
+            product = sa.values * sb.values
+            val += product
+            size += np.abs(product)
             tail += (np.abs(sa.values) * sb.tail_bound
                      + np.abs(sb.values) * sa.tail_bound
                      + sa.tail_bound * sb.tail_bound)
+        # each product rounds once, and the sum of the pairs rounds it again
+        tail += rounding_gamma(len(pairs) + 1) * size
         spectrum = None
         if all(sb.eigenvalues is not None for _, sb, _ in pairs):
             # seeded empty, so a degree without factor pairs gets an empty spectrum;

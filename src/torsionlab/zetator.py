@@ -48,7 +48,7 @@ continuous.  The plain spread left the pinned T^2 cone's order-2 zeta(0)
 at t_min 2e-2 off its reference by 1.20 times its bound.  The partner's
 whole bound would make the fit's bound always the larger, which is
 "report the partner always", measured and rejected: it makes the disk's
-log T bound 2.5 times larger.  The report takes the
+log T bound 2.7 times larger.  The report takes the
 values, bounds and budget of the fit whose zeta'(0) bound is the smaller
 (`fit_order` names it); each bound then covers the other fit's value
 too.  The partner keeps the t^0 log t column where the template calculus
@@ -82,6 +82,7 @@ from .conekernel import (
     basis_column,
     column_name,
     gammaincc,
+    rounding_gamma,
 )
 from .errors import DecayRateUnknown, FitResidualTooLarge
 from .fiber import _lattice_points
@@ -295,6 +296,8 @@ def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     least like sqrt(t) relative to the local scale), in the bound, never in
     the value; r(t1) is charged the sample's tail bound, and r(t1) and
     sum_a D_a c_a their rounding, gamma_n on the scale of their m terms.
+    zeta(0) and the residue are charged the remainder too, unless t^0 is
+    pinned and the template has no t^0 log t column.
     """
     t1 = samples.grid[:1]
     keys, c = list(fit.coefficients), list(fit.coefficients.values())
@@ -307,22 +310,27 @@ def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     a_m1 = fit.coefficients.get(zero, 0.0) - kernel_dim
     a_m2 = 0.0 - fit.coefficients.get(log_zero, 0.0)
     zeta_prime0 = math.fsum([*terms, large, -kernel_dim * _closed_form_weight(zero, float(t1[0]))])
-    n = len(c) + 3
-    rounding = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    rounding = rounding_gamma(len(c) + 3)
     rem_bound = 2.0 * (abs(first) + float(samples.tail_bound[0])
                        + rounding * (abs(trace) + math.fsum(map(abs, model)))) \
         + rounding * math.fsum(map(abs, terms))
     # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
-    # enter directly; zeta'(0) moves by its derivative weight
+    # enter directly; zeta'(0) moves by its derivative weight.  With t^0
+    # pinned and no t^0 log t column, they are the pin's closed form and 0,
+    # which the remainder cannot move: only the pin's rounding is charged
     bounds = fit.coefficient_bounds
     s_m2, s_m1 = bounds.get(log_zero, 0.0), bounds.get(zero, 0.0)
+    if zero in fit.pinned and log_zero not in fit.coefficients:
+        read_bound = rounding * abs(fit.coefficients[zero])
+    else:
+        read_bound = rem_bound
     shifts = {key: abs(w) * bounds[key] for key, w in zip(keys, weights)}
     return {"fit": fit, "zeta0": a_m1 + G1 * a_m2, "zeta_prime0": zeta_prime0,
-            "zeta0_bound": s_m1 + G1 * s_m2 + rem_bound,
+            "zeta0_bound": s_m1 + G1 * s_m2 + read_bound,
             "shifts": shifts,
             "budget": {"fit_shift": sum(shifts.values()), "remainder": rem_bound,
                        "large_t": large_bound},
-            "residue": a_m2, "residue_bound": s_m2 + rem_bound}
+            "residue": a_m2, "residue_bound": s_m2 + read_bound}
 
 
 def zeta_near_zero(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,

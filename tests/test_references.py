@@ -22,7 +22,8 @@ heat_coefficients_pinned measures it by a free fit.  Their log T has the
 closed form of ROADMAP item 7's identity over the cone's spectrum (the
 oracle row circle_product_identity), whose values at two radii and two
 base lengths each lie within log_torsion_bound, with every degree's
-zeta'(0) bound at most 1e-6.
+zeta'(0) bound at most 1e-6 and at most 1.25 times its measured value.
+Their zeta(0) bound charges only the pin's rounding.
 """
 
 import json
@@ -100,20 +101,42 @@ def test_circle_product_zeta0_is_the_boundary_coefficient(capsys, r):
         assert "t^0" in z["diagnostics"]["pinned"]
 
 
+def test_circle_product_zeta0_bound_is_the_pin_rounding(capsys):
+    """With t^0 pinned and no t^0 log t column, zeta(0) is the pin and the
+    residue is 0: their bounds charge only rounding, within 1e-14 of
+    zeta(0), and the same at t_min 1e-3 and 3e-3."""
+    bounds = []
+    for t_min in ("1e-3", "3e-3"):
+        per = _torsion(capsys, ["--model", "product", "--base", "circle", "--t-min", t_min])
+        for z in per["per_degree"]:
+            assert z["diagnostics"]["zeta0_bound"] <= 1e-14 * z["zeta0"], (t_min, z["degree"])
+            assert z["residue_at_zero"] == 0.0
+        bounds.append([(z["diagnostics"]["zeta0_bound"], z["diagnostics"]["residue_bound"])
+                       for z in per["per_degree"]])
+    assert bounds[0] == bounds[1]
+
+
 # r, base radius rho: log T of S^1_(2 pi rho) x cone(S^1_r) by item 7's identity
 CIRCLE_PRODUCT_LOG_T = {(0.5, 1.0): 1.5466061342, (1.5, 1.0): 0.4643978628,
                         (2.3, 1.0): 0.2514722576, (1.5, 0.5): 0.2315100693}
+# each degree's zeta'(0) bound, at most 1.25 times the largest measured:
+# 1.32e-8, 3.96e-8, 6.24e-8 and 1.96e-8
+CIRCLE_PRODUCT_ZETA_PRIME0_BOUND = {(0.5, 1.0): 1.65e-8, (1.5, 1.0): 4.95e-8,
+                                    (2.3, 1.0): 7.8e-8, (1.5, 0.5): 2.45e-8}
 
 
 @pytest.mark.parametrize("r,rho", CIRCLE_PRODUCT_LOG_T)
 def test_log_torsion_bound_covers_the_circle_product_identity(capsys, r, rho):
     """The References log T of circle products lies within the report's
-    bound, and every degree's zeta'(0) bound is at most 1e-6."""
+    bound, and every degree's zeta'(0) bound is at most 1e-6, and at most
+    its measured ceiling."""
     report = _torsion(capsys, ["--model", "product", "--base", "circle", "--radius", str(r),
                                "--base-radius", str(rho)])
     assert abs(report["log_torsion"] - CIRCLE_PRODUCT_LOG_T[r, rho]) \
         <= report["log_torsion_bound"]
     assert all(z["diagnostics"]["zeta_prime0_bound"] <= 1e-6 for z in report["per_degree"])
+    assert all(z["diagnostics"]["zeta_prime0_bound"] <= CIRCLE_PRODUCT_ZETA_PRIME0_BOUND[r, rho]
+               for z in report["per_degree"])
 
 
 def test_log_torsion_bound_covers_the_circle_product(capsys):
