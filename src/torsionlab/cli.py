@@ -131,13 +131,13 @@ def parse_config_file(path: str) -> dict:
 #   e^(-1/t) is 4.5e-5 at t = 0.1 and 2.3e-16 at 1/36; at 0.07 the T^2
 #   cone misses its reference value.
 # - TEMPLATE_CUTOFF is the order of the first fit.  The fit pins the volume
-#   and boundary coefficients, and the later ones where the edge does not
-#   share their exponent (`Pipeline.pins`: a_1 on torus fibers, a_(3/2)
-#   and a_2 on circle fibers), and has no t^a log t column: these models'
-#   zeta functions have only simple poles (Bordag-Kirsten-Dowker), and the
-#   log columns are near-collinear with the powers (order 3 with all of
-#   them: condition 1.8e7 on the disk and 1.8e8 on the circle product, on
-#   unit columns).
+#   and boundary coefficients, and the later ones geometry fixes
+#   (`Pipeline.pins`: a_1 on torus fibers; on circle fibers the tip's and
+#   edge's coefficient at t^(-b/2), a_(3/2) and a_2), and has no t^a log t
+#   column: these models' zeta functions have only simple poles
+#   (Bordag-Kirsten-Dowker), and the log columns are near-collinear with
+#   the powers (order 3 with all of them: condition 1.8e7 on the disk and
+#   1.8e8 on the circle product, on unit columns).
 # - PARTNER_CUTOFF is the order of a second fit to the same window, with
 #   the same pins.  The spread |order 2 - order 3| of zeta(0) and zeta'(0)
 #   is the truncation bias: order 3's bounds add it, and order 2's add it
@@ -145,12 +145,11 @@ def parse_config_file(path: str) -> dict:
 #   report reads the fit with the smaller zeta'(0) bound: order 2 on the
 #   circle cones and the torus-base product, order 3 on the circle product
 #   and the T^2 cone.  Either fixed order is worse: order 2 misses the T^2
-#   reference at t_min 2e-2 and makes the circle product's log T bound 2.6
-#   times larger, and order 3 makes the disk's 2.7 times and the
-#   torus-base product's 1.25 times larger.  The partner keeps the t^0
+#   reference at t_min 2e-2 and makes the circle product's log T bound
+#   1.36 times larger, and order 3 makes the disk's 1.19 times and the
+#   torus-base product's 2.8 times larger.  The partner keeps the t^0
 #   log t column where the full template has one (even m): minus its
-#   coefficient is the measured residue at s = 0.  Its condition is 5.4e3
-#   on the disk.
+#   coefficient is the measured residue at s = 0.
 # - One radial mode has the two-term theta expansion, order 1, and takes
 #   no pins and no partner.
 # - The models are exact cones, so their metric is exactly even, the
@@ -399,15 +398,11 @@ class Pipeline:
 
     def pins(self, degree: int) -> dict[Fraction, float]:
         """The heat coefficients of `degree` that geometry fixes
-        (`conekernel.heat_pins`): the cone over the fiber N (dimension n)
-        cut at x = 1 has volume vol(N)/(n+1) and boundary vol(N), each
-        times the base's volume.  One radial mode takes none."""
+        (`conekernel.heat_pins`).  One radial mode takes none."""
         if self.cfg.single_nu is not None:
             return {}
-        fiber_volume, base_volume = math.prod(self.fiber_periods), math.prod(self.base_periods)
-        return conekernel.heat_pins(self.m, len(self.fiber_periods), degree,
-                                    fiber_volume / self.cone_dim * base_volume,
-                                    fiber_volume * base_volume)
+        return conekernel.heat_pins(self.m, degree, self.fiber_periods,
+                                    math.prod(self.base_periods))
 
     @_stage
     def fits(self) -> dict[int, conekernel.FittedExpansion]:

@@ -20,10 +20,11 @@ Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
 t^(-a_min) so the leading fitted term carries comparable influence across
 the sample range.  Coefficients that geometry fixes (`heat_pins`: volume,
-Dirichlet boundary, and the later ones where the edge does not share
-their exponent) can be pinned, so that only the others are fitted, and a
-higher-order partner template can be fitted alongside, to measure the
-truncation of the first.
+Dirichlet boundary, the later ones where the edge does not share their
+exponent, and on circle fibers the tip's and edge's in closed form) can
+be pinned, so that only the others are fitted, and a higher-order
+partner template can be fitted alongside, to measure the truncation of
+the first.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from .fiber import FiberSpectrum, NuSpectrum
+from .fiber import FiberSpectrum, NuSpectrum, _comb, frac_radius
 from .phg import ExpansionTemplate
 
 TAIL_RELATIVE_LIMIT = 1e-10
@@ -519,19 +520,50 @@ class FittedExpansion:
         return out
 
 
-def heat_pins(m: int, n: int, degree: int, volume: float,
-              boundary: float) -> dict[Fraction, float]:
+def circle_cone_zeta0(radius: float) -> tuple[Fraction, Fraction, Fraction]:
+    """zeta(0), the t^0 heat coefficient, of the cone over the circle of
+    radius r cut at x = 1 with a Dirichlet condition, in degrees 0, 1, 2:
+    (r + 1/r)/12, (r + 1/r)/6 - a(1 - a)/r and (r + 1/r)/12, a = frac(r)
+    (`fiber.frac_radius`).  Degree 0 is the boundary's integral of
+    kappa ds / (12 pi) = r/6 plus the tip's cone-angle term (1/r - r)/12
+    (Cheeger, J. Diff. Geom. 18 (1983) 575); degree 2 is its Hodge dual,
+    and degree 1 follows from the supertrace Tr_0 - Tr_1 + Tr_2 =
+    a(1 - a)/r at small t (the `cone_supertrace` oracle row).
+
+    Exact in rationals at the float r.  Degree 1's terms cancel: for
+    r < 1 it is (7r^2 - 6r + 1)/(6r), 0 at r = (3 +- sqrt 2)/7, and a
+    float sum of them would be off by a rounding on their scale, not on
+    its own, which the exactly pinned zeta(0) is charged
+    (`zetator._fit_report`)."""
+    r = Fraction(radius)
+    a = Fraction(frac_radius(radius))
+    z = (r + 1 / r) / 12
+    return z, 2 * z - a * (1 - a) / r, z
+
+
+def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
+              base_volume: float) -> dict[Fraction, float]:
     """The heat coefficients that geometry fixes in form degree k of an
-    m-dimensional model, the cone over a flat n-torus N cut at x = 1 with
-    a Dirichlet condition, times a flat base B (Branson-Gilkey; Gilkey,
-    Asymptotic Formulae in Spectral Geometry, 2004).  With C = C(m, k),
-    V the volume and A = vol(N) vol(B) the boundary's:
+    m-dimensional model, the cone over the flat n-torus N of
+    `fiber_periods` cut at x = 1 with a Dirichlet condition, times a flat
+    base B of dimension b = m - n - 1 and volume `base_volume`
+    (Branson-Gilkey; Gilkey, Asymptotic Formulae in Spectral Geometry,
+    2004).  With C = C(m, k), V = vol(N) vol(B) / (n + 1) the volume and
+    A = vol(N) vol(B) the boundary's:
 
     * t^(-m/2): C V / (4 pi)^(m/2) (Weyl);
     * t^(-(m-1)/2): -C A / (4 (4 pi)^((m-1)/2));
     * n = 2, at t^(-(m-2)/2): a_1 = n A [C/6 + C(m-2, k-1)] / (4 pi)^(m/2),
       from the scalar curvature -n(n-1)/x^2, its Weitzenboeck trace on
       k-forms and the boundary's mean curvature n;
+    * n = 1, N the circle of period L and radius r = L / 2 pi, at
+      t^(-b/2) = t^(-(m-2)/2), where the tip and the edge enter:
+      vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
+      degree j (`circle_cone_zeta0`; the sum is exact, then rounded once).
+      A product degree's trace is Theta_B(t) sum_j C(b, k-j) Tr_j, and the
+      base's theta function is vol(B) (4 pi t)^(-b/2) up to terms of order
+      e^(-L^2/4t), so the cone's t^0 lands on t^(-b/2); on the plain cone
+      (b = 0) it is zeta(0) itself;
     * n = 1, at t^(-(m-3)/2) and t^(-(m-4)/2): the Dirichlet a_(3/2) and
       a_2 of a flat space with a unit-curvature boundary,
       C A / (128 (4 pi)^((m-1)/2)) and 4 C A / (315 (4 pi)^(m/2)).  The
@@ -539,15 +571,15 @@ def heat_pins(m: int, n: int, degree: int, volume: float,
       Berg-Srisatkunarajah, 1990); the base's flat factor
       vol(B) (4 pi t)^(-b/2) carries it to the product.
 
-    The cone's tip adds only a t^0 term, so with the base's theta
-    function the edge enters at t^(-b/2) = t^(-(m-n-1)/2), and no
-    coefficient it shares is pinned: a_1 when n = 1, a_(3/2) when n = 2.
     On the circle product (m = 3) the pinned a_(3/2) is zeta(0) itself.
     The next circle coefficient, a_(5/2) = 37 C A / (2^15 sqrt(pi)
     (4 pi)^((m-2)/2)), is left to the fit: pinned too, it turned the disk
     to the order-3 fit and raised its log T bound from 4.7e-9 to 7.9e-9.
-    A torus fiber of dimension 3 or more pins only the first two: no run
-    has checked its a_1."""
+    On a torus fiber the tip's t^0 has no closed form here, so the edge's
+    a_(3/2) (n = 2) stays free.  A torus fiber of dimension 3 or more pins
+    only the first two: no run has checked its a_1."""
+    n, fiber_volume = len(fiber_periods), math.prod(fiber_periods)
+    volume, boundary = fiber_volume / (n + 1) * base_volume, fiber_volume * base_volume
     rank = math.comb(m, degree)
     pins = {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
             Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
@@ -557,6 +589,10 @@ def heat_pins(m: int, n: int, degree: int, volume: float,
         pins[Fraction(2 - m, 2)] = n * boundary * (rank / 6.0 + weitzenboeck) \
             / (4.0 * math.pi) ** (m / 2.0)
     elif n == 1:
+        b = m - 2
+        tip = sum(_comb(b, degree - j) * z
+                  for j, z in enumerate(circle_cone_zeta0(fiber_volume / (2.0 * math.pi))))
+        pins[Fraction(2 - m, 2)] = base_volume / (4.0 * math.pi) ** (b / 2.0) * float(tip)
         pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
         pins[Fraction(4 - m, 2)] = 4.0 * rank * boundary / (315.0 * (4.0 * math.pi) ** (m / 2.0))
     return pins

@@ -301,6 +301,16 @@ def a_spectrum(fiber: FiberSpectrum, p: int, convention=Convention.GEOMETRIC_ORA
     return NuSpectrum(*_merged_orders(nu[keep], mult[keep]), p, conv, float(nu_max))
 
 
+def frac_radius(radius: float) -> float:
+    """a = frac(r) of the circle of radius r, as the cone over it sees it:
+    its degree-1 Bessel orders |k/r -+ 1| (`a_block_eigenvalues`) are
+    (n + a)/r and (n + 1 - a)/r, n >= 0.  An r within 1e-12 relative of an
+    integer takes a = 0, as the orders do: 2 pi r / 2 pi leaves such a
+    residue at r = 11, and its least order is then exactly 0."""
+    a = radius % 1.0
+    return 0.0 if min(a, 1.0 - a) <= 1e-12 * radius else a
+
+
 def single_nu_spectrum(nu: float) -> NuSpectrum:
     """Toy spectrum with one radial mode in degree 0; the full spectrum of
     one l_nu."""

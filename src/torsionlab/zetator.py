@@ -48,7 +48,8 @@ continuous.  The plain spread left the pinned T^2 cone's order-2 zeta(0)
 at t_min 2e-2 off its reference by 1.20 times its bound.  The partner's
 whole bound would make the fit's bound always the larger, which is
 "report the partner always", measured and rejected: it makes the disk's
-log T bound 2.7 times larger.  The report takes the
+log T bound 1.19 times and the torus-base product's 2.8 times larger.
+The report takes the
 values, bounds and budget of the fit whose zeta'(0) bound is the smaller
 (`fit_order` names it); each bound then covers the other fit's value
 too.  The partner keeps the t^0 log t column where the template calculus
@@ -317,7 +318,9 @@ def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     # zeta(0) reads a_-1 and a_-2, which the t^0 and t^0 log t coefficients
     # enter directly; zeta'(0) moves by its derivative weight.  With t^0
     # pinned and no t^0 log t column, they are the pin's closed form and 0,
-    # which the remainder cannot move: only the pin's rounding is charged
+    # which the remainder cannot move: only the pin's rounding is charged,
+    # on the scale of its value (`heat_pins` sums the cone's cancelling
+    # terms exactly and rounds once)
     bounds = fit.coefficient_bounds
     s_m2, s_m1 = bounds.get(log_zero, 0.0), bounds.get(zero, 0.0)
     if zero in fit.pinned and log_zero not in fit.coefficients:

@@ -537,6 +537,22 @@ def test_selftest_runs_every_row_once(capsys):
         assert exc.value.code == 2
 
 
+def test_pin_without_a_tolerance_fails_the_pin_row_and_is_named(monkeypatch):
+    """heat_coefficients_pinned measures every pin after the first two; one
+    more pin than it has tolerances fails the row, and its detail prints
+    that pin with "no tolerance" in each of its six models."""
+    from torsionlab import conekernel
+    heat_pins = conekernel.heat_pins
+
+    def one_more(*args, **kwargs):
+        return {**heat_pins(*args, **kwargs), Fraction(3, 2): 1.0}
+
+    monkeypatch.setattr(conekernel, "heat_pins", one_more)
+    passed, detail = oracles.heat_coefficients_pinned()
+    assert not passed
+    assert detail.count("t^3/2 ") == detail.count("(no tolerance)") == 6  # one per model
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "torsionlab.cli", "structure", "--m", "3", "--b", "1"],

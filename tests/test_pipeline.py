@@ -133,8 +133,8 @@ def test_pins_are_the_volume_and_boundary_of_the_model():
             assert {alpha: pins[alpha] for alpha in want} == pytest.approx(want, rel=1e-15), \
                 (cfg, k)
     assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
-        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(1, 2): math.sqrt(math.pi) / 128,
-         F(1): 2 / 315}, rel=1e-15)
+        {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(0): 1 / 6,
+         F(1, 2): math.sqrt(math.pi) / 128, F(1): 2 / 315}, rel=1e-15)
     single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
     assert single.pins(0) == {} and single.partner_template() is None
     fit = single.fits()[0]
@@ -153,32 +153,48 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 
 TWO_PI = 2 * math.pi
 # flags of each model, and the exponents of its pins after the first two:
-# a_(3/2) at t^(-(m-3)/2) and a_2 at t^(-(m-4)/2) on circle fibers, a_1 at
-# t^(-(m-2)/2) on T^2 fibers; none the edge shares (t^(-b/2)); one radial
-# mode takes no pins (test_pins_are_the_volume_and_boundary_of_the_model)
+# on circle fibers the tip's and edge's at t^(-b/2), a_(3/2) at
+# t^(-(m-3)/2) and a_2 at t^(-(m-4)/2); a_1 at t^(-(m-2)/2) on T^2 fibers,
+# whose edge exponent t^(-b/2) stays free; one radial mode takes no pins
+# (test_pins_are_the_volume_and_boundary_of_the_model)
 LATER_PINS = {
-    "disk": (ModelConfig(), [F(1, 2), F(1)]),
-    "r=0.5": (ModelConfig(radius=0.5), [F(1, 2), F(1)]),
-    "r=2.3": (ModelConfig(radius=2.3), [F(1, 2), F(1)]),
+    "disk": (ModelConfig(), [F(0), F(1, 2), F(1)]),
+    "r=0.5": (ModelConfig(radius=0.5), [F(0), F(1, 2), F(1)]),
+    "r=2.3": (ModelConfig(radius=2.3), [F(0), F(1, 2), F(1)]),
     "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), [F(-1, 2)]),
     "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), [F(-1, 2)]),
     "torus-base product": (ModelConfig(model="product", base="torus",
-                                       base_periods=[TWO_PI, 3.0]), [F(-1, 2), F(0)]),
+                                       base_periods=[TWO_PI, 3.0]), [F(-1), F(-1, 2), F(0)]),
     "circle x T^2": (ModelConfig(model="product", base="circle", fiber_kind="torus",
                                  periods=[TWO_PI, TWO_PI]), [F(-1)]),
-    "circle product": (ModelConfig(model="product", base="circle", radius=1.5), [F(0), F(1, 2)]),
+    "circle product": (ModelConfig(model="product", base="circle", radius=1.5),
+                       [F(-1, 2), F(0), F(1, 2)]),
 }
+
+
+def _circle_cone_zeta0(r: float) -> list[F]:
+    """The circle cone's zeta(0) in degrees 0, 1, 2, written out in exact
+    rationals at the float r: (r + 1/r)/12, (r + 1/r)/6 - a(1 - a)/r and
+    (r + 1/r)/12, a = frac(r)."""
+    r = F(r)
+    a = r % 1
+    return [(r + 1 / r) / 12, (r + 1 / r) / 6 - a * (1 - a) / r, (r + 1 / r) / 12]
 
 
 @pytest.mark.parametrize("name", LATER_PINS)
 def test_third_pin_where_the_edge_does_not_share_it(name):
     """The pinned exponents of each model, and the closed forms of the pins
-    after the first two: (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 +
-    C(m-2, k-1)] on torus fibers (n = 2); C(m, k) vol(N) vol(B) / (128
-    (4 pi)^((m-1)/2)) and 4 C(m, k) vol(N) vol(B) / (315 (4 pi)^(m/2)) on
-    circle fibers.  The disk's are the planar sqrt(pi t) / 128 and 2 t /
-    315, T^2's is sqrt(pi) [1/6, 3/2, 3/2, 1/6], the circle product's t^0
-    pin is zeta(0) = C(3, k) L r / 256, and each is Hodge-symmetric."""
+    after the first two.  On torus fibers (n = 2) the third is a_1 =
+    (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 + C(m-2, k-1)], whose exponent
+    the edge does not share.  On circle fibers the third is the one the tip
+    and the edge share, vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the
+    cone's zeta(0) in degree j, summed exactly and rounded once, then
+    C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) and 4 C(m, k) vol(N)
+    vol(B) / (315 (4 pi)^(m/2)).  The disk's are 1/6, the planar
+    sqrt(pi t) / 128 and 2 t / 315, the cone of radius 1/2 has the
+    correctly rounded 5/24 and -1/12 at t^0, T^2's is sqrt(pi) [1/6, 3/2,
+    3/2, 1/6], the circle product's t^0 pin is zeta(0) = C(3, k) L r / 256,
+    and each is Hodge-symmetric."""
     cfg, later = LATER_PINS[name]
     pipe = Pipeline(cfg)
     m, n = pipe.m, len(pipe.fiber_periods)
@@ -189,21 +205,63 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
         assert pins == pytest.approx(pipe.pins(m - k), rel=1e-15), k
         rank = math.comb(m, k)
         if n == 2:
-            want = [n * volume * (rank / 6 + (math.comb(m - 2, k - 1) if k else 0))
-                    / (4 * math.pi) ** (m / 2)]
+            rest, want = later, [n * volume * (rank / 6 + (math.comb(m - 2, k - 1) if k else 0))
+                                 / (4 * math.pi) ** (m / 2)]
         else:
-            want = [rank * volume / (128 * (4 * math.pi) ** ((m - 1) / 2)),
-                    4 * rank * volume / (315 * (4 * math.pi) ** (m / 2))]
-        assert [pins[alpha] for alpha in later] == pytest.approx(want, rel=1e-15), k
+            b, r = pipe.b, pipe.fiber_periods[0] / TWO_PI
+            tip = sum(math.comb(b, k - j) * z
+                      for j, z in enumerate(_circle_cone_zeta0(r)) if j <= k)
+            edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * float(tip)
+            assert pins[later[0]] == (edge if b == 0 else pytest.approx(edge, rel=1e-15)), k
+            rest, want = later[1:], [rank * volume / (128 * (4 * math.pi) ** ((m - 1) / 2)),
+                                     4 * rank * volume / (315 * (4 * math.pi) ** (m / 2))]
+        assert [pins[alpha] for alpha in rest] == pytest.approx(want, rel=1e-15), k
     if name == "disk":
         assert [pipe.pins(1)[alpha] for alpha in later] \
-            == pytest.approx([math.sqrt(math.pi) / 64, 4 / 315], rel=1e-15)
+            == pytest.approx([1 / 3, math.sqrt(math.pi) / 64, 4 / 315], rel=1e-15)
+    if name == "r=0.5":
+        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] == [5 / 24, -1 / 12, 5 / 24]
     if name == "T^2":
         assert [pipe.pins(k)[later[0]] for k in pipe.degrees] \
             == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14)
     if name == "circle product":
         assert [pipe.pins(k)[F(0)] for k in pipe.degrees] \
             == pytest.approx([c * TWO_PI * 1.5 / 256 for c in (1, 3, 3, 1)], rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.5, 2.0, 2.3, 3.0, 11.0])
+def test_tip_pin_reads_a_as_the_degree_one_orders_do(r):
+    """The cone over the circle of radius r has the degree-1 Bessel orders
+    (n + a)/r and (n + 1 - a)/r, so r times the least one is x = min(a,
+    1 - a), and the degree-1 t^0 pin's a(1 - a)/r is x(1 - x)/r.  At an
+    integer r both are exactly 0, and the degree-1 pin is twice degree 0's
+    bit for bit, also at r = 11, whose period 2 pi r divided by 2 pi
+    leaves 10.999999999999998."""
+    pipe = Pipeline(ModelConfig(radius=r))
+    radius = pipe.fiber_periods[0] / TWO_PI
+    least = float(pipe.nu_spectra()[1].nu[0])
+    x = radius * least
+    tip = (radius + 1 / radius) / 6 - pipe.pins(1)[F(0)]
+    assert tip == pytest.approx(x * (1 - x) / radius, rel=1e-10, abs=1e-15)
+    if r.is_integer():
+        assert least == 0.0 and fiber.frac_radius(radius) == 0.0
+        assert pipe.pins(1)[F(0)] == 2 * pipe.pins(0)[F(0)]
+    else:
+        assert min(fiber.frac_radius(radius), 1 - fiber.frac_radius(radius)) \
+            == pytest.approx(x, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.2, 0.25, (3 - math.sqrt(2)) / 7, (3 + math.sqrt(2)) / 7],
+                         ids=["0.2", "0.25", "(3-sqrt2)/7", "(3+sqrt2)/7"])
+def test_tip_pin_is_its_closed_form_rounded_once(r):
+    """For r < 1 the degree-1 t^0 pin is (r + 1/r)/6 - (1 - r) =
+    (7r^2 - 6r + 1)/(6r), whose terms cancel to 0 at r = (3 -+ sqrt 2)/7.
+    The pin is that value at the pipeline's radius, correctly rounded, so
+    a rounding on its own scale, which is what an exactly pinned zeta(0)
+    is charged, covers it."""
+    pipe = Pipeline(ModelConfig(radius=r))
+    radius = F(pipe.fiber_periods[0] / TWO_PI)
+    assert pipe.pins(1)[F(0)] == float((7 * radius ** 2 - 6 * radius + 1) / (6 * radius))
 
 
 def test_stages_computed_once(monkeypatch):
@@ -362,7 +420,8 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     the order-2 fit is reported, also on the circle product and on T^2,
     where the partner's zeta'(0) bound is the smaller, and it still
     carries the order-2 bias of the spread to the partner: none in zeta(0)
-    on the circle product, whose two fits pin it."""
+    on the circle product, whose two fits pin it and have no t^0 log t
+    column."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     rough = dataclasses.replace(fit, partner=dataclasses.replace(fit.partner, residual=2e-5))
@@ -378,8 +437,10 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     assert d["fit_order"] == str(TEMPLATE_CUTOFF) and d["fit_residual"] == fit.residual
     assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
     assert d["zeta0_bias"] == spread0 + min(own["zeta0_bound"], spread0) and bias > 0.0
-    # the circle product pins t^0, its zeta(0), in both fits
-    assert (d["zeta0_bias"] > 0.0) == ("t^0" not in d["pinned"]) == (name != "product")
+    # zeta(0) reads t^0 and the partner's t^0 log t: both fits pin t^0 on
+    # circle fibers, and only the disk's partner (m even) has the log column
+    moves = "t^0" not in d["pinned"] or (F(0), True) in fit.partner.coefficients
+    assert (d["zeta0_bias"] > 0.0) == moves == (name != "product")
     assert d["zeta_prime0_budget"] == {**alone.diagnostics["zeta_prime0_budget"], "bias": bias}
     assert d["zeta0_bound"] == alone.diagnostics["zeta0_bound"] + d["zeta0_bias"]
     assert d["zeta_prime0_bound"] == alone.diagnostics["zeta_prime0_bound"] + bias
@@ -387,8 +448,9 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
 
 
 # the dominant zeta'(0) term of each golden model's degrees 0, 1, ...: the
-# t^0 shift, weighed by about |log t1|, or the spread of the two fits
-SHIFT, BIAS = {"term": "fit_shift", "column": "t^0"}, {"term": "bias"}
+# shift of t^3/2, the disk's first free column once t^0 is pinned, or the
+# spread of the two fits
+SHIFT, BIAS = {"term": "fit_shift", "column": "t^3/2"}, {"term": "bias"}
 DOMINANT = {"disk": [SHIFT, SHIFT, SHIFT],
             "product": [BIAS, BIAS, BIAS, BIAS],
             "torus": [BIAS, BIAS, BIAS, BIAS]}
@@ -397,8 +459,8 @@ DOMINANT = {"disk": [SHIFT, SHIFT, SHIFT],
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_budget_names_its_dominant_term(name):
     """The budget's four terms sum to the bound, and the dominant term is
-    the largest: the t^0 shift on the disk, and the bias on the circle
-    product and on T^2 at 1e-2, which report their order-3 fits."""
+    the largest: the t^3/2 shift on the disk, and the bias on the circle
+    product at 3e-3 and on T^2 at 1e-2, which report their order-3 fits."""
     zetas = Pipeline(GOLDEN_MODELS[name]).zetas()
     assert [z.diagnostics["zeta_prime0_dominant"] for z in zetas.values()] == DOMINANT[name]
     for z in zetas.values():

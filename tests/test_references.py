@@ -16,6 +16,11 @@ t <= 1/36, and torsion refuses the run (tests/test_cli.py).  At 2e-2 the
 order-2 fit's bound needs more than the spread: with three pins it
 missed until it carried the partner's own bound too, up to the spread.
 
+The circle cones' zeta(0) are the closed forms the fit pins at t^0, so
+their check holds by construction; the oracle row heat_coefficients_pinned
+measures the pin by a free fit, and with it every circle cone's zeta'(0)
+bound is at most 7e-10.
+
 The circle products' zeta(0) is the Dirichlet a_(3/2) coefficient
 C(3, k) L r / 256, which the fit pins; the oracle row
 heat_coefficients_pinned measures it by a free fit.  Their log T has the
@@ -24,6 +29,10 @@ oracle row circle_product_identity), whose values at two radii and two
 base lengths each lie within log_torsion_bound, with every degree's
 zeta'(0) bound at most 1e-6 and at most 1.25 times its measured value.
 Their zeta(0) bound charges only the pin's rounding.
+
+The products over a flat T^2 base, and the circle base over the T^2 cone,
+have log T = 0 exactly (Kunneth and Hodge); those zeros are their only
+log T references, held here and by the oracle row zero_log_torsion.
 """
 
 import json
@@ -31,7 +40,8 @@ import math
 
 import pytest
 
-from torsionlab.cli import main
+from torsionlab import oracles
+from torsionlab.cli import Pipeline, main
 
 T2 = ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"]
 T2_REFERENCE = ((0.3376204449, -1.0579349921), (0.2280004067, -5.1266568546))
@@ -56,6 +66,10 @@ CASES = {
                   ((-(2 * 0.5 + 1) / 4,),
                    (0.5 * math.log(2.0) + math.lgamma(1.5) - 0.5 * math.log(2.0 * math.pi),))),
 }
+# each degree's zeta'(0) bound at most: with t^0 pinned to its closed form,
+# 7e-10 on every circle cone at t_min 1e-3 (measured: at most 6.2e-10,
+# degree 1 at r = 2.3)
+ZETA_PRIME0_CEILING = dict.fromkeys(["disk", "r=0.5", "r=1.5", "r=2", "r=2.3"], 7e-10)
 
 
 def _torsion(capsys, flags):
@@ -75,6 +89,7 @@ def test_zeta_prime0_bound_covers_the_reference(capsys, name):
     for z in per:
         want = reference[min(z["degree"], m - z["degree"])]
         assert abs(z["zeta_prime0"] - want) <= z["diagnostics"]["zeta_prime0_bound"], z["degree"]
+        assert z["diagnostics"]["zeta_prime0_bound"] <= ZETA_PRIME0_CEILING.get(name, math.inf)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -120,9 +135,9 @@ def test_circle_product_zeta0_bound_is_the_pin_rounding(capsys):
 CIRCLE_PRODUCT_LOG_T = {(0.5, 1.0): 1.5466061342, (1.5, 1.0): 0.4643978628,
                         (2.3, 1.0): 0.2514722576, (1.5, 0.5): 0.2315100693}
 # each degree's zeta'(0) bound, at most 1.25 times the largest measured:
-# 1.32e-8, 3.96e-8, 6.24e-8 and 1.96e-8
-CIRCLE_PRODUCT_ZETA_PRIME0_BOUND = {(0.5, 1.0): 1.65e-8, (1.5, 1.0): 4.95e-8,
-                                    (2.3, 1.0): 7.8e-8, (1.5, 0.5): 2.45e-8}
+# 4.61e-9, 1.39e-8, 2.59e-8 and 6.68e-9
+CIRCLE_PRODUCT_ZETA_PRIME0_BOUND = {(0.5, 1.0): 5.77e-9, (1.5, 1.0): 1.74e-8,
+                                    (2.3, 1.0): 3.24e-8, (1.5, 0.5): 8.35e-9}
 
 
 @pytest.mark.parametrize("r,rho", CIRCLE_PRODUCT_LOG_T)
@@ -143,3 +158,19 @@ def test_log_torsion_bound_covers_the_circle_product(capsys):
     """S^1 x cone(S^1) has log T = 0."""
     report = _torsion(capsys, ["--model", "product", "--base", "circle"])
     assert abs(report["log_torsion"]) <= report["log_torsion_bound"]
+
+
+def test_log_torsion_bound_covers_the_zero_of_the_products():
+    """The products over a flat T^2 base, and the circle base over the T^2
+    cone, have log T = 0 (oracle row zero_log_torsion): each report's bound
+    covers it, and the samples' weighted supertrace vanishes."""
+    passed, detail = oracles.zero_log_torsion()
+    assert passed, detail
+
+
+def test_torus_base_product_zeta_prime0_bound_ceiling():
+    """With the edge's t^(-1) pinned, each degree's zeta'(0) bound on the
+    unit circle cone times the square 2 pi torus is at most 2.5e-6
+    (measured: at most 1.42e-6, degree 2)."""
+    pipe = Pipeline(oracles.zero_log_torsion_models()["T^2(2pi x 2pi) x cone(r=1.0)"])
+    assert max(z.diagnostics["zeta_prime0_bound"] for z in pipe.zetas().values()) <= 2.5e-6
