@@ -413,11 +413,15 @@ class Pipeline:
         if window < 2 * columns:
             raise ValueError(f"--t-min {self.cfg.t_min!r} leaves {window} samples in the fit "
                              f"window t <= FIT_T_MAX = {FIT_T_MAX:.4g}; it needs {2 * columns}")
-        inputs = {k: (tr, self.pins(k)) for k, tr in self.traces().items()}
+        base_volume = math.prod(self.base_periods)
+        # one radial mode has no fiber periods, and so no pin bounds
+        inputs = {k: (tr, self.pins(k),
+                      conekernel.heat_pin_bounds(self.m, k, self.fiber_periods, base_volume))
+                  for k, tr in self.traces().items()}
         return _each_distinct(
             inputs, operator.eq,
             lambda k, x: conekernel.fit_expansion(x[0].restrict(t_max=FIT_T_MAX), tpl,
-                                                  x[1], partner))
+                                                  x[1], partner, x[2]))
 
     def _kernels(self) -> list[int]:
         kernels = zetator.kernel_dimension(self.m)

@@ -21,14 +21,15 @@ Least-squares extraction of expansion coefficients works in the basis
 t^(-a_min) so the leading fitted term carries comparable influence across
 the sample range.  Coefficients that geometry fixes (`heat_pins`: volume,
 Dirichlet boundary, the later ones where the edge does not share their
-exponent, and on circle fibers the tip's and edge's in closed form) can
-be pinned, so that only the others are fitted, and a higher-order
-partner template can be fitted alongside, to measure the truncation of
-the first.
+exponent, and on circle and T^2 fibers the tip's and edge's in closed
+form) can be pinned, so that only the others are fitted, and a
+higher-order partner template can be fitted alongside, to measure the
+truncation of the first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -44,7 +45,7 @@ from .errors import (
     MismatchedGrids,
     TailNotCertified,
 )
-from .fiber import FiberSpectrum, NuSpectrum, _comb, frac_radius
+from .fiber import FiberSpectrum, NuSpectrum, _comb, _lattice_points, frac_radius
 from .phg import ExpansionTemplate
 
 TAIL_RELATIVE_LIMIT = 1e-10
@@ -487,8 +488,9 @@ class FittedExpansion:
     norm of the pseudoinverse row times the residual sup).  They dominate
     collinearity noise when the template carries log columns the data does
     not actually need.  A `pinned` coefficient was given, not fitted, and
-    its bound is 0.  `partner` is the fit of a higher-order template to the
-    same samples and pins, whose spread from this one measures truncation.
+    its bound is the pin's own error, 0 unless one was given.  `partner`
+    is the fit of a higher-order template to the same samples and pins,
+    whose spread from this one measures truncation.
     """
 
     template: ExpansionTemplate
@@ -541,6 +543,64 @@ def circle_cone_zeta0(radius: float) -> tuple[Fraction, Fraction, Fraction]:
     return z, 2 * z - a * (1 - a) / r, z
 
 
+@functools.lru_cache(maxsize=None)
+def torus_cone_zeta0(periods: tuple[float, float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """zeta(0), the t^0 heat coefficient, of the cone over the flat torus
+    of periods L1 x L2 cut at x = 1 with a Dirichlet condition, in degrees
+    0 to 3, and a bound on the error of each.
+
+    Degree 0's Bessel orders are mu = sqrt(|kappa|^2 + 1/4) over the dual
+    lattice, so with zeta_N(s) = sum mu^(-2s), zeta(0) = -zeta_N(-1/2)/2
+    - zeta_N(0)/4 (Bordag-Kirsten-Dowker, CMP 182 (1996) 371).  Poisson
+    summation over the period lattice Lambda (Chowla-Selberg; Elizalde,
+    LNP m35, 1995) makes it, with A = L1 L2,
+
+        z0 = 5A/(192 pi) + A/(8 pi^(3/2)) sum_(m in Lambda, m != 0)
+             |m|^(-3/2) K_(3/2)(|m|/2)
+           = A/(8 pi) [5/24 + sum e^(-|m|/2) (|m| + 2)/|m|^3].
+
+    Degree 1's orders are mu, mu + 1 and |mu - 1| (`a_block_eigenvalues`:
+    nu_pm^2 = |kappa|^2 + 5/4 +- sqrt(1 + 4|kappa|^2) = (mu +- 1)^2), so
+    its zeta_N is three of degree 0's, plus 2 sum max(0, 1 - mu) at
+    s = -1/2 and the residue A/(2 pi) of 2s(2s + 1) zeta_N(s + 1) at s = 0:
+
+        z1 = 3 z0 - A/(8 pi) - sum_kappa max(0, 1 - mu),
+
+    kappa = 0 (mu = 1/2) included, so a square 2 pi-torus has z1 =
+    3 z0 - 1/2 - pi/2.  Degrees 2 and 3 are the Hodge duals of 1 and 0.
+
+    The lattice is cut at the radius R past which the Weyl count
+    #{|m| <= r} <= pi (r + d)^2 / A, d half the cell's diagonal, bounds the
+    sum's tail below a unit roundoff of 5/24; each term is charged
+    (2|m| + 20) roundings (its exponent's rounding grows with |m|), and
+    each value its own roundings.  Computed once per torus: the cut
+    lattice has some 4 R^2 / A points, R ~ 80."""
+    area = periods[0] * periods[1]
+    half_diagonal = 0.5 * math.hypot(*periods)
+
+    def tail(r: float) -> float:
+        return (r + 2.0) / r ** 3 * math.pi / area * math.exp(-0.5 * r) \
+            * ((r + half_diagonal) ** 2 + 4.0 * (r + half_diagonal) + 8.0)
+
+    target = UNIT_ROUNDOFF * 5.0 / 24.0
+    reach = 1.0
+    while tail(reach) > target:
+        reach += 1.0
+    # the dual of the dual lattice: periods 2 pi / L put kappa at m
+    dist = np.sqrt(_lattice_points([2.0 * math.pi / L for L in periods], reach)[1])
+    dist = dist[dist > 0.0]
+    terms = np.exp(-0.5 * dist) * (dist + 2.0) / dist ** 3
+    theta = area / (8.0 * math.pi)
+    z0 = theta * (5.0 / 24.0 + math.fsum(terms))
+    err0 = theta * (UNIT_ROUNDOFF * math.fsum(terms * (2.0 * dist + 20.0)) + tail(reach)) \
+        + rounding_gamma(8) * z0
+    mu2 = _lattice_points(periods, math.sqrt(0.75))[1]
+    below = np.maximum(1.0 - np.sqrt(mu2 + 0.25), 0.0)
+    z1 = 3.0 * z0 - theta - math.fsum(below)
+    err1 = 3.0 * err0 + rounding_gamma(8) * (3.0 * z0 + theta + math.fsum(below) + len(below))
+    return (z0, z1, z1, z0), (err0, err1, err1, err0)
+
+
 def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
               base_volume: float) -> dict[Fraction, float]:
     """The heat coefficients that geometry fixes in form degree k of an
@@ -556,14 +616,15 @@ def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
     * n = 2, at t^(-(m-2)/2): a_1 = n A [C/6 + C(m-2, k-1)] / (4 pi)^(m/2),
       from the scalar curvature -n(n-1)/x^2, its Weitzenboeck trace on
       k-forms and the boundary's mean curvature n;
-    * n = 1, N the circle of period L and radius r = L / 2 pi, at
-      t^(-b/2) = t^(-(m-2)/2), where the tip and the edge enter:
+    * n = 1 or 2, at t^(-b/2), where the tip and the edge enter:
       vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
-      degree j (`circle_cone_zeta0`; the sum is exact, then rounded once).
-      A product degree's trace is Theta_B(t) sum_j C(b, k-j) Tr_j, and the
-      base's theta function is vol(B) (4 pi t)^(-b/2) up to terms of order
-      e^(-L^2/4t), so the cone's t^0 lands on t^(-b/2); on the plain cone
-      (b = 0) it is zeta(0) itself;
+      degree j.  A product degree's trace is Theta_B(t) sum_j C(b, k-j)
+      Tr_j, and the base's theta function is vol(B) (4 pi t)^(-b/2) up to
+      terms of order e^(-L^2/4t), so the cone's t^0 lands on t^(-b/2); on
+      the plain cone (b = 0) it is zeta(0) itself.  On the circle of
+      radius r = L / 2 pi the z_j are `circle_cone_zeta0`, summed exactly
+      and rounded once; on T^2 they are `torus_cone_zeta0`'s floats, whose
+      error `heat_pin_bounds` gives;
     * n = 1, at t^(-(m-3)/2) and t^(-(m-4)/2): the Dirichlet a_(3/2) and
       a_2 of a flat space with a unit-curvature boundary,
       C A / (128 (4 pi)^((m-1)/2)) and 4 C A / (315 (4 pi)^(m/2)).  The
@@ -575,12 +636,12 @@ def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
     The next circle coefficient, a_(5/2) = 37 C A / (2^15 sqrt(pi)
     (4 pi)^((m-2)/2)), is left to the fit: pinned too, it turned the disk
     to the order-3 fit and raised its log T bound from 4.7e-9 to 7.9e-9.
-    On a torus fiber the tip's t^0 has no closed form here, so the edge's
-    a_(3/2) (n = 2) stays free.  A torus fiber of dimension 3 or more pins
-    only the first two: no run has checked its a_1."""
+    On T^2 the edge's a_(3/2), at t^(1-b/2), stays free.  A torus fiber
+    of dimension 3 or more pins only the first two: no run has checked
+    its a_1."""
     n, fiber_volume = len(fiber_periods), math.prod(fiber_periods)
     volume, boundary = fiber_volume / (n + 1) * base_volume, fiber_volume * base_volume
-    rank = math.comb(m, degree)
+    rank, b = math.comb(m, degree), m - n - 1
     pins = {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
             Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
     if n == 2:
@@ -588,14 +649,32 @@ def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
         weitzenboeck = math.comb(m - 2, degree - 1) if degree else 0
         pins[Fraction(2 - m, 2)] = n * boundary * (rank / 6.0 + weitzenboeck) \
             / (4.0 * math.pi) ** (m / 2.0)
-    elif n == 1:
-        b = m - 2
-        tip = sum(_comb(b, degree - j) * z
-                  for j, z in enumerate(circle_cone_zeta0(fiber_volume / (2.0 * math.pi))))
-        pins[Fraction(2 - m, 2)] = base_volume / (4.0 * math.pi) ** (b / 2.0) * float(tip)
+    if n in (1, 2):
+        zeta0 = circle_cone_zeta0(fiber_volume / (2.0 * math.pi)) if n == 1 \
+            else torus_cone_zeta0(tuple(fiber_periods))[0]
+        tip = sum(_comb(b, degree - j) * z for j, z in enumerate(zeta0))
+        pins[Fraction(-b, 2)] = base_volume / (4.0 * math.pi) ** (b / 2.0) * float(tip)
+    if n == 1:
         pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
         pins[Fraction(4 - m, 2)] = 4.0 * rank * boundary / (315.0 * (4.0 * math.pi) ** (m / 2.0))
     return pins
+
+
+def heat_pin_bounds(m: int, degree: int, fiber_periods: Sequence[float],
+                    base_volume: float) -> dict[Fraction, float]:
+    """A bound on the error of each `heat_pins` value that is more than
+    its few roundings: on T^2 fibers, the tip's and edge's at t^(-b/2),
+    vol(B) (4 pi)^(-b/2) times sum_j C(b, k-j) (e_j + gamma |z_j|), with e_j
+    `torus_cone_zeta0`'s bound on z_j and gamma the sum's and the factor's
+    roundings.  The circle fibers' pins are exact to one rounding, which
+    the fit charges on the scale of the value (`zetator._fit_report`)."""
+    if len(fiber_periods) != 2:
+        return {}
+    b = m - 3
+    zeta0, errors = torus_cone_zeta0(tuple(fiber_periods))
+    error = sum(_comb(b, degree - j) * (e + rounding_gamma(b + 6) * abs(z))
+                for j, (z, e) in enumerate(zip(zeta0, errors)))
+    return {Fraction(-b, 2): base_volume / (4.0 * math.pi) ** (b / 2.0) * error}
 
 
 def column_name(key: tuple[Fraction, bool]) -> str:
@@ -657,32 +736,35 @@ def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fractio
 
 def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
                   pins: Mapping[Fraction, float] | None = None,
-                  partner: ExpansionTemplate | None = None) -> FittedExpansion:
+                  partner: ExpansionTemplate | None = None,
+                  pin_bounds: Mapping[Fraction, float] | None = None) -> FittedExpansion:
     """Weighted least squares of trace samples in the template basis.
 
     `pins` gives the coefficients of some t^alpha columns; their terms are
     subtracted from the samples, and only the other columns are fitted.
-    Weights t^(-alpha_min), alpha_min the least fitted exponent, equalize
-    the influence of the leading fitted term over a log-spaced grid.  A
-    truncated template cannot represent the trace all the way to the
-    largest times (the omitted content grows with t), so trailing samples
-    are trimmed one at a time, down to twice the number of fitted columns,
-    while the last relative residual stands out against the median by a
-    factor 10; for data the template describes exactly, nothing is
-    trimmed.  Fits whose design matrix is effectively singular, with its
+    `pin_bounds` bounds the error of some pins (`heat_pin_bounds`); each is
+    its column's coefficient bound.  Weights t^(-alpha_min), alpha_min the
+    least fitted exponent, equalize the influence of the leading fitted term
+    over a log-spaced grid.  A truncated template cannot represent the trace
+    all the way to the largest times (the omitted content grows with t), so
+    trailing samples are trimmed one at a time, down to twice the number of
+    fitted columns, while the last relative residual stands out against the
+    median by a factor 10; for data the template describes exactly, nothing
+    is trimmed.  Fits whose design matrix is effectively singular, with its
     columns scaled to unit norm, are refused rather than returned.  A
-    `partner` template is fitted to the same samples with the same pins,
-    in the same way, and returned with the fit.
+    `partner` template is fitted to the same samples with the same pins, in
+    the same way, and returned with the fit.
     """
     pins = {Fraction(alpha): float(c) for alpha, c in (pins or {}).items()}
-    fit = _fit(samples, template, pins)
+    pin_bounds = {(Fraction(alpha), False): float(e) for alpha, e in (pin_bounds or {}).items()}
+    fit = _fit(samples, template, pins, pin_bounds)
     if partner is None:
         return fit
-    return replace(fit, partner=_fit(samples, partner, pins))
+    return replace(fit, partner=_fit(samples, partner, pins, pin_bounds))
 
 
 def _fit(samples: TraceSamples, template: ExpansionTemplate,
-         pins: dict[Fraction, float]) -> FittedExpansion:
+         pins: dict[Fraction, float], pin_bounds: dict) -> FittedExpansion:
     """One template's fit for `fit_expansion`."""
     pinned = tuple((alpha, False) for alpha in pins)
     missing = [column_name(key) for key in pinned if key not in template.basis]
@@ -698,7 +780,8 @@ def _fit(samples: TraceSamples, template: ExpansionTemplate,
         raise IllConditioned(f"fit condition estimate {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
     # worst coefficient shift explained by residuals of the observed size
     sens = np.abs(np.linalg.pinv(design)).sum(axis=1) * float(np.max(np.abs(resid)))
-    fitted, bounds = dict(zip(free, coeff.tolist())), dict(zip(free, sens.tolist()))
+    fitted = dict(zip(free, coeff.tolist()))
+    bounds = {**pin_bounds, **dict(zip(free, sens.tolist()))}
     return FittedExpansion(
         template=template,
         coefficients={key: fitted[key] if key in fitted else pins[key[0]]

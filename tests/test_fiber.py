@@ -288,6 +288,25 @@ def test_flat_plane_one_forms():
     assert got == pytest.approx(sorted(x for x in expected), abs=1e-12)
 
 
+@pytest.mark.parametrize("periods", [(TWO_PI, TWO_PI), (TWO_PI, 3 * math.pi)],
+                         ids=["2pi x 2pi", "2pi x 3pi"])
+def test_torus_degree_one_orders_are_degree_zero_shifted_by_one(periods):
+    """On T^2 the degree-1 orders are mu, mu + 1 and |mu - 1| for each
+    kappa != 0, mu = sqrt(|kappa|^2 + 1/4), plus 3/2 once and 1/2 twice:
+    the premise of the T^2 cone's degree-1 zeta(0)
+    (`conekernel.torus_cone_zeta0`).  On 2 pi x 3 pi, kappa = (0, +-2/3)
+    has mu = 5/6, and its order is |mu - 1| = 1/6, not mu - 1."""
+    nu_max = 12.5
+    mu2 = _lattice_points(periods, nu_max + 1.0)[1]
+    mu = np.sqrt(mu2[mu2 > 0.0] + 0.25)
+    want = np.sort(np.concatenate([mu, mu + 1.0, np.abs(mu - 1.0), [1.5, 0.5, 0.5]]))
+    spec = a_spectrum(torus_spectrum(periods, cutoff=nu_max + 1.0), 1, GEO, nu_max=nu_max)
+    got = np.repeat(spec.nu, spec.mult)
+    assert got == pytest.approx(want[want <= nu_max], abs=1e-12)
+    sixths = np.count_nonzero(np.abs(got - 1 / 6) <= 1e-12)
+    assert sixths == (2 if periods[1] == 3 * math.pi else 0)
+
+
 def test_indicial_roots_sum_to_one():
     fiber = torus_spectrum([TWO_PI, TWO_PI], cutoff=4.0)
     for p in range(0, 4):

@@ -154,19 +154,22 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 TWO_PI = 2 * math.pi
 # flags of each model, and the exponents of its pins after the first two:
 # on circle fibers the tip's and edge's at t^(-b/2), a_(3/2) at
-# t^(-(m-3)/2) and a_2 at t^(-(m-4)/2); a_1 at t^(-(m-2)/2) on T^2 fibers,
-# whose edge exponent t^(-b/2) stays free; one radial mode takes no pins
+# t^(-(m-3)/2) and a_2 at t^(-(m-4)/2); on T^2 fibers a_1 at t^(-(m-2)/2),
+# then the tip's and edge's at t^(-b/2); one radial mode takes no pins
 # (test_pins_are_the_volume_and_boundary_of_the_model)
 LATER_PINS = {
     "disk": (ModelConfig(), [F(0), F(1, 2), F(1)]),
     "r=0.5": (ModelConfig(radius=0.5), [F(0), F(1, 2), F(1)]),
     "r=2.3": (ModelConfig(radius=2.3), [F(0), F(1, 2), F(1)]),
-    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), [F(-1, 2)]),
-    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), [F(-1, 2)]),
+    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2),
+            [F(-1, 2), F(0)]),
+    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), [F(-1, 2), F(0)]),
+    "2pi x 3pi T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, 3 * math.pi]),
+                      [F(-1, 2), F(0)]),
     "torus-base product": (ModelConfig(model="product", base="torus",
                                        base_periods=[TWO_PI, 3.0]), [F(-1), F(-1, 2), F(0)]),
     "circle x T^2": (ModelConfig(model="product", base="circle", fiber_kind="torus",
-                                 periods=[TWO_PI, TWO_PI]), [F(-1)]),
+                                 periods=[TWO_PI, TWO_PI]), [F(-1), F(-1, 2)]),
     "circle product": (ModelConfig(model="product", base="circle", radius=1.5),
                        [F(-1, 2), F(0), F(1, 2)]),
 }
@@ -181,20 +184,43 @@ def _circle_cone_zeta0(r: float) -> list[F]:
     return [(r + 1 / r) / 12, (r + 1 / r) / 6 - a * (1 - a) / r, (r + 1 / r) / 12]
 
 
+def _torus_cone_zeta0(periods) -> list[float]:
+    """The T^2 cone's zeta(0) in degrees 0 to 3, written out one lattice
+    point at a time: z0 = 5A/(192 pi) + A/(8 pi^(3/2)) sum_(m != 0)
+    |m|^(-3/2) K_(3/2)(|m|/2), K_(3/2)(x) = sqrt(pi/2x) e^-x (1 + 1/x),
+    over |m| <= 120, and z1 = 3 z0 - A/(8 pi) - sum (1 - mu) over the dual
+    vectors kappa with mu = sqrt(|kappa|^2 + 1/4) < 1."""
+    (a, b), area = periods, periods[0] * periods[1]
+    terms = []
+    for i in range(-int(120 / a), int(120 / a) + 1):
+        for j in range(-int(120 / b), int(120 / b) + 1):
+            r = math.hypot(i * a, j * b)
+            if 0 < r <= 120:
+                x = r / 2
+                terms.append(r ** -1.5 * math.sqrt(math.pi / (2 * x)) * math.exp(-x) * (1 + 1 / x))
+    z0 = 5 * area / (192 * math.pi) + area / (8 * math.pi ** 1.5) * math.fsum(terms)
+    mus = [math.sqrt((TWO_PI * i / a) ** 2 + (TWO_PI * j / b) ** 2 + 0.25)
+           for i in range(-2, 3) for j in range(-2, 3)]
+    z1 = 3 * z0 - area / (8 * math.pi) - math.fsum(1 - mu for mu in mus if mu < 1)
+    return [z0, z1, z1, z0]
+
+
 @pytest.mark.parametrize("name", LATER_PINS)
 def test_third_pin_where_the_edge_does_not_share_it(name):
     """The pinned exponents of each model, and the closed forms of the pins
     after the first two.  On torus fibers (n = 2) the third is a_1 =
     (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 + C(m-2, k-1)], whose exponent
-    the edge does not share.  On circle fibers the third is the one the tip
-    and the edge share, vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the
-    cone's zeta(0) in degree j, summed exactly and rounded once, then
-    C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) and 4 C(m, k) vol(N)
-    vol(B) / (315 (4 pi)^(m/2)).  The disk's are 1/6, the planar
+    the edge does not share.  The one the tip and the edge share is
+    vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
+    degree j: the third on circle fibers, summed exactly and rounded once,
+    then C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) and 4 C(m, k)
+    vol(N) vol(B) / (315 (4 pi)^(m/2)); the fourth on T^2 fibers, within
+    1e-14 of its lattice sum written out.  The disk's are 1/6, the planar
     sqrt(pi t) / 128 and 2 t / 315, the cone of radius 1/2 has the
-    correctly rounded 5/24 and -1/12 at t^0, T^2's is sqrt(pi) [1/6, 3/2,
-    3/2, 1/6], the circle product's t^0 pin is zeta(0) = C(3, k) L r / 256,
-    and each is Hodge-symmetric."""
+    correctly rounded 5/24 and -1/12 at t^0, T^2's a_1 is sqrt(pi) [1/6,
+    3/2, 3/2, 1/6] and its t^0 the References' zeta(0), the circle
+    product's t^0 pin is zeta(0) = C(3, k) L r / 256, and each is
+    Hodge-symmetric."""
     cfg, later = LATER_PINS[name]
     pipe = Pipeline(cfg)
     m, n = pipe.m, len(pipe.fiber_periods)
@@ -205,8 +231,14 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
         assert pins == pytest.approx(pipe.pins(m - k), rel=1e-15), k
         rank = math.comb(m, k)
         if n == 2:
-            rest, want = later, [n * volume * (rank / 6 + (math.comb(m - 2, k - 1) if k else 0))
-                                 / (4 * math.pi) ** (m / 2)]
+            b = pipe.b
+            tip = sum(math.comb(b, k - j) * z
+                      for j, z in enumerate(_torus_cone_zeta0(pipe.fiber_periods)) if j <= k)
+            edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * tip
+            assert pins[later[1]] == pytest.approx(edge, rel=1e-14, abs=1e-15), k
+            weitzenboeck = math.comb(m - 2, k - 1) if k else 0
+            rest = later[:1]
+            want = [n * volume * (rank / 6 + weitzenboeck) / (4 * math.pi) ** (m / 2)]
         else:
             b, r = pipe.b, pipe.fiber_periods[0] / TWO_PI
             tip = sum(math.comb(b, k - j) * z
@@ -224,9 +256,47 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
     if name == "T^2":
         assert [pipe.pins(k)[later[0]] for k in pipe.degrees] \
             == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14)
+        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] == pytest.approx(
+            [0.3376204449064545, -1.0579349920755332, -1.0579349920755332, 0.3376204449064545],
+            rel=1e-15)
+    if name == "2pi x 3pi T^2":
+        # the degree-1 orders 1 - mu at kappa = (0, +-2/3) take 2 (1 - 5/6) off
+        z = _torus_cone_zeta0(pipe.fiber_periods)
+        assert z[1] == pytest.approx(3 * z[0] - 3 * math.pi / 4 - 0.5 - 1 / 3, rel=1e-14)
     if name == "circle product":
         assert [pipe.pins(k)[F(0)] for k in pipe.degrees] \
             == pytest.approx([c * TWO_PI * 1.5 / 256 for c in (1, 3, 3, 1)], rel=1e-15)
+
+
+TIP_PIN_MODELS = {"disk": ModelConfig(), "T^2": GOLDEN_MODELS["torus"],
+                  "circle x T^2": ModelConfig(model="product", base="circle", fiber_kind="torus",
+                                              periods=[TWO_PI, TWO_PI], t_min=1e-2)}
+
+
+@pytest.mark.parametrize("name", TIP_PIN_MODELS)
+def test_tip_pin_carries_its_own_error_bound(name):
+    """On T^2 fibers the tip and edge pin at t^(-b/2) is a float lattice
+    sum; its own error bound (`conekernel.heat_pin_bounds`), a few
+    roundings of the value, is that column's coefficient bound in both
+    fits, and on the T^2 cone, where the column is t^0, zeta(0)'s bound is
+    exactly it plus the pin's rounding and the bias.  The circle fibers'
+    pins, exact to one rounding, carry none."""
+    pipe = Pipeline(TIP_PIN_MODELS[name])
+    tip, zetas = (F(-pipe.b, 2), False), pipe.zetas()
+    for k, fit in pipe.fits().items():
+        bounds = conekernel.heat_pin_bounds(pipe.m, k, pipe.fiber_periods,
+                                            math.prod(pipe.base_periods))
+        if len(pipe.fiber_periods) == 1:
+            assert bounds == {} and fit.coefficient_bounds[tip] == 0.0
+            continue
+        assert 0.0 < bounds[tip[0]] <= 1e-14 * abs(pipe.pins(k)[tip[0]]), k
+        assert fit.coefficient_bounds[tip] == fit.partner.coefficient_bounds[tip] == bounds[tip[0]]
+        if tip[0] == 0:
+            d = zetas[k].diagnostics
+            chosen = fit if d["fit_order"] == str(TEMPLATE_CUTOFF) else fit.partner
+            read = conekernel.rounding_gamma(len(chosen.coefficients) + 3) \
+                * abs(chosen.coefficients[tip])
+            assert d["zeta0_bound"] == bounds[tip[0]] + read + d.get("zeta0_bias", 0.0), k
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.5, 2.0, 2.3, 3.0, 11.0])
@@ -420,8 +490,8 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     the order-2 fit is reported, also on the circle product and on T^2,
     where the partner's zeta'(0) bound is the smaller, and it still
     carries the order-2 bias of the spread to the partner: none in zeta(0)
-    on the circle product, whose two fits pin it and have no t^0 log t
-    column."""
+    on the circle product and on T^2, whose two fits pin it and have no
+    t^0 log t column."""
     pipe = Pipeline(GOLDEN_MODELS[name])
     fit, tr = pipe.fits()[0], pipe.traces()[0]
     rough = dataclasses.replace(fit, partner=dataclasses.replace(fit.partner, residual=2e-5))
@@ -438,9 +508,10 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
     assert (z.zeta0, z.zeta_prime0) == (alone.zeta0, alone.zeta_prime0)
     assert d["zeta0_bias"] == spread0 + min(own["zeta0_bound"], spread0) and bias > 0.0
     # zeta(0) reads t^0 and the partner's t^0 log t: both fits pin t^0 on
-    # circle fibers, and only the disk's partner (m even) has the log column
+    # every golden model, and only the disk's partner (m even) has the log
+    # column
     moves = "t^0" not in d["pinned"] or (F(0), True) in fit.partner.coefficients
-    assert (d["zeta0_bias"] > 0.0) == moves == (name != "product")
+    assert (d["zeta0_bias"] > 0.0) == moves == (name == "disk")
     assert d["zeta_prime0_budget"] == {**alone.diagnostics["zeta_prime0_budget"], "bias": bias}
     assert d["zeta0_bound"] == alone.diagnostics["zeta0_bound"] + d["zeta0_bias"]
     assert d["zeta_prime0_bound"] == alone.diagnostics["zeta_prime0_bound"] + bias
@@ -448,19 +519,20 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
 
 
 # the dominant zeta'(0) term of each golden model's degrees 0, 1, ...: the
-# shift of t^3/2, the disk's first free column once t^0 is pinned, or the
-# spread of the two fits
+# shift of t^3/2, the disk's first free column once t^0 is pinned and
+# T^2's once its t^0 is too, or the spread of the two fits
 SHIFT, BIAS = {"term": "fit_shift", "column": "t^3/2"}, {"term": "bias"}
 DOMINANT = {"disk": [SHIFT, SHIFT, SHIFT],
             "product": [BIAS, BIAS, BIAS, BIAS],
-            "torus": [BIAS, BIAS, BIAS, BIAS]}
+            "torus": [SHIFT, SHIFT, SHIFT, SHIFT]}
 
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_budget_names_its_dominant_term(name):
     """The budget's four terms sum to the bound, and the dominant term is
-    the largest: the t^3/2 shift on the disk, and the bias on the circle
-    product at 3e-3 and on T^2 at 1e-2, which report their order-3 fits."""
+    the largest: the t^3/2 shift on the disk and on T^2 at 1e-2, and the
+    bias on the circle product at 3e-3.  The circle product and T^2 report
+    their order-3 fits."""
     zetas = Pipeline(GOLDEN_MODELS[name]).zetas()
     assert [z.diagnostics["zeta_prime0_dominant"] for z in zetas.values()] == DOMINANT[name]
     for z in zetas.values():

@@ -19,7 +19,11 @@ missed until it carried the partner's own bound too, up to the spread.
 The circle cones' zeta(0) are the closed forms the fit pins at t^0, so
 their check holds by construction; the oracle row heat_coefficients_pinned
 measures the pin by a free fit, and with it every circle cone's zeta'(0)
-bound is at most 7e-10.
+bound is at most 7e-10.  T^2's zeta(0) is pinned too, to a float64
+lattice sum whose own bound makes zeta0_bound about 1e-15, tighter than
+the earlier 10-digit reference; so the reference has 15 decimals, from
+an mpmath Chowla-Selberg oracle here, and the 10-digit values are kept
+as an independent check within 5e-11.
 
 The circle products' zeta(0) is the Dirichlet a_(3/2) coefficient
 C(3, k) L r / 256, which the fit pins; the oracle row
@@ -38,13 +42,17 @@ log T references, held here and by the oracle row zero_log_torsion.
 import json
 import math
 
+import mpmath
 import pytest
 
-from torsionlab import oracles
+from torsionlab import conekernel, oracles
 from torsionlab.cli import Pipeline, main
 
 T2 = ["--fiber", "torus", "--periods", "6.283185307179586", "6.283185307179586"]
-T2_REFERENCE = ((0.3376204449, -1.0579349921), (0.2280004067, -5.1266568546))
+# zeta(0) to 15 decimals (`_chowla_selberg_zeta0`), zeta'(0) to 10
+T2_REFERENCE = ((0.337620444906454, -1.057934992075533), (0.2280004067, -5.1266568546))
+# the earlier re-anchors' 10-digit zeta(0), computed independently
+T2_ZETA0_10_DIGITS = (0.3376204449, -1.0579349921)
 
 # flags, (zeta(0) per dual pair, zeta'(0) per dual pair)
 CASES = {
@@ -100,6 +108,54 @@ def test_zeta0_bound_covers_the_reference(capsys, name):
     for z in per:
         want = reference[min(z["degree"], m - z["degree"])]
         assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
+
+
+def _chowla_selberg_zeta0(periods, dps=30):
+    """Degree 0's zeta(0) on the cone over the flat torus of `periods`, in
+    mpmath: -zeta_N(-1/2)/2 - zeta_N(0)/4, with the base zeta function of
+    the orders sqrt(|kappa|^2 + 1/4) by Chowla-Selberg over the period
+    lattice, A = L1 L2,
+
+        zeta_N(s) = A/(4 pi) [4^(s-1)/(s-1)
+                    + (2/Gamma(s)) sum_(m != 0) |m|^(s-1) K_(s-1)(|m|/2)],
+
+    with mpmath's K_nu, over |m| <= 150 (the terms past it are below
+    e^-75); at s = 0, 1/Gamma(s) = 0 leaves the first term."""
+    with mpmath.workdps(dps):
+        a, b = (mpmath.mpf(p) for p in periods)
+        area = a * b
+
+        def zeta_n(s):
+            total = mpmath.mpf(0)
+            for i in range(int(150 / a) + 1 if mpmath.rgamma(s) else 0):
+                for j in range(int(150 / b) + 1):
+                    r = mpmath.sqrt((i * a) ** 2 + (j * b) ** 2)
+                    if 0 < r <= 150:
+                        total += (4 if i and j else 2) * r ** (s - 1) \
+                            * mpmath.besselk(s - 1, r / 2)
+            return area / (4 * mpmath.pi) * (mpmath.power(4, s - 1) / (s - 1)
+                                             + 2 * mpmath.rgamma(s) * total)
+
+        return -zeta_n(mpmath.mpf(-0.5)) / 2 - zeta_n(mpmath.mpf(0)) / 4
+
+
+def test_t2_zeta0_reference_is_chowla_selberg():
+    """The References' T^2 zeta(0): degree 0 by the mpmath oracle to 1e-15,
+    degree 1 as 3 z0 - 1/2 - pi/2 (`conekernel.torus_cone_zeta0`), and both
+    within 5e-11 of the earlier 10-digit values."""
+    z0 = _chowla_selberg_zeta0([2 * math.pi, 2 * math.pi])
+    z1 = 3 * z0 - mpmath.mpf(1) / 2 - mpmath.pi / 2
+    assert all(abs(float(z) - want) <= 1e-15 for z, want in zip((z0, z1), T2_REFERENCE[0]))
+    assert all(abs(want - old) <= 5e-11 for want, old in zip(T2_REFERENCE[0], T2_ZETA0_10_DIGITS))
+
+
+@pytest.mark.parametrize("periods", [(2 * math.pi, 2 * math.pi), (2 * math.pi, 3 * math.pi),
+                                     (4.0, 5.0), (3.0, 4.5)])
+def test_torus_cone_zeta0_bound_covers_chowla_selberg(periods):
+    """The float64 lattice sum's degree-0 zeta(0) lies within its own
+    bound of the mpmath oracle, and the bound is a few roundings."""
+    (z0, *_), (bound, *_) = conekernel.torus_cone_zeta0(periods)
+    assert abs(z0 - float(_chowla_selberg_zeta0(periods))) <= bound <= 1e-14 * z0
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
