@@ -132,9 +132,10 @@ def parse_config_file(path: str) -> dict:
 #   cone misses its reference value.
 # - TEMPLATE_CUTOFF is the order of the first fit.  The fit pins the volume
 #   and boundary coefficients, and the later ones geometry fixes
-#   (`Pipeline.pins`: a_1 on torus fibers; on circle fibers the tip's and
-#   edge's coefficient at t^(-b/2), a_(3/2) and a_2), and has no t^a log t
-#   column: these models' zeta functions have only simple poles
+#   (`Pipeline.pins`: a_1 on torus fibers; on circle and T^2 fibers the
+#   tip's and edge's coefficient at t^(-b/2), then a_(3/2), a_2 and a_(5/2)
+#   on circles, the cone's t^(1/2), t^1 and t^(3/2) on T^2), and has no
+#   t^a log t column: these models' zeta functions have only simple poles
 #   (Bordag-Kirsten-Dowker), and the log columns are near-collinear with
 #   the powers (order 3 with all of them: condition 1.8e7 on the disk and
 #   1.8e8 on the circle product, on unit columns).
@@ -144,10 +145,10 @@ def parse_config_file(path: str) -> dict:
 #   plus order 3's own bound, at most the spread again (`zetator`).  The
 #   report reads the fit with the smaller zeta'(0) bound: order 2 on the
 #   circle cones and the torus-base product, order 3 on the circle product
-#   and the T^2 cone.  Either fixed order is worse: order 2 misses the T^2
-#   reference at t_min 2e-2 and makes the circle product's log T bound
-#   1.36 times larger, and order 3 makes the disk's 1.19 times and the
-#   torus-base product's 2.8 times larger.  The partner keeps the t^0
+#   and the T^2 cone.  Either fixed order is worse: order 2 makes the T^2
+#   cone's log T bound 3.2 times larger at t_min 1e-2 and the circle
+#   product's 1.09 times, and order 3 makes the disk's 1.24 times and the
+#   torus-base product's 1.14 times larger.  The partner keeps the t^0
 #   log t column where the full template has one (even m): minus its
 #   coefficient is the measured residue at s = 0.
 # - One radial mode has the two-term theta expansion, order 1, and takes

@@ -601,6 +601,13 @@ def torus_cone_zeta0(periods: tuple[float, float]) -> tuple[tuple[float, ...], t
     return (z0, z1, z1, z0), (err0, err1, err1, err0)
 
 
+# the T^2 cone's t^(1/2), t^1 and t^(3/2) coefficients in degrees (0 and 3,
+# 1 and 2), in units A / pi^(3/2), A / pi and A / pi^(3/2), A = L1 L2
+TORUS_CONE_LATER = {Fraction(1, 2): (Fraction(17, 2520), Fraction(-53, 840)),
+                    Fraction(1): (Fraction(1, 256), Fraction(-23, 768)),
+                    Fraction(3, 2): (Fraction(9341, 1081080), Fraction(-3337, 72072))}
+
+
 def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
               base_volume: float) -> dict[Fraction, float]:
     """The heat coefficients that geometry fixes in form degree k of an
@@ -620,25 +627,28 @@ def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
       vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
       degree j.  A product degree's trace is Theta_B(t) sum_j C(b, k-j)
       Tr_j, and the base's theta function is vol(B) (4 pi t)^(-b/2) up to
-      terms of order e^(-L^2/4t), so the cone's t^0 lands on t^(-b/2); on
-      the plain cone (b = 0) it is zeta(0) itself.  On the circle of
-      radius r = L / 2 pi the z_j are `circle_cone_zeta0`, summed exactly
-      and rounded once; on T^2 they are `torus_cone_zeta0`'s floats, whose
-      error `heat_pin_bounds` gives;
-    * n = 1, at t^(-(m-3)/2) and t^(-(m-4)/2): the Dirichlet a_(3/2) and
-      a_2 of a flat space with a unit-curvature boundary,
-      C A / (128 (4 pi)^((m-1)/2)) and 4 C A / (315 (4 pi)^(m/2)).  The
-      planar a_2 is the integral of kappa^3 ds / (315 pi) (van den
+      terms of order e^(-L^2/4t), so the cone's t^alpha lands on
+      t^(alpha - b/2); on the plain cone (b = 0) the t^0 is zeta(0) itself.
+      On the circle of radius r = L / 2 pi the z_j are `circle_cone_zeta0`,
+      summed exactly and rounded once; on T^2 they are `torus_cone_zeta0`'s
+      floats, whose error `heat_pin_bounds` gives;
+    * n = 2, at t^(1/2 - b/2), t^(1 - b/2) and t^(3/2 - b/2): the cone's
+      t^alpha coefficient Res_(s=-alpha) Gamma(s) zeta(s) by the same line,
+      an exact rational of `TORUS_CONE_LATER` times A_N / pi^(3/2), or
+      A_N / pi at t^1, A_N = vol(N): there the Bordag-Kirsten-Dowker
+      terms read zeta_N only by its residue at s = 1 and its values at
+      s = 0, -1, -2, where its lattice part vanishes;
+    * n = 1, at t^(-(m-3)/2), t^(-(m-4)/2) and t^(-(m-5)/2): the Dirichlet
+      a_(3/2), a_2 and a_(5/2) of a flat space with a unit-curvature
+      boundary, C A / (128 (4 pi)^((m-1)/2)), 4 C A / (315 (4 pi)^(m/2))
+      and 37 C A / (2^15 sqrt(pi) (4 pi)^((m-2)/2)), 37/128 of a_(3/2).
+      The planar a_2 is the integral of kappa^3 ds / (315 pi) (van den
       Berg-Srisatkunarajah, 1990); the base's flat factor
-      vol(B) (4 pi t)^(-b/2) carries it to the product.
+      vol(B) (4 pi t)^(-b/2) carries them to the product.
 
     On the circle product (m = 3) the pinned a_(3/2) is zeta(0) itself.
-    The next circle coefficient, a_(5/2) = 37 C A / (2^15 sqrt(pi)
-    (4 pi)^((m-2)/2)), is left to the fit: pinned too, it turned the disk
-    to the order-3 fit and raised its log T bound from 4.7e-9 to 7.9e-9.
-    On T^2 the edge's a_(3/2), at t^(1-b/2), stays free.  A torus fiber
-    of dimension 3 or more pins only the first two: no run has checked
-    its a_1."""
+    A torus fiber of dimension 3 or more pins only the first two: no run
+    has checked its a_1."""
     n, fiber_volume = len(fiber_periods), math.prod(fiber_periods)
     volume, boundary = fiber_volume / (n + 1) * base_volume, fiber_volume * base_volume
     rank, b = math.comb(m, degree), m - n - 1
@@ -652,11 +662,18 @@ def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
     if n in (1, 2):
         zeta0 = circle_cone_zeta0(fiber_volume / (2.0 * math.pi)) if n == 1 \
             else torus_cone_zeta0(tuple(fiber_periods))[0]
-        tip = sum(_comb(b, degree - j) * z for j, z in enumerate(zeta0))
-        pins[Fraction(-b, 2)] = base_volume / (4.0 * math.pi) ** (b / 2.0) * float(tip)
+        flat = base_volume / (4.0 * math.pi) ** (b / 2.0)
+        pins[Fraction(-b, 2)] = flat * float(sum(_comb(b, degree - j) * z
+                                                 for j, z in enumerate(zeta0)))
+    if n == 2:
+        for alpha, (outer, inner) in TORUS_CONE_LATER.items():
+            c = sum(_comb(b, degree - j) * (inner if j in (1, 2) else outer) for j in range(4))
+            pins[alpha - Fraction(b, 2)] = flat * fiber_volume * float(c) \
+                / math.pi ** (1.0 if alpha == 1 else 1.5)
     if n == 1:
         pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
         pins[Fraction(4 - m, 2)] = 4.0 * rank * boundary / (315.0 * (4.0 * math.pi) ** (m / 2.0))
+        pins[Fraction(5 - m, 2)] = 37.0 / 128.0 * pins[Fraction(3 - m, 2)]
     return pins
 
 

@@ -191,16 +191,25 @@ def a_block_eigenvalues(fiber: FiberSpectrum, p: int,
         raise ValueError(f"cone degree must satisfy 0 <= p <= {f + 1}, got {p}")
     c1, c2 = a_constants(p, f, convention)
     mu2 = fiber.mu2
-    mean = mu2 + 0.5 * (c1 * c1 + c2 * c2)
-    disc = np.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * mu2)
+    if c2 - c1 == 2.0:  # GeometricOracle
+        # with c2 = c1 + 2 the pair branches mean -+ disc are (x -+ 1)^2,
+        # x^2 = mu^2 + ((c1 + c2)/2)^2: squared from x - 1, an order that is
+        # exactly 0 stays 0, where mean - disc cancels to a rounding
+        # (sqrt(2.2e-16) at |kappa|^2 = 3/4 on T^2)
+        x = np.sqrt(mu2 + (0.5 * (c1 + c2)) ** 2)
+        lower, upper = (x - 1.0) ** 2, (x + 1.0) ** 2
+    else:
+        mean = mu2 + 0.5 * (c1 * c1 + c2 * c2)
+        disc = np.sqrt((0.5 * (c1 * c1 - c2 * c2)) ** 2 + 4.0 * mu2)
+        lower, upper = mean - disc, mean + disc
     pairs = fiber.coexact(p - 1)
     families = [  # (nu2, mult)
         (mu2 + c2 * c2, fiber.coexact(p)),                    # coexact p-forms
         (mu2 + c1 * c1, fiber.exact(p - 1)),                  # exact (p-1)-forms
         (np.array([c1 * c1]), np.array([_comb(f, p - 1)])),   # harmonic (p-1)-forms
         (np.array([c2 * c2]), np.array([_comb(f, p)])),       # harmonic p-forms
-        (mean - disc, pairs),                                 # pair branches
-        (mean + disc, pairs),
+        (lower, pairs),                                       # pair branches
+        (upper, pairs),
     ]
     nu2 = np.concatenate([v for v, _ in families])
     mult = np.concatenate([m for _, m in families])

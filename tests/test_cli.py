@@ -539,18 +539,19 @@ def test_selftest_runs_every_row_once(capsys):
 
 def test_pin_without_a_tolerance_fails_the_pin_row_and_is_named(monkeypatch):
     """heat_coefficients_pinned measures every pin after the first two; one
-    more pin than it has tolerances fails the row, and its detail prints
-    that pin with "no tolerance" in each of its eight models."""
+    more pin than it has tolerances, at t^2, which every model's templates
+    have and none pins, fails the row, and its detail prints that pin with
+    "no tolerance" in each of its eight models."""
     from torsionlab import conekernel
     heat_pins = conekernel.heat_pins
 
     def one_more(*args, **kwargs):
-        return {**heat_pins(*args, **kwargs), Fraction(3, 2): 1.0}
+        return {**heat_pins(*args, **kwargs), Fraction(2): 1.0}
 
     monkeypatch.setattr(conekernel, "heat_pins", one_more)
     passed, detail = oracles.heat_coefficients_pinned()
     assert not passed
-    assert detail.count("t^3/2 ") == detail.count("(no tolerance)") == 8  # one per model
+    assert detail.count("t^2 ") == detail.count("(no tolerance)") == 8  # one per model
 
 
 def test_console_entry_point_subprocess():

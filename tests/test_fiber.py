@@ -307,6 +307,16 @@ def test_torus_degree_one_orders_are_degree_zero_shifted_by_one(periods):
     assert sixths == (2 if periods[1] == 3 * math.pi else 0)
 
 
+def test_torus_degree_one_order_zero_is_exact():
+    """On 2 pi x 4 pi / sqrt 3, kappa = (0, +-sqrt(3)/2) has mu = 1, and
+    its degree-1 order |mu - 1| is exactly 0, twice, with the log branch:
+    the pair branch is formed from mu - 1, not by the cancelling
+    sqrt(mean - disc), which gave sqrt(2.2e-16) = 1.49e-8."""
+    spec = a_spectrum(torus_spectrum((TWO_PI, 4 * math.pi / math.sqrt(3)), 5), 1)
+    assert spec.nu[0] == 0.0 and spec.mult[0] == 2
+    assert spec.to_json_dict()["modes"][0]["log_branch"]
+
+
 def test_indicial_roots_sum_to_one():
     fiber = torus_spectrum([TWO_PI, TWO_PI], cutoff=4.0)
     for p in range(0, 4):

@@ -134,7 +134,8 @@ def test_pins_are_the_volume_and_boundary_of_the_model():
                 (cfg, k)
     assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
         {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(0): 1 / 6,
-         F(1, 2): math.sqrt(math.pi) / 128, F(1): 2 / 315}, rel=1e-15)
+         F(1, 2): math.sqrt(math.pi) / 128, F(1): 2 / 315,
+         F(3, 2): 37 * math.sqrt(math.pi) / 16384}, rel=1e-15)
     single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
     assert single.pins(0) == {} and single.partner_template() is None
     fit = single.fits()[0]
@@ -154,24 +155,26 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 TWO_PI = 2 * math.pi
 # flags of each model, and the exponents of its pins after the first two:
 # on circle fibers the tip's and edge's at t^(-b/2), a_(3/2) at
-# t^(-(m-3)/2) and a_2 at t^(-(m-4)/2); on T^2 fibers a_1 at t^(-(m-2)/2),
-# then the tip's and edge's at t^(-b/2); one radial mode takes no pins
-# (test_pins_are_the_volume_and_boundary_of_the_model)
+# t^(-(m-3)/2), a_2 at t^(-(m-4)/2) and a_(5/2) at t^(-(m-5)/2); on T^2
+# fibers a_1 at t^(-(m-2)/2), then the tip's and edge's at t^(-b/2) and the
+# cone's t^(1/2), t^1 and t^(3/2) at t^(1/2 - b/2) .. t^(3/2 - b/2); one
+# radial mode takes no pins (test_pins_are_the_volume_and_boundary_of_the_model)
+CIRCLE_CONE = [F(0), F(1, 2), F(1), F(3, 2)]
+T2_CONE = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)]
 LATER_PINS = {
-    "disk": (ModelConfig(), [F(0), F(1, 2), F(1)]),
-    "r=0.5": (ModelConfig(radius=0.5), [F(0), F(1, 2), F(1)]),
-    "r=2.3": (ModelConfig(radius=2.3), [F(0), F(1, 2), F(1)]),
-    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2),
-            [F(-1, 2), F(0)]),
-    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), [F(-1, 2), F(0)]),
-    "2pi x 3pi T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, 3 * math.pi]),
-                      [F(-1, 2), F(0)]),
+    "disk": (ModelConfig(), CIRCLE_CONE),
+    "r=0.5": (ModelConfig(radius=0.5), CIRCLE_CONE),
+    "r=2.3": (ModelConfig(radius=2.3), CIRCLE_CONE),
+    "T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, TWO_PI], t_min=1e-2), T2_CONE),
+    "rectangular T^2": (ModelConfig(fiber_kind="torus", periods=[3.0, 4.5]), T2_CONE),
+    "2pi x 3pi T^2": (ModelConfig(fiber_kind="torus", periods=[TWO_PI, 3 * math.pi]), T2_CONE),
     "torus-base product": (ModelConfig(model="product", base="torus",
-                                       base_periods=[TWO_PI, 3.0]), [F(-1), F(-1, 2), F(0)]),
+                                       base_periods=[TWO_PI, 3.0]),
+                           [F(-1), F(-1, 2), F(0), F(1, 2)]),
     "circle x T^2": (ModelConfig(model="product", base="circle", fiber_kind="torus",
-                                 periods=[TWO_PI, TWO_PI]), [F(-1), F(-1, 2)]),
+                                 periods=[TWO_PI, TWO_PI]), [F(-1), F(-1, 2), F(0), F(1, 2), F(1)]),
     "circle product": (ModelConfig(model="product", base="circle", radius=1.5),
-                       [F(-1, 2), F(0), F(1, 2)]),
+                       [F(-1, 2), F(0), F(1, 2), F(1)]),
 }
 
 
@@ -213,14 +216,17 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
     the edge does not share.  The one the tip and the edge share is
     vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
     degree j: the third on circle fibers, summed exactly and rounded once,
-    then C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)) and 4 C(m, k)
-    vol(N) vol(B) / (315 (4 pi)^(m/2)); the fourth on T^2 fibers, within
-    1e-14 of its lattice sum written out.  The disk's are 1/6, the planar
-    sqrt(pi t) / 128 and 2 t / 315, the cone of radius 1/2 has the
-    correctly rounded 5/24 and -1/12 at t^0, T^2's a_1 is sqrt(pi) [1/6,
-    3/2, 3/2, 1/6] and its t^0 the References' zeta(0), the circle
-    product's t^0 pin is zeta(0) = C(3, k) L r / 256, and each is
-    Hodge-symmetric."""
+    then C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)), 4 C(m, k)
+    vol(N) vol(B) / (315 (4 pi)^(m/2)) and 37 C(m, k) vol(N) vol(B) /
+    (2^15 sqrt(pi) (4 pi)^((m-2)/2)); the fourth on T^2 fibers, within
+    1e-14 of its lattice sum written out, and the T^2 cone's later ones
+    carried to the product by the same line (their values:
+    test_heat_coefficient_oracle.py).  The disk's are 1/6, the planar
+    sqrt(pi t) / 128, 2 t / 315 and 37 sqrt(pi) t^(3/2) / 16384, the cone
+    of radius 1/2 has the correctly rounded 5/24 and -1/12 at t^0, T^2's
+    a_1 is sqrt(pi) [1/6, 3/2, 3/2, 1/6] and its t^0 the References'
+    zeta(0), the circle product's t^0 pin is zeta(0) = C(3, k) L r / 256,
+    and each is Hodge-symmetric."""
     cfg, later = LATER_PINS[name]
     pipe = Pipeline(cfg)
     m, n = pipe.m, len(pipe.fiber_periods)
@@ -236,6 +242,12 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
                       for j, z in enumerate(_torus_cone_zeta0(pipe.fiber_periods)) if j <= k)
             edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * tip
             assert pins[later[1]] == pytest.approx(edge, rel=1e-14, abs=1e-15), k
+            cone = [conekernel.heat_pins(3, j, pipe.fiber_periods, 1.0) for j in range(4)]
+            for alpha in T2_CONE[2:]:
+                line = sum(math.comb(b, k - j) * cone[j][alpha] for j in range(4) if j <= k)
+                assert pins[alpha - F(b, 2)] == pytest.approx(
+                    math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * line,
+                    rel=1e-15, abs=1e-16), (k, alpha)
             weitzenboeck = math.comb(m - 2, k - 1) if k else 0
             rest = later[:1]
             want = [n * volume * (rank / 6 + weitzenboeck) / (4 * math.pi) ** (m / 2)]
@@ -246,11 +258,14 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
             edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * float(tip)
             assert pins[later[0]] == (edge if b == 0 else pytest.approx(edge, rel=1e-15)), k
             rest, want = later[1:], [rank * volume / (128 * (4 * math.pi) ** ((m - 1) / 2)),
-                                     4 * rank * volume / (315 * (4 * math.pi) ** (m / 2))]
+                                     4 * rank * volume / (315 * (4 * math.pi) ** (m / 2)),
+                                     37 * rank * volume / (2 ** 15 * math.sqrt(math.pi)
+                                                           * (4 * math.pi) ** ((m - 2) / 2))]
         assert [pins[alpha] for alpha in rest] == pytest.approx(want, rel=1e-15), k
     if name == "disk":
         assert [pipe.pins(1)[alpha] for alpha in later] \
-            == pytest.approx([1 / 3, math.sqrt(math.pi) / 64, 4 / 315], rel=1e-15)
+            == pytest.approx([1 / 3, math.sqrt(math.pi) / 64, 4 / 315,
+                              37 * math.sqrt(math.pi) / 8192], rel=1e-15)
     if name == "r=0.5":
         assert [pipe.pins(k)[F(0)] for k in pipe.degrees] == [5 / 24, -1 / 12, 5 / 24]
     if name == "T^2":
@@ -519,19 +534,19 @@ def test_partner_over_the_residual_limit_is_never_reported(name):
 
 
 # the dominant zeta'(0) term of each golden model's degrees 0, 1, ...: the
-# shift of t^3/2, the disk's first free column once t^0 is pinned and
-# T^2's once its t^0 is too, or the spread of the two fits
-SHIFT, BIAS = {"term": "fit_shift", "column": "t^3/2"}, {"term": "bias"}
-DOMINANT = {"disk": [SHIFT, SHIFT, SHIFT],
+# remainder on the disk once its a_(5/2) is pinned, or the spread of the
+# two fits, on T^2 once its t^(3/2) is pinned too
+REMAINDER, BIAS = {"term": "remainder"}, {"term": "bias"}
+DOMINANT = {"disk": [REMAINDER, REMAINDER, REMAINDER],
             "product": [BIAS, BIAS, BIAS, BIAS],
-            "torus": [SHIFT, SHIFT, SHIFT, SHIFT]}
+            "torus": [BIAS, BIAS, BIAS, BIAS]}
 
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
 def test_zeta_prime0_budget_names_its_dominant_term(name):
     """The budget's four terms sum to the bound, and the dominant term is
-    the largest: the t^3/2 shift on the disk and on T^2 at 1e-2, and the
-    bias on the circle product at 3e-3.  The circle product and T^2 report
+    the largest: the remainder on the disk, and the bias on T^2 at 1e-2
+    and on the circle product at 3e-3.  The circle product and T^2 report
     their order-3 fits."""
     zetas = Pipeline(GOLDEN_MODELS[name]).zetas()
     assert [z.diagnostics["zeta_prime0_dominant"] for z in zetas.values()] == DOMINANT[name]

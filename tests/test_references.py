@@ -18,12 +18,15 @@ missed until it carried the partner's own bound too, up to the spread.
 
 The circle cones' zeta(0) are the closed forms the fit pins at t^0, so
 their check holds by construction; the oracle row heat_coefficients_pinned
-measures the pin by a free fit, and with it every circle cone's zeta'(0)
-bound is at most 7e-10.  T^2's zeta(0) is pinned too, to a float64
-lattice sum whose own bound makes zeta0_bound about 1e-15, tighter than
-the earlier 10-digit reference; so the reference has 15 decimals, from
-an mpmath Chowla-Selberg oracle here, and the 10-digit values are kept
-as an independent check within 5e-11.
+measures the pin by a free fit, and with it and a_(5/2) pinned every
+circle cone's zeta'(0) bound is at most 4e-10.  T^2's zeta(0) is pinned
+too, to a float64 lattice sum whose own bound makes zeta0_bound about
+1e-15, tighter than the earlier 10-digit reference; so the reference
+has 15 decimals, from an mpmath Chowla-Selberg oracle here, and the
+10-digit values are kept as an independent check within 5e-11.  Its
+t^(1/2), t^1 and t^(3/2) are pinned to exact rationals, which
+tests/heat_coefficient_oracle.py derives; with them T^2's log T bound at
+t_min 1e-2 is at most 3e-6.
 
 The circle products' zeta(0) is the Dirichlet a_(3/2) coefficient
 C(3, k) L r / 256, which the fit pins; the oracle row
@@ -74,10 +77,18 @@ CASES = {
                   ((-(2 * 0.5 + 1) / 4,),
                    (0.5 * math.log(2.0) + math.lgamma(1.5) - 0.5 * math.log(2.0 * math.pi),))),
 }
-# each degree's zeta'(0) bound at most: with t^0 pinned to its closed form,
-# 7e-10 on every circle cone at t_min 1e-3 (measured: at most 6.2e-10,
-# degree 1 at r = 2.3)
-ZETA_PRIME0_CEILING = dict.fromkeys(["disk", "r=0.5", "r=1.5", "r=2", "r=2.3"], 7e-10)
+# each degree's zeta'(0) bound at most: with t^0 and a_(5/2) pinned to
+# their closed forms, 4e-10 on every circle cone at t_min 1e-3 (measured:
+# at most 3.84e-10, degree 1 at r = 2.3)
+ZETA_PRIME0_CEILING = dict.fromkeys(["disk", "r=0.5", "r=1.5", "r=2", "r=2.3"], 4e-10)
+# log T's bound at most: with T^2's t^(1/2), t^1 and t^(3/2) pinned, 3e-6 at
+# t_min 1e-2 (measured: 2.0e-6, against 5.4e-5 with them free)
+LOG_T_CEILING = {"T2 at 1e-2": 3e-6}
+# the References' log T, and the rounding of the printed value
+LOG_T_REFERENCE = {"disk": (0.0, 0.0), "r=0.5": (-0.1207822376352452, 0.0),
+                   "r=1.5": (-0.02269740489478544, 0.0), "r=2": (0.0, 0.0),
+                   "r=2.3": (-0.0112813100916336, 0.0),
+                   **{name: (-2.9053290373, 5e-11) for name in CASES if name.startswith("T2")}}
 
 
 def _torsion(capsys, flags):
@@ -91,13 +102,21 @@ def _torsion(capsys, flags):
 
 @pytest.mark.parametrize("name", CASES)
 def test_zeta_prime0_bound_covers_the_reference(capsys, name):
+    """Each degree's zeta'(0) lies within its bound of the reference, and
+    so does log T, and the bounds, and log T's, are at most their
+    ceilings."""
     flags, (_, reference) = CASES[name]
-    per = _torsion(capsys, flags)["per_degree"]
+    report = _torsion(capsys, flags)
+    per = report["per_degree"]
     m = len(per) - 1
     for z in per:
         want = reference[min(z["degree"], m - z["degree"])]
         assert abs(z["zeta_prime0"] - want) <= z["diagnostics"]["zeta_prime0_bound"], z["degree"]
         assert z["diagnostics"]["zeta_prime0_bound"] <= ZETA_PRIME0_CEILING.get(name, math.inf)
+    assert report["log_torsion_bound"] <= LOG_T_CEILING.get(name, math.inf)
+    if name in LOG_T_REFERENCE:
+        want, rounding = LOG_T_REFERENCE[name]
+        assert abs(report["log_torsion"] - want) <= report["log_torsion_bound"] + rounding
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -191,9 +210,9 @@ def test_circle_product_zeta0_bound_is_the_pin_rounding(capsys):
 CIRCLE_PRODUCT_LOG_T = {(0.5, 1.0): 1.5466061342, (1.5, 1.0): 0.4643978628,
                         (2.3, 1.0): 0.2514722576, (1.5, 0.5): 0.2315100693}
 # each degree's zeta'(0) bound, at most 1.25 times the largest measured:
-# 4.61e-9, 1.39e-8, 2.59e-8 and 6.68e-9
-CIRCLE_PRODUCT_ZETA_PRIME0_BOUND = {(0.5, 1.0): 5.77e-9, (1.5, 1.0): 1.74e-8,
-                                    (2.3, 1.0): 3.24e-8, (1.5, 0.5): 8.35e-9}
+# 4.06e-9, 1.22e-8, 2.11e-8 and 5.91e-9
+CIRCLE_PRODUCT_ZETA_PRIME0_BOUND = {(0.5, 1.0): 5.08e-9, (1.5, 1.0): 1.53e-8,
+                                    (2.3, 1.0): 2.64e-8, (1.5, 0.5): 7.39e-9}
 
 
 @pytest.mark.parametrize("r,rho", CIRCLE_PRODUCT_LOG_T)
@@ -224,9 +243,18 @@ def test_log_torsion_bound_covers_the_zero_of_the_products():
     assert passed, detail
 
 
+def test_circle_times_t2_cone_log_torsion_bound_ceiling():
+    """With the T^2 cone's t^(1/2), t^1 and t^(3/2) pinned at t^0, t^(1/2)
+    and t^1, log T's bound on the circle times the T^2 cone at t_min 1e-2
+    is at most 2e-5 (measured: 1.48e-5, against 3.8e-3 with them free),
+    and it covers log T = 0."""
+    report = Pipeline(oracles.zero_log_torsion_models()["S^1 x cone(T^2)"]).torsion()
+    assert abs(report.log_torsion) <= report.log_torsion_bound <= 2e-5
+
+
 def test_torus_base_product_zeta_prime0_bound_ceiling():
     """With the edge's t^(-1) pinned, each degree's zeta'(0) bound on the
     unit circle cone times the square 2 pi torus is at most 2.5e-6
-    (measured: at most 1.42e-6, degree 2)."""
+    (measured: at most 1.02e-6, degree 2)."""
     pipe = Pipeline(oracles.zero_log_torsion_models()["T^2(2pi x 2pi) x cone(r=1.0)"])
     assert max(z.diagnostics["zeta_prime0_bound"] for z in pipe.zetas().values()) <= 2.5e-6
