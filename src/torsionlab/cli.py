@@ -378,9 +378,8 @@ class Pipeline:
         if not self.base_periods:
             return cone
         base_fiber = fiber.torus_spectrum(self.base_periods, cutoff=self.nu_cutoff())
-        base = {d: conekernel.fiber_factor_trace(base_fiber, d, self.grid)
-                for d in range(self.b + 1)}
-        return conekernel.product_trace(base, cone, self.base_periods)
+        theta = conekernel.fiber_factor_trace(base_fiber, self.grid)
+        return conekernel.product_trace(theta, cone, self.base_periods)
 
     def template(self) -> phg.ExpansionTemplate:
         cutoff = SINGLE_NU_TEMPLATE_CUTOFF if self.cfg.single_nu is not None \
@@ -397,9 +396,10 @@ class Pipeline:
         return phg.heat_trace_structure(self.m, self.b, even=True, boundary=True,
                                         cutoff=PARTNER_CUTOFF).without_logs(keep=(0,))
 
-    def pins(self, degree: int) -> dict[Fraction, float]:
-        """The heat coefficients of `degree` that geometry fixes
-        (`conekernel.heat_pins`).  One radial mode takes none."""
+    def pins(self, degree: int) -> dict[Fraction, conekernel.Pin]:
+        """The heat coefficients of `degree` that geometry fixes, each with
+        its own error bound (`conekernel.heat_pins`).  One radial mode
+        takes none."""
         if self.cfg.single_nu is not None:
             return {}
         return conekernel.heat_pins(self.m, degree, self.fiber_periods,
@@ -414,15 +414,11 @@ class Pipeline:
         if window < 2 * columns:
             raise ValueError(f"--t-min {self.cfg.t_min!r} leaves {window} samples in the fit "
                              f"window t <= FIT_T_MAX = {FIT_T_MAX:.4g}; it needs {2 * columns}")
-        base_volume = math.prod(self.base_periods)
-        # one radial mode has no fiber periods, and so no pin bounds
-        inputs = {k: (tr, self.pins(k),
-                      conekernel.heat_pin_bounds(self.m, k, self.fiber_periods, base_volume))
-                  for k, tr in self.traces().items()}
+        inputs = {k: (tr, self.pins(k)) for k, tr in self.traces().items()}
         return _each_distinct(
             inputs, operator.eq,
             lambda k, x: conekernel.fit_expansion(x[0].restrict(t_max=FIT_T_MAX), tpl,
-                                                  x[1], partner, x[2]))
+                                                  x[1], partner))
 
     def _kernels(self) -> list[int]:
         kernels = zetator.kernel_dimension(self.m)

@@ -19,12 +19,11 @@ dropped mass.
 Least-squares extraction of expansion coefficients works in the basis
 {t^a, t^a log t} dictated by an ExpansionTemplate, with rows weighted by
 t^(-a_min) so the leading fitted term carries comparable influence across
-the sample range.  Coefficients that geometry fixes (`heat_pins`: volume,
-Dirichlet boundary, the later ones where the edge does not share their
-exponent, and on circle and T^2 fibers the tip's and edge's in closed
-form) can be pinned, so that only the others are fitted, and a
-higher-order partner template can be fitted alongside, to measure the
-truncation of the first.
+the sample range.  Coefficients that geometry fixes (`heat_pins`: the
+plain cone's closed forms, carried to a product by the Kunneth line that
+`product_trace` takes too) can be pinned, each with its error bound, so
+that only the others are fitted, and a higher-order partner template can
+be fitted alongside, to measure the truncation of the first.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -413,17 +412,12 @@ def truncated_cone_trace(spec: ConeSpectrum, p: int, t_grid: Sequence[float]) ->
                             t_grid=np.asarray(t_grid, dtype=float))
 
 
-def fiber_factor_trace(fiber: FiberSpectrum, degree: int,
-                       t_grid: Sequence[float]) -> TraceSamples:
-    """Heat trace of a closed flat factor (circle or torus) in one degree:
-    its harmonic forms, then the exact and the coexact forms of each shell."""
-    if not 0 <= degree <= fiber.dim_f:
-        raise ValueError(f"no entries in degree {degree}")
-    lam, weight = [[0.0]], [[fiber.betti()[degree]]]
-    for mult in (fiber.exact(degree), fiber.coexact(degree)):
-        lam.append(fiber.mu2[mult > 0])
-        weight.append(mult[mult > 0])
-    spectrum = Spectrum.of(np.concatenate(lam), np.concatenate(weight), fiber.cutoff ** 2)
+def fiber_factor_trace(fiber: FiberSpectrum, t_grid: Sequence[float]) -> TraceSamples:
+    """Scalar heat trace Theta(t) = 1 + sum points e^(-t |kappa|^2) of a
+    closed flat factor (circle or torus), certified.  Degree i of the
+    factor has C(f, i) Theta as its trace, which `product_trace` takes."""
+    spectrum = Spectrum.of(np.concatenate(([0.0], fiber.mu2)),
+                           np.concatenate(([1.0], fiber.points)), fiber.cutoff ** 2)
     q = max(fiber.dim_f / 2.0, 0.5)
     return _certified_trace(spectrum, q=q, t_grid=np.asarray(t_grid, dtype=float))
 
@@ -436,43 +430,49 @@ def _common_grid(traces: Sequence[TraceSamples], what: str) -> np.ndarray:
     return grid
 
 
-def product_trace(base: Mapping[int, TraceSamples], cone: Mapping[int, TraceSamples],
+def product_trace(theta: TraceSamples, cone: Mapping[int, TraceSamples],
                   base_periods: Sequence[float]) -> dict[int, TraceSamples]:
-    """Kunneth assembly: Tr_k(B x C) = sum_{i+j=k} Tr_i(B) Tr_j(C).
+    """Kunneth assembly over the flat torus B of periods `base_periods`,
+    b of them, whose degree i is C(b, i) times its scalar trace `theta`:
 
-    Tail bounds propagate through the product rule, and the bound adds
-    the rounding of the products and of their sum.  `base` holds the
-    traces of the flat torus B of periods `base_periods`, whose degree i is
-    C(b, i) times its scalar trace.  So degree k's spectrum holds each cone
-    degree j's eigenvalues, weights times C(b, k - j), complete to the least
-    cone cutoff, and records the base periods; it is absent when a cone
-    trace carries no spectrum.
+        Tr_k(B x C) = sum_j C(b, k - j) Theta_B(t) Tr_j(C).
+
+    Values, tails and spectrum weights all take that one binomial.  Tail
+    bounds propagate through the product rule, and the bound adds the
+    rounding of the products, of the multiplies by C where C is not a
+    power of two (elsewhere exact), and of their sum.  Degree k's spectrum
+    holds each cone degree j's eigenvalues, weights times C(b, k - j),
+    complete to the least cone cutoff, and records the base periods; it is
+    absent when a cone trace carries no spectrum.
     """
-    grid = _common_grid([*base.values(), *cone.values()], "factor traces")
+    grid = _common_grid([theta, *cone.values()], "factor traces")
+    b = len(base_periods)
     out: dict[int, TraceSamples] = {}
-    for k in range(max(base) + max(cone) + 1):
-        pairs = [(base[i], cone[k - i], math.comb(len(base_periods), i))
-                 for i in range(k + 1) if i in base and k - i in cone]
+    for k in range(b + max(cone) + 1):
+        # each cone degree j = k - i with its rank, summed by base degree i
+        pairs = [(cone[k - i], math.comb(b, i)) for i in range(min(k, b) + 1) if k - i in cone]
         val = np.zeros_like(grid)
         tail = np.zeros_like(grid)
         size = np.zeros_like(grid)
-        for sa, sb, _ in pairs:
-            product = sa.values * sb.values
-            val += product
-            size += np.abs(product)
-            tail += (np.abs(sa.values) * sb.tail_bound
-                     + np.abs(sb.values) * sa.tail_bound
-                     + sa.tail_bound * sb.tail_bound)
-        # each product rounds once, and the sum of the pairs rounds it again
-        tail += rounding_gamma(len(pairs) + 1) * size
+        for tr, rank in pairs:
+            term = rank * (theta.values * tr.values)
+            val += term
+            size += np.abs(term)
+            tail += rank * (np.abs(theta.values) * tr.tail_bound
+                            + np.abs(tr.values) * theta.tail_bound
+                            + theta.tail_bound * tr.tail_bound)
+        # each product rounds once, a multiply by a rank that is not a power
+        # of two once more, and the sum of the pairs rounds it again
+        inexact = any(rank & (rank - 1) for _, rank in pairs)
+        tail += rounding_gamma(len(pairs) + 1 + inexact) * size
         spectrum = None
-        if all(sb.eigenvalues is not None for _, sb, _ in pairs):
+        if all(tr.eigenvalues is not None for tr, _ in pairs):
             # seeded empty, so a degree without factor pairs gets an empty spectrum;
             # an eigenvalue of several cone degrees is one, its weights summed
             lam, at = np.unique(np.concatenate(
-                [np.empty(0)] + [sb.eigenvalues.lam for _, sb, _ in pairs]), return_inverse=True)
-            weight = np.concatenate([np.empty(0)] + [r * sb.eigenvalues.weight for _, sb, r in pairs])
-            cutoff = min([math.inf] + [sb.eigenvalues.cutoff for _, sb, _ in pairs])
+                [np.empty(0)] + [tr.eigenvalues.lam for tr, _ in pairs]), return_inverse=True)
+            weight = np.concatenate([np.empty(0)] + [r * tr.eigenvalues.weight for tr, r in pairs])
+            cutoff = min([math.inf] + [tr.eigenvalues.cutoff for tr, _ in pairs])
             spectrum = Spectrum(lam, np.bincount(at, weight, len(lam)), cutoff,
                                 tuple(base_periods))
         out[k] = TraceSamples(grid, val, tail, spectrum)
@@ -608,90 +608,92 @@ TORUS_CONE_LATER = {Fraction(1, 2): (Fraction(17, 2520), Fraction(-53, 840)),
                     Fraction(3, 2): (Fraction(9341, 1081080), Fraction(-3337, 72072))}
 
 
+class Pin(NamedTuple):
+    """A heat coefficient that geometry fixes, and a bound on its error
+    that is more than its few roundings (0 where it is not)."""
+
+    value: float
+    bound: float = 0.0
+
+
 def heat_pins(m: int, degree: int, fiber_periods: Sequence[float],
-              base_volume: float) -> dict[Fraction, float]:
+              base_volume: float) -> dict[Fraction, Pin]:
     """The heat coefficients that geometry fixes in form degree k of an
     m-dimensional model, the cone over the flat n-torus N of
     `fiber_periods` cut at x = 1 with a Dirichlet condition, times a flat
-    base B of dimension b = m - n - 1 and volume `base_volume`
-    (Branson-Gilkey; Gilkey, Asymptotic Formulae in Spectral Geometry,
-    2004).  With C = C(m, k), V = vol(N) vol(B) / (n + 1) the volume and
-    A = vol(N) vol(B) the boundary's:
+    base B of dimension b = m - n - 1 and volume `base_volume`.
 
-    * t^(-m/2): C V / (4 pi)^(m/2) (Weyl);
-    * t^(-(m-1)/2): -C A / (4 (4 pi)^((m-1)/2));
-    * n = 2, at t^(-(m-2)/2): a_1 = n A [C/6 + C(m-2, k-1)] / (4 pi)^(m/2),
+    Each closed form is written once, for the plain cone, in its degrees
+    j = 0..n+1 (Branson-Gilkey; Gilkey, Asymptotic Formulae in Spectral
+    Geometry, 2004).  With A = vol(N):
+
+    * t^(-(n+1)/2): C(n+1, j) A / ((n + 1) (4 pi)^((n+1)/2)) (Weyl);
+    * t^(-n/2): -C(n+1, j) A / (4 (4 pi)^(n/2)), the Dirichlet boundary;
+    * n = 2, at t^(-1/2): a_1 = n A [C(3, j)/6 + C(1, j-1)] / (4 pi)^(3/2),
       from the scalar curvature -n(n-1)/x^2, its Weitzenboeck trace on
-      k-forms and the boundary's mean curvature n;
-    * n = 1 or 2, at t^(-b/2), where the tip and the edge enter:
-      vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
-      degree j.  A product degree's trace is Theta_B(t) sum_j C(b, k-j)
-      Tr_j, and the base's theta function is vol(B) (4 pi t)^(-b/2) up to
-      terms of order e^(-L^2/4t), so the cone's t^alpha lands on
-      t^(alpha - b/2); on the plain cone (b = 0) the t^0 is zeta(0) itself.
-      On the circle of radius r = L / 2 pi the z_j are `circle_cone_zeta0`,
-      summed exactly and rounded once; on T^2 they are `torus_cone_zeta0`'s
-      floats, whose error `heat_pin_bounds` gives;
-    * n = 2, at t^(1/2 - b/2), t^(1 - b/2) and t^(3/2 - b/2): the cone's
-      t^alpha coefficient Res_(s=-alpha) Gamma(s) zeta(s) by the same line,
-      an exact rational of `TORUS_CONE_LATER` times A_N / pi^(3/2), or
-      A_N / pi at t^1, A_N = vol(N): there the Bordag-Kirsten-Dowker
-      terms read zeta_N only by its residue at s = 1 and its values at
-      s = 0, -1, -2, where its lattice part vanishes;
-    * n = 1, at t^(-(m-3)/2), t^(-(m-4)/2) and t^(-(m-5)/2): the Dirichlet
-      a_(3/2), a_2 and a_(5/2) of a flat space with a unit-curvature
-      boundary, C A / (128 (4 pi)^((m-1)/2)), 4 C A / (315 (4 pi)^(m/2))
-      and 37 C A / (2^15 sqrt(pi) (4 pi)^((m-2)/2)), 37/128 of a_(3/2).
-      The planar a_2 is the integral of kappa^3 ds / (315 pi) (van den
-      Berg-Srisatkunarajah, 1990); the base's flat factor
-      vol(B) (4 pi t)^(-b/2) carries them to the product.
+      j-forms and the boundary's mean curvature n;
+    * n = 1 or 2, at t^0, where the tip and the edge enter: zeta(0) z_j,
+      on the circle of radius r = A / 2 pi `circle_cone_zeta0`'s exact
+      rationals, on T^2 `torus_cone_zeta0`'s floats, within its bounds e_j;
+    * n = 2, at t^(1/2), t^1 and t^(3/2): Res_(s=-alpha) Gamma(s) zeta(s),
+      an exact rational of `TORUS_CONE_LATER` times A / pi^(3/2), or A / pi
+      at t^1: there the Bordag-Kirsten-Dowker terms read zeta_N only by its
+      residue at s = 1 and its values at s = 0, -1, -2, where its lattice
+      part vanishes;
+    * n = 1, at t^(1/2), t^1 and t^(3/2): the Dirichlet a_(3/2), a_2 and
+      a_(5/2) of a flat plane region with a unit-curvature boundary,
+      C(2, j) A / (128 (4 pi)^(1/2)), 4 C(2, j) A / (315 (4 pi)) and 37/128
+      of a_(3/2).  The planar a_2 is the integral of kappa^3 ds / (315 pi)
+      (van den Berg-Srisatkunarajah, 1990).
 
-    On the circle product (m = 3) the pinned a_(3/2) is zeta(0) itself.
-    A torus fiber of dimension 3 or more pins only the first two: no run
-    has checked its a_1."""
-    n, fiber_volume = len(fiber_periods), math.prod(fiber_periods)
-    volume, boundary = fiber_volume / (n + 1) * base_volume, fiber_volume * base_volume
-    rank, b = math.comb(m, degree), m - n - 1
-    pins = {Fraction(-m, 2): rank * volume / (4.0 * math.pi) ** (m / 2.0),
-            Fraction(1 - m, 2): -rank * boundary / (4.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))}
-    if n == 2:
-        # math.comb refuses C(m-2, -1), which is 0
-        weitzenboeck = math.comb(m - 2, degree - 1) if degree else 0
-        pins[Fraction(2 - m, 2)] = n * boundary * (rank / 6.0 + weitzenboeck) \
-            / (4.0 * math.pi) ** (m / 2.0)
-    if n in (1, 2):
-        zeta0 = circle_cone_zeta0(fiber_volume / (2.0 * math.pi)) if n == 1 \
-            else torus_cone_zeta0(tuple(fiber_periods))[0]
-        flat = base_volume / (4.0 * math.pi) ** (b / 2.0)
-        pins[Fraction(-b, 2)] = flat * float(sum(_comb(b, degree - j) * z
-                                                 for j, z in enumerate(zeta0)))
-    if n == 2:
-        for alpha, (outer, inner) in TORUS_CONE_LATER.items():
-            c = sum(_comb(b, degree - j) * (inner if j in (1, 2) else outer) for j in range(4))
-            pins[alpha - Fraction(b, 2)] = flat * fiber_volume * float(c) \
-                / math.pi ** (1.0 if alpha == 1 else 1.5)
+    A product degree's trace is Theta_B(t) sum_j C(b, k-j) Tr_j, and the
+    base's theta function is vol(B) (4 pi t)^(-b/2) up to terms of order
+    e^(-L^2/4t), so the cone's coefficient c_j of t^alpha lands on
+    t^(alpha - b/2) as the one line
+
+        vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) c_j,
+
+    the c_j summed exactly where they are exact rationals and rounded once.
+    Its bound is the same line of e_j + gamma_(b+6) |c_j|, the sum's and the
+    factor's roundings, where the cone's coefficients carry a bound e_j; the
+    other pins are exact to a few roundings, which the fit charges on the
+    scale of the value (`zetator._fit_report`).  On the plain cone (b = 0)
+    the line is c_k itself, and on the circle product (m = 3) the pinned
+    a_(3/2) is zeta(0).  A torus fiber of dimension 3 or more pins only the
+    first two: no run has checked its a_1."""
+    n, area = len(fiber_periods), math.prod(fiber_periods)
+    b, four_pi = m - n - 1, 4.0 * math.pi
+    flat = base_volume / four_pi ** (b / 2.0)
+    base_ranks = [_comb(b, degree - j) for j in range(n + 2)]
+    gamma = rounding_gamma(b + 6)
+
+    def line(c, scale=1.0, divisor=1.0, errors=()) -> Pin:
+        """The pin of the cone's coefficients scale c_j / divisor in degree
+        j, with the bound of their errors e_j; an irrational unit scale /
+        divisor stays out of the exact sum of the c_j."""
+        value = flat * scale * float(sum(r * cj for r, cj in zip(base_ranks, c))) / divisor
+        bound = flat * sum(r * (e + gamma * abs(cj)) for r, cj, e in zip(base_ranks, c, errors))
+        return Pin(value, bound)
+
+    rank = [math.comb(n + 1, j) for j in range(n + 2)]
+    cone = {Fraction(-n - 1, 2): line([r * (area / (n + 1)) / four_pi ** ((n + 1) / 2.0)
+                                       for r in rank]),
+            Fraction(-n, 2): line([-r * area / (4.0 * four_pi ** (n / 2.0)) for r in rank])}
     if n == 1:
-        pins[Fraction(3 - m, 2)] = rank * boundary / (128.0 * (4.0 * math.pi) ** ((m - 1) / 2.0))
-        pins[Fraction(4 - m, 2)] = 4.0 * rank * boundary / (315.0 * (4.0 * math.pi) ** (m / 2.0))
-        pins[Fraction(5 - m, 2)] = 37.0 / 128.0 * pins[Fraction(3 - m, 2)]
-    return pins
-
-
-def heat_pin_bounds(m: int, degree: int, fiber_periods: Sequence[float],
-                    base_volume: float) -> dict[Fraction, float]:
-    """A bound on the error of each `heat_pins` value that is more than
-    its few roundings: on T^2 fibers, the tip's and edge's at t^(-b/2),
-    vol(B) (4 pi)^(-b/2) times sum_j C(b, k-j) (e_j + gamma |z_j|), with e_j
-    `torus_cone_zeta0`'s bound on z_j and gamma the sum's and the factor's
-    roundings.  The circle fibers' pins are exact to one rounding, which
-    the fit charges on the scale of the value (`zetator._fit_report`)."""
-    if len(fiber_periods) != 2:
-        return {}
-    b = m - 3
-    zeta0, errors = torus_cone_zeta0(tuple(fiber_periods))
-    error = sum(_comb(b, degree - j) * (e + rounding_gamma(b + 6) * abs(z))
-                for j, (z, e) in enumerate(zip(zeta0, errors)))
-    return {Fraction(-b, 2): base_volume / (4.0 * math.pi) ** (b / 2.0) * error}
+        cone[Fraction(0)] = line(circle_cone_zeta0(area / (2.0 * math.pi)))
+        a_32 = [r * area / (128.0 * four_pi ** 0.5) for r in rank]
+        cone[Fraction(1, 2)] = line(a_32)
+        cone[Fraction(1)] = line([4.0 * r * area / (315.0 * four_pi) for r in rank])
+        cone[Fraction(3, 2)] = line([37.0 / 128.0 * c for c in a_32])
+    if n == 2:
+        cone[Fraction(-1, 2)] = line([n * area * (r / 6.0 + _comb(1, j - 1)) / four_pi ** 1.5
+                                      for j, r in enumerate(rank)])
+        zeta0, errors = torus_cone_zeta0(tuple(fiber_periods))
+        cone[Fraction(0)] = line(zeta0, errors=errors)
+        for alpha, (outer, inner) in TORUS_CONE_LATER.items():
+            cone[alpha] = line([outer, inner, inner, outer], scale=area,
+                               divisor=math.pi ** (1.0 if alpha == 1 else 1.5))
+    return {alpha - Fraction(b, 2): pin for alpha, pin in cone.items()}
 
 
 def column_name(key: tuple[Fraction, bool]) -> str:
@@ -752,36 +754,35 @@ def _trimmed_fit(t: np.ndarray, values: np.ndarray, free: Sequence[tuple[Fractio
 
 
 def fit_expansion(samples: TraceSamples, template: ExpansionTemplate,
-                  pins: Mapping[Fraction, float] | None = None,
-                  partner: ExpansionTemplate | None = None,
-                  pin_bounds: Mapping[Fraction, float] | None = None) -> FittedExpansion:
+                  pins: Mapping[Fraction, Pin] | None = None,
+                  partner: ExpansionTemplate | None = None) -> FittedExpansion:
     """Weighted least squares of trace samples in the template basis.
 
-    `pins` gives the coefficients of some t^alpha columns; their terms are
-    subtracted from the samples, and only the other columns are fitted.
-    `pin_bounds` bounds the error of some pins (`heat_pin_bounds`); each is
-    its column's coefficient bound.  Weights t^(-alpha_min), alpha_min the
-    least fitted exponent, equalize the influence of the leading fitted term
-    over a log-spaced grid.  A truncated template cannot represent the trace
-    all the way to the largest times (the omitted content grows with t), so
-    trailing samples are trimmed one at a time, down to twice the number of
-    fitted columns, while the last relative residual stands out against the
-    median by a factor 10; for data the template describes exactly, nothing
-    is trimmed.  Fits whose design matrix is effectively singular, with its
+    `pins` gives the coefficients of some t^alpha columns (`heat_pins`);
+    their terms are subtracted from the samples, only the other columns
+    are fitted, and each pin's bound is its column's coefficient bound.
+    Weights t^(-alpha_min), alpha_min the least fitted exponent, equalize
+    the influence of the leading fitted term over a log-spaced grid.  A
+    truncated template cannot represent the trace all the way to the
+    largest times (the omitted content grows with t), so trailing samples
+    are trimmed one at a time, down to twice the number of fitted columns,
+    while the last relative residual stands out against the median by a
+    factor 10; for data the template describes exactly, nothing is
+    trimmed.  Fits whose design matrix is effectively singular, with its
     columns scaled to unit norm, are refused rather than returned.  A
     `partner` template is fitted to the same samples with the same pins, in
     the same way, and returned with the fit.
     """
-    pins = {Fraction(alpha): float(c) for alpha, c in (pins or {}).items()}
-    pin_bounds = {(Fraction(alpha), False): float(e) for alpha, e in (pin_bounds or {}).items()}
-    fit = _fit(samples, template, pins, pin_bounds)
+    pins = {Fraction(alpha): Pin(float(value), float(bound))
+            for alpha, (value, bound) in (pins or {}).items()}
+    fit = _fit(samples, template, pins)
     if partner is None:
         return fit
-    return replace(fit, partner=_fit(samples, partner, pins, pin_bounds))
+    return replace(fit, partner=_fit(samples, partner, pins))
 
 
 def _fit(samples: TraceSamples, template: ExpansionTemplate,
-         pins: dict[Fraction, float], pin_bounds: dict) -> FittedExpansion:
+         pins: dict[Fraction, Pin]) -> FittedExpansion:
     """One template's fit for `fit_expansion`."""
     pinned = tuple((alpha, False) for alpha in pins)
     missing = [column_name(key) for key in pinned if key not in template.basis]
@@ -792,20 +793,21 @@ def _fit(samples: TraceSamples, template: ExpansionTemplate,
     if len(t) < 2 * len(free):
         raise InsufficientSamples(f"{len(t)} samples for {len(free)} fitted basis functions; "
                                   "need 2x")
-    coeff, condition, rel_resid, design, resid = _trimmed_fit(t, values, free, pins)
+    coeff, condition, rel_resid, design, resid = _trimmed_fit(
+        t, values, free, {alpha: pin.value for alpha, pin in pins.items()})
     if condition > CONDITION_LIMIT:
         raise IllConditioned(f"fit condition estimate {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
     # worst coefficient shift explained by residuals of the observed size
     sens = np.abs(np.linalg.pinv(design)).sum(axis=1) * float(np.max(np.abs(resid)))
-    fitted = dict(zip(free, coeff.tolist()))
-    bounds = {**pin_bounds, **dict(zip(free, sens.tolist()))}
+    # each column's coefficient and bound: the pin's own, or the fit's
+    columns = {**{(alpha, False): pin for alpha, pin in pins.items()},
+               **dict(zip(free, zip(coeff.tolist(), sens.tolist())))}
     return FittedExpansion(
         template=template,
-        coefficients={key: fitted[key] if key in fitted else pins[key[0]]
-                      for key in template.basis},
+        coefficients={key: columns[key][0] for key in template.basis},
         residual=float(np.max(rel_resid)),
         condition=condition,
-        coefficient_bounds={key: bounds.get(key, 0.0) for key in template.basis},
+        coefficient_bounds={key: columns[key][1] for key in template.basis},
         pinned=pinned,
     )
 

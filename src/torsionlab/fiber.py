@@ -94,9 +94,6 @@ class FiberSpectrum:
         """Multiplicity of the coexact degree-forms on each shell."""
         return self.points * _comb(self.dim_f - 1, degree)
 
-    def betti(self) -> list[int]:
-        return [math.comb(self.dim_f, ell) for ell in range(self.dim_f + 1)]
-
 
 def _wedge_matrix(kappa: Sequence[float], ell: int) -> np.ndarray:
     """Matrix of (i kappa) wedge . : Lambda^ell -> Lambda^(ell+1) over C."""

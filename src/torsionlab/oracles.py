@@ -425,10 +425,11 @@ def heat_coefficients_pinned():
             pins = sorted(pipe.pins(k).items())
             for i, (alpha, c) in enumerate(pins[2:], start=2):
                 free = conekernel.fit_expansion(samples, pipe.partner_template(), dict(pins[:i]))
-                later[alpha] = max(later.get(alpha, 0.0), abs(free.coefficient(alpha) / c - 1.0))
+                later[alpha] = max(later.get(alpha, 0.0),
+                                   abs(free.coefficient(alpha) / c.value - 1.0))
             if tol is not None:
                 fit = conekernel.fit_expansion(samples, tpl)
-                errors += [abs(fit.coefficient(alpha) / c - 1.0) for alpha, c in pins[:2]]
+                errors += [abs(fit.coefficient(alpha) / c.value - 1.0) for alpha, c in pins[:2]]
         # each measured pin with its tolerance, or None where it has none
         checked = [(alpha, e, tols[i] if i < len(tols) else None)
                    for i, (alpha, e) in enumerate(later.items())]

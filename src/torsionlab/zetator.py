@@ -34,8 +34,8 @@ with the same D_a: value and bound weights are one map by construction.
 The shifts are charged independently; the correlated
 ||D^T pinv(A)||_1 max|r| is smaller, but it leaves out the fit's
 truncation bias and misses the T^2 cone's reference value.  A pinned
-coefficient (`conekernel.heat_pins`) has as b_a its own error bound
-(`conekernel.heat_pin_bounds`), 0 where it is exact to a rounding.
+coefficient (`conekernel.heat_pins`) has as b_a the error bound it
+carries, 0 where it is exact to a rounding.
 
 The bounds on the shifts say nothing about the terms the template leaves
 out.  So a fit may carry a partner: the fit of a higher-order template
@@ -322,7 +322,7 @@ def _fit_report(samples: TraceSamples, fit: FittedExpansion, kernel_dim: int,
     # which the remainder cannot move: only the pin's rounding is charged,
     # on the scale of its value (`heat_pins` sums the circle cone's
     # cancelling terms exactly and rounds once), plus the pin's own error,
-    # its coefficient bound (`heat_pin_bounds`, on T^2 fibers)
+    # its coefficient bound (nonzero on T^2 fibers)
     bounds = fit.coefficient_bounds
     s_m2, s_m1 = bounds.get(log_zero, 0.0), bounds.get(zero, 0.0)
     if zero in fit.pinned and log_zero not in fit.coefficients:

@@ -546,7 +546,7 @@ def test_pin_without_a_tolerance_fails_the_pin_row_and_is_named(monkeypatch):
     heat_pins = conekernel.heat_pins
 
     def one_more(*args, **kwargs):
-        return {**heat_pins(*args, **kwargs), Fraction(2): 1.0}
+        return {**heat_pins(*args, **kwargs), Fraction(2): conekernel.Pin(1.0)}
 
     monkeypatch.setattr(conekernel, "heat_pins", one_more)
     passed, detail = oracles.heat_coefficients_pinned()

@@ -19,6 +19,7 @@ from torsionlab import cli, conekernel
 from torsionlab.bessel import bessel_j_zeros
 from torsionlab.conekernel import (
     gammaincc,
+    Pin,
     Spectrum,
     TraceSamples,
     _certified_trace,
@@ -571,19 +572,22 @@ PINNED_TEMPLATE = ExpansionTemplate.from_terms(
 def _pinned_synthetic():
     g = log_grid(1e-3, 1e-1, 80)
     vals = 0.25 / g - 0.4431 / np.sqrt(g) + 1.0 / 6.0 + 0.3 * np.sqrt(g) - 0.2 * g
-    return TraceSamples(g, vals, np.zeros_like(g)), {F(-1): 0.25, F(-1, 2): -0.4431}
+    return TraceSamples(g, vals, np.zeros_like(g)), {F(-1): Pin(0.25), F(-1, 2): Pin(-0.4431)}
 
 
 def test_pinned_fit_returns_the_pins_and_recovers_the_rest():
-    """The pinned coefficients come back as given, with bound 0; the free
-    ones are recovered; the partner is fitted with the same pins."""
+    """The pinned coefficients come back as given, each pin's bound as its
+    coefficient bound (0 unless given); the free ones are recovered; the
+    partner is fitted with the same pins."""
     samples, pins = _pinned_synthetic()
+    pins[F(-1)] = Pin(0.25, 3e-12)
     partner = ExpansionTemplate.from_terms([(F(e, 2), e == 0) for e in range(-2, 5)], m=2)
     fit = fit_expansion(samples, PINNED_TEMPLATE, pins, partner)
     for part in (fit, fit.partner):
         assert part.pinned == ((F(-1), False), (F(-1, 2), False))
         assert part.coefficient(-1) == 0.25 and part.coefficient(F(-1, 2)) == -0.4431
-        assert part.coefficient_bounds[F(-1), False] == part.coefficient_bounds[F(-1, 2), False] == 0.0
+        assert part.coefficient_bounds[F(-1), False] == 3e-12
+        assert part.coefficient_bounds[F(-1, 2), False] == 0.0
         assert abs(part.coefficient(0) - 1.0 / 6.0) < 1e-9
         assert abs(part.coefficient(F(1, 2)) - 0.3) < 1e-8
         assert abs(part.coefficient(1) + 0.2) < 1e-8
@@ -596,7 +600,7 @@ def test_pinned_fit_returns_the_pins_and_recovers_the_rest():
 def test_pin_outside_the_template_is_refused():
     samples, _ = _pinned_synthetic()
     with pytest.raises(ValueError, match=r"t\^-3/2"):
-        fit_expansion(samples, PINNED_TEMPLATE, {F(-3, 2): 1.0})
+        fit_expansion(samples, PINNED_TEMPLATE, {F(-3, 2): Pin(1.0)})
 
 
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
@@ -607,7 +611,7 @@ def test_trim_loop_slices_the_design_bit_for_bit(pinned):
     trace, where the pinned order-2 fit trims dozens of samples."""
     pipe = _pipeline()
     samples = pipe.traces()[0].restrict(t_max=cli.FIT_T_MAX)
-    pins = pipe.pins(0) if pinned else {}
+    pins = {alpha: pin.value for alpha, pin in pipe.pins(0).items()} if pinned else {}
     kept = []
     for tpl in (pipe.template(), pipe.partner_template()):
         free = [key for key in tpl.basis if key[1] or key[0] not in pins]
@@ -646,32 +650,35 @@ def test_median_equals_numpy_bit_for_bit(n):
 # ---------------------------------------------------------------- products --
 
 def test_product_with_point_factor_is_identity():
+    """A circle base times a point: each degree is the circle's theta trace."""
     grid = log_grid(0.05, 1.0, 12)
-    fiber = torus_spectrum((TWO_PI,), cutoff=27.0)
-    base = {0: fiber_factor_trace(fiber, 0, grid), 1: fiber_factor_trace(fiber, 1, grid)}
+    theta = fiber_factor_trace(torus_spectrum((TWO_PI,), cutoff=27.0), grid)
     point = {0: TraceSamples(grid, np.ones_like(grid), np.zeros_like(grid),
                              Spectrum.of([0.0], [1.0]))}
-    prod = product_trace(base, point, (TWO_PI,))
+    prod = product_trace(theta, point, (TWO_PI,))
     for k in (0, 1):
-        assert prod[k].values == pytest.approx(base[k].values, rel=1e-15)
+        assert prod[k].values == pytest.approx(theta.values, rel=1e-15, abs=0.0)
+
+
+def _circle_times_circle(grid):
+    """The unit circle's theta trace, and the circle times the circle: a
+    closed factor's degrees are its theta trace each."""
+    theta = fiber_factor_trace(torus_spectrum((TWO_PI,), cutoff=27.0), grid)
+    return theta, product_trace(theta, {0: theta, 1: theta}, (TWO_PI,))
 
 
 def test_product_circle_circle_matches_torus():
+    """Circle times circle is the square torus: C(2, k) Theta_T^2 in degree k."""
     grid = log_grid(0.05, 1.0, 12)
-    circle = torus_spectrum((TWO_PI,), cutoff=27.0)
-    fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace(fact, fact, (TWO_PI,))
-    torus = torus_spectrum([2 * math.pi, 2 * math.pi], cutoff=27.0)
+    _, prod = _circle_times_circle(grid)
+    torus = fiber_factor_trace(torus_spectrum([2 * math.pi, 2 * math.pi], cutoff=27.0), grid)
     for k in (0, 1, 2):
-        want = fiber_factor_trace(torus, k, grid)
-        assert np.max(np.abs(prod[k].values - want.values) / want.values) < 1e-10
+        want = math.comb(2, k) * torus.values
+        assert np.max(np.abs(prod[k].values - want) / want) < 1e-10
 
 
 def test_product_euler_characteristic_factorizes():
-    grid = log_grid(0.05, 0.5, 6)
-    circle = torus_spectrum((TWO_PI,), cutoff=27.0)
-    fact = {d: fiber_factor_trace(circle, d, grid) for d in (0, 1)}
-    prod = product_trace(fact, fact, (TWO_PI,))
+    _, prod = _circle_times_circle(log_grid(0.05, 0.5, 6))
     alt = sum((-1) ** k * prod[k].values for k in prod)
     assert np.max(np.abs(alt)) < 1e-12
 
@@ -684,11 +691,10 @@ def test_product_spectrum_complete_to_smaller_cutoff():
     the base periods."""
     grid = log_grid(0.05, 1.0, 12)
     periods = (TWO_PI, TWO_PI)
-    torus = torus_spectrum(periods, cutoff=40.0)
-    base = {d: fiber_factor_trace(torus, d, grid) for d in (0, 1, 2)}
+    theta = fiber_factor_trace(torus_spectrum(periods, cutoff=40.0), grid)
     cone = {0: _certified_trace(Spectrum.of([2.0, 5.0], [1.0, 3.0], 1000.0), 0.5, grid),
             1: _certified_trace(Spectrum.of([5.0, 7.0], [2.0, 1.0], 900.0), 0.5, grid)}
-    prod = product_trace(base, cone, periods)
+    prod = product_trace(theta, cone, periods)
     want = {0: ([2.0, 5.0], [1.0, 3.0], 1000.0),
             1: ([2.0, 5.0, 7.0], [2.0, 8.0, 1.0], 900.0),
             2: ([2.0, 5.0, 7.0], [1.0, 7.0, 2.0], 900.0),
@@ -703,31 +709,38 @@ def test_product_spectrum_complete_to_smaller_cutoff():
 
 
 def test_product_charges_its_roundings():
-    """Factors with no tail: the product's bound is its own rounding,
-    gamma_{pairs + 1} times the sum of |Tr_i(B) Tr_j(C)| over the pairs,
-    and it covers the correctly rounded sum of the exact products."""
+    """Factors with no tail, over a circle and over a b = 3 base: the
+    product's bound is its own rounding, gamma_n times the sum of
+    C(b, k - j) |Theta_B Tr_j(C)| over the pairs, n = pairs + 1, one more
+    where a C(b, k - j) is not a power of two (C(3, 1) = 3), and it covers
+    the correctly rounded sum of the exact products."""
     grid = log_grid(0.05, 1.0, 12)
     zero = np.zeros_like(grid)
-    base = {d: TraceSamples(grid, (d + 1.0) / grid, zero) for d in (0, 1)}
+    theta = TraceSamples(grid, 1.0 / grid, zero)
     cone = {d: TraceSamples(grid, np.exp(-grid) / (3.0 - d), zero) for d in (0, 1, 2)}
-    prod = product_trace(base, cone, (TWO_PI,))
-    for k in range(4):
-        pairs = [(base[i].values, cone[k - i].values) for i in (0, 1) if k - i in cone]
-        ku = (len(pairs) + 1) * conekernel.UNIT_ROUNDOFF
-        size = sum(a * b for a, b in pairs)
-        assert prod[k].tail_bound == pytest.approx(ku / (1.0 - ku) * size, rel=1e-15)
-        with mpmath.workprec(200):
-            exact = [float(mpmath.fsum(mpmath.mpf(a[r]) * b[r] for a, b in pairs))
-                     for r in range(len(grid))]
-        assert np.all(np.abs(prod[k].values - exact) <= prod[k].tail_bound)
+    for b in (1, 3):
+        prod = product_trace(theta, cone, (TWO_PI,) * b)
+        assert list(prod) == list(range(b + 3))
+        for k in prod:
+            pairs = [(math.comb(b, k - j), cone[j].values) for j in cone if 0 <= k - j <= b]
+            n = len(pairs) + 1 + any(rank not in (1, 2) for rank, _ in pairs)
+            ku = n * conekernel.UNIT_ROUNDOFF
+            size = sum(rank * theta.values * v for rank, v in pairs)
+            assert prod[k].tail_bound == pytest.approx(ku / (1.0 - ku) * size, rel=1e-15,
+                                                       abs=0.0), (b, k)
+            with mpmath.workprec(200):
+                exact = [float(mpmath.fsum(rank * mpmath.mpf(theta.values[r]) * v[r]
+                                           for rank, v in pairs))
+                         for r in range(len(grid))]
+            assert np.all(np.abs(prod[k].values - exact) <= prod[k].tail_bound), (b, k)
 
 
 def test_product_mismatched_grids():
     g1, g2 = log_grid(0.05, 1.0, 8), log_grid(0.05, 1.0, 9)
-    a = {0: TraceSamples(g1, np.ones_like(g1), np.zeros_like(g1))}
-    b = {0: TraceSamples(g2, np.ones_like(g2), np.zeros_like(g2))}
+    theta = TraceSamples(g1, np.ones_like(g1), np.zeros_like(g1))
+    cone = {0: TraceSamples(g2, np.ones_like(g2), np.zeros_like(g2))}
     with pytest.raises(MismatchedGrids):
-        product_trace(a, b, ())
+        product_trace(theta, cone, ())
 
 
 # ----------------------------------------------------- McKean-Singer defect --

@@ -52,4 +52,4 @@ def test_heat_pins_are_the_derived_coefficients(periods, base):
             line = sum(math.comb(b, k - j) * c.q for j, c in enumerate(terms) if j <= k)
             want = math.prod(base) * (4 * math.pi) ** (-b / 2) * area * float(line) \
                 * math.pi ** (terms[0].p / 2)
-            assert pins[alpha - F(b, 2)] == pytest.approx(want, rel=1e-15), (k, alpha)
+            assert pins[alpha - F(b, 2)].value == pytest.approx(want, rel=1e-15, abs=0.0), (k, alpha)

@@ -129,17 +129,22 @@ def test_pins_are_the_volume_and_boundary_of_the_model():
             rank = math.comb(m, k)
             want = {F(-m, 2): rank * volume / four_pi ** (m / 2),
                     F(1 - m, 2): -rank * boundary / (4 * four_pi ** ((m - 1) / 2))}
-            pins = pipe.pins(k)
-            assert {alpha: pins[alpha] for alpha in want} == pytest.approx(want, rel=1e-15), \
+            pins = _values(pipe.pins(k))
+            assert {alpha: pins[alpha] for alpha in want} == pytest.approx(want, rel=1e-15, abs=0.0), \
                 (cfg, k)
-    assert Pipeline(ModelConfig()).pins(0) == pytest.approx(
+    assert _values(Pipeline(ModelConfig()).pins(0)) == pytest.approx(
         {F(-1): 0.25, F(-1, 2): -math.sqrt(math.pi) / 4, F(0): 1 / 6,
          F(1, 2): math.sqrt(math.pi) / 128, F(1): 2 / 315,
-         F(3, 2): 37 * math.sqrt(math.pi) / 16384}, rel=1e-15)
+         F(3, 2): 37 * math.sqrt(math.pi) / 16384}, rel=1e-15, abs=0.0)
     single = Pipeline(ModelConfig(single_nu=0.5, t_min=1e-2))
     assert single.pins(0) == {} and single.partner_template() is None
     fit = single.fits()[0]
     assert fit.pinned == () and fit.partner is None
+
+
+def _values(pins: dict) -> dict:
+    """The values of the pins, without their bounds."""
+    return {alpha: pin.value for alpha, pin in pins.items()}
 
 
 def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
@@ -211,17 +216,17 @@ def _torus_cone_zeta0(periods) -> list[float]:
 @pytest.mark.parametrize("name", LATER_PINS)
 def test_third_pin_where_the_edge_does_not_share_it(name):
     """The pinned exponents of each model, and the closed forms of the pins
-    after the first two.  On torus fibers (n = 2) the third is a_1 =
-    (4 pi)^(-m/2) n vol(N) vol(B) [C(m, k)/6 + C(m-2, k-1)], whose exponent
-    the edge does not share.  The one the tip and the edge share is
-    vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) z_j, z_j the cone's zeta(0) in
-    degree j: the third on circle fibers, summed exactly and rounded once,
-    then C(m, k) vol(N) vol(B) / (128 (4 pi)^((m-1)/2)), 4 C(m, k)
-    vol(N) vol(B) / (315 (4 pi)^(m/2)) and 37 C(m, k) vol(N) vol(B) /
-    (2^15 sqrt(pi) (4 pi)^((m-2)/2)); the fourth on T^2 fibers, within
-    1e-14 of its lattice sum written out, and the T^2 cone's later ones
-    carried to the product by the same line (their values:
-    test_heat_coefficient_oracle.py).  The disk's are 1/6, the planar
+    after the first two.  On the plain cone over a torus (n = 2) the third
+    is a_1 = (4 pi)^(-3/2) n vol(N) [C(3, k)/6 + C(1, k-1)], whose exponent
+    the edge does not share, and the fourth the one the tip and the edge
+    share, zeta(0), within 1e-14 of its lattice sum written out (the later
+    ones: test_heat_coefficient_oracle.py).  On the plain cone over a
+    circle the third is zeta(0), exactly the closed form rounded once, then
+    C(2, k) vol(N) / (128 (4 pi)^(1/2)), 4 C(2, k) vol(N) / (315 (4 pi))
+    and 37/128 of the first.  Every pin of a product is the Kunneth line
+    vol(B) (4 pi)^(-b/2) sum_j C(b, k-j) c_j of the plain cone's pins c_j,
+    within 1e-15, and so is the T^2 tip's bound, of the cone's bounds with
+    the roundings of b more terms.  The disk's are 1/6, the planar
     sqrt(pi t) / 128, 2 t / 315 and 37 sqrt(pi) t^(3/2) / 16384, the cone
     of radius 1/2 has the correctly rounded 5/24 and -1/12 at t^0, T^2's
     a_1 is sqrt(pi) [1/6, 3/2, 3/2, 1/6] and its t^0 the References'
@@ -229,58 +234,59 @@ def test_third_pin_where_the_edge_does_not_share_it(name):
     and each is Hodge-symmetric."""
     cfg, later = LATER_PINS[name]
     pipe = Pipeline(cfg)
-    m, n = pipe.m, len(pipe.fiber_periods)
-    volume = math.prod(pipe.fiber_periods) * math.prod(pipe.base_periods)
+    m, n, b = pipe.m, len(pipe.fiber_periods), pipe.b
+    area = math.prod(pipe.fiber_periods)
+    cone = [conekernel.heat_pins(n + 1, j, pipe.fiber_periods, 1.0) for j in range(n + 2)]
+    flat = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2)
+    more = conekernel.rounding_gamma(b + 6) - conekernel.rounding_gamma(6)
     for k in pipe.degrees:
         pins = pipe.pins(k)
         assert list(pins) == [F(-m, 2), F(1 - m, 2)] + later, k
-        assert pins == pytest.approx(pipe.pins(m - k), rel=1e-15), k
+        assert _values(pins) == pytest.approx(_values(pipe.pins(m - k)), rel=1e-15, abs=0.0), k
+        if b:
+            for alpha in cone[0]:
+                line = [(math.comb(b, k - j), cone[j][alpha]) for j in range(n + 2)
+                        if 0 <= k - j <= b]
+                value = flat * sum(r * c.value for r, c in line)
+                bound = flat * sum(r * (c.bound + more * abs(c.value)) for r, c in line if c.bound)
+                pin = pins[alpha - F(b, 2)]
+                assert pin.value == pytest.approx(value, rel=1e-15, abs=1e-16), (k, alpha)
+                assert pin.bound == pytest.approx(bound, rel=1e-15, abs=0.0), (k, alpha)
+                assert (pin.bound > 0) == (n == 2 and alpha == 0), (k, alpha)
+            continue
         rank = math.comb(m, k)
         if n == 2:
-            b = pipe.b
-            tip = sum(math.comb(b, k - j) * z
-                      for j, z in enumerate(_torus_cone_zeta0(pipe.fiber_periods)) if j <= k)
-            edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * tip
-            assert pins[later[1]] == pytest.approx(edge, rel=1e-14, abs=1e-15), k
-            cone = [conekernel.heat_pins(3, j, pipe.fiber_periods, 1.0) for j in range(4)]
-            for alpha in T2_CONE[2:]:
-                line = sum(math.comb(b, k - j) * cone[j][alpha] for j in range(4) if j <= k)
-                assert pins[alpha - F(b, 2)] == pytest.approx(
-                    math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * line,
-                    rel=1e-15, abs=1e-16), (k, alpha)
-            weitzenboeck = math.comb(m - 2, k - 1) if k else 0
+            assert pins[F(0)].value == pytest.approx(_torus_cone_zeta0(pipe.fiber_periods)[k],
+                                                     rel=1e-14, abs=1e-15), k
             rest = later[:1]
-            want = [n * volume * (rank / 6 + weitzenboeck) / (4 * math.pi) ** (m / 2)]
+            want = [n * area * (rank / 6 + (math.comb(1, k - 1) if k else 0)) / (4 * math.pi) ** 1.5]
         else:
-            b, r = pipe.b, pipe.fiber_periods[0] / TWO_PI
-            tip = sum(math.comb(b, k - j) * z
-                      for j, z in enumerate(_circle_cone_zeta0(r)) if j <= k)
-            edge = math.prod(pipe.base_periods) * (4 * math.pi) ** (-b / 2) * float(tip)
-            assert pins[later[0]] == (edge if b == 0 else pytest.approx(edge, rel=1e-15)), k
-            rest, want = later[1:], [rank * volume / (128 * (4 * math.pi) ** ((m - 1) / 2)),
-                                     4 * rank * volume / (315 * (4 * math.pi) ** (m / 2)),
-                                     37 * rank * volume / (2 ** 15 * math.sqrt(math.pi)
-                                                           * (4 * math.pi) ** ((m - 2) / 2))]
-        assert [pins[alpha] for alpha in rest] == pytest.approx(want, rel=1e-15), k
+            r = pipe.fiber_periods[0] / TWO_PI
+            assert pins[F(0)].value == float(_circle_cone_zeta0(r)[k]), k
+            rest, want = later[1:], [rank * area / (128 * (4 * math.pi) ** 0.5),
+                                     4 * rank * area / (315 * 4 * math.pi),
+                                     37 * rank * area / (2 ** 15 * math.sqrt(math.pi))]
+        assert [pins[alpha].value for alpha in rest] == pytest.approx(want, rel=1e-15, abs=0.0), k
     if name == "disk":
-        assert [pipe.pins(1)[alpha] for alpha in later] \
+        assert [pipe.pins(1)[alpha].value for alpha in later] \
             == pytest.approx([1 / 3, math.sqrt(math.pi) / 64, 4 / 315,
-                              37 * math.sqrt(math.pi) / 8192], rel=1e-15)
+                              37 * math.sqrt(math.pi) / 8192], rel=1e-15, abs=0.0)
     if name == "r=0.5":
-        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] == [5 / 24, -1 / 12, 5 / 24]
+        assert [pipe.pins(k)[F(0)].value for k in pipe.degrees] == [5 / 24, -1 / 12, 5 / 24]
     if name == "T^2":
-        assert [pipe.pins(k)[later[0]] for k in pipe.degrees] \
-            == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14)
-        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] == pytest.approx(
+        assert [pipe.pins(k)[later[0]].value for k in pipe.degrees] \
+            == pytest.approx([math.sqrt(math.pi) * c for c in (1 / 6, 1.5, 1.5, 1 / 6)], rel=1e-14,
+                             abs=0.0)
+        assert [pipe.pins(k)[F(0)].value for k in pipe.degrees] == pytest.approx(
             [0.3376204449064545, -1.0579349920755332, -1.0579349920755332, 0.3376204449064545],
-            rel=1e-15)
+            rel=1e-15, abs=0.0)
     if name == "2pi x 3pi T^2":
         # the degree-1 orders 1 - mu at kappa = (0, +-2/3) take 2 (1 - 5/6) off
         z = _torus_cone_zeta0(pipe.fiber_periods)
-        assert z[1] == pytest.approx(3 * z[0] - 3 * math.pi / 4 - 0.5 - 1 / 3, rel=1e-14)
+        assert z[1] == pytest.approx(3 * z[0] - 3 * math.pi / 4 - 0.5 - 1 / 3, rel=1e-14, abs=0.0)
     if name == "circle product":
-        assert [pipe.pins(k)[F(0)] for k in pipe.degrees] \
-            == pytest.approx([c * TWO_PI * 1.5 / 256 for c in (1, 3, 3, 1)], rel=1e-15)
+        assert [pipe.pins(k)[F(0)].value for k in pipe.degrees] \
+            == pytest.approx([c * TWO_PI * 1.5 / 256 for c in (1, 3, 3, 1)], rel=1e-15, abs=0.0)
 
 
 TIP_PIN_MODELS = {"disk": ModelConfig(), "T^2": GOLDEN_MODELS["torus"],
@@ -291,27 +297,26 @@ TIP_PIN_MODELS = {"disk": ModelConfig(), "T^2": GOLDEN_MODELS["torus"],
 @pytest.mark.parametrize("name", TIP_PIN_MODELS)
 def test_tip_pin_carries_its_own_error_bound(name):
     """On T^2 fibers the tip and edge pin at t^(-b/2) is a float lattice
-    sum; its own error bound (`conekernel.heat_pin_bounds`), a few
-    roundings of the value, is that column's coefficient bound in both
-    fits, and on the T^2 cone, where the column is t^0, zeta(0)'s bound is
-    exactly it plus the pin's rounding and the bias.  The circle fibers'
-    pins, exact to one rounding, carry none."""
+    sum; its own error bound, a few roundings of the value, is that
+    column's coefficient bound in both fits, and on the T^2 cone, where the
+    column is t^0, zeta(0)'s bound is exactly it plus the pin's rounding
+    and the bias.  The circle fibers' pins, exact to one rounding, carry
+    none."""
     pipe = Pipeline(TIP_PIN_MODELS[name])
     tip, zetas = (F(-pipe.b, 2), False), pipe.zetas()
     for k, fit in pipe.fits().items():
-        bounds = conekernel.heat_pin_bounds(pipe.m, k, pipe.fiber_periods,
-                                            math.prod(pipe.base_periods))
+        pin = pipe.pins(k)[tip[0]]
         if len(pipe.fiber_periods) == 1:
-            assert bounds == {} and fit.coefficient_bounds[tip] == 0.0
+            assert pin.bound == 0.0 and fit.coefficient_bounds[tip] == 0.0
             continue
-        assert 0.0 < bounds[tip[0]] <= 1e-14 * abs(pipe.pins(k)[tip[0]]), k
-        assert fit.coefficient_bounds[tip] == fit.partner.coefficient_bounds[tip] == bounds[tip[0]]
+        assert 0.0 < pin.bound <= 1e-14 * abs(pin.value), k
+        assert fit.coefficient_bounds[tip] == fit.partner.coefficient_bounds[tip] == pin.bound
         if tip[0] == 0:
             d = zetas[k].diagnostics
             chosen = fit if d["fit_order"] == str(TEMPLATE_CUTOFF) else fit.partner
             read = conekernel.rounding_gamma(len(chosen.coefficients) + 3) \
                 * abs(chosen.coefficients[tip])
-            assert d["zeta0_bound"] == bounds[tip[0]] + read + d.get("zeta0_bias", 0.0), k
+            assert d["zeta0_bound"] == pin.bound + read + d.get("zeta0_bias", 0.0), k
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.5, 2.0, 2.3, 3.0, 11.0])
@@ -326,11 +331,11 @@ def test_tip_pin_reads_a_as_the_degree_one_orders_do(r):
     radius = pipe.fiber_periods[0] / TWO_PI
     least = float(pipe.nu_spectra()[1].nu[0])
     x = radius * least
-    tip = (radius + 1 / radius) / 6 - pipe.pins(1)[F(0)]
+    tip = (radius + 1 / radius) / 6 - pipe.pins(1)[F(0)].value
     assert tip == pytest.approx(x * (1 - x) / radius, rel=1e-10, abs=1e-15)
     if r.is_integer():
         assert least == 0.0 and fiber.frac_radius(radius) == 0.0
-        assert pipe.pins(1)[F(0)] == 2 * pipe.pins(0)[F(0)]
+        assert pipe.pins(1)[F(0)].value == 2 * pipe.pins(0)[F(0)].value
     else:
         assert min(fiber.frac_radius(radius), 1 - fiber.frac_radius(radius)) \
             == pytest.approx(x, rel=1e-10)
@@ -346,14 +351,15 @@ def test_tip_pin_is_its_closed_form_rounded_once(r):
     is charged, covers it."""
     pipe = Pipeline(ModelConfig(radius=r))
     radius = F(pipe.fiber_periods[0] / TWO_PI)
-    assert pipe.pins(1)[F(0)] == float((7 * radius ** 2 - 6 * radius + 1) / (6 * radius))
+    assert pipe.pins(1)[F(0)].value == float((7 * radius ** 2 - 6 * radius + 1) / (6 * radius))
 
 
 def test_stages_computed_once(monkeypatch):
     """fits, zetas and torsion compute each stage once per distinct input:
     Hodge-dual degrees k and m - k share one cone spectrum, one fit and one
-    zeta, and the zeta data keep their own degree."""
-    calls = _count_calls(monkeypatch, "fit_expansion", "cone_spectrum")
+    zeta, and the zeta data keep their own degree.  A product takes its
+    base's theta trace once, a cone none."""
+    calls = _count_calls(monkeypatch, "fit_expansion", "cone_spectrum", "fiber_factor_trace")
     for cfg in (ModelConfig(model="product", base="circle", t_min=3e-3), ModelConfig(),
                 ModelConfig(fiber_kind="torus", periods=[2 * math.pi, 2 * math.pi],
                             t_min=1e-2)):
@@ -362,7 +368,8 @@ def test_stages_computed_once(monkeypatch):
         pipe.fits()
         zetas = pipe.zetas()
         pipe.torsion()
-        assert calls == {"fit_expansion": 2, "cone_spectrum": 2}, cfg
+        assert calls == {"fit_expansion": 2, "cone_spectrum": 2,
+                         "fiber_factor_trace": int(bool(pipe.base_periods))}, cfg
         assert [z.degree for z in zetas.values()] == pipe.degrees
 
 

@@ -187,7 +187,7 @@ def test_circle_product_zeta0_is_the_boundary_coefficient(capsys, r):
     for z in per["per_degree"]:
         want = math.comb(3, z["degree"]) * 2.0 * math.pi * r / 256.0
         assert abs(z["zeta0"] - want) <= z["diagnostics"]["zeta0_bound"], z["degree"]
-        assert z["zeta0"] == pytest.approx(want, rel=1e-15), z["degree"]
+        assert z["zeta0"] == pytest.approx(want, rel=1e-15, abs=0.0), z["degree"]
         assert "t^0" in z["diagnostics"]["pinned"]
 
 

@@ -83,7 +83,7 @@ def test_square_torus_zeta_prime0():
     zeta'(0) = -log 2 pi - 2 beta'(0), beta'(0) = log(Gamma(1/4)^2 / (2 pi sqrt 2))
     for Dirichlet's beta."""
     torus = torus_spectrum((2.0 * math.pi, 2.0 * math.pi), cutoff=200.0)
-    tr = fiber_factor_trace(torus, 0, log_grid(1e-3, 1.0, 60))
+    tr = fiber_factor_trace(torus, log_grid(1e-3, 1.0, 60))
     tpl = ExpansionTemplate.from_terms([(-1, False), (0, False), (1, False)])
     z = zeta_near_zero(tr, fit_expansion(tr.restrict(t_max=0.1), tpl), kernel_dim=1)
     beta1 = math.log(math.gamma(0.25) ** 2 / (2.0 * math.pi * math.sqrt(2.0)))
@@ -206,10 +206,10 @@ def test_large_t_integral_refuses_a_zero_mode_times_a_base():
     """A zero mode of the cone times a flat base does not decay, and the
     lattice sums of the Poisson form diverge for it: refused."""
     grid = log_grid(1e-2, 1.0, 20)
-    base = {0: fiber_factor_trace(torus_spectrum((3.0,), cutoff=70.0), 0, grid)}
+    theta = fiber_factor_trace(torus_spectrum((3.0,), cutoff=70.0), grid)
     cone = {0: _certified_trace(Spectrum.of([0.0, 1.0], [1.0, 1.0], 4e4), q=0.5, t_grid=grid)}
     with pytest.raises(DecayRateUnknown, match="zero mode times a flat base"):
-        _large_t_integral(product_trace(base, cone, (3.0,))[0], kernel_dim=1)
+        _large_t_integral(product_trace(theta, cone, (3.0,))[0], kernel_dim=1)
 
 
 # ------------------------------------------------------ large-t integral --
@@ -275,8 +275,7 @@ def test_product_large_t_integral_against_pair_sums(periods):
     pipe = Pipeline(ModelConfig(t_min=3e-2))
     t1, cone = float(pipe.grid[0]), pipe.cone_traces()
     base_fiber = torus_spectrum(periods, cutoff=math.sqrt(746.0 / t1))
-    base = {d: fiber_factor_trace(base_fiber, d, pipe.grid) for d in range(len(periods) + 1)}
-    product = product_trace(base, cone, periods)
+    product = product_trace(fiber_factor_trace(base_fiber, pipe.grid), cone, periods)
     mu = np.concatenate(([0.0], base_fiber.mu2))
     points = np.concatenate(([1.0], base_fiber.points))
     for k in (0, 1):
